@@ -17,11 +17,18 @@
 // counters; Snapshot merges the per-shard counters. Striping is invisible
 // to correctness: eviction was already allowed to be arbitrary (B.1), so
 // per-shard CLOCK sweeps are just one more admissible eviction order.
+//
+// Writes cost O(entries changed), never O(capacity): empty slots come off
+// a free list, a full shard goes straight to the CLOCK hand, and per-shard
+// reverse indexes (flow source → rules, next hop → rules), linked through
+// the slots by slot number, let InvalidateSource, InvalidateDest and
+// CollectDest visit only matching rules and let Add allocate nothing.
 package cache
 
 import (
+	"cmp"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -33,7 +40,9 @@ import (
 type Action struct {
 	// Forward lists next-hop destinations; the pipe-terminus sends a copy
 	// of the packet to each ("the decision can specify multiple forwarding
-	// destinations", §4).
+	// destinations", §4). Immutable once installed: Add indexes the rule
+	// under each address without copying the slice, so to change next hops
+	// install a new Action with a new slice; never write to this one.
 	Forward []wire.Addr
 	// Drop discards the packet (used by e.g. DDoS protection). Drop takes
 	// precedence over Forward.
@@ -52,31 +61,69 @@ type Stats struct {
 	Misses    uint64
 	Evictions uint64
 	Inserts   uint64
-	Size      int
-	Capacity  int
+	// Invalidated counts rules removed by InvalidateSource, InvalidateDest
+	// and Invalidate, in that order; an eviction is not an invalidation.
+	Invalidated [3]uint64
+	Size        int
+	Capacity    int
 }
+
+// The two reverse indexes, then the third way to invalidate a rule; they
+// index entry.links, shard.heads and Stats.Invalidated.
+const (
+	bySrc = iota // rules whose flow source is the address
+	byDst        // rules that forward to the address
+	byKey
+)
+
+// none ends a list of node ids.
+const none = int32(-1)
+
+// link is a node of a doubly linked index list.
+type link struct{ next, prev int32 }
 
 type entry struct {
 	key      wire.FlowKey
 	action   Action
 	hits     uint64
-	lastUsed time.Time
-	ref      bool // CLOCK reference bit
-	live     bool
+	lastUsed int64 // UnixNano
+	// links[bySrc] joins the rules with this key.Src (and, in an empty
+	// slot, the free list); links[byDst] those forwarding to Forward[0].
+	links [2]link
+	more  int32 // first fanout node of a multi-destination rule, or none
+	ref   bool  // CLOCK reference bit
+}
+
+// fanout is the byDst node for a further distinct address of a multi-
+// destination rule. Those are rare, so the nodes live outside the slots,
+// in a slice that grows only when such rules are installed; node ids from
+// len(slots) up name fanout nodes, smaller ids are slots.
+type fanout struct {
+	link
+	addr wire.Addr
+	slot int32
+	sib  int32 // next node of the same rule, or next free node
 }
 
 // shard is one independently locked CLOCK cache.
 type shard struct {
-	mu      sync.Mutex
-	index   map[wire.FlowKey]int
-	slots   []entry
-	hand    int
-	now     func() time.Time
-	hits    uint64
-	misses  uint64
-	evicts  uint64
-	inserts uint64
-	enabled bool
+	mu       sync.Mutex
+	index    map[wire.FlowKey]int32
+	slots    []entry
+	hand     int32
+	free     int32                  // slots an invalidation emptied, joined by links[bySrc].next
+	fresh    int32                  // slots[fresh:] have never been used
+	heads    [2]map[wire.Addr]int32 // per index: address → first node of its list
+	fan      []fanout
+	fanFree  int32
+	now      func() time.Time
+	hits     uint64
+	misses   uint64
+	evicts   uint64
+	inserts  uint64
+	inval    [3]uint64
+	examined uint64 // CLOCK steps and index nodes visited; read by tests only
+	enabled  bool
 }
 
 // minShardCapacity is the smallest per-shard slot count auto-striping will
@@ -156,8 +203,11 @@ func newCache(capacity, n int, srcAffine bool) *Cache {
 			sz++
 		}
 		c.shards[i] = &shard{
-			index:   make(map[wire.FlowKey]int, sz),
+			index:   make(map[wire.FlowKey]int32, sz),
 			slots:   make([]entry, sz),
+			free:    none,
+			heads:   [2]map[wire.Addr]int32{{}, {}},
+			fanFree: none,
 			now:     time.Now,
 			enabled: true,
 		}
@@ -239,7 +289,7 @@ func (c *Cache) LookupN(key wire.FlowKey, n uint64) (Action, bool) {
 	e := &s.slots[i]
 	e.hits += n
 	e.ref = true
-	e.lastUsed = s.now()
+	e.lastUsed = s.now().UnixNano()
 	s.hits += n
 	return e.action, true
 }
@@ -252,43 +302,180 @@ func (c *Cache) Add(key wire.FlowKey, action Action) {
 	defer s.mu.Unlock()
 	s.inserts++
 	if i, ok := s.index[key]; ok {
-		s.slots[i].action = action
-		s.slots[i].ref = true
-		s.slots[i].lastUsed = s.now()
+		e := &s.slots[i]
+		if slices.Equal(e.action.Forward, action.Forward) {
+			e.action = action
+		} else {
+			s.unlinkDests(i)
+			e.action = action
+			s.linkDests(i)
+		}
+		e.ref = true
+		e.lastUsed = s.now().UnixNano()
 		return
 	}
-	i := s.findSlot()
-	if s.slots[i].live {
-		delete(s.index, s.slots[i].key)
-		s.evicts++
-	}
+	i := s.takeSlot()
 	// New entries start with the reference bit clear: only an actual
 	// Lookup grants a second chance, so one-shot flows evict first.
-	s.slots[i] = entry{key: key, action: action, lastUsed: s.now(), live: true}
+	s.slots[i] = entry{key: key, action: action, lastUsed: s.now().UnixNano()}
 	s.index[key] = i
+	s.push(bySrc, key.Src, i)
+	s.linkDests(i)
 }
 
-// findSlot returns a free slot index, running the CLOCK hand if the shard
-// is full. Must be called with s.mu held.
-func (s *shard) findSlot() int {
-	for range s.slots {
-		e := &s.slots[s.hand]
-		i := s.hand
-		s.hand = (s.hand + 1) % len(s.slots)
-		if !e.live {
-			return i
-		}
+// takeSlot returns an empty slot: one an invalidation freed, else one never
+// used, else — the shard is full — the CLOCK (second-chance) victim, whose
+// rule it removes. It never searches for a free slot. Must be called with
+// s.mu held, like every shard method below.
+func (s *shard) takeSlot() int32 {
+	if i := s.free; i != none {
+		s.free = s.slots[i].links[bySrc].next
+		return i
 	}
-	// All live: second-chance scan.
+	if int(s.fresh) < len(s.slots) {
+		s.fresh++
+		return s.fresh - 1
+	}
 	for {
-		e := &s.slots[s.hand]
 		i := s.hand
-		s.hand = (s.hand + 1) % len(s.slots)
-		if e.ref {
+		s.hand = (s.hand + 1) % int32(len(s.slots))
+		s.examined++
+		if e := &s.slots[i]; e.ref {
 			e.ref = false
 			continue
 		}
+		s.evicts++
+		s.remove(i)
 		return i
+	}
+}
+
+// remove takes the rule in slot i out of the table and both indexes; the
+// caller overwrites the slot.
+func (s *shard) remove(i int32) {
+	e := &s.slots[i]
+	delete(s.index, e.key)
+	s.unlink(bySrc, e.key.Src, i)
+	s.unlinkDests(i)
+}
+
+// invalidate removes the rule in slot i and puts the slot, cleared so that
+// it pins no caller's slices, on the free list.
+func (s *shard) invalidate(i int32, cause int) {
+	s.remove(i)
+	s.slots[i] = entry{links: [2]link{bySrc: {next: s.free}}}
+	s.free = i
+	s.inval[cause]++
+}
+
+// invalidateList removes every rule on a's list in index ix. A rule has one
+// node per distinct address, so removing it leaves the rest of a's list be.
+func (s *shard) invalidateList(ix int, a wire.Addr) {
+	for id := s.head(ix, a); id != none; {
+		next := s.link(ix, id).next
+		s.examined++
+		s.invalidate(s.slotOf(id), ix)
+		id = next
+	}
+}
+
+func (s *shard) fanNode(id int32) *fanout { return &s.fan[int(id)-len(s.slots)] }
+
+// link returns node id's links in index ix.
+func (s *shard) link(ix int, id int32) *link {
+	if int(id) >= len(s.slots) {
+		return &s.fanNode(id).link
+	}
+	return &s.slots[id].links[ix]
+}
+
+// slotOf returns the slot of the rule that node id indexes.
+func (s *shard) slotOf(id int32) int32 {
+	if int(id) >= len(s.slots) {
+		return s.fanNode(id).slot
+	}
+	return id
+}
+
+func (s *shard) head(ix int, a wire.Addr) int32 {
+	if id, ok := s.heads[ix][a]; ok {
+		return id
+	}
+	return none
+}
+
+// push adds node id to a's list in index ix — behind the head, so only the
+// first rule for an address writes the head map.
+func (s *shard) push(ix int, a wire.Addr, id int32) {
+	h := s.head(ix, a)
+	if h == none {
+		*s.link(ix, id) = link{none, none}
+		s.heads[ix][a] = id
+		return
+	}
+	hl := s.link(ix, h)
+	*s.link(ix, id) = link{hl.next, h}
+	if hl.next != none {
+		s.link(ix, hl.next).prev = id
+	}
+	hl.next = id
+}
+
+// unlink takes node id off a's list in index ix.
+func (s *shard) unlink(ix int, a wire.Addr, id int32) {
+	l := *s.link(ix, id)
+	if l.next != none {
+		s.link(ix, l.next).prev = l.prev
+	}
+	switch {
+	case l.prev != none:
+		s.link(ix, l.prev).next = l.next
+	case l.next != none:
+		s.heads[ix][a] = l.next
+	default:
+		delete(s.heads[ix], a)
+	}
+}
+
+// linkDests indexes slot i under every distinct address its rule forwards
+// to: Forward[0] through the slot's own link, the rest through fanout nodes.
+func (s *shard) linkDests(i int32) {
+	fwd := s.slots[i].action.Forward
+	more := none
+	for j, a := range fwd {
+		if j == 0 {
+			s.push(byDst, a, i)
+			continue
+		}
+		if slices.Contains(fwd[:j], a) {
+			continue
+		}
+		id := s.fanFree
+		if id == none {
+			s.fan = append(s.fan, fanout{})
+			id = int32(len(s.slots) + len(s.fan) - 1)
+		} else {
+			s.fanFree = s.fanNode(id).sib
+		}
+		*s.fanNode(id) = fanout{addr: a, slot: i, sib: more}
+		more = id
+		s.push(byDst, a, id)
+	}
+	s.slots[i].more = more
+}
+
+// unlinkDests undoes linkDests.
+func (s *shard) unlinkDests(i int32) {
+	e := &s.slots[i]
+	if len(e.action.Forward) > 0 {
+		s.unlink(byDst, e.action.Forward[0], i)
+	}
+	for id := e.more; id != none; {
+		f := s.fanNode(id)
+		s.unlink(byDst, f.addr, id)
+		next := f.sib
+		f.sib, s.fanFree = s.fanFree, id
+		id = next
 	}
 }
 
@@ -298,22 +485,22 @@ func (c *Cache) Invalidate(key wire.FlowKey) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if i, ok := s.index[key]; ok {
-		delete(s.index, key)
-		s.slots[i] = entry{}
+		s.invalidate(i, byKey)
 	}
 }
 
 // InvalidateSource removes all entries whose flow source is src (used when
-// a pipe to a peer is torn down).
+// a pipe to a peer is torn down). It visits only those entries, and only
+// the source's own shard when the cache is source-affine.
 func (c *Cache) InvalidateSource(src wire.Addr) {
-	for _, s := range c.shards {
+	shards := c.shards
+	if c.srcAffine {
+		i := wire.ShardIndex(src, len(shards))
+		shards = shards[i : i+1]
+	}
+	for _, s := range shards {
 		s.mu.Lock()
-		for key, i := range s.index {
-			if key.Src == src {
-				delete(s.index, key)
-				s.slots[i] = entry{}
-			}
-		}
+		s.invalidateList(bySrc, src)
 		s.mu.Unlock()
 	}
 }
@@ -321,19 +508,11 @@ func (c *Cache) InvalidateSource(src wire.Addr) {
 // InvalidateDest removes all entries whose cached action forwards to dst
 // (used when the pipe to a next hop dies: the stale route must fall back
 // to the slow path so the module can re-decide it once the pipe — with
-// fresh keys and epochs — is re-established).
+// fresh keys and epochs — is re-established). It visits only those entries.
 func (c *Cache) InvalidateDest(dst wire.Addr) {
 	for _, s := range c.shards {
 		s.mu.Lock()
-		for key, i := range s.index {
-			for _, fwd := range s.slots[i].action.Forward {
-				if fwd == dst {
-					delete(s.index, key)
-					s.slots[i] = entry{}
-					break
-				}
-			}
-		}
+		s.invalidateList(byDst, dst)
 		s.mu.Unlock()
 	}
 }
@@ -345,24 +524,26 @@ func (c *Cache) InvalidateDest(dst wire.Addr) {
 // no limit. Like Snapshot, the result is per-shard consistent, not one cut.
 func (c *Cache) CollectDest(dst wire.Addr, max int) []wire.FlowKey {
 	var out []wire.FlowKey
+	var found []int32
 	for _, s := range c.shards {
 		s.mu.Lock()
-		var keys []wire.FlowKey
-		for key, i := range s.index {
-			for _, fwd := range s.slots[i].action.Forward {
-				if fwd == dst {
-					keys = append(keys, key)
-					break
-				}
-			}
+		found = found[:0]
+		for id := s.head(byDst, dst); id != none; id = s.link(byDst, id).next {
+			s.examined++
+			found = append(found, s.slotOf(id))
 		}
-		sort.Slice(keys, func(a, b int) bool {
-			return s.slots[s.index[keys[a]]].lastUsed.After(s.slots[s.index[keys[b]]].lastUsed)
+		slices.SortFunc(found, func(a, b int32) int {
+			return cmp.Compare(s.slots[b].lastUsed, s.slots[a].lastUsed)
 		})
+		if max > 0 && len(found) > max-len(out) {
+			found = found[:max-len(out)]
+		}
+		for _, i := range found {
+			out = append(out, s.slots[i].key)
+		}
 		s.mu.Unlock()
-		out = append(out, keys...)
-		if max > 0 && len(out) >= max {
-			return out[:max]
+		if max > 0 && len(out) == max {
+			break
 		}
 	}
 	return out
@@ -391,7 +572,7 @@ func (c *Cache) RecentlyUsed(key wire.FlowKey, window time.Duration) bool {
 	if !ok {
 		return false
 	}
-	return s.now().Sub(s.slots[i].lastUsed) <= window
+	return s.now().UnixNano()-s.slots[i].lastUsed <= int64(window)
 }
 
 // RegisterTelemetry implements telemetry.Registrable. The cache keeps its
@@ -403,7 +584,14 @@ func (c *Cache) RegisterTelemetry(r *telemetry.Registry) {
 	stat := func(pick func(Stats) uint64) func() uint64 {
 		return func() uint64 { return pick(c.Snapshot()) }
 	}
+	invalidated := func(cause string, ix int) telemetry.Instrument {
+		return telemetry.NewCounterFunc(telemetry.Name("cache_invalidated_total", "cause", cause),
+			stat(func(s Stats) uint64 { return s.Invalidated[ix] }))
+	}
 	_ = r.Register(
+		invalidated("source", bySrc),
+		invalidated("dest", byDst),
+		invalidated("key", byKey),
 		telemetry.NewCounterFunc("cache_hits_total", stat(func(s Stats) uint64 { return s.Hits })),
 		telemetry.NewCounterFunc("cache_misses_total", stat(func(s Stats) uint64 { return s.Misses })),
 		telemetry.NewCounterFunc("cache_evictions_total", stat(func(s Stats) uint64 { return s.Evictions })),
@@ -430,6 +618,9 @@ func (c *Cache) Snapshot() Stats {
 		st.Misses += s.misses
 		st.Evictions += s.evicts
 		st.Inserts += s.inserts
+		for i, n := range s.inval {
+			st.Invalidated[i] += n
+		}
 		st.Size += len(s.index)
 		st.Capacity += len(s.slots)
 		s.mu.Unlock()

@@ -113,7 +113,10 @@ type Env interface {
 	// services can validate signed join messages against it, §6.2).
 	PeerIdentity(addr wire.Addr) (ed25519.PublicKey, bool)
 
-	// AddRule installs a decision-cache entry.
+	// AddRule installs a decision-cache entry. action.Forward is immutable
+	// from here on (the cache indexes the rule by next hop and keeps the
+	// slice): to change a rule's next hops, AddRule a new action with a
+	// new slice.
 	AddRule(key wire.FlowKey, action cache.Action)
 	// InvalidateRule removes a decision-cache entry.
 	InvalidateRule(key wire.FlowKey)

@@ -33,6 +33,9 @@ func TestControlMetricsOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl.await(t)
+	// The round trip installed a rule forwarding to the client; what a
+	// republish or a dead pipe does to it must show in the snapshot.
+	node.Cache().InvalidateDest(cl.addr)
 
 	req, _ := json.Marshal(ControlRequest{Target: wire.SvcNone, Op: "metrics"})
 	if err := cl.mgr.Send(node.Addr(), &wire.ILPHeader{Service: wire.SvcControl, Conn: 9}, req); err != nil {
@@ -56,6 +59,9 @@ func TestControlMetricsOp(t *testing.T) {
 		"pipe_handshake_attempts_total",
 		"pipe_peers",
 		"cache_misses_total",
+		`cache_invalidated_total{cause="key"}`,
+		`cache_invalidated_total{cause="source"}`,
+		`cache_invalidated_total{cause="dest"}`,
 		`sn_module_handled_total{module="echo"}`,
 		"sn_fastpath_service_ns",
 	} {
@@ -71,6 +77,9 @@ func TestControlMetricsOp(t *testing.T) {
 	}
 	if v := snap.Value("cache_misses_total"); v < 1 {
 		t.Errorf("cache_misses_total = %v, want >= 1", v)
+	}
+	if v := snap.Value(`cache_invalidated_total{cause="dest"}`); v != 1 {
+		t.Errorf(`cache_invalidated_total{cause="dest"} = %v, want 1`, v)
 	}
 	// The snapshot renders as valid exposition text.
 	if s := snap.String(); !strings.Contains(s, "# TYPE sn_rx_packets_total counter") {

@@ -79,9 +79,14 @@ run "fuzz smoke: PSP open" \
 	go test -run '^$' -fuzz 'FuzzPSPOpen' -fuzztime 5s ./internal/psp/
 run "fuzz smoke: signed address-record registration" \
 	go test -run '^$' -fuzz 'FuzzAddrRecordRegistration' -fuzztime 5s ./internal/lookup/
+run "fuzz smoke: decision-cache operations against the scanning reference" \
+	go test -run '^$' -fuzz 'FuzzCacheOps' -fuzztime 5s ./internal/sn/cache/
 
 run "rescache interleaving property suite (race-detected, fixed seeds)" \
 	go test -race -count=1 -timeout 180s ./internal/lookup/rescache/
+
+run "decision-cache reference-model and concurrent suites (race-detected, fixed seeds)" \
+	go test -race -count=1 -timeout 180s ./internal/sn/cache/
 
 # bench_suite <label> <out.json> <pkg> <bench-regex>: run one benchmark
 # suite, convert to a JSON artifact, and gate it. Benchmark output goes
