@@ -148,7 +148,7 @@ func build() (*lab.Topology, *worldState, error) {
 		return nil, nil, err
 	}
 	setup := func(node *sn.SN, ed *lab.Edomain) error {
-		if err := node.Register(ipfwd.New(topo.Global, topo.Fabric)); err != nil {
+		if err := node.Register(ipfwd.New(topo.NewNodeResolver(ed, node), topo.Fabric)); err != nil {
 			return err
 		}
 		if err := node.Register(pubsub.New(ed.Core, topo.Fabric, topo.Global)); err != nil {

@@ -94,7 +94,25 @@ func New(opts ...Option) *Topology {
 	if t.Net == nil {
 		t.Net = netsim.NewNetwork()
 	}
+	t.Fabric.OnRouteChange(t.dropSNRoutes)
 	return t
+}
+
+// dropSNRoutes invalidates, on every SN, every cached decision that forwards
+// to another SN. Those next hops came from the fabric's routes (directly, or
+// through a transit header built for them), so a route publish — a new
+// gateway pair, a direct-connect flip — must send their flows back to the
+// modules. Like AddEdomain, not safe beside a concurrent AddEdomain.
+func (t *Topology) dropSNRoutes() {
+	var sns []*sn.SN
+	for _, ed := range t.edomains {
+		sns = append(sns, ed.SNs...)
+	}
+	for _, node := range sns {
+		for _, hop := range sns {
+			node.Cache().InvalidateDest(hop.Addr())
+		}
+	}
 }
 
 // SNSetup customizes one SN at creation: register service modules, tweak
@@ -131,8 +149,9 @@ func (t *Topology) NewSN(cfgEdit ...func(*sn.Config)) (*sn.SN, error) {
 }
 
 // AddEdomain creates an edomain with numSNs service nodes. The first SN is
-// the gateway. Every SN runs the peering forwarder; setup (optional)
-// registers additional service modules per SN.
+// the gateway. Every SN runs the peering forwarder (its pipe-terminus unwraps
+// transit addressed to it without one); setup (optional) registers additional
+// service modules per SN.
 func (t *Topology) AddEdomain(id edomain.ID, numSNs int, setup SNSetup) (*Edomain, error) {
 	if _, dup := t.edomains[id]; dup {
 		return nil, fmt.Errorf("lab: edomain %s already exists", id)
@@ -165,7 +184,7 @@ func (t *Topology) AddEdomain(id edomain.ID, numSNs int, setup SNSetup) (*Edomai
 		if err != nil {
 			return nil, err
 		}
-		if err := node.Register(peering.NewForwarder(t.Fabric, node.Inject)); err != nil {
+		if err := node.Register(peering.NewForwarder(t.Fabric, node.Telemetry())); err != nil {
 			return nil, err
 		}
 		ed.Core.RegisterSN(node.Addr())

@@ -6,14 +6,16 @@
 // invariant that no money changes hands.
 //
 // Transit packets are encapsulated under the SvcPeering service ID: the
-// ILP header's service data carries the final destination SN and original
-// source, and the payload carries the inner ILP header plus inner payload.
-// Gateways install decision-cache rules for transit flows, so steady-state
-// inter-edomain forwarding runs on the fast path.
+// outer ILP header's service data carries the final destination SN, the
+// original source and the whole inner ILP header (wire.TransitHeader); the
+// payload is the inner payload. Every SN on the way caches its decision —
+// the ingress SN a header rewrite (TransitDecision), gateways a next hop
+// (Forwarder), the destination SN the inner flow's own rule once its
+// pipe-terminus has unwrapped the packet — so a cross-edomain flow runs the
+// slow path once per SN, not once per packet.
 package peering
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -23,6 +25,7 @@ import (
 	"interedge/internal/lookup"
 	"interedge/internal/sn"
 	"interedge/internal/sn/cache"
+	"interedge/internal/telemetry"
 	"interedge/internal/wire"
 )
 
@@ -33,7 +36,6 @@ type EdomainID = lookup.EdomainID
 var (
 	ErrUnknownEdomain = errors.New("peering: address not in any known edomain")
 	ErrNoGateway      = errors.New("peering: no gateway pair for edomain pair")
-	ErrBadTransit     = errors.New("peering: malformed transit encapsulation")
 )
 
 type edomainInfo struct {
@@ -92,6 +94,8 @@ type Fabric struct {
 	// under mu; probed lock-free by EdomainOf on the packet path.
 	byAddr sync.Map // wire.Addr -> EdomainID
 	routes atomic.Pointer[routeView]
+	// onRoutes run after every route publish. Under mu.
+	onRoutes []func()
 
 	// The settlement ledger is write-heavy (one tally per transit
 	// packet on the slow path) and shares no state with routing, so it
@@ -115,9 +119,19 @@ func NewFabric() *Fabric {
 	return f
 }
 
-// publishRoutesLocked clones the current route view, applies mutate, and
-// swaps the result in. Caller holds mu.
-func (f *Fabric) publishRoutesLocked(mutate func(*routeView)) {
+// OnRouteChange registers fn to run, on the publishing goroutine, after every
+// route publish. SNs cache next hops computed from the routes (NextHop), so
+// whoever owns the SNs drops those decisions here.
+func (f *Fabric) OnRouteChange(fn func()) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.onRoutes = append(f.onRoutes, fn)
+}
+
+// publishRoutes clones the current route view, applies mutate, swaps the
+// result in, and then tells the OnRouteChange subscribers.
+func (f *Fabric) publishRoutes(mutate func(*routeView)) {
+	f.mu.Lock()
 	old := f.routes.Load()
 	next := &routeView{
 		pairs:         make(map[pairKey]gatewayPair, len(old.pairs)+1),
@@ -128,13 +142,16 @@ func (f *Fabric) publishRoutesLocked(mutate func(*routeView)) {
 	}
 	mutate(next)
 	f.routes.Store(next)
+	subs := f.onRoutes
+	f.mu.Unlock()
+	for _, fn := range subs {
+		fn()
+	}
 }
 
 // SetDirectConnect toggles the direct SN-to-SN optimization.
 func (f *Fabric) SetDirectConnect(on bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.publishRoutesLocked(func(v *routeView) { v.directConnect = on })
+	f.publishRoutes(func(v *routeView) { v.directConnect = on })
 }
 
 // DirectConnect reports whether the optimization is enabled. Lock-free.
@@ -258,11 +275,9 @@ func (f *Fabric) EstablishMesh(connect func(a, b wire.Addr) error) error {
 		}
 		edA, _ := f.EdomainOf(jb.a)
 		edB, _ := f.EdomainOf(jb.b)
-		f.mu.Lock()
-		f.publishRoutesLocked(func(v *routeView) {
+		f.publishRoutes(func(v *routeView) {
 			v.pairs[jb.key] = gatewayPair{gw: map[EdomainID]wire.Addr{edA: jb.a, edB: jb.b}}
 		})
-		f.mu.Unlock()
 	}
 	return nil
 }
@@ -308,7 +323,9 @@ func (f *Fabric) NextHop(from, finalDst wire.Addr) (wire.Addr, error) {
 	return pair.gw[edDst], nil
 }
 
-// RecordTransfer tallies transit traffic crossing between two edomains.
+// RecordTransfer tallies transit traffic crossing between two edomains. The
+// Forwarder calls it, so it counts slow-path crossings: the packets of a flow
+// that reach a gateway before the flow's rule is cached there.
 func (f *Fabric) RecordTransfer(fromEd, toEd EdomainID, bytes int) {
 	f.ledgerMu.Lock()
 	defer f.ledgerMu.Unlock()
@@ -322,8 +339,10 @@ func (f *Fabric) RecordTransfer(fromEd, toEd EdomainID, bytes int) {
 	e.bytes[fromEd] += uint64(bytes)
 }
 
-// Ledger reports per-direction transfer records. FeesOwed is zero on every
-// record: edomain peering is settlement-free by architecture (§5).
+// Ledger reports per-direction transfer records: which edomain pairs
+// exchanged traffic, in slow-path crossings (see RecordTransfer), not total
+// volume. What it proves is the invariant: FeesOwed is zero on every record,
+// because edomain peering is settlement-free by architecture (§5).
 func (f *Fabric) Ledger() []TransferRecord {
 	f.ledgerMu.Lock()
 	defer f.ledgerMu.Unlock()
@@ -353,73 +372,69 @@ func (f *Fabric) Ledger() []TransferRecord {
 
 // --- Transit encapsulation ------------------------------------------------
 
-// transitMeta is the SvcPeering header data: final destination SN and
-// original source address.
-const transitMetaSize = 32
-
-// EncodeTransit builds the SvcPeering encapsulation of an inner packet.
+// EncodeTransit returns the SvcPeering service data (wire.TransitHeader) that
+// carries inner from origSrc to the SN finalDst, and the payload to send under
+// it: innerPayload itself.
 func EncodeTransit(finalDst, origSrc wire.Addr, inner *wire.ILPHeader, innerPayload []byte) (svcData, payload []byte, err error) {
-	svcData = make([]byte, transitMetaSize)
-	d := finalDst.As16()
-	s := origSrc.As16()
-	copy(svcData[0:16], d[:])
-	copy(svcData[16:32], s[:])
+	outer, err := wire.TransitHeader(finalDst, origSrc, inner)
+	return outer.Data, innerPayload, err
+}
 
-	innerHdr, err := inner.Encode()
+// TransitDecision is the verdict of a module at the SN local whose packet pkt
+// must reach the SN finalDst in another edomain, carrying the header inner:
+// forward it under the transit header toward the next hop, and cache that as
+// a header rewrite, so the flow's later packets are wrapped on the fast path.
+func TransitDecision(fabric *Fabric, local, finalDst wire.Addr, pkt *sn.Packet, inner *wire.ILPHeader) (sn.Decision, error) {
+	next, err := fabric.NextHop(local, finalDst)
 	if err != nil {
-		return nil, nil, err
+		return sn.Decision{}, err
 	}
-	payload = make([]byte, 2+len(innerHdr)+len(innerPayload))
-	binary.BigEndian.PutUint16(payload[0:2], uint16(len(innerHdr)))
-	copy(payload[2:], innerHdr)
-	copy(payload[2+len(innerHdr):], innerPayload)
-	return svcData, payload, nil
+	outer, err := wire.TransitHeader(finalDst, pkt.Src, inner)
+	if err != nil {
+		return sn.Decision{}, err
+	}
+	enc, err := outer.Encode()
+	if err != nil {
+		return sn.Decision{}, err
+	}
+	return sn.Decision{
+		Forwards: []sn.Forward{{Dst: next, Hdr: &outer}},
+		Rules: []sn.Rule{{
+			Key:    pkt.Key(),
+			Action: cache.Action{Forward: []wire.Addr{next}, RewriteHeader: enc},
+		}},
+	}, nil
 }
 
-// DecodeTransitMeta parses the SvcPeering header data.
-func DecodeTransitMeta(svcData []byte) (finalDst, origSrc wire.Addr, err error) {
-	if len(svcData) != transitMetaSize {
-		return wire.Addr{}, wire.Addr{}, ErrBadTransit
+// SendTransit wraps and launches one inner packet from the SN at env toward
+// the SN finalDst. It is for fan-out, where one packet leaves under several
+// transit headers; a flow with one destination returns a TransitDecision.
+func SendTransit(env sn.Env, fabric *Fabric, finalDst, origSrc wire.Addr, inner *wire.ILPHeader, innerPayload []byte) error {
+	outer, err := wire.TransitHeader(finalDst, origSrc, inner)
+	if err != nil {
+		return err
 	}
-	var d, s [16]byte
-	copy(d[:], svcData[0:16])
-	copy(s[:], svcData[16:32])
-	return addrFrom16(d), addrFrom16(s), nil
-}
-
-// DecodeTransitPayload parses the inner packet from a transit payload.
-func DecodeTransitPayload(payload []byte) (wire.ILPHeader, []byte, error) {
-	if len(payload) < 2 {
-		return wire.ILPHeader{}, nil, ErrBadTransit
+	next, err := fabric.NextHop(env.LocalAddr(), finalDst)
+	if err != nil {
+		return err
 	}
-	hlen := int(binary.BigEndian.Uint16(payload[0:2]))
-	if len(payload) < 2+hlen {
-		return wire.ILPHeader{}, nil, ErrBadTransit
-	}
-	var hdr wire.ILPHeader
-	if _, err := hdr.DecodeFromBytes(payload[2 : 2+hlen]); err != nil {
-		return wire.ILPHeader{}, nil, err
-	}
-	return hdr, payload[2+hlen:], nil
+	return env.Send(next, &outer, innerPayload)
 }
 
 // --- Forwarder module ------------------------------------------------------
 
-// Injector re-inserts a decapsulated packet into the local SN's
-// pipe-terminus.
-type Injector func(src wire.Addr, hdr wire.ILPHeader, payload []byte)
-
-// Forwarder is the SvcPeering service module deployed on every SN: it
-// forwards transit packets along the gateway path and decapsulates them at
-// the destination SN.
+// Forwarder is the SvcPeering service module deployed on every SN: it decides
+// the next hop of transit packets passing through. (Packets addressed to the
+// SN itself never reach it; the pipe-terminus unwraps those.)
 type Forwarder struct {
-	fabric *Fabric
-	inject Injector
+	fabric       *Fabric
+	splitHorizon *telemetry.Counter
 }
 
-// NewForwarder creates the peering forwarder for one SN.
-func NewForwarder(fabric *Fabric, inject Injector) *Forwarder {
-	return &Forwarder{fabric: fabric, inject: inject}
+// NewForwarder creates the peering forwarder for one SN, with its drop
+// counter in that SN's registry.
+func NewForwarder(fabric *Fabric, reg *telemetry.Registry) *Forwarder {
+	return &Forwarder{fabric: fabric, splitHorizon: reg.Counter("peering_split_horizon_drops_total")}
 }
 
 // Service implements sn.Module.
@@ -433,8 +448,8 @@ func (fw *Forwarder) Version() string { return "1" }
 
 // HandlePacket implements sn.Module.
 func (fw *Forwarder) HandlePacket(env sn.Env, pkt *sn.Packet) (sn.Decision, error) {
-	finalDst, origSrc, err := DecodeTransitMeta(pkt.Hdr.Data)
-	if err != nil {
+	var t wire.Transit
+	if err := t.DecodeFromBytes(pkt.Hdr.Data); err != nil {
 		return sn.Decision{}, err
 	}
 	local := env.LocalAddr()
@@ -446,17 +461,16 @@ func (fw *Forwarder) HandlePacket(env sn.Env, pkt *sn.Packet) (sn.Decision, erro
 		}
 	}
 
-	if finalDst == local {
-		innerHdr, innerPayload, err := DecodeTransitPayload(pkt.Payload)
-		if err != nil {
-			return sn.Decision{}, err
-		}
-		fw.inject(origSrc, innerHdr, innerPayload)
-		return sn.Decision{}, nil
-	}
-	next, err := fw.fabric.NextHop(local, finalDst)
+	next, err := fw.fabric.NextHop(local, t.FinalDst)
 	if err != nil {
 		return sn.Decision{}, err
+	}
+	if next == pkt.Src {
+		// Split horizon: the peer that sent this believes the way to
+		// finalDst leads through here, and this SN believes it leads back.
+		// Dropping breaks the loop the two would otherwise sustain.
+		fw.splitHorizon.Inc()
+		return sn.Decision{}, nil
 	}
 	return sn.Decision{
 		Forwards: []sn.Forward{{Dst: next}},
@@ -467,21 +481,4 @@ func (fw *Forwarder) HandlePacket(env sn.Env, pkt *sn.Packet) (sn.Decision, erro
 			Action: cache.Action{Forward: []wire.Addr{next}},
 		}},
 	}, nil
-}
-
-// SendTransit encapsulates and launches an inner packet from the SN at
-// env toward the destination SN, using the gateway path (or a direct pipe
-// when the optimization is on). The connection ID of the outer packet
-// reuses the inner one so transit flows stay cacheable per-flow.
-func SendTransit(env sn.Env, fabric *Fabric, finalDst, origSrc wire.Addr, inner *wire.ILPHeader, innerPayload []byte) error {
-	svcData, payload, err := EncodeTransit(finalDst, origSrc, inner, innerPayload)
-	if err != nil {
-		return err
-	}
-	next, err := fabric.NextHop(env.LocalAddr(), finalDst)
-	if err != nil {
-		return err
-	}
-	outer := wire.ILPHeader{Service: wire.SvcPeering, Conn: inner.Conn, Data: svcData}
-	return env.Send(next, &outer, payload)
 }

@@ -2,6 +2,8 @@ package peering
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"testing"
 	"time"
 
@@ -9,6 +11,7 @@ import (
 	"interedge/internal/netsim"
 	"interedge/internal/pipe"
 	"interedge/internal/sn"
+	"interedge/internal/telemetry"
 	"interedge/internal/wire"
 )
 
@@ -122,35 +125,100 @@ func TestTransitCodecRoundTrip(t *testing.T) {
 	finalDst := wire.MustAddr("fd00::b2")
 	origSrc := wire.MustAddr("fd00::1")
 	inner := wire.ILPHeader{Service: wire.SvcEcho, Conn: 42, Data: []byte("svc")}
-	svcData, payload, err := EncodeTransit(finalDst, origSrc, &inner, []byte("inner payload"))
+	in := []byte("inner payload")
+	svcData, payload, err := EncodeTransit(finalDst, origSrc, &inner, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotDst, gotSrc, err := DecodeTransitMeta(svcData)
-	if err != nil || gotDst != finalDst || gotSrc != origSrc {
-		t.Fatalf("meta %v %v err %v", gotDst, gotSrc, err)
+	if &payload[0] != &in[0] || len(payload) != len(in) {
+		t.Fatal("EncodeTransit copied the payload; it rides as it is")
 	}
-	gotHdr, gotPayload, err := DecodeTransitPayload(payload)
-	if err != nil {
+	var tr wire.Transit
+	if err := tr.DecodeFromBytes(svcData); err != nil {
 		t.Fatal(err)
 	}
-	if gotHdr.Service != inner.Service || gotHdr.Conn != inner.Conn || !bytes.Equal(gotHdr.Data, inner.Data) {
-		t.Fatalf("inner hdr %+v", gotHdr)
+	if tr.FinalDst != finalDst || tr.OrigSrc != origSrc {
+		t.Fatalf("meta %v %v", tr.FinalDst, tr.OrigSrc)
 	}
-	if string(gotPayload) != "inner payload" {
-		t.Fatalf("payload %q", gotPayload)
+	if tr.Inner.Service != inner.Service || tr.Inner.Conn != inner.Conn || !bytes.Equal(tr.Inner.Data, inner.Data) {
+		t.Fatalf("inner hdr %+v", tr.Inner)
 	}
 }
 
 func TestTransitCodecMalformed(t *testing.T) {
-	if _, _, err := DecodeTransitMeta([]byte("short")); err != ErrBadTransit {
-		t.Fatalf("err = %v", err)
+	dst, src := wire.MustAddr("fd00::b2"), wire.MustAddr("fd00::1")
+	// The largest inner header that nests, and one byte more.
+	inner := wire.ILPHeader{Service: wire.SvcEcho, Conn: 1, Data: make([]byte, wire.MaxTransitInnerData)}
+	svcData, _, err := EncodeTransit(dst, src, &inner, nil)
+	if err != nil || len(svcData) != wire.MaxServiceData {
+		t.Fatalf("largest inner header: %d bytes of service data, err %v", len(svcData), err)
 	}
-	if _, _, err := DecodeTransitPayload([]byte{0}); err != ErrBadTransit {
-		t.Fatalf("err = %v", err)
+	inner.Data = make([]byte, wire.MaxTransitInnerData+1)
+	if _, _, err := EncodeTransit(dst, src, &inner, nil); !errors.Is(err, wire.ErrTransitTooBig) {
+		t.Fatalf("oversized inner header: err = %v", err)
 	}
-	if _, _, err := DecodeTransitPayload([]byte{0, 200}); err != ErrBadTransit {
-		t.Fatalf("err = %v", err)
+	// Transit nests one deep, and carries nothing the pipe-terminus answers
+	// on the word of the pipe peer.
+	for _, svc := range []wire.ServiceID{wire.SvcPeering, wire.SvcHandoff, wire.SvcControl} {
+		if _, _, err := EncodeTransit(dst, src, &wire.ILPHeader{Service: svc}, nil); !errors.Is(err, wire.ErrTransitInner) {
+			t.Fatalf("inner %s: err = %v", svc, err)
+		}
+	}
+}
+
+// stubEnv is the part of sn.Env the Forwarder uses.
+type stubEnv struct {
+	sn.Env
+	local wire.Addr
+}
+
+func (e stubEnv) LocalAddr() wire.Addr { return e.local }
+
+// TestForwarderSplitHorizon: a transit packet whose next hop is the peer it
+// came from is dropped and counted, and no rule is installed for it; the
+// same packet from anywhere else is forwarded and cached.
+func TestForwarderSplitHorizon(t *testing.T) {
+	f, addrs := buildThreeEdomainFabric(t)
+	reg := telemetry.NewRegistry()
+	fw := NewForwarder(f, reg)
+	outer, err := wire.TransitHeader(addrs["snB"], wire.MustAddr("fd00::1"), &wire.ILPHeader{Service: wire.SvcEcho, Conn: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := stubEnv{local: addrs["gwA"]}
+	// gwA reaches snB through gwB: from snA the packet goes on, from gwB it
+	// would go straight back.
+	d, err := fw.HandlePacket(env, &sn.Packet{Src: addrs["snA"], Hdr: outer})
+	if err != nil || len(d.Forwards) != 1 || d.Forwards[0].Dst != addrs["gwB"] || len(d.Rules) != 1 {
+		t.Fatalf("from snA: %+v err %v", d, err)
+	}
+	d, err = fw.HandlePacket(env, &sn.Packet{Src: addrs["gwB"], Hdr: outer})
+	if err != nil || len(d.Forwards) != 0 || len(d.Rules) != 0 {
+		t.Fatalf("from gwB: %+v err %v", d, err)
+	}
+	if n := reg.Snapshot().Value("peering_split_horizon_drops_total"); n != 1 {
+		t.Fatalf("peering_split_horizon_drops_total = %v, want 1", n)
+	}
+}
+
+// TestRouteChangeNotifies: every route publish runs the subscribers, after
+// the new routes are in place.
+func TestRouteChangeNotifies(t *testing.T) {
+	f := NewFabric()
+	if err := f.AddEdomain("ed-a", wire.MustAddr("fd00::a1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.AddEdomain("ed-b", wire.MustAddr("fd00::b1")); err != nil {
+		t.Fatal(err)
+	}
+	var seen []bool
+	f.OnRouteChange(func() { seen = append(seen, f.DirectConnect() || f.MeshComplete()) })
+	if err := f.EstablishMesh(func(a, b wire.Addr) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	f.SetDirectConnect(true)
+	if len(seen) != 2 || !seen[0] || !seen[1] {
+		t.Fatalf("route-change calls saw %v, want two, each after its publish", seen)
 	}
 }
 
@@ -194,7 +262,7 @@ func TestInterEdomainTransitEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { node.Close() })
-		if err := node.Register(NewForwarder(fabric, node.Inject)); err != nil {
+		if err := node.Register(NewForwarder(fabric, node.Telemetry())); err != nil {
 			t.Fatal(err)
 		}
 		return node
@@ -244,7 +312,13 @@ func TestInterEdomainTransitEndToEnd(t *testing.T) {
 	if err := fabric.RegisterAddr("ed-a", wire.MustAddr("fd00::1")); err != nil {
 		t.Fatal(err)
 	}
-	hostMgr, err := pipe.New(pipe.Config{Transport: htr, Identity: hid})
+	ctrl := make(chan []byte, 1)
+	hostMgr, err := pipe.New(pipe.Config{Transport: htr, Identity: hid,
+		Handler: func(_ pipe.Sender, _ wire.Addr, hdr wire.ILPHeader, _, payload []byte) {
+			if hdr.Service == wire.SvcControl {
+				ctrl <- append([]byte(nil), payload...)
+			}
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,6 +348,44 @@ func TestInterEdomainTransitEndToEnd(t *testing.T) {
 		}
 	case <-time.After(3 * time.Second):
 		t.Fatal("transit packet never reached destination SN")
+	}
+
+	// A transit packet whose way on leads back to its sender is dropped, and
+	// the drop shows under its pinned name in gwA's control-plane metrics.
+	back, _, err := EncodeTransit(wire.MustAddr("fd00::1"), wire.MustAddr("fd00::1"), &inner, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hostMgr.Send(gwA.Addr(), &wire.ILPHeader{Service: wire.SvcPeering, Conn: 10, Data: back}, nil); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(3 * time.Second); ; time.Sleep(time.Millisecond) {
+		if gwA.Counters().Modules[0].Handled >= 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("gwA's forwarder never saw the looping packet")
+		}
+	}
+	req, _ := json.Marshal(sn.ControlRequest{Target: wire.SvcNone, Op: "metrics"})
+	if err := hostMgr.Send(gwA.Addr(), &wire.ILPHeader{Service: wire.SvcControl, Conn: 11}, req); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case body := <-ctrl:
+		var resp sn.ControlResponse
+		var snap telemetry.Snapshot
+		if err := json.Unmarshal(body, &resp); err != nil || !resp.OK {
+			t.Fatalf("metrics op: %s err %v", body, err)
+		}
+		if err := json.Unmarshal(resp.Data, &snap); err != nil {
+			t.Fatal(err)
+		}
+		if n := snap.Value("peering_split_horizon_drops_total"); n != 1 {
+			t.Fatalf("peering_split_horizon_drops_total = %v, want 1", n)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("no answer to the metrics op")
 	}
 
 	// The settlement-free ledger saw the crossing.

@@ -255,10 +255,7 @@ func (m *Module) route(env sn.Env, group string, pkt *sn.Packet) (sn.Decision, e
 				return sn.Decision{}, err
 			}
 			hdr := wire.ILPHeader{Service: wire.SvcAnycast, Conn: pkt.Hdr.Conn, Data: HeaderData(kindForward, group)}
-			if err := peering.SendTransit(env, m.fabric, gw, pkt.Src, &hdr, pkt.Payload); err != nil {
-				return sn.Decision{}, err
-			}
-			return sn.Decision{}, nil
+			return peering.TransitDecision(m.fabric, local, gw, pkt, &hdr)
 		}
 	}
 	return sn.Decision{}, ErrNoMembers

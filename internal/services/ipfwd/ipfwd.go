@@ -5,10 +5,13 @@
 // through the destination's first-hop SN, across edomains when necessary.
 //
 // The ILP header data carries the destination host address. The module
-// resolves the destination's SN through the global lookup service, routes
-// through the peering fabric when the destination is in another edomain,
-// and installs a decision-cache rule so subsequent packets of the flow
-// ride the fast path.
+// resolves the destination's SN through the global lookup service and
+// installs a decision-cache rule so subsequent packets of the flow ride the
+// fast path: deliver to the host when it is attached here; forward to its SN
+// when that is in this edomain; otherwise forward under a transit header
+// (peering.TransitDecision) toward it, which the rule applies as a header
+// rewrite. The two first-hop rules depend on the destination host's address,
+// so a republished record re-decides the flow.
 package ipfwd
 
 import (
@@ -134,18 +137,20 @@ func (m *Module) HandlePacket(env sn.Env, pkt *sn.Packet) (sn.Decision, error) {
 			Forwards: []sn.Forward{{Dst: dstSN}},
 			Rules: []sn.Rule{{
 				Key:    pkt.Key(),
-				Action: cache.Action{Forward: []wire.Addr{dstSN}},
+				Action: cache.Action{Forward: []wire.Addr{dstSN}, DependsOn: dst},
 			}},
 		}, nil
 	}
 
-	// Cross-edomain: encapsulate as transit toward the destination SN. The
-	// inner packet keeps the original ipfwd header so the destination SN
-	// completes last-hop delivery.
-	if err := peering.SendTransit(env, m.fabric, dstSN, pkt.Src, &pkt.Hdr, pkt.Payload); err != nil {
+	// Cross-edomain: transit toward the destination SN. The inner packet
+	// keeps the original ipfwd header so the destination SN completes
+	// last-hop delivery.
+	d, err := peering.TransitDecision(m.fabric, local, dstSN, pkt, &pkt.Hdr)
+	if err != nil {
 		return sn.Decision{}, fmt.Errorf("ipfwd: transit: %w", err)
 	}
-	return sn.Decision{}, nil
+	d.Rules[0].Action.DependsOn = dst
+	return d, nil
 }
 
 // fillAndRequeue is the non-blocking cold-resolution path: park a copy

@@ -20,9 +20,10 @@
 //
 // Writes cost O(entries changed), never O(capacity): empty slots come off
 // a free list, a full shard goes straight to the CLOCK hand, and per-shard
-// reverse indexes (flow source → rules, next hop → rules), linked through
-// the slots by slot number, let InvalidateSource, InvalidateDest and
-// CollectDest visit only matching rules and let Add allocate nothing.
+// reverse indexes (flow source → rules, next hop or dependency → rules),
+// linked through the slots by slot number, let InvalidateSource,
+// InvalidateDest and CollectDest visit only matching rules and let Add
+// allocate nothing.
 package cache
 
 import (
@@ -53,6 +54,30 @@ type Action struct {
 	// RewriteHeader, if non-nil, replaces the encoded ILP header on
 	// forwarded copies (services may rewrite per-hop metadata).
 	RewriteHeader []byte
+	// DependsOn, if valid, is the one address this decision was resolved
+	// for and does not forward to — the destination host of a rule whose
+	// next hop is that host's SN. InvalidateDest(DependsOn) removes the
+	// rule just as InvalidateDest of a next hop does, so a republished host
+	// record re-decides the flows the old one steered. Lookup does not
+	// report it.
+	DependsOn wire.Addr
+}
+
+// held is an Action as a slot keeps it: all but DependsOn, which would grow
+// every slot by a sixth and is kept in the rule's index node instead.
+type held struct {
+	forward       []wire.Addr
+	rewriteHeader []byte
+	drop, deliver bool
+}
+
+func hold(a *Action) held {
+	return held{forward: a.Forward, rewriteHeader: a.RewriteHeader, drop: a.Drop, deliver: a.Deliver}
+}
+
+// action returns the Action h holds, depending on dep.
+func (h *held) action(dep wire.Addr) Action {
+	return Action{Forward: h.forward, Drop: h.drop, Deliver: h.deliver, RewriteHeader: h.rewriteHeader, DependsOn: dep}
 }
 
 // Stats aggregates cache counters across all shards.
@@ -72,7 +97,7 @@ type Stats struct {
 // index entry.links, shard.heads and Stats.Invalidated.
 const (
 	bySrc = iota // rules whose flow source is the address
-	byDst        // rules that forward to the address
+	byDst        // rules that forward to the address or depend on it
 	byKey
 )
 
@@ -84,25 +109,27 @@ type link struct{ next, prev int32 }
 
 type entry struct {
 	key      wire.FlowKey
-	action   Action
+	action   held
 	hits     uint64
 	lastUsed int64 // UnixNano
 	// links[bySrc] joins the rules with this key.Src (and, in an empty
 	// slot, the free list); links[byDst] those forwarding to Forward[0].
 	links [2]link
-	more  int32 // first fanout node of a multi-destination rule, or none
+	more  int32 // first fanout node of the rule, or none
 	ref   bool  // CLOCK reference bit
 }
 
-// fanout is the byDst node for a further distinct address of a multi-
-// destination rule. Those are rare, so the nodes live outside the slots,
-// in a slice that grows only when such rules are installed; node ids from
-// len(slots) up name fanout nodes, smaller ids are slots.
+// fanout is the byDst node for a further address of a rule: a second or
+// later distinct next hop, or the address the rule depends on. The nodes
+// live outside the slots, in a slice that grows only when such rules are
+// installed; node ids from len(slots) up name fanout nodes, smaller ids are
+// slots.
 type fanout struct {
 	link
 	addr wire.Addr
 	slot int32
 	sib  int32 // next node of the same rule, or next free node
+	dep  bool  // addr is the rule's DependsOn, not a next hop
 }
 
 // shard is one independently locked CLOCK cache.
@@ -291,7 +318,7 @@ func (c *Cache) LookupN(key wire.FlowKey, n uint64) (Action, bool) {
 	e.ref = true
 	e.lastUsed = s.now().UnixNano()
 	s.hits += n
-	return e.action, true
+	return e.action.action(wire.Addr{}), true
 }
 
 // Add installs (or replaces) the action for key, evicting via CLOCK within
@@ -301,14 +328,15 @@ func (c *Cache) Add(key wire.FlowKey, action Action) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.inserts++
+	keep := hold(&action)
 	if i, ok := s.index[key]; ok {
 		e := &s.slots[i]
-		if slices.Equal(e.action.Forward, action.Forward) {
-			e.action = action
+		if slices.Equal(e.action.forward, action.Forward) && s.dependsOn(i) == action.DependsOn {
+			e.action = keep
 		} else {
 			s.unlinkDests(i)
-			e.action = action
-			s.linkDests(i)
+			e.action = keep
+			s.linkDests(i, action.DependsOn)
 		}
 		e.ref = true
 		e.lastUsed = s.now().UnixNano()
@@ -317,10 +345,10 @@ func (c *Cache) Add(key wire.FlowKey, action Action) {
 	i := s.takeSlot()
 	// New entries start with the reference bit clear: only an actual
 	// Lookup grants a second chance, so one-shot flows evict first.
-	s.slots[i] = entry{key: key, action: action, lastUsed: s.now().UnixNano()}
+	s.slots[i] = entry{key: key, action: keep, lastUsed: s.now().UnixNano()}
 	s.index[key] = i
 	s.push(bySrc, key.Src, i)
-	s.linkDests(i)
+	s.linkDests(i, action.DependsOn)
 }
 
 // takeSlot returns an empty slot: one an invalidation freed, else one never
@@ -438,37 +466,52 @@ func (s *shard) unlink(ix int, a wire.Addr, id int32) {
 }
 
 // linkDests indexes slot i under every distinct address its rule forwards
-// to: Forward[0] through the slot's own link, the rest through fanout nodes.
-func (s *shard) linkDests(i int32) {
-	fwd := s.slots[i].action.Forward
-	more := none
+// to — Forward[0] through the slot's own link, the rest through fanout nodes
+// — and under dep, if the rule depends on an address it does not forward to.
+func (s *shard) linkDests(i int32, dep wire.Addr) {
+	fwd := s.slots[i].action.forward
+	s.slots[i].more = none
 	for j, a := range fwd {
 		if j == 0 {
 			s.push(byDst, a, i)
-			continue
+		} else if !slices.Contains(fwd[:j], a) {
+			s.linkFanout(i, a, false)
 		}
-		if slices.Contains(fwd[:j], a) {
-			continue
-		}
-		id := s.fanFree
-		if id == none {
-			s.fan = append(s.fan, fanout{})
-			id = int32(len(s.slots) + len(s.fan) - 1)
-		} else {
-			s.fanFree = s.fanNode(id).sib
-		}
-		*s.fanNode(id) = fanout{addr: a, slot: i, sib: more}
-		more = id
-		s.push(byDst, a, id)
 	}
-	s.slots[i].more = more
+	if dep.IsValid() && !slices.Contains(fwd, dep) {
+		s.linkFanout(i, dep, true)
+	}
+}
+
+// linkFanout indexes slot i under a through a fanout node.
+func (s *shard) linkFanout(i int32, a wire.Addr, dep bool) {
+	id := s.fanFree
+	if id == none {
+		s.fan = append(s.fan, fanout{})
+		id = int32(len(s.slots) + len(s.fan) - 1)
+	} else {
+		s.fanFree = s.fanNode(id).sib
+	}
+	*s.fanNode(id) = fanout{addr: a, slot: i, sib: s.slots[i].more, dep: dep}
+	s.slots[i].more = id
+	s.push(byDst, a, id)
+}
+
+// dependsOn returns the DependsOn the rule in slot i is indexed under.
+func (s *shard) dependsOn(i int32) wire.Addr {
+	for id := s.slots[i].more; id != none; id = s.fanNode(id).sib {
+		if f := s.fanNode(id); f.dep {
+			return f.addr
+		}
+	}
+	return wire.Addr{}
 }
 
 // unlinkDests undoes linkDests.
 func (s *shard) unlinkDests(i int32) {
 	e := &s.slots[i]
-	if len(e.action.Forward) > 0 {
-		s.unlink(byDst, e.action.Forward[0], i)
+	if len(e.action.forward) > 0 {
+		s.unlink(byDst, e.action.forward[0], i)
 	}
 	for id := e.more; id != none; {
 		f := s.fanNode(id)
@@ -506,9 +549,10 @@ func (c *Cache) InvalidateSource(src wire.Addr) {
 }
 
 // InvalidateDest removes all entries whose cached action forwards to dst
-// (used when the pipe to a next hop dies: the stale route must fall back
-// to the slow path so the module can re-decide it once the pipe — with
-// fresh keys and epochs — is re-established). It visits only those entries.
+// or depends on it (used when the pipe to a next hop dies — the stale route
+// must fall back to the slow path so the module can re-decide it once the
+// pipe, with fresh keys and epochs, is re-established — and when dst's
+// lookup record changes). It visits only those entries.
 func (c *Cache) InvalidateDest(dst wire.Addr) {
 	for _, s := range c.shards {
 		s.mu.Lock()
@@ -530,7 +574,10 @@ func (c *Cache) CollectDest(dst wire.Addr, max int) []wire.FlowKey {
 		found = found[:0]
 		for id := s.head(byDst, dst); id != none; id = s.link(byDst, id).next {
 			s.examined++
-			found = append(found, s.slotOf(id))
+			// A rule that only depends on dst does not forward to it.
+			if int(id) < len(s.slots) || !s.fanNode(id).dep {
+				found = append(found, s.slotOf(id))
+			}
 		}
 		slices.SortFunc(found, func(a, b int32) int {
 			return cmp.Compare(s.slots[b].lastUsed, s.slots[a].lastUsed)

@@ -58,3 +58,41 @@ func TestInvalidateDestAcrossShards(t *testing.T) {
 		}
 	}
 }
+
+// TestInvalidateDestRemovesDependents: a rule goes with the address it was
+// resolved for as it goes with its next hop — whether or not it has a next
+// hop, and again after being replaced — while CollectDest, which gathers
+// rules toward an address, leaves a mere dependent out.
+func TestInvalidateDestRemovesDependents(t *testing.T) {
+	c := NewSharded(64, 4)
+	dstSN, host, other := wire.MustAddr("fd00::a"), wire.MustAddr("fd00::1:1"), wire.MustAddr("fd00::1:2")
+	key := func(i int) wire.FlowKey {
+		return wire.FlowKey{Src: wire.MustAddr("fd00::2"), Service: wire.SvcIPFwd, Conn: wire.ConnectionID(i)}
+	}
+	c.Add(key(1), Action{Forward: []wire.Addr{dstSN}, DependsOn: host})
+	c.Add(key(2), Action{Forward: []wire.Addr{dstSN}, DependsOn: other})
+	c.Add(key(3), Action{Drop: true, DependsOn: host})
+	c.Add(key(4), Action{Forward: []wire.Addr{host}})
+	c.Add(key(5), Action{Forward: []wire.Addr{dstSN}, DependsOn: other})
+	c.Add(key(5), Action{Forward: []wire.Addr{dstSN}, DependsOn: host}) // re-resolved
+
+	if got := c.CollectDest(host, 0); len(got) != 1 || got[0] != key(4) {
+		t.Fatalf("CollectDest(host) = %v, want only the rule forwarding to it", got)
+	}
+	c.InvalidateDest(host)
+	for i, want := range map[int]bool{1: false, 2: true, 3: false, 4: false, 5: false} {
+		if _, ok := c.Lookup(key(i)); ok != want {
+			t.Errorf("rule %d present = %v after InvalidateDest(host), want %v", i, ok, want)
+		}
+	}
+	if st := c.Snapshot(); st.Invalidated[byDst] != 4 {
+		t.Fatalf("%d rules invalidated by destination, want 4", st.Invalidated[byDst])
+	}
+	c.InvalidateDest(dstSN)
+	if c.Len() != 0 {
+		t.Fatalf("%d rules left after their next hop went", c.Len())
+	}
+	for _, s := range c.shards {
+		checkShard(t, s)
+	}
+}

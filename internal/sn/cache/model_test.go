@@ -47,7 +47,7 @@ func refCollectDest(c *Cache, dst wire.Addr, max int) []wire.FlowKey {
 	for _, s := range c.shards {
 		var keys []wire.FlowKey
 		for key, i := range s.index {
-			if slices.Contains(s.slots[i].action.Forward, dst) {
+			if slices.Contains(s.slots[i].action.forward, dst) {
 				keys = append(keys, key)
 			}
 		}
@@ -108,8 +108,14 @@ func checkShard(t testing.TB, s *shard) {
 	for i := range live {
 		e := &s.slots[i]
 		add(want[bySrc], e.key.Src, i)
-		for _, a := range e.action.Forward {
+		for _, a := range e.action.forward {
 			add(want[byDst], a, i)
+		}
+		if dep := s.dependsOn(i); dep.IsValid() {
+			if slices.Contains(e.action.forward, dep) {
+				t.Fatalf("slot %d has a dependency node for its own next hop %v", i, dep)
+			}
+			add(want[byDst], dep, i)
 		}
 		for id := e.more; id != none; id = s.fanNode(id).sib {
 			if s.fanNode(id).slot != i {
@@ -158,9 +164,10 @@ func checkCache(t testing.TB, c *Cache, model map[wire.FlowKey]*refRule) {
 			if m == nil {
 				t.Fatalf("cache holds %v, the model does not", k)
 			}
-			if !reflect.DeepEqual(e.action, m.action) || e.hits != m.hits || e.lastUsed != m.lastUsed {
+			got := e.action.action(s.dependsOn(i))
+			if !reflect.DeepEqual(got, m.action) || e.hits != m.hits || e.lastUsed != m.lastUsed {
 				t.Fatalf("%v: cache has %+v hits %d used %d, model %+v hits %d used %d",
-					k, e.action, e.hits, e.lastUsed, m.action, m.hits, m.lastUsed)
+					k, got, e.hits, e.lastUsed, m.action, m.hits, m.lastUsed)
 			}
 		}
 	}
@@ -188,9 +195,15 @@ func opKey(b byte) wire.FlowKey {
 }
 
 // opAction picks a rule shape: no next hop, one, two, one listed twice
-// beside another, or four with the first repeated last.
+// beside another, or four with the first repeated last; the upper half of
+// the shapes also depend on an address they do not forward to.
 func opAction(d, shape byte) Action {
 	hop := func(i byte) wire.Addr { return opDsts[int(d+i)%len(opDsts)] }
+	if shape >= 128 {
+		act := opAction(d, shape-128)
+		act.DependsOn = hop(4)
+		return act
+	}
 	switch shape % 6 {
 	case 0:
 		return Action{Drop: true}
@@ -228,20 +241,27 @@ func runOps(t testing.TB, c *Cache, data []byte) (st Stats) {
 		switch kind := data[0] % 16; {
 		case kind < 6:
 			act := opAction(data[2], data[3])
+			kept := act
+			if slices.Contains(act.Forward, act.DependsOn) {
+				kept.DependsOn = wire.Addr{} // already indexed as a next hop
+			}
 			if r := model[key]; r != nil {
-				r.action, r.lastUsed = act, now
+				r.action, r.lastUsed = kept, now
 			} else {
 				if s := c.shardFor(key); len(s.index) == len(s.slots) {
 					delete(model, s.slots[refClockVictim(s)].key)
 					want.Evictions++
 				}
-				model[key] = &refRule{action: act, lastUsed: now}
+				model[key] = &refRule{action: kept, lastUsed: now}
 			}
 			c.Add(key, act)
 		case kind < 10:
 			n := uint64(data[3]%4 + 1)
 			act, ok := c.LookupN(key, n)
 			r := model[key]
+			if ok {
+				act.DependsOn = r.action.DependsOn // Lookup does not report it
+			}
 			if ok != (r != nil) || ok && !reflect.DeepEqual(act, r.action) {
 				t.Fatalf("LookupN(%v) = %+v, %v; model has %+v", key, act, ok, r)
 			}
@@ -259,7 +279,9 @@ func runOps(t testing.TB, c *Cache, data []byte) (st Stats) {
 			invalidate(bySrc, func(k wire.FlowKey, _ *refRule) bool { return k.Src == key.Src })
 		case kind == 13:
 			c.InvalidateDest(dst)
-			invalidate(byDst, func(_ wire.FlowKey, r *refRule) bool { return slices.Contains(r.action.Forward, dst) })
+			invalidate(byDst, func(_ wire.FlowKey, r *refRule) bool {
+				return slices.Contains(r.action.Forward, dst) || r.action.DependsOn == dst
+			})
 		default:
 			max := int(data[3] % 4)
 			if got, ref := c.CollectDest(dst, max), refCollectDest(c, dst, max); !slices.Equal(got, ref) {

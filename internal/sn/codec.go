@@ -216,6 +216,9 @@ func encodeDecision(dst []byte, d *Decision) ([]byte, error) {
 		if r.Action.RewriteHeader != nil {
 			flags |= 4
 		}
+		if r.Action.DependsOn.IsValid() {
+			flags |= 8
+		}
 		dst = append(dst, flags)
 		dst = appendUint16(dst, uint16(len(r.Action.Forward)))
 		for _, a := range r.Action.Forward {
@@ -223,6 +226,9 @@ func encodeDecision(dst []byte, d *Decision) ([]byte, error) {
 		}
 		if r.Action.RewriteHeader != nil {
 			dst = appendBytes32(dst, r.Action.RewriteHeader)
+		}
+		if r.Action.DependsOn.IsValid() {
+			dst = appendAddr(dst, r.Action.DependsOn)
 		}
 	}
 	dst = appendUint16(dst, uint16(len(d.Invalidate)))
@@ -275,6 +281,9 @@ func decodeDecision(data []byte) (*Decision, error) {
 		}
 		if flags&4 != 0 {
 			rule.Action.RewriteHeader = append([]byte(nil), r.bytes32()...)
+		}
+		if flags&8 != 0 {
+			rule.Action.DependsOn = r.addr()
 		}
 		d.Rules = append(d.Rules, rule)
 	}

@@ -85,7 +85,7 @@ func decisionsEqual(a, b *Decision) bool {
 				return false
 			}
 		}
-		if !bytes.Equal(ra.Action.RewriteHeader, rb.Action.RewriteHeader) {
+		if !bytes.Equal(ra.Action.RewriteHeader, rb.Action.RewriteHeader) || ra.Action.DependsOn != rb.Action.DependsOn {
 			return false
 		}
 	}
@@ -113,6 +113,7 @@ func TestDecisionCodecRoundTrip(t *testing.T) {
 					Drop:          false,
 					Deliver:       true,
 					RewriteHeader: []byte{1, 2, 3},
+					DependsOn:     wire.MustAddr("fd00::d"),
 				},
 			},
 			{

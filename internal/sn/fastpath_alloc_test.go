@@ -15,6 +15,9 @@ import (
 // inbound header → transport send. With pooled seal buffers and the scratch
 // crypto API the only steady-state allocation is the netsim transport's
 // per-delivery datagram copy, which the Send contract makes transport-owned.
+// The two ends of an inter-edomain flow are held to the same budget: the
+// ingress SN wrapping by header rewrite, and the egress SN unwrapping the
+// transit header in the terminus before its cache hit.
 func TestFastPathForwardAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime changes sync.Pool retention and alloc counts")
@@ -47,27 +50,55 @@ func TestFastPathForwardAllocs(t *testing.T) {
 	}
 
 	src := wire.MustAddr("fd00::1")
-	hdr := wire.ILPHeader{Service: wire.SvcNone, Conn: 7}
-	raw, err := hdr.Encode()
+	flow := wire.FlowKey{Src: src, Service: wire.SvcIPFwd, Conn: 7}
+	inner := wire.ILPHeader{Service: flow.Service, Conn: flow.Conn, Data: make([]byte, 16)}
+	innerRaw, err := inner.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	node.Cache().Add(
-		wire.FlowKey{Src: src, Service: wire.SvcNone, Conn: 7},
-		cache.Action{Forward: []wire.Addr{egress.LocalAddr()}},
-	)
 	payload := make([]byte, 256)
+	forward := cache.Action{Forward: []wire.Addr{egress.LocalAddr()}}
 
-	for i := 0; i < 32; i++ { // warm pool, crypto scratches, and egress side
-		node.handlePacket(node.mgr, src, hdr, raw, payload)
+	measure := func(name string, from wire.Addr, hdr wire.ILPHeader, raw []byte) {
+		t.Helper()
+		before := node.Counters().Forwarded
+		for i := 0; i < 32; i++ { // warm pool, crypto scratches, and egress side
+			node.handlePacket(node.mgr, from, hdr, raw, payload)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			node.handlePacket(node.mgr, from, hdr, raw, payload)
+		})
+		if allocs > 1 {
+			t.Errorf("%s allocated %.1f times per op, want <= 1 (transport copy)", name, allocs)
+		}
+		if fwd := node.Counters().Forwarded - before; fwd < 233 {
+			t.Errorf("%s: %d of 233 packets forwarded; fast path not exercised", name, fwd)
+		}
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		node.handlePacket(node.mgr, src, hdr, raw, payload)
-	})
-	if allocs > 1 {
-		t.Fatalf("fast-path forward allocated %.1f times per op, want <= 1 (transport copy)", allocs)
+
+	node.Cache().Add(flow, forward)
+	measure("fast-path forward", src, inner, innerRaw)
+
+	// Ingress: the flow's rule carries the transit header as a rewrite.
+	outer, err := wire.TransitHeader(node.Addr(), src, &inner)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if fwd := node.Counters().Forwarded; fwd == 0 {
-		t.Fatal("nothing was forwarded; fast path not exercised")
+	outerRaw, err := outer.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrap := forward
+	wrap.RewriteHeader = outerRaw
+	node.Cache().Add(flow, wrap)
+	measure("transit wrap by rewrite", src, inner, innerRaw)
+
+	// Egress: the transit packet arrives from the previous hop, addressed
+	// here; the inner flow's rule is the plain forward again.
+	node.Cache().Add(flow, forward)
+	unwrapped := node.transitUnwrapped.Load()
+	measure("transit unwrap and hit", wire.MustAddr("fd00::b1"), outer, outerRaw)
+	if n := node.transitUnwrapped.Load() - unwrapped; n != 233 {
+		t.Errorf("%d of 233 transit packets unwrapped", n)
 	}
 }

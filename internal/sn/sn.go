@@ -203,6 +203,10 @@ type SN struct {
 	requeueDrops  *telemetry.Counter
 	peersLost     *telemetry.Counter
 	fastPathNs    *telemetry.Histogram
+	// Transit packets (SvcPeering) addressed to this SN: unwrapped in the
+	// pipe-terminus, or dropped there as malformed.
+	transitUnwrapped *telemetry.Counter
+	transitMalformed *telemetry.Counter
 
 	// Drain/handoff/failover instruments (see drain.go).
 	drainStarted   *telemetry.Counter
@@ -285,6 +289,9 @@ func New(cfg Config) (*SN, error) {
 		requeueDrops:  reg.Counter("sn_requeue_drops_total"),
 		peersLost:     reg.Counter("sn_peers_lost_total"),
 		fastPathNs:    reg.Histogram("sn_fastpath_service_ns", telemetry.LatencyBuckets),
+
+		transitUnwrapped: reg.Counter("sn_transit_unwrapped_total"),
+		transitMalformed: reg.Counter("sn_transit_malformed_total"),
 
 		drainStarted:   reg.Counter("sn_drain_started_total"),
 		drainCompleted: reg.Counter("sn_drain_completed_total"),
@@ -537,8 +544,7 @@ func (s *SN) ModuleEnclave(svc wire.ServiceID) (*enclave.Enclave, bool) {
 }
 
 // Inject runs a packet through the pipe-terminus as if it had arrived on a
-// pipe from src. The inter-edomain forwarder uses it to re-inject
-// decapsulated transit packets so local services see the original source.
+// pipe from src (see Env.Inject).
 func (s *SN) Inject(src wire.Addr, hdr wire.ILPHeader, payload []byte) {
 	raw, err := hdr.Encode()
 	if err != nil {
@@ -572,6 +578,16 @@ func (s *SN) handlePacket(tx pipe.Sender, src wire.Addr, hdr wire.ILPHeader, hdr
 		}
 		payload = crossed
 	}
+	if s.transitEndsHere(&hdr) {
+		s.unwrapTransit(tx, src, &hdr, payload)
+		return
+	}
+	s.serve(tx, src, hdr, hdrRaw, payload)
+}
+
+// serve looks one packet up in the decision cache and runs the fast or the
+// slow path; handlePacket documents the arguments.
+func (s *SN) serve(tx pipe.Sender, src wire.Addr, hdr wire.ILPHeader, hdrRaw, payload []byte) {
 	key := wire.FlowKey{Src: src, Service: hdr.Service, Conn: hdr.Conn}
 	if action, ok := s.cache.Lookup(key); ok {
 		// The histogram covers the post-lookup serve cost: executing the
@@ -590,13 +606,45 @@ func (s *SN) handlePacket(tx pipe.Sender, src wire.Addr, hdr wire.ILPHeader, hdr
 	s.handleMiss(src, hdr, payload)
 }
 
+// transitEndsHere reports whether hdr is an inter-edomain transit header that
+// this SN must unwrap instead of looking up: one naming it as the final
+// destination, or one too short to name any.
+func (s *SN) transitEndsHere(hdr *wire.ILPHeader) bool {
+	if hdr.Service != wire.SvcPeering {
+		return false
+	}
+	finalDst, ok := wire.TransitFinalDst(hdr.Data)
+	return !ok || finalDst == s.mgr.LocalAddr()
+}
+
+// unwrapTransit is the pipe-terminus built-in for a transit packet addressed
+// to this SN: the header nested in outer's service data becomes the packet's
+// header, the original source its source, and the packet is served as if it
+// had arrived that way — a cache hit when the inner flow is warm, the inner
+// service's module otherwise. Nothing is copied: the inner header aliases
+// the same buffers the outer one does. The previous hop vouches for the
+// original source, as it does for the packet. A header that does not decode
+// (wire.Transit) is a counted drop.
+func (s *SN) unwrapTransit(tx pipe.Sender, src wire.Addr, outer *wire.ILPHeader, payload []byte) {
+	var t wire.Transit
+	if err := t.DecodeFromBytes(outer.Data); err != nil {
+		s.transitMalformed.Add(1)
+		if s.trace != nil {
+			s.trace(telemetry.PacketTrace{Point: telemetry.TraceDrop, Src: src, Service: outer.Service, Conn: outer.Conn, Bytes: len(payload)})
+		}
+		return
+	}
+	s.transitUnwrapped.Add(1)
+	s.serve(tx, t.OrigSrc, t.Inner, t.InnerRaw, payload)
+}
+
 // handleBatch is the batch pipe-terminus: one call per decrypted
 // same-source run of a receive batch. Consecutive packets of one flow share
 // a single decision-cache lookup (LookupN accounts the whole run's hits in
 // one shard visit), so a recvmmsg burst of a hot flow costs one cache
-// round-trip instead of one per packet. Flow boundaries, misses, and the
-// enclave-terminus configuration fall back to the per-packet path with
-// identical semantics.
+// round-trip instead of one per packet. Flow boundaries, misses, transit
+// packets to unwrap, and the enclave-terminus configuration fall back to the
+// per-packet path with identical semantics.
 func (s *SN) handleBatch(tx pipe.Sender, src wire.Addr, pkts []pipe.RxPacket) {
 	if s.terminusEnclave != nil {
 		// Every packet crosses the enclave boundary individually; keep the
@@ -607,8 +655,9 @@ func (s *SN) handleBatch(tx pipe.Sender, src wire.Addr, pkts []pipe.RxPacket) {
 		return
 	}
 	for i := 0; i < len(pkts); {
+		unwrap := s.transitEndsHere(&pkts[i].Hdr)
 		j := i + 1
-		for j < len(pkts) && pkts[j].Hdr.Service == pkts[i].Hdr.Service && pkts[j].Hdr.Conn == pkts[i].Hdr.Conn {
+		for !unwrap && j < len(pkts) && pkts[j].Hdr.Service == pkts[i].Hdr.Service && pkts[j].Hdr.Conn == pkts[i].Hdr.Conn && !s.transitEndsHere(&pkts[j].Hdr) {
 			j++
 		}
 		run := pkts[i:j]
@@ -619,10 +668,14 @@ func (s *SN) handleBatch(tx pipe.Sender, src wire.Addr, pkts []pipe.RxPacket) {
 				s.trace(telemetry.PacketTrace{Point: telemetry.TraceRx, Src: src, Service: run[k].Hdr.Service, Conn: run[k].Hdr.Conn, Bytes: len(run[k].Payload)})
 			}
 		}
+		if unwrap {
+			s.unwrapTransit(tx, src, &run[0].Hdr, run[0].Payload)
+			continue
+		}
 		key := wire.FlowKey{Src: src, Service: run[0].Hdr.Service, Conn: run[0].Hdr.Conn}
 		if action, ok := s.cache.LookupN(key, uint64(len(run))); ok {
 			// One histogram observation covers serving the whole run; see
-			// handlePacket for what the interval measures.
+			// serve for what the interval measures.
 			start := time.Now()
 			s.fastPathHits.Add(uint64(len(run)))
 			for k := range run {

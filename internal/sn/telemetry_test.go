@@ -36,6 +36,16 @@ func TestControlMetricsOp(t *testing.T) {
 	// The round trip installed a rule forwarding to the client; what a
 	// republish or a dead pipe does to it must show in the snapshot.
 	node.Cache().InvalidateDest(cl.addr)
+	// One transit packet for the terminus to unwrap (the echo answers its
+	// original source) and one it must refuse.
+	outer, _ := transitTo(t, node.Addr(), cl.addr, wire.ILPHeader{Service: wire.SvcEcho, Conn: 2})
+	if err := cl.mgr.Send(node.Addr(), &outer, []byte("ping")); err != nil {
+		t.Fatal(err)
+	}
+	cl.await(t)
+	if err := cl.mgr.Send(node.Addr(), &wire.ILPHeader{Service: wire.SvcPeering, Conn: 3, Data: []byte("short")}, nil); err != nil {
+		t.Fatal(err)
+	}
 
 	req, _ := json.Marshal(ControlRequest{Target: wire.SvcNone, Op: "metrics"})
 	if err := cl.mgr.Send(node.Addr(), &wire.ILPHeader{Service: wire.SvcControl, Conn: 9}, req); err != nil {
@@ -56,6 +66,8 @@ func TestControlMetricsOp(t *testing.T) {
 	// One instrument per layer proves the snapshot spans the whole node.
 	for _, name := range []string{
 		"sn_rx_packets_total",
+		"sn_transit_unwrapped_total",
+		"sn_transit_malformed_total",
 		"pipe_handshake_attempts_total",
 		"pipe_peers",
 		"cache_misses_total",
@@ -69,8 +81,16 @@ func TestControlMetricsOp(t *testing.T) {
 			t.Fatalf("snapshot missing %s; have %d samples", name, len(snap))
 		}
 	}
-	if v := snap.Value("sn_rx_packets_total"); v < 2 {
-		t.Errorf("sn_rx_packets_total = %v, want >= 2", v)
+	// Four datagrams: the unwrapped one counts once, not once more for the
+	// packet inside it.
+	if v := snap.Value("sn_rx_packets_total"); v != 4 {
+		t.Errorf("sn_rx_packets_total = %v, want 4", v)
+	}
+	if v := snap.Value("sn_transit_unwrapped_total"); v != 1 {
+		t.Errorf("sn_transit_unwrapped_total = %v, want 1", v)
+	}
+	if v := snap.Value("sn_transit_malformed_total"); v != 1 {
+		t.Errorf("sn_transit_malformed_total = %v, want 1", v)
 	}
 	if v := snap.Value(`sn_module_handled_total{module="echo"}`); v < 1 {
 		t.Errorf("module handled = %v, want >= 1", v)

@@ -45,6 +45,53 @@ func FuzzILPHeaderDecode(f *testing.F) {
 	})
 }
 
+// FuzzTransitDecode: SvcPeering service data — the two addresses and the
+// nested header — decodes or is refused, never panics; what decodes stays
+// inside the input, re-encodes to the same bytes, and is never a service a
+// transit packet may not carry.
+func FuzzTransitDecode(f *testing.F) {
+	for _, inner := range []ILPHeader{
+		{Service: SvcIPFwd, Conn: 2, Data: make([]byte, 16)},
+		{Service: SvcEcho, Conn: 1 << 40},
+		{Service: SvcNone},
+	} {
+		if outer, err := TransitHeader(MustAddr("fd00::b2"), MustAddr("fd00::1"), &inner); err == nil {
+			f.Add(outer.Data)
+			f.Add(outer.Data[:len(outer.Data)-1])
+		}
+	}
+	f.Add(make([]byte, TransitMetaSize))
+	f.Add(append(make([]byte, TransitMetaSize), 0, 0, 0, byte(SvcPeering), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0))
+	f.Add(append(make([]byte, TransitMetaSize), 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 9, 0xFF, 0xFF))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dst, ok := TransitFinalDst(data)
+		var tr Transit
+		if err := tr.DecodeFromBytes(data); err != nil {
+			return
+		}
+		if !ok || dst != tr.FinalDst {
+			t.Fatalf("TransitFinalDst = %v, %v; the full decode found %v", dst, ok, tr.FinalDst)
+		}
+		if !transitable(tr.Inner.Service) {
+			t.Fatalf("decoded an inner %s header", tr.Inner.Service)
+		}
+		if len(tr.InnerRaw) != len(data)-TransitMetaSize || len(tr.Inner.Data) != len(tr.InnerRaw)-ILPHeaderFixedSize {
+			t.Fatalf("inner header of %d bytes, %d of them data, from %d bytes of service data",
+				len(tr.InnerRaw), len(tr.Inner.Data), len(data))
+		}
+		outer, err := TransitHeader(tr.FinalDst, tr.OrigSrc, &tr.Inner)
+		if err != nil {
+			t.Fatalf("re-encode of decoded transit failed: %v", err)
+		}
+		// Addresses decode unmapped, so a v4-mapped input re-encodes to
+		// itself; everything else must too.
+		if !bytes.Equal(outer.Data, data) {
+			t.Fatalf("round trip mismatch: %x vs %x", outer.Data, data)
+		}
+	})
+}
+
 func FuzzDatagramDecode(f *testing.F) {
 	dg := Datagram{Src: MustAddr("fd00::1"), Dst: MustAddr("fd00::2"), Payload: []byte("hello")}
 	if enc, err := dg.Encode(); err == nil {

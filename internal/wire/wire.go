@@ -45,16 +45,17 @@ func MustAddr(s string) Addr {
 // worker that owns a source also owns that source's cache shard — lookups
 // from the fast path never touch a shard another worker is writing.
 func ShardIndex(a Addr, n int) int {
-	const (
-		offset = uint64(14695981039346656037)
-		prime  = uint64(1099511628211)
-	)
-	h := offset
 	b := a.As16()
+	return int(fnv1a(b[:]) % uint64(n))
+}
+
+// fnv1a is the 64-bit FNV-1a hash of b.
+func fnv1a(b []byte) uint64 {
+	h := uint64(14695981039346656037)
 	for _, c := range b {
-		h = (h ^ uint64(c)) * prime
+		h = (h ^ uint64(c)) * 1099511628211
 	}
-	return int(h % uint64(n))
+	return h
 }
 
 // ServiceID identifies a standardized InterEdge service. Service IDs are
@@ -75,7 +76,7 @@ const (
 	// SvcControl carries the out-of-band host<->SN control protocol (§3.2
 	// second invocation style).
 	SvcControl ServiceID = 0x01
-	// SvcPeering carries inter-edomain peering maintenance traffic.
+	// SvcPeering carries packets in transit between edomains (transit.go).
 	SvcPeering ServiceID = 0x02
 	// SvcPipeProbe and SvcPipeProbeAck carry pipe-liveness keepalives.
 	// They are sealed like any ILP packet — an ack proves the peer still

@@ -75,12 +75,21 @@ run "fuzz smoke: wire datagram decode" \
 	go test -run '^$' -fuzz 'FuzzDatagramDecode' -fuzztime 5s ./internal/wire/
 run "fuzz smoke: drain/handoff state decode" \
 	go test -run '^$' -fuzz 'FuzzHandoffDecode' -fuzztime 5s ./internal/wire/
+run "fuzz smoke: inter-edomain transit header decode" \
+	go test -run '^$' -fuzz 'FuzzTransitDecode' -fuzztime 5s ./internal/wire/
 run "fuzz smoke: PSP open" \
 	go test -run '^$' -fuzz 'FuzzPSPOpen' -fuzztime 5s ./internal/psp/
 run "fuzz smoke: signed address-record registration" \
 	go test -run '^$' -fuzz 'FuzzAddrRecordRegistration' -fuzztime 5s ./internal/lookup/
 run "fuzz smoke: decision-cache operations against the scanning reference" \
 	go test -run '^$' -fuzz 'FuzzCacheOps' -fuzztime 5s ./internal/sn/cache/
+
+run "inter-edomain transit: peering and ipfwd suites (race-detected)" \
+	go test -race -count=1 -timeout 180s ./internal/peering/ ./internal/services/ipfwd/
+run "inter-edomain transit: connection-ID collision, re-steer and route-change cases (race-detected)" \
+	go test -race -count=1 -timeout 180s \
+	-run 'TestEqualConnectionIDsFromTwoHosts|TestWarmFlowFollowsRepublishedDestination|TestRouteChangeMovesWarmFlow' \
+	./internal/lab/
 
 run "rescache interleaving property suite (race-detected, fixed seeds)" \
 	go test -race -count=1 -timeout 180s ./internal/lookup/rescache/

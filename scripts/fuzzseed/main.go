@@ -6,6 +6,9 @@
 //   - whole encoded datagrams      -> internal/wire/testdata/fuzz/FuzzDatagramDecode/
 //   - ILP headers built from the
 //     observed traffic shapes      -> internal/wire/testdata/fuzz/FuzzILPHeaderDecode/
+//   - inter-edomain transit
+//     service data between the
+//     observed addresses           -> internal/wire/testdata/fuzz/FuzzTransitDecode/
 //   - PSP packets inside ILP
 //     frames (frame byte stripped) -> internal/psp/testdata/fuzz/FuzzPSPOpen/
 //
@@ -143,6 +146,21 @@ func main() {
 		}
 	}
 
+	// Transit service data (final SN, original source, nested header) is
+	// header plaintext as well: wrap the rebuilt headers between captured
+	// addresses, as an ingress SN's ipfwd does for a cross-edomain flow.
+	var transits [][]byte
+	for i, enc := range ilpHdrs {
+		var inner wire.ILPHeader
+		if _, err := inner.DecodeFromBytes(enc); err != nil {
+			continue
+		}
+		outer, err := wire.TransitHeader(addrList[i%len(addrList)], addrList[(i+1)%len(addrList)], &inner)
+		if err == nil { // the control header above is refused: it may not ride in transit
+			transits = append(transits, outer.Data)
+		}
+	}
+
 	write := func(dir string, seeds [][]byte) {
 		full := filepath.Join(*root, dir)
 		if err := os.MkdirAll(full, 0o755); err != nil {
@@ -160,6 +178,7 @@ func main() {
 	write("internal/wire/testdata/fuzz/FuzzDatagramDecode", datagrams)
 	write("internal/wire/testdata/fuzz/FuzzILPHeaderDecode", ilpHdrs)
 	write("internal/wire/testdata/fuzz/FuzzHandoffDecode", handoffs)
+	write("internal/wire/testdata/fuzz/FuzzTransitDecode", transits)
 	write("internal/psp/testdata/fuzz/FuzzPSPOpen", pspPkts)
 }
 
