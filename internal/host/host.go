@@ -35,7 +35,9 @@ var (
 )
 
 // Message is one inbound ILP packet delivered to a connection or service
-// handler. Fields are copies and safe to retain.
+// handler, safe to retain: Hdr.Data is a copy, and Payload is the
+// receiver's own by the pipe layer's ownership rule (pipe.PacketHandler) —
+// the host hands it on without copying it.
 type Message struct {
 	Src     wire.Addr
 	Hdr     wire.ILPHeader
@@ -90,10 +92,11 @@ type Config struct {
 	OnPipeMoved func(old, successor wire.Addr)
 	// FastHandler, when set, receives every inbound data packet (anything
 	// that is not control-plane traffic) WITHOUT the copy the normal
-	// demultiplexer makes: hdr.Data and payload alias pipe-internal buffers
-	// and are only valid for the duration of the call. Connections and
-	// OnService handlers are bypassed. This is the weightless-fleet receive
-	// path: a million lite hosts cannot afford two allocations per packet.
+	// demultiplexer makes: hdr.Data aliases a pipe-internal buffer and is
+	// only valid for the duration of the call (payload may be retained, see
+	// pipe.PacketHandler). Connections and OnService handlers are bypassed.
+	// This is the weightless-fleet receive path: a million lite hosts cannot
+	// afford an allocation per packet.
 	FastHandler func(src wire.Addr, hdr wire.ILPHeader, payload []byte)
 	// Logf receives diagnostics; nil discards them.
 	Logf func(format string, args ...any)
@@ -102,9 +105,12 @@ type Config struct {
 // pipeBackend is the pipe surface a Host needs, factored out so a host can
 // ride either its own pipe.Manager (New — dedicated transport, RX workers,
 // keepalive loop) or a shared pipe.Engine endpoint (NewOnEngine — pure
-// state, no goroutines). pipe.Manager satisfies it directly; engineBinding
+// state, no goroutines). managerBinding adapts a Manager; engineBinding
 // adapts an Engine by currying the host's local address into the
 // (local, remote)-keyed engine API.
+//
+// Send takes the header by value: a pointer handed through the interface
+// would move every sent header to the heap.
 type pipeBackend interface {
 	LocalAddr() wire.Addr
 	Identity() handshake.Identity
@@ -113,9 +119,16 @@ type pipeBackend interface {
 	DropPeer(addr wire.Addr)
 	RebindPeer(oldAddr, newAddr wire.Addr) error
 	PeerIdentity(addr wire.Addr) (ed25519.PublicKey, bool)
-	Send(dst wire.Addr, hdr *wire.ILPHeader, payload []byte) error
+	Send(dst wire.Addr, hdr wire.ILPHeader, payload []byte) error
 	SendHeaderBytes(dst wire.Addr, hdrBytes, payload []byte) error
 	Close() error
+}
+
+// managerBinding is a pipe.Manager as a pipeBackend.
+type managerBinding struct{ *pipe.Manager }
+
+func (b managerBinding) Send(dst wire.Addr, hdr wire.ILPHeader, payload []byte) error {
+	return b.Manager.Send(dst, &hdr, payload)
 }
 
 // Host is one InterEdge-enabled endpoint.
@@ -182,7 +195,7 @@ func New(cfg Config) (*Host, error) {
 		return nil, err
 	}
 	h.mgr = mgr
-	h.pipes = mgr
+	h.pipes = managerBinding{mgr}
 	for _, sn := range cfg.FirstHops {
 		if err := h.Associate(sn); err != nil {
 			h.pipes.Close()
@@ -269,13 +282,14 @@ func (h *Host) SNIdentity(sn wire.Addr) (ed25519.PublicKey, bool) {
 
 // handlePacket demultiplexes inbound packets: control replies, open
 // connections, then service handlers. It may run concurrently for packets
-// from different pipe peers; everything it delivers is copied first.
+// from different pipe peers. What it delivers is safe to retain: the header
+// data is copied, the payload is the receiver's already (pipe.PacketHandler).
 func (h *Host) handlePacket(_ pipe.Sender, src wire.Addr, hdr wire.ILPHeader, _ []byte, payload []byte) {
 	// Control-plane traffic is handled regardless of FastHandler: control
 	// replies complete Invoke waiters and SvcPipeMove drives drain rebinds,
 	// so lite fleet hosts still exercise the real drain/failover machinery.
 	if hdr.Service == wire.SvcControl {
-		h.handleControlReply(hdr.Conn, append([]byte(nil), payload...))
+		h.handleControlReply(hdr.Conn, payload)
 		return
 	}
 	if hdr.Service == wire.SvcPipeMove {
@@ -283,15 +297,15 @@ func (h *Host) handlePacket(_ pipe.Sender, src wire.Addr, hdr wire.ILPHeader, _ 
 		return
 	}
 	if h.cfg.FastHandler != nil {
-		// Zero-copy delivery: hdr.Data and payload alias pipe buffers and
-		// are only valid until return (see Config.FastHandler).
+		// Zero-copy delivery: hdr.Data aliases a pipe buffer and is only
+		// valid until return (see Config.FastHandler).
 		h.cfg.FastHandler(src, hdr, payload)
 		return
 	}
 	msg := Message{
 		Src:     src,
 		Hdr:     wire.ILPHeader{Service: hdr.Service, Conn: hdr.Conn, Data: append([]byte(nil), hdr.Data...)},
-		Payload: append([]byte(nil), payload...),
+		Payload: payload,
 	}
 	h.mu.Lock()
 	if c, ok := h.conns[connKey{hdr.Service, hdr.Conn}]; ok {
@@ -445,7 +459,7 @@ func (h *Host) Invoke(sn wire.Addr, target wire.ServiceID, op string, args any) 
 		h.mu.Unlock()
 	}()
 
-	if err := h.pipes.Send(sn, &wire.ILPHeader{Service: wire.SvcControl, Conn: conn}, body); err != nil {
+	if err := h.pipes.Send(sn, wire.ILPHeader{Service: wire.SvcControl, Conn: conn}, body); err != nil {
 		return nil, err
 	}
 	select {
@@ -553,7 +567,7 @@ func (c *Conn) Via() wire.Addr {
 // §4, the header data may differ per packet within a connection.
 func (c *Conn) Send(svcData, payload []byte) error {
 	hdr := wire.ILPHeader{Service: c.svc, Conn: c.id, Data: svcData}
-	return c.host.pipes.Send(c.Via(), &hdr, payload)
+	return c.host.pipes.Send(c.Via(), hdr, payload)
 }
 
 // SendVia transmits through an explicit SN (e.g. a pass-through SN chain).
@@ -562,7 +576,7 @@ func (c *Conn) SendVia(sn wire.Addr, svcData, payload []byte) error {
 		return err
 	}
 	hdr := wire.ILPHeader{Service: c.svc, Conn: c.id, Data: svcData}
-	return c.host.pipes.Send(sn, &hdr, payload)
+	return c.host.pipes.Send(sn, hdr, payload)
 }
 
 // Receive returns the connection's inbound message channel. It is closed
@@ -597,7 +611,7 @@ func (h *Host) SendDirect(dst wire.Addr, svc wire.ServiceID, conn wire.Connectio
 		return err
 	}
 	hdr := wire.ILPHeader{Service: svc, Conn: conn, Data: svcData}
-	return h.pipes.Send(dst, &hdr, payload)
+	return h.pipes.Send(dst, hdr, payload)
 }
 
 // Close shuts the host down.

@@ -1,6 +1,7 @@
 package host
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"encoding/json"
 	"errors"
@@ -398,5 +399,49 @@ func TestHostAuthorizePinning(t *testing.T) {
 	hsErr := h.Associate(rogue.Addr())
 	if hsErr == nil {
 		t.Fatal("associated with rogue SN")
+	}
+}
+
+// TestRetainedPayloadSurvivesLaterPackets: a Message's Payload is the
+// application's to keep — the host hands over the buffer the transport gave
+// the pipe, without copying it — so a payload held on to must read the same,
+// byte for byte, after a thousand later packets have come through the same
+// pipe, receive worker and connection.
+func TestRetainedPayloadSurvivesLaterPackets(t *testing.T) {
+	net := netsim.NewNetwork()
+	node := newSN(t, net, "fd00::100")
+	h := newHost(t, net, "fd00::1")
+	if err := h.Associate(node.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := h.NewConn(wire.SvcEcho)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	payloadOf := func(i int) []byte {
+		p := make([]byte, 16+i%700)
+		for j := range p {
+			p[j] = byte(i*13 + j*5)
+		}
+		return p
+	}
+	const later = 1000
+	kept := make([][]byte, 0, later+1)
+	for i := 0; i <= later; i++ {
+		if err := conn.Send(nil, payloadOf(i)); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case msg := <-conn.Receive():
+			kept = append(kept, msg.Payload)
+		case <-time.After(3 * time.Second):
+			t.Fatalf("echo %d never came back", i)
+		}
+	}
+	for i, p := range kept {
+		if !bytes.Equal(p, payloadOf(i)) {
+			t.Fatalf("payload %d, retained since it was delivered, no longer reads what was sent", i)
+		}
 	}
 }

@@ -33,8 +33,8 @@ func (b *engineBinding) RebindPeer(oldAddr, newAddr wire.Addr) error {
 func (b *engineBinding) PeerIdentity(addr wire.Addr) (ed25519.PublicKey, bool) {
 	return b.eng.PeerIdentity(b.local, addr)
 }
-func (b *engineBinding) Send(dst wire.Addr, hdr *wire.ILPHeader, payload []byte) error {
-	return b.eng.Send(b.local, dst, hdr, payload)
+func (b *engineBinding) Send(dst wire.Addr, hdr wire.ILPHeader, payload []byte) error {
+	return b.eng.Send(b.local, dst, &hdr, payload)
 }
 func (b *engineBinding) SendHeaderBytes(dst wire.Addr, hdrBytes, payload []byte) error {
 	return b.eng.SendHeaderBytes(b.local, dst, hdrBytes, payload)

@@ -457,6 +457,10 @@ func (n *Network) send(dg wire.Datagram) error {
 	return nil
 }
 
+// readyRun is how many zero-delay deliveries sendBatch lands under one
+// receiver-lock acquisition: the pipe layer's egress batch (DefaultTxBatch).
+const readyRun = 32
+
 // sendBatch is the fabric's native vectored path: routing is resolved once
 // per destination run, counters are aggregated per batch, and every
 // zero-delay delivery in a same-destination run lands under a single
@@ -466,8 +470,11 @@ func (n *Network) send(dg wire.Datagram) error {
 func (n *Network) sendBatch(dgs []wire.Datagram) (int, error) {
 	n.stats.batches.Add(1)
 	var sent, bytes uint64
-	// ready collects zero-delay copies for the current same-destination run.
-	var ready []wire.Datagram
+	// ready collects zero-delay copies for the current same-destination
+	// run. It lives on the stack and is flushed when full, so a batch of any
+	// size allocates nothing here.
+	var readyBuf [readyRun]wire.Datagram
+	ready := readyBuf[:0]
 	var cur route
 	var curSrc, curDst wire.Addr
 	haveRoute := false
@@ -517,6 +524,9 @@ func (n *Network) sendBatch(dgs []wire.Datagram) (int, error) {
 			cp.Payload = append([]byte(nil), dg.Payload...)
 			if f.corrupt {
 				n.corruptCopy(cp.Payload)
+			}
+			if len(ready) == cap(ready) {
+				flushReady()
 			}
 			ready = append(ready, cp)
 			continue

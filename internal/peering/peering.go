@@ -398,7 +398,7 @@ func TransitDecision(fabric *Fabric, local, finalDst wire.Addr, pkt *sn.Packet, 
 		return sn.Decision{}, err
 	}
 	return sn.Decision{
-		Forwards: []sn.Forward{{Dst: next, Hdr: &outer}},
+		Forwards: pkt.OneForward(sn.Forward{Dst: next, Hdr: &outer}),
 		Rules: []sn.Rule{{
 			Key:    pkt.Key(),
 			Action: cache.Action{Forward: []wire.Addr{next}, RewriteHeader: enc},

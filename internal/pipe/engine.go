@@ -124,9 +124,9 @@ type EndpointConfig struct {
 	Addr wire.Addr
 	// Identity signs this endpoint's handshakes.
 	Identity handshake.Identity
-	// Handler receives the endpoint's decrypted inbound packets. Same
-	// aliasing contract as PacketHandler: hdr.Data, hdrRaw, and payload
-	// are only valid for the duration of the call.
+	// Handler receives the endpoint's decrypted inbound packets, under
+	// PacketHandler's ownership rule: hdr.Data and hdrRaw are only valid for
+	// the duration of the call, payload is the handler's to keep.
 	Handler PacketHandler
 	// Authorize defaults to accept-all.
 	Authorize AuthorizePeer
@@ -718,11 +718,13 @@ func (e *Engine) RebindPeer(local, oldRemote, newRemote wire.Addr) error {
 
 // Send encodes hdr and sends it with payload over the pipe local→remote.
 func (e *Engine) Send(local, remote wire.Addr, hdr *wire.ILPHeader, payload []byte) error {
-	enc, err := hdr.Encode()
+	sb := e.sealBufs.Get().(*sealBuf)
+	enc, err := sb.encodeHeader(hdr)
 	if err != nil {
+		e.sealBufs.Put(sb)
 		return err
 	}
-	return e.SendHeaderBytes(local, remote, enc, payload)
+	return e.sealAndSend(sb, local, remote, enc, payload)
 }
 
 // SendHeaderBytes sends an already-encoded ILP header with payload over the
@@ -730,22 +732,25 @@ func (e *Engine) Send(local, remote wire.Addr, hdr *wire.ILPHeader, payload []by
 // packet in a pooled buffer: the steady state performs no allocations
 // beyond whatever the transport does with the datagram.
 func (e *Engine) SendHeaderBytes(local, remote wire.Addr, hdrBytes, payload []byte) error {
+	return e.sealAndSend(e.sealBufs.Get().(*sealBuf), local, remote, hdrBytes, payload)
+}
+
+// sealAndSend seals one packet into sb, hands it to the transport, and
+// returns sb to the pool.
+func (e *Engine) sealAndSend(sb *sealBuf, local, remote wire.Addr, hdrBytes, payload []byte) error {
+	defer e.sealBufs.Put(sb)
 	p := e.peer(pipeKey{local: local, remote: remote})
 	if p == nil {
 		return fmt.Errorf("%w: %s", ErrNoPipe, remote)
 	}
-	sb := e.sealBufs.Get().(*sealBuf)
 	buf := append(sb.buf[:0], byte(wire.FrameILP))
 	sealed, err := p.crypto.TX.SealScratch(&sb.scratch, buf, hdrBytes, payload)
 	if err != nil {
 		sb.buf = buf
-		e.sealBufs.Put(sb)
 		return err
 	}
-	err = e.cfg.Transport.Send(wire.Datagram{Src: local, Dst: remote, Payload: sealed})
 	sb.buf = sealed
-	e.sealBufs.Put(sb)
-	if err != nil {
+	if err := e.cfg.Transport.Send(wire.Datagram{Src: local, Dst: remote, Payload: sealed}); err != nil {
 		return err
 	}
 	e.txPackets.Add(1)

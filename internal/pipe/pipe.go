@@ -54,21 +54,28 @@ type Sender interface {
 // worker's egress Sender: forwards issued through it coalesce into vectored
 // batches (see Config.TxBatch) while preserving per-source order. hdrRaw is
 // the encoded form of hdr, handed to the handler so a forwarding fast path
-// can re-seal it without re-encoding. hdr.Data, hdrRaw, and payload alias
-// internal buffers and must be copied if retained: hdr.Data and hdrRaw are
-// overwritten when the same worker processes its next packet. Handlers run
-// concurrently for packets from different source addresses but serially,
-// in arrival order, for any single source. tx is only valid for the
-// duration of the call and must not be used from other goroutines; work
+// can re-seal it without re-encoding.
+//
+// Ownership, stated here once for everything above the pipe layer (the SN's
+// modules, host.Message): payload is the handler's to keep. The transport
+// gave the datagram to its receiver for good (netsim.Transport.Receive), the
+// pipe decrypted it in place, and nothing below writes to it again — so a
+// handler retains, queues or hands on payload without copying it. hdr.Data
+// and hdrRaw are the opposite: they alias the worker's open scratch, are
+// overwritten when the same worker processes its next packet, and must be
+// copied if retained.
+//
+// Handlers run concurrently for packets from different source addresses but
+// serially, in arrival order, for any single source. tx is only valid for
+// the duration of the call and must not be used from other goroutines; work
 // handed off internally must send through the Manager instead.
 type PacketHandler func(tx Sender, src wire.Addr, hdr wire.ILPHeader, hdrRaw, payload []byte)
 
 // RxPacket is one decrypted inbound ILP packet of a receive batch. Hdr is
 // the decoded header; HdrRaw is its encoded form (for re-seal-without-
 // re-encode forwarding); Payload is the application payload. HdrRaw and
-// Hdr.Data alias the worker's batch-open arena and Payload aliases the
-// receive buffer: all three are valid only until the handler returns and
-// must be copied if retained.
+// Hdr.Data alias the worker's batch-open arena, valid only until the handler
+// returns; Payload is the handler's to keep (see PacketHandler).
 type RxPacket struct {
 	Hdr     wire.ILPHeader
 	HdrRaw  []byte
@@ -219,10 +226,18 @@ type pendingConn struct {
 type peerMap map[wire.Addr]*peer
 
 // sealBuf bundles the reusable buffers for one in-flight send: the framed
-// output packet and the PSP seal scratch.
+// output packet, the header Send encodes for it, and the PSP seal scratch.
 type sealBuf struct {
 	buf     []byte
+	hdr     []byte
 	scratch psp.Scratch
+}
+
+// encodeHeader encodes hdr into the buffer's header scratch.
+func (sb *sealBuf) encodeHeader(hdr *wire.ILPHeader) ([]byte, error) {
+	enc, err := hdr.AppendEncode(sb.hdr[:0])
+	sb.hdr = enc
+	return enc, err
 }
 
 // rxWorkerQueueDepth bounds each worker's backlog. A full queue blocks the
@@ -933,13 +948,16 @@ func (m *Manager) PeerIdentity(addr wire.Addr) (ed25519.PublicKey, bool) {
 	return p.identity, true
 }
 
-// Send encodes hdr and sends it with payload over the pipe to dst.
+// Send encodes hdr and sends it with payload over the pipe to dst. The
+// header is encoded into the same pooled buffer the packet is sealed in.
 func (m *Manager) Send(dst wire.Addr, hdr *wire.ILPHeader, payload []byte) error {
-	enc, err := hdr.Encode()
+	sb := m.sealBufs.Get().(*sealBuf)
+	enc, err := sb.encodeHeader(hdr)
 	if err != nil {
+		m.sealBufs.Put(sb)
 		return err
 	}
-	return m.SendHeaderBytes(dst, enc, payload)
+	return m.sealAndSend(sb, dst, enc, payload)
 }
 
 // SendHeaderBytes sends an already-encoded ILP header with payload over the
@@ -948,30 +966,32 @@ func (m *Manager) Send(dst wire.Addr, hdr *wire.ILPHeader, payload []byte) error
 // output packet is built in a pooled buffer, so the steady state performs
 // no allocations beyond the transport's own datagram copy.
 func (m *Manager) SendHeaderBytes(dst wire.Addr, hdrBytes, payload []byte) error {
+	return m.sealAndSend(m.sealBufs.Get().(*sealBuf), dst, hdrBytes, payload)
+}
+
+// sealAndSend seals one packet into sb, hands it to the transport, and
+// returns sb to the pool.
+func (m *Manager) sealAndSend(sb *sealBuf, dst wire.Addr, hdrBytes, payload []byte) error {
+	defer m.sealBufs.Put(sb)
 	p := m.peer(dst)
 	if p == nil {
 		return fmt.Errorf("%w: %s", ErrNoPipe, dst)
 	}
-	sb := m.sealBufs.Get().(*sealBuf)
 	buf := append(sb.buf[:0], byte(wire.FrameILP))
 	sealed, err := p.crypto.TX.SealScratch(&sb.scratch, buf, hdrBytes, payload)
 	if err != nil {
 		sb.buf = buf
-		m.sealBufs.Put(sb)
 		return err
 	}
+	sb.buf = sealed
 	// Transports must not retain dg.Payload after Send returns (netsim
 	// copies it into the receiver's queue; UDP encodes before writing), so
 	// the buffer can go straight back into the pool.
-	err = m.cfg.Transport.Send(wire.Datagram{Dst: dst, Payload: sealed})
-	n := len(sealed)
-	sb.buf = sealed
-	m.sealBufs.Put(sb)
-	if err != nil {
+	if err := m.cfg.Transport.Send(wire.Datagram{Dst: dst, Payload: sealed}); err != nil {
 		return err
 	}
 	p.txPackets.Add(1)
-	p.txBytes.Add(uint64(n))
+	p.txBytes.Add(uint64(len(sealed)))
 	return nil
 }
 

@@ -34,5 +34,5 @@ func (m *Module) Handled() uint64 { return m.handled.Load() }
 // HandlePacket implements sn.Module.
 func (m *Module) HandlePacket(env sn.Env, pkt *sn.Packet) (sn.Decision, error) {
 	m.handled.Add(1)
-	return sn.Decision{Forwards: []sn.Forward{{Dst: pkt.Src}}}, nil
+	return sn.Decision{Forwards: pkt.OneForward(sn.Forward{Dst: pkt.Src})}, nil
 }

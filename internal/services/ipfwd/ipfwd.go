@@ -110,7 +110,7 @@ func (m *Module) HandlePacket(env sn.Env, pkt *sn.Packet) (sn.Decision, error) {
 		if snAddr == local {
 			// Last hop: deliver to the host and cache the decision.
 			return sn.Decision{
-				Forwards: []sn.Forward{{Dst: dst}},
+				Forwards: pkt.OneForward(sn.Forward{Dst: dst}),
 				Rules: []sn.Rule{{
 					Key:    pkt.Key(),
 					Action: cache.Action{Forward: []wire.Addr{dst}},
@@ -134,7 +134,7 @@ func (m *Module) HandlePacket(env sn.Env, pkt *sn.Packet) (sn.Decision, error) {
 	}
 	if sameEdomain {
 		return sn.Decision{
-			Forwards: []sn.Forward{{Dst: dstSN}},
+			Forwards: pkt.OneForward(sn.Forward{Dst: dstSN}),
 			Rules: []sn.Rule{{
 				Key:    pkt.Key(),
 				Action: cache.Action{Forward: []wire.Addr{dstSN}, DependsOn: dst},

@@ -301,24 +301,33 @@ func (c *Cache) Lookup(key wire.FlowKey) (Action, bool) {
 // run-coalesced hit must be indistinguishable from n sequential hits);
 // a miss records n misses.
 func (c *Cache) LookupN(key wire.FlowKey, n uint64) (Action, bool) {
+	action, _, ok := c.LookupStamped(key, n)
+	return action, ok
+}
+
+// LookupStamped is LookupN that also returns the clock reading a hit was
+// stamped with (the entry's new last-used time): the pipe-terminus times
+// its service interval from it instead of reading the clock a second time.
+func (c *Cache) LookupStamped(key wire.FlowKey, n uint64) (Action, time.Time, bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.enabled {
 		s.misses += n
-		return Action{}, false
+		return Action{}, time.Time{}, false
 	}
 	i, ok := s.index[key]
 	if !ok {
 		s.misses += n
-		return Action{}, false
+		return Action{}, time.Time{}, false
 	}
 	e := &s.slots[i]
 	e.hits += n
 	e.ref = true
-	e.lastUsed = s.now().UnixNano()
+	now := s.now()
+	e.lastUsed = now.UnixNano()
 	s.hits += n
-	return e.action.action(wire.Addr{}), true
+	return e.action.action(wire.Addr{}), now, true
 }
 
 // Add installs (or replaces) the action for key, evicting via CLOCK within

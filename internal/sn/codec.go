@@ -11,8 +11,8 @@ import (
 // Binary codec for Packet and Decision. Used on module transports that
 // move bytes across a boundary: the Unix-socket IPC transport (the paper
 // prototype's configuration) and the enclave boundary (where data is
-// re-encrypted by the memory controller). The in-process and channel
-// transports pass pointers and skip the codec entirely.
+// re-encrypted by the memory controller). The in-process transport passes
+// pointers and skips the codec entirely.
 
 func putAddr(buf []byte, a wire.Addr) {
 	b := a.As16()
@@ -240,9 +240,9 @@ func encodeDecision(dst []byte, d *Decision) ([]byte, error) {
 
 // decodeDecision parses a decision encoding. Byte-slice fields are copied
 // so the result outlives data.
-func decodeDecision(data []byte) (*Decision, error) {
+func decodeDecision(data []byte) (Decision, error) {
 	r := &reader{data: data}
-	d := &Decision{}
+	var d Decision
 	nf := int(r.uint16())
 	for i := 0; i < nf && r.err == nil; i++ {
 		var f Forward
@@ -256,7 +256,7 @@ func decodeDecision(data []byte) (*Decision, error) {
 			}
 			var hdr wire.ILPHeader
 			if _, err := hdr.DecodeFromBytes(r.data[r.off : r.off+hlen]); err != nil {
-				return nil, err
+				return Decision{}, err
 			}
 			hdr.Data = append([]byte(nil), hdr.Data...)
 			f.Hdr = &hdr
@@ -292,7 +292,7 @@ func decodeDecision(data []byte) (*Decision, error) {
 		d.Invalidate = append(d.Invalidate, r.flowKey())
 	}
 	if r.err != nil {
-		return nil, fmt.Errorf("sn: decode decision: %w", r.err)
+		return Decision{}, fmt.Errorf("sn: decode decision: %w", r.err)
 	}
 	return d, nil
 }

@@ -133,7 +133,7 @@ func TestDecisionCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !decisionsEqual(d, got) {
+	if !decisionsEqual(d, &got) {
 		t.Fatalf("roundtrip mismatch:\n%+v\n%+v", d, got)
 	}
 }

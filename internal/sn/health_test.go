@@ -419,35 +419,60 @@ func TestEnclaveErrorPropagation(t *testing.T) {
 	})
 }
 
-// TestChanInvokerCloseRace: closing the channel invoker while invocations
-// are in flight must neither panic (the historical send-on-closed-channel
-// bug) nor strand a caller; late invokes fail fast. Run with -race.
-func TestChanInvokerCloseRace(t *testing.T) {
-	h := func(pkt *Packet) (*Decision, error) { return &Decision{}, nil }
+// TestDispatcherCloseRace: closing a dispatcher while other goroutines
+// submit (Env.Inject lets any module goroutine do so at any time) and while
+// an invocation is in flight must neither panic — the queue is the module
+// ring now, and a send on a closed one would take the SN down — nor hang,
+// and late submits are refused. Run with -race.
+func TestDispatcherCloseRace(t *testing.T) {
+	const submitters, each = 4, 64
 	for iter := 0; iter < 25; iter++ {
-		ci := newChanInvoker(h, 2)
+		inFlight := make(chan struct{}, 1)
+		inv := &funcInvoker{fn: func(*Packet) (Decision, error) {
+			select {
+			case inFlight <- struct{}{}:
+			default:
+			}
+			return Decision{}, nil
+		}}
+		var applied atomic.Uint64
+		d := newDispatcher(inv, dispatcherConfig{
+			workers: 2,
+			depth:   16,
+			clk:     clock.Real{},
+			apply:   func(*Packet, Decision) { applied.Add(1) },
+			onError: func(*Packet, error) {},
+		})
 		start := make(chan struct{})
+		var accepted atomic.Uint64
 		var wg sync.WaitGroup
-		for g := 0; g < 4; g++ {
+		for g := 0; g < submitters; g++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				<-start
-				for j := 0; j < 64; j++ {
-					if _, err := ci.invoke(&Packet{}); err != nil {
-						if !errors.Is(err, errInvokerClosed) {
-							t.Errorf("invoke during close: %v", err)
-						}
-						return
+				for j := 0; j < each; j++ {
+					if d.submit(&Packet{}) {
+						accepted.Add(1)
 					}
 				}
 			}()
 		}
 		close(start)
-		ci.close()
+		<-inFlight
+		d.close()
 		wg.Wait()
-		if _, err := ci.invoke(&Packet{}); !errors.Is(err, errInvokerClosed) {
-			t.Fatalf("invoke after close = %v, want errInvokerClosed", err)
+		if d.submit(&Packet{}) {
+			t.Fatal("submit after close was accepted")
+		}
+		// close waited for the workers, so the served count is final: every
+		// packet was either refused (counted) or accepted, and nothing is
+		// served that was not accepted.
+		if got := accepted.Load() + d.dropped.Load(); got != submitters*each+1 {
+			t.Fatalf("accepted %d + dropped %d != %d submitted", accepted.Load(), d.dropped.Load(), submitters*each+1)
+		}
+		if applied.Load() > accepted.Load() {
+			t.Fatalf("served %d packets, accepted only %d", applied.Load(), accepted.Load())
 		}
 	}
 }
@@ -455,11 +480,11 @@ func TestChanInvokerCloseRace(t *testing.T) {
 // funcInvoker adapts a function to the invoker interface for dispatcher
 // unit tests.
 type funcInvoker struct {
-	fn func(*Packet) (*Decision, error)
+	fn func(*Packet) (Decision, error)
 }
 
-func (f *funcInvoker) invoke(pkt *Packet) (*Decision, error) { return f.fn(pkt) }
-func (f *funcInvoker) close() error                          { return nil }
+func (f *funcInvoker) invoke(pkt *Packet) (Decision, error) { return f.fn(pkt) }
+func (f *funcInvoker) close() error                         { return nil }
 
 // TestDispatcherErrorAndShedAccounting exercises the dispatcher directly:
 // failed invocations hit onError and the error counter, and once the
@@ -468,16 +493,16 @@ func (f *funcInvoker) close() error                          { return nil }
 func TestDispatcherErrorAndShedAccounting(t *testing.T) {
 	manual := clock.NewManual(time.Unix(0, 0))
 	var invokes, onErrs, degraded atomic.Uint64
-	inv := &funcInvoker{fn: func(*Packet) (*Decision, error) {
+	inv := &funcInvoker{fn: func(*Packet) (Decision, error) {
 		invokes.Add(1)
-		return nil, errors.New("bad")
+		return Decision{}, errors.New("bad")
 	}}
 	d := newDispatcher(inv, dispatcherConfig{
 		workers: 1,
 		depth:   8,
 		clk:     manual,
 		brk:     newBreaker(2, time.Minute, manual),
-		apply:   func(*Packet, *Decision) {},
+		apply:   func(*Packet, Decision) {},
 		onError: func(_ *Packet, err error) { onErrs.Add(1) },
 		degrade: func(*Packet) { degraded.Add(1) },
 	})

@@ -16,10 +16,24 @@ import (
 // Packet is one inbound ILP packet as seen by a service module: the L3
 // source plus the decrypted ILP header and opaque payload (§4: the module
 // receives "the packet's L3 header and decrypted ILP header").
+//
+// Payload belongs to the packet: the transport handed the datagram over for
+// keeps and the pipe decrypted it in place, so whoever holds the packet may
+// retain Payload. Hdr.Data is the runtime's copy, the module's to keep too.
 type Packet struct {
 	Src     wire.Addr
 	Hdr     wire.ILPHeader
 	Payload []byte
+
+	fwd [1]Forward // backs OneForward
+}
+
+// OneForward returns the Forwards of the commonest verdict — one copy to
+// one next hop — held in the packet itself, so the verdict costs no
+// allocation. The slice is only good for the Decision returned for p.
+func (p *Packet) OneForward(f Forward) []Forward {
+	p.fwd[0] = f
+	return p.fwd[:]
 }
 
 // Key returns the packet's decision-cache key.
@@ -68,8 +82,8 @@ type Module interface {
 	// Version returns the implementation version (part of the enclave
 	// measurement).
 	Version() string
-	// HandlePacket processes one packet on the slow path. The packet's
-	// Hdr.Data and Payload alias runtime buffers; copy anything retained.
+	// HandlePacket processes one packet on the slow path. The module may
+	// retain pkt.Hdr.Data and pkt.Payload (see Packet).
 	HandlePacket(env Env, pkt *Packet) (Decision, error)
 }
 

@@ -26,11 +26,15 @@ import (
 type Transport int
 
 const (
-	// TransportChan moves packets over Go channels — the "shared memory
-	// rings" alternative §6.3 alludes to. This is the default.
+	// TransportChan is the in-process transport and the default: the
+	// module's bounded dispatcher queue is the ring — the "shared memory"
+	// alternative §6.3 alludes to. The pipe-terminus enqueues a miss, and the
+	// dispatcher worker that dequeues it calls the module and applies the
+	// verdict: one hand-off per packet.
 	TransportChan Transport = iota
-	// TransportDirect invokes the module synchronously on the terminus
-	// goroutine (an upper bound: no hand-off at all).
+	// TransportDirect is a second name for the same path, kept for the
+	// benchmarks that run both. The module does not run on the terminus
+	// goroutine under this name either: a miss crosses the dispatcher queue.
 	TransportDirect
 	// TransportIPC interposes a real Unix-domain-socket round trip on the
 	// packet path, reproducing the paper prototype's IPC configuration.
@@ -142,39 +146,32 @@ func WithRestartBackoff(base, max time.Duration) ModuleOption {
 
 // handleFunc produces a module's decision for one packet, including any
 // enclave boundary crossings.
-type handleFunc func(pkt *Packet) (*Decision, error)
+type handleFunc func(pkt *Packet) (Decision, error)
 
 // newHandleFunc wraps a module invocation, optionally routing the packet
 // and decision bytes through the enclave boundary.
 func newHandleFunc(mod Module, env Env, encl *enclave.Enclave) handleFunc {
-	base := func(pkt *Packet) (*Decision, error) {
-		d, err := mod.HandlePacket(env, pkt)
-		if err != nil {
-			return nil, err
-		}
-		return &d, nil
-	}
 	if encl == nil {
-		return base
+		return func(pkt *Packet) (Decision, error) { return mod.HandlePacket(env, pkt) }
 	}
-	return func(pkt *Packet) (*Decision, error) {
+	return func(pkt *Packet) (Decision, error) {
 		in, err := encodePacket(nil, pkt)
 		if err != nil {
-			return nil, err
+			return Decision{}, err
 		}
 		out, err := encl.Run(in, func(inside []byte) ([]byte, error) {
 			p, err := decodePacket(inside)
 			if err != nil {
 				return nil, err
 			}
-			d, err := base(p)
+			d, err := mod.HandlePacket(env, p)
 			if err != nil {
 				return nil, err
 			}
-			return encodeDecision(nil, d)
+			return encodeDecision(nil, &d)
 		})
 		if err != nil {
-			return nil, err
+			return Decision{}, err
 		}
 		return decodeDecision(out)
 	}
@@ -186,11 +183,11 @@ func newHandleFunc(mod Module, env Env, encl *enclave.Enclave) handleFunc {
 // on the server side instead, where a panic crashes the module-server
 // connection — see ipcInvoker.)
 func recoverHandleFunc(h handleFunc, notePanic func(v any)) handleFunc {
-	return func(pkt *Packet) (d *Decision, err error) {
+	return func(pkt *Packet) (d Decision, err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				notePanic(r)
-				d, err = nil, &ModulePanicError{Value: r, Stack: debug.Stack()}
+				d, err = Decision{}, &ModulePanicError{Value: r, Stack: debug.Stack()}
 			}
 		}()
 		return h(pkt)
@@ -198,67 +195,19 @@ func recoverHandleFunc(h handleFunc, notePanic func(v any)) handleFunc {
 }
 
 // invoker carries one packet across the module transport and returns the
-// module's decision.
+// module's decision. It runs on the dispatcher worker that dequeued the
+// packet (or on invokeOne's deadline goroutine).
 type invoker interface {
-	invoke(pkt *Packet) (*Decision, error)
+	invoke(pkt *Packet) (Decision, error)
 	close() error
 }
 
-// directInvoker calls the module with no hand-off.
+// directInvoker is the in-process transport: the dispatcher queue was the
+// hand-off, so the worker calls the module itself.
 type directInvoker struct{ h handleFunc }
 
-func (d *directInvoker) invoke(pkt *Packet) (*Decision, error) { return d.h(pkt) }
-func (d *directInvoker) close() error                          { return nil }
-
-// chanInvoker hands packets to a module goroutine over channels —
-// the shared-memory-ring configuration. Shutdown is signalled on stop
-// rather than by closing req: a concurrent invoke may be committed to
-// sending, and a send on a closed channel would panic the terminus.
-type chanInvoker struct {
-	req    chan chanReq
-	stop   chan struct{} // closed by close(): workers exit, senders abort
-	done   chan struct{} // closed once every worker has exited
-	closed atomic.Bool
-}
-
-type chanReq struct {
-	pkt   *Packet
-	reply chan chanResp
-}
-
-type chanResp struct {
-	d   *Decision
-	err error
-}
-
-func newChanInvoker(h handleFunc, serverWorkers int) *chanInvoker {
-	ci := &chanInvoker{
-		req:  make(chan chanReq, 64),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < serverWorkers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case r := <-ci.req:
-					d, err := h(r.pkt)
-					r.reply <- chanResp{d: d, err: err}
-				case <-ci.stop:
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(ci.done)
-	}()
-	return ci
-}
+func (d *directInvoker) invoke(pkt *Packet) (Decision, error) { return d.h(pkt) }
+func (d *directInvoker) close() error                         { return nil }
 
 var errInvokerClosed = errors.New("sn: module invoker closed")
 
@@ -270,39 +219,6 @@ var ErrModuleTimeout = errors.New("sn: module invocation deadline exceeded")
 // ErrModuleRestarting marks an invocation attempted while the IPC module
 // server is down and a redial is in progress.
 var ErrModuleRestarting = errors.New("sn: module server down, restarting")
-
-func (c *chanInvoker) invoke(pkt *Packet) (*Decision, error) {
-	if c.closed.Load() {
-		return nil, errInvokerClosed
-	}
-	reply := make(chan chanResp, 1)
-	select {
-	case c.req <- chanReq{pkt: pkt, reply: reply}:
-	case <-c.stop:
-		return nil, errInvokerClosed
-	}
-	select {
-	case r := <-reply:
-		return r.d, r.err
-	case <-c.done:
-		// Workers have exited; the request may still have been picked up
-		// just before, so prefer a reply that made it out.
-		select {
-		case r := <-reply:
-			return r.d, r.err
-		default:
-			return nil, errInvokerClosed
-		}
-	}
-}
-
-func (c *chanInvoker) close() error {
-	if c.closed.CompareAndSwap(false, true) {
-		close(c.stop)
-		<-c.done
-	}
-	return nil
-}
 
 // maxIPCFrame bounds a framed IPC request or response. Anything larger
 // means the stream has desynchronized (or the peer is hostile); the
@@ -439,9 +355,9 @@ func (i *ipcInvoker) handleFrame(buf []byte) (resp []byte, crashed bool) {
 	}()
 	pkt, err := decodePacket(buf)
 	if err == nil {
-		var d *Decision
+		var d Decision
 		if d, err = i.h(pkt); err == nil {
-			if enc, encErr := encodeDecision([]byte{0}, d); encErr == nil {
+			if enc, encErr := encodeDecision([]byte{0}, &d); encErr == nil {
 				return enc, false
 			} else {
 				err = encErr
@@ -451,13 +367,13 @@ func (i *ipcInvoker) handleFrame(buf []byte) (resp []byte, crashed bool) {
 	return append([]byte{1}, err.Error()...), false
 }
 
-func (i *ipcInvoker) invoke(pkt *Packet) (*Decision, error) {
+func (i *ipcInvoker) invoke(pkt *Packet) (Decision, error) {
 	if i.closed.Load() {
-		return nil, errInvokerClosed
+		return Decision{}, errInvokerClosed
 	}
 	req, err := encodePacket(nil, pkt)
 	if err != nil {
-		return nil, err
+		return Decision{}, err
 	}
 	i.ioMu.Lock()
 	defer i.ioMu.Unlock()
@@ -466,13 +382,13 @@ func (i *ipcInvoker) invoke(pkt *Packet) (*Decision, error) {
 	if conn == nil {
 		i.ensureRedialLocked()
 		i.mu.Unlock()
-		return nil, ErrModuleRestarting
+		return Decision{}, ErrModuleRestarting
 	}
 	i.mu.Unlock()
 
 	// Any connection or framing failure poisons the stream: drop the
 	// connection and let the background redial bring up a fresh one.
-	fail := func(op string, err error) (*Decision, error) {
+	fail := func(op string, err error) (Decision, error) {
 		i.mu.Lock()
 		if i.conn == conn {
 			i.conn = nil
@@ -480,7 +396,7 @@ func (i *ipcInvoker) invoke(pkt *Packet) (*Decision, error) {
 		}
 		i.mu.Unlock()
 		conn.Close()
-		return nil, fmt.Errorf("sn: ipc %s (module server connection reset): %w", op, err)
+		return Decision{}, fmt.Errorf("sn: ipc %s (module server connection reset): %w", op, err)
 	}
 
 	var lenBuf [4]byte
@@ -508,7 +424,7 @@ func (i *ipcInvoker) invoke(pkt *Packet) (*Decision, error) {
 	if resp[0] != 0 {
 		// A module-level error leaves the framing intact; the connection
 		// stays pooled.
-		return nil, fmt.Errorf("sn: module error: %s", resp[1:])
+		return Decision{}, fmt.Errorf("sn: module error: %s", resp[1:])
 	}
 	dec, err := decodeDecision(resp[1:])
 	if err != nil {
@@ -584,16 +500,21 @@ func (i *ipcInvoker) close() error {
 }
 
 // dispatcher is the slow-path queue between the pipe-terminus and one
-// module's invoker, and the module's containment point: it enforces the
-// per-invoke deadline, drives the circuit breaker, and sheds to the
-// degraded action while the breaker is open.
+// module, and for an in-process module it is the whole module transport:
+// the worker that dequeues a packet invokes the module and applies the
+// verdict itself, so a miss costs one goroutine hand-off. It is also the
+// module's containment point: it enforces the per-invoke deadline, drives
+// the circuit breaker, and sheds to the degraded action while the breaker
+// is open.
 type dispatcher struct {
 	queue    chan *Packet
+	workers  int
+	closed   atomic.Bool
 	inv      invoker
 	clk      clock.Clock
 	deadline time.Duration
 	brk      *breaker
-	apply    func(pkt *Packet, d *Decision)
+	apply    func(pkt *Packet, d Decision)
 	onError  func(pkt *Packet, err error)
 	degrade  func(pkt *Packet) // runs for packets shed by an open breaker
 	wg       sync.WaitGroup
@@ -617,7 +538,7 @@ type dispatcherConfig struct {
 	brk      *breaker
 	module   string              // label value for the per-module instruments
 	telem    *telemetry.Registry // nil homes the instruments privately
-	apply    func(*Packet, *Decision)
+	apply    func(*Packet, Decision)
 	onError  func(*Packet, error)
 	degrade  func(*Packet)
 }
@@ -632,6 +553,7 @@ func newDispatcher(inv invoker, cfg dispatcherConfig) *dispatcher {
 	}
 	d := &dispatcher{
 		queue:    make(chan *Packet, cfg.depth),
+		workers:  cfg.workers,
 		inv:      inv,
 		clk:      cfg.clk,
 		deadline: cfg.deadline,
@@ -647,46 +569,58 @@ func newDispatcher(inv invoker, cfg dispatcherConfig) *dispatcher {
 		restarts: ctr("sn_module_restarts_total"),
 		shed:     ctr("sn_module_shed_total"),
 	}
+	// Where the module's backlog stands, read only when a snapshot is taken.
+	_ = reg.Register(telemetry.NewGaugeFunc(telemetry.Name("sn_module_queue_depth", "module", cfg.module), func() int64 {
+		return int64(len(d.queue))
+	}))
 	for i := 0; i < cfg.workers; i++ {
 		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
-			for pkt := range d.queue {
-				if !d.brk.allow() {
-					d.shed.Add(1)
-					if d.degrade != nil {
-						d.degrade(pkt)
-					}
-					continue
-				}
-				dec, err := d.invokeOne(pkt)
-				d.brk.onResult(err)
-				if err != nil {
-					d.errored.Add(1)
-					if errors.Is(err, ErrModuleTimeout) {
-						d.timeouts.Add(1)
-					}
-					d.onError(pkt, err)
-					continue
-				}
-				d.handled.Add(1)
-				d.apply(pkt, dec)
-			}
-		}()
+		go d.work()
 	}
 	return d
+}
+
+// work is one dispatcher worker: it serves queued packets in order until
+// close hands it the nil that ends it.
+func (d *dispatcher) work() {
+	defer d.wg.Done()
+	for {
+		pkt := <-d.queue
+		if pkt == nil {
+			return
+		}
+		if !d.brk.allow() {
+			d.shed.Add(1)
+			if d.degrade != nil {
+				d.degrade(pkt)
+			}
+			continue
+		}
+		dec, err := d.invokeOne(pkt)
+		d.brk.onResult(err)
+		if err != nil {
+			d.errored.Add(1)
+			if errors.Is(err, ErrModuleTimeout) {
+				d.timeouts.Add(1)
+			}
+			d.onError(pkt, err)
+			continue
+		}
+		d.handled.Add(1)
+		d.apply(pkt, dec)
+	}
 }
 
 // invokeOne runs one invocation under the module deadline. On timeout the
 // worker abandons the invocation (its goroutine runs on until the module
 // returns; the buffered channel lets its late result be dropped silently)
 // and reports ErrModuleTimeout to the breaker.
-func (d *dispatcher) invokeOne(pkt *Packet) (*Decision, error) {
+func (d *dispatcher) invokeOne(pkt *Packet) (Decision, error) {
 	if d.deadline <= 0 {
 		return d.inv.invoke(pkt)
 	}
 	type res struct {
-		dec *Decision
+		dec Decision
 		err error
 	}
 	ch := make(chan res, 1)
@@ -700,24 +634,36 @@ func (d *dispatcher) invokeOne(pkt *Packet) (*Decision, error) {
 		t.Stop()
 		return r.dec, r.err
 	case <-t.C():
-		return nil, ErrModuleTimeout
+		return Decision{}, ErrModuleTimeout
 	}
 }
 
 // submit enqueues a packet, dropping it if the slow path is saturated
-// (overload sheds load rather than stalling the terminus).
+// (overload sheds load rather than stalling the terminus) or closed.
 func (d *dispatcher) submit(pkt *Packet) bool {
-	select {
-	case d.queue <- pkt:
-		return true
-	default:
-		d.dropped.Add(1)
-		return false
+	if !d.closed.Load() {
+		select {
+		case d.queue <- pkt:
+			return true
+		default:
+		}
 	}
+	d.dropped.Add(1)
+	return false
 }
 
+// close stops the workers once they have served what is queued, then the
+// invoker. The queue itself is never closed: Env.Inject lets any module
+// goroutine submit at any time, and a send on a closed channel would panic
+// the SN. One nil per worker ends them instead; a packet submitted behind
+// the nils is never served, like one dropped at a full queue.
 func (d *dispatcher) close() {
-	close(d.queue)
+	if d.closed.Swap(true) {
+		return
+	}
+	for i := 0; i < d.workers; i++ {
+		d.queue <- nil
+	}
 	d.wg.Wait()
 	d.inv.close()
 }

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"interedge/internal/clock"
@@ -113,6 +115,9 @@ type Counters struct {
 	Modules []ModuleHealth
 }
 
+// moduleTable maps a service to its registered module; see SN.modules.
+type moduleTable map[wire.ServiceID]*registeredModule
+
 type registeredModule struct {
 	mod      Module
 	cfg      moduleConfig
@@ -176,8 +181,12 @@ type SN struct {
 	tpm             *tpm.TPM
 	terminusEnclave *enclave.Enclave
 
+	// modules is the module table the packet path reads: published
+	// copy-on-write, replaced under mu by Register (it changes nowhere
+	// else), so a miss finds its module without taking the SN-wide lock.
+	modules atomic.Pointer[moduleTable]
+
 	mu          sync.Mutex
-	modules     map[wire.ServiceID]*registeredModule
 	configStore map[string][]byte
 	checkpoints map[string][]byte
 	// pendingSends holds forwards awaiting a pipe, per destination;
@@ -268,7 +277,6 @@ func New(cfg Config) (*SN, error) {
 		cfg:          cfg,
 		cache:        cache.NewSourceAffine(cfg.CacheSize, workers),
 		tpm:          cfg.TPM,
-		modules:      make(map[wire.ServiceID]*registeredModule),
 		configStore:  make(map[string][]byte),
 		checkpoints:  make(map[string][]byte),
 		pendingSends: make(map[wire.Addr][]queuedSend),
@@ -300,6 +308,7 @@ func New(cfg Config) (*SN, error) {
 		failovers:      reg.Counter("sn_failovers_total"),
 		drainNs:        reg.Histogram("sn_drain_duration_ns", telemetry.LatencyBuckets),
 	}
+	s.modules.Store(&moduleTable{})
 	s.cache.RegisterTelemetry(reg)
 	if rt, ok := cfg.Transport.(telemetry.Registrable); ok {
 		rt.RegisterTelemetry(reg)
@@ -361,14 +370,9 @@ func (s *SN) Connect(addr wire.Addr) error { return s.mgr.Connect(addr) }
 // ModuleHealth returns the per-module containment snapshot, sorted by
 // service ID for deterministic output.
 func (s *SN) ModuleHealth() []ModuleHealth {
-	s.mu.Lock()
-	regs := make([]*registeredModule, 0, len(s.modules))
-	for _, reg := range s.modules {
-		regs = append(regs, reg)
-	}
-	s.mu.Unlock()
-	hs := make([]ModuleHealth, 0, len(regs))
-	for _, reg := range regs {
+	mods := *s.modules.Load()
+	hs := make([]ModuleHealth, 0, len(mods))
+	for _, reg := range mods {
 		hs = append(hs, reg.health())
 	}
 	sort.Slice(hs, func(i, j int) bool { return hs[i].Service < hs[j].Service })
@@ -446,10 +450,8 @@ func (s *SN) Register(mod Module, opts ...ModuleOption) error {
 
 	var inv invoker
 	switch mc.transport {
-	case TransportDirect:
+	case TransportChan, TransportDirect:
 		inv = &directInvoker{h: recoverHandleFunc(h, notePanic)}
-	case TransportChan:
-		inv = newChanInvoker(recoverHandleFunc(h, notePanic), mc.workers)
 	case TransportIPC:
 		retry := pipe.NewBackoff(mc.restartBase, mc.restartMax, pipe.DeriveSeed([]byte(mod.Name())))
 		ipcInv, err := newIPCInvoker(mod.Name(), h, s.cfg.Clock, retry, s.cfg.Logf, notePanic, noteRestart)
@@ -492,7 +494,7 @@ func (s *SN) Register(mod Module, opts ...ModuleOption) error {
 		brk:      brk,
 		module:   mod.Name(),
 		telem:    s.telem,
-		apply:    func(pkt *Packet, d *Decision) { s.applyDecision(pkt, d) },
+		apply:    s.applyDecision,
 		onError: func(pkt *Packet, err error) {
 			s.moduleErrors.Add(1)
 			s.cfg.Logf("sn %s: module %s error on %s: %v", s.Addr(), mod.Name(), pkt.Key(), err)
@@ -500,20 +502,13 @@ func (s *SN) Register(mod Module, opts ...ModuleOption) error {
 		degrade: func(pkt *Packet) { s.degradePacket(reg, pkt) },
 	})
 
-	s.mu.Lock()
-	if _, dup := s.modules[mod.Service()]; dup {
-		s.mu.Unlock()
+	if !s.publishModule(mod.Service(), reg) {
 		reg.disp.close()
 		return fmt.Errorf("sn: service %s already registered", mod.Service())
 	}
-	s.modules[mod.Service()] = reg
-	s.mu.Unlock()
-
 	if st, ok := mod.(Starter); ok {
 		if err := st.Start(env); err != nil {
-			s.mu.Lock()
-			delete(s.modules, mod.Service())
-			s.mu.Unlock()
+			s.publishModule(mod.Service(), nil)
 			reg.disp.close()
 			return fmt.Errorf("sn: start module %s: %w", mod.Name(), err)
 		}
@@ -521,11 +516,35 @@ func (s *SN) Register(mod Module, opts ...ModuleOption) error {
 	return nil
 }
 
-// Module returns the registered module for a service, if any.
-func (s *SN) Module(svc wire.ServiceID) (Module, bool) {
+// publishModule replaces the module table with a copy in which svc maps to
+// reg, or to nothing when reg is nil. It refuses (false) to replace one
+// registered module by another.
+func (s *SN) publishModule(svc wire.ServiceID, reg *registeredModule) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	reg, ok := s.modules[svc]
+	old := *s.modules.Load()
+	if _, dup := old[svc]; dup && reg != nil {
+		return false
+	}
+	next := maps.Clone(old)
+	if reg != nil {
+		next[svc] = reg
+	} else {
+		delete(next, svc)
+	}
+	s.modules.Store(&next)
+	return true
+}
+
+// module returns the registration serving svc, if any.
+func (s *SN) module(svc wire.ServiceID) (*registeredModule, bool) {
+	reg, ok := (*s.modules.Load())[svc]
+	return reg, ok
+}
+
+// Module returns the registered module for a service, if any.
+func (s *SN) Module(svc wire.ServiceID) (Module, bool) {
+	reg, ok := s.module(svc)
 	if !ok {
 		return nil, false
 	}
@@ -534,9 +553,7 @@ func (s *SN) Module(svc wire.ServiceID) (Module, bool) {
 
 // ModuleEnclave returns the enclave hosting a service, if it runs in one.
 func (s *SN) ModuleEnclave(svc wire.ServiceID) (*enclave.Enclave, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	reg, ok := s.modules[svc]
+	reg, ok := s.module(svc)
 	if !ok || reg.enclave == nil {
 		return nil, false
 	}
@@ -560,7 +577,7 @@ func (s *SN) Inject(src wire.Addr, hdr wire.ILPHeader, payload []byte) {
 // source address — so per-flow order is preserved without any lock here.
 // hdrRaw is the encoded header as it arrived; hdr.Data and hdrRaw alias
 // the calling worker's scratch buffer and are only valid until return,
-// while payload is a transport-owned per-datagram buffer safe to retain.
+// while payload is the receiver's to keep (pipe.PacketHandler).
 // tx is the worker's egress sender: fast-path forwards issued through it
 // coalesce into vectored transport batches, so a cache-hit burst to one
 // peer leaves as a single sendmmsg on the UDP substrate.
@@ -589,12 +606,12 @@ func (s *SN) handlePacket(tx pipe.Sender, src wire.Addr, hdr wire.ILPHeader, hdr
 // slow path; handlePacket documents the arguments.
 func (s *SN) serve(tx pipe.Sender, src wire.Addr, hdr wire.ILPHeader, hdrRaw, payload []byte) {
 	key := wire.FlowKey{Src: src, Service: hdr.Service, Conn: hdr.Conn}
-	if action, ok := s.cache.Lookup(key); ok {
+	if action, start, ok := s.cache.LookupStamped(key, 1); ok {
 		// The histogram covers the post-lookup serve cost: executing the
-		// cached action, including any coalesced egress enqueue. One
-		// time.Now() pair per hit; the wall clock (not the injected test
-		// clock) because this measures real compute time.
-		start := time.Now()
+		// cached action, including any coalesced egress enqueue. The
+		// interval starts at the reading the cache stamped the hit with,
+		// so a hit reads the clock once for both; the wall clock (not the
+		// injected test clock) because this measures real compute time.
 		s.fastPathHits.Add(1)
 		if s.trace != nil {
 			s.trace(telemetry.PacketTrace{Point: telemetry.TraceFastPath, Src: src, Service: hdr.Service, Conn: hdr.Conn, Bytes: len(payload)})
@@ -673,10 +690,9 @@ func (s *SN) handleBatch(tx pipe.Sender, src wire.Addr, pkts []pipe.RxPacket) {
 			continue
 		}
 		key := wire.FlowKey{Src: src, Service: run[0].Hdr.Service, Conn: run[0].Hdr.Conn}
-		if action, ok := s.cache.LookupN(key, uint64(len(run))); ok {
+		if action, start, ok := s.cache.LookupStamped(key, uint64(len(run))); ok {
 			// One histogram observation covers serving the whole run; see
 			// serve for what the interval measures.
-			start := time.Now()
 			s.fastPathHits.Add(uint64(len(run)))
 			for k := range run {
 				if s.trace != nil {
@@ -705,9 +721,7 @@ func (s *SN) handleMiss(src wire.Addr, hdr wire.ILPHeader, payload []byte) {
 		return
 	}
 
-	s.mu.Lock()
-	reg, ok := s.modules[hdr.Service]
-	s.mu.Unlock()
+	reg, ok := s.module(hdr.Service)
 	if !ok {
 		s.noModuleDrops.Add(1)
 		if s.trace != nil {
@@ -716,8 +730,10 @@ func (s *SN) handleMiss(src wire.Addr, hdr wire.ILPHeader, payload []byte) {
 		return
 	}
 	// The slow path retains the packet past this call, so the
-	// scratch-aliased header data must be copied; payload is per-datagram
-	// (transport-owned) and may be kept as-is.
+	// scratch-aliased header data must be copied; payload is the packet's
+	// own (see pipe.PacketHandler) and is kept as-is. The packet is one heap
+	// object on purpose: an invocation abandoned at its deadline may still
+	// hold it, so it cannot be recycled.
 	pkt := &Packet{Src: src, Hdr: hdr, Payload: payload}
 	if len(hdr.Data) > 0 {
 		pkt.Hdr.Data = append([]byte(nil), hdr.Data...)
@@ -771,34 +787,18 @@ func (s *SN) applyFastAction(tx pipe.Sender, src wire.Addr, hdr *wire.ILPHeader,
 }
 
 // applyDecision executes a module's verdict after the slow path.
-func (s *SN) applyDecision(pkt *Packet, d *Decision) {
+func (s *SN) applyDecision(pkt *Packet, d Decision) {
 	for _, r := range d.Rules {
 		s.cache.Add(r.Key, r.Action)
 	}
 	for _, k := range d.Invalidate {
 		s.cache.Invalidate(k)
 	}
-	var origHdr []byte
 	for i := range d.Forwards {
 		f := &d.Forwards[i]
-		var hdrBytes []byte
-		if f.Hdr != nil {
-			enc, err := f.Hdr.Encode()
-			if err != nil {
-				s.forwardErrors.Add(1)
-				continue
-			}
-			hdrBytes = enc
-		} else {
-			if origHdr == nil {
-				enc, err := pkt.Hdr.Encode()
-				if err != nil {
-					s.forwardErrors.Add(1)
-					continue
-				}
-				origHdr = enc
-			}
-			hdrBytes = origHdr
+		hdr := f.Hdr
+		if hdr == nil {
+			hdr = &pkt.Hdr
 		}
 		payload := pkt.Payload
 		if f.Payload != nil {
@@ -806,9 +806,7 @@ func (s *SN) applyDecision(pkt *Packet, d *Decision) {
 		} else if f.Empty {
 			payload = nil
 		}
-		// Module verdicts run on dispatcher goroutines, not the rx worker,
-		// so they send through the manager (immediate path).
-		s.sendHeaderBytes(s.mgr, f.Dst, hdrBytes, payload)
+		s.sendHeader(f.Dst, hdr, payload)
 	}
 }
 
@@ -817,17 +815,36 @@ func (s *SN) applyDecision(pkt *Packet, d *Decision) {
 // configured fallback next hop, or (the default) dropping it. The shed
 // count itself is kept by the dispatcher.
 func (s *SN) degradePacket(reg *registeredModule, pkt *Packet) {
-	if reg.cfg.degraded != DegradedForward {
-		return
+	if reg.cfg.degraded == DegradedForward {
+		s.sendHeader(reg.cfg.degradedDst, &pkt.Hdr, pkt.Payload)
 	}
-	enc, err := pkt.Hdr.Encode()
+}
+
+// sendHeader forwards one packet copy from a dispatcher worker. Module
+// verdicts and degraded forwards do not run on an rx worker, so they send
+// through the manager (immediate path), which encodes hdr into the pooled
+// buffer it seals in; only a packet that must wait for its pipe is encoded
+// on its own, to be requeued.
+func (s *SN) sendHeader(dst wire.Addr, hdr *wire.ILPHeader, payload []byte) {
+	err := s.mgr.Send(dst, hdr, payload)
+	if errors.Is(err, pipe.ErrNoPipe) && !s.cfg.DisableAutoConnect {
+		if enc, encErr := hdr.Encode(); encErr == nil {
+			s.requeue(dst, enc, payload)
+			return
+		}
+	}
+	s.noteForward(dst, err)
+}
+
+// noteForward accounts one forward that was handed to the pipe layer, or
+// failed to be.
+func (s *SN) noteForward(dst wire.Addr, err error) {
 	if err != nil {
 		s.forwardErrors.Add(1)
+		s.cfg.Logf("sn %s: forward to %s failed: %v", s.Addr(), dst, err)
 		return
 	}
-	// Degraded forwards run on dispatcher goroutines, so they send through
-	// the manager like module verdicts do.
-	s.sendHeaderBytes(s.mgr, reg.cfg.degradedDst, enc, pkt.Payload)
+	s.forwarded.Add(1)
 }
 
 // onPeerDown reacts to dead-peer detection: every cached decision sourced
@@ -856,12 +873,7 @@ func (s *SN) sendHeaderBytes(tx pipe.Sender, dst wire.Addr, hdrBytes, payload []
 		s.requeue(dst, hdrBytes, payload)
 		return
 	}
-	if err != nil {
-		s.forwardErrors.Add(1)
-		s.cfg.Logf("sn %s: forward to %s failed: %v", s.Addr(), dst, err)
-		return
-	}
-	s.forwarded.Add(1)
+	s.noteForward(dst, err)
 }
 
 // requeue holds one forward while dst's pipe (re-)establishes. hdrBytes
@@ -952,9 +964,7 @@ func (s *SN) handleControl(src wire.Addr, hdr wire.ILPHeader, payload []byte) {
 		if req.Target == wire.SvcControl || req.Target == wire.SvcNone {
 			data, err = json.Marshal(s.ModuleHealth())
 		} else {
-			s.mu.Lock()
-			reg, ok := s.modules[req.Target]
-			s.mu.Unlock()
+			reg, ok := s.module(req.Target)
 			if !ok {
 				respond(ControlResponse{Error: fmt.Sprintf("service %s not registered", req.Target)})
 				return
@@ -981,9 +991,7 @@ func (s *SN) handleControl(src wire.Addr, hdr wire.ILPHeader, payload []byte) {
 		respond(ControlResponse{OK: true, Data: data})
 		return
 	}
-	s.mu.Lock()
-	reg, ok := s.modules[req.Target]
-	s.mu.Unlock()
+	reg, ok := s.module(req.Target)
 	if !ok || reg.ctrl == nil {
 		respond(ControlResponse{Error: fmt.Sprintf("service %s has no control handler", req.Target)})
 		return
@@ -1011,13 +1019,9 @@ func (s *SN) Close() error {
 		return nil
 	}
 	s.closed = true
-	mods := make([]*registeredModule, 0, len(s.modules))
-	for _, reg := range s.modules {
-		mods = append(mods, reg)
-	}
 	s.mu.Unlock()
 	err := s.mgr.Close()
-	for _, reg := range mods {
+	for _, reg := range *s.modules.Load() {
 		reg.stopOnce.Do(func() {
 			reg.disp.close()
 			if st, ok := reg.mod.(Stopper); ok {

@@ -75,6 +75,7 @@ func TestControlMetricsOp(t *testing.T) {
 		`cache_invalidated_total{cause="source"}`,
 		`cache_invalidated_total{cause="dest"}`,
 		`sn_module_handled_total{module="echo"}`,
+		`sn_module_queue_depth{module="echo"}`,
 		"sn_fastpath_service_ns",
 	} {
 		if _, ok := snap.Get(name); !ok {
@@ -94,6 +95,10 @@ func TestControlMetricsOp(t *testing.T) {
 	}
 	if v := snap.Value(`sn_module_handled_total{module="echo"}`); v < 1 {
 		t.Errorf("module handled = %v, want >= 1", v)
+	}
+	// Both echoes were answered before the snapshot was asked for.
+	if v := snap.Value(`sn_module_queue_depth{module="echo"}`); v != 0 {
+		t.Errorf("module queue depth = %v, want 0", v)
 	}
 	if v := snap.Value("cache_misses_total"); v < 1 {
 		t.Errorf("cache_misses_total = %v, want >= 1", v)

@@ -219,6 +219,19 @@ func (h *ILPHeader) Encode() ([]byte, error) {
 	return buf, nil
 }
 
+// AppendEncode appends the header's encoding to dst and returns the extended
+// slice (dst itself on error), so a sender can encode into a buffer it
+// already holds instead of allocating one per packet.
+func (h *ILPHeader) AppendEncode(dst []byte) ([]byte, error) {
+	if len(h.Data) > MaxServiceData {
+		return dst, ErrHeaderTooBig
+	}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(h.Service))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(h.Conn))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(h.Data)))
+	return append(dst, h.Data...), nil
+}
+
 // DecodeFromBytes parses the header from data and returns the number of
 // bytes consumed. The Data field aliases the input slice; callers that
 // retain the header past the lifetime of the input must copy it.

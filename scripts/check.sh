@@ -66,8 +66,16 @@ run "module-fault containment suite (race-detected, fixed seeds)" \
 	go test -race -count=1 -timeout 120s -run 'TestModuleFaultContainmentChaos' ./internal/chaos/
 run "module-fault containment: sn unit suites" \
 	go test -race -count=1 -timeout 120s \
-	-run 'Breaker|PanicContainment|PanicIPC|DeadlineTimeout|Degraded|ChanInvokerCloseRace|IPCDecodeFailure|IPCRestarting' \
+	-run 'Breaker|PanicContainment|PanicIPC|DeadlineTimeout|Degraded|IPCDecodeFailure|IPCRestarting' \
 	./internal/sn/
+run "slow-path dispatcher: close race, worker ownership, queue order and depth (race-detected, repeated)" \
+	go test -race -count=10 -timeout 180s \
+	-run 'TestDispatcher|TestInProcessModuleOwnsItsWorkersOnly|TestSlowPath' \
+	./internal/sn/
+run "end-to-end allocation budgets over lab (echo round trip <= 4, fast-path delivery <= 2) and payload ownership" \
+	go test -count=1 -v \
+	-run 'TestEchoRoundTripAllocs|TestFastPathDeliveryAllocs|TestReceivedPayloadIsTheReceivers|TestRetainedPayloadSurvivesLaterPackets' \
+	./internal/lab/ ./internal/netsim/ ./internal/host/
 
 run "fuzz smoke: wire ILP header decode" \
 	go test -run '^$' -fuzz 'FuzzILPHeaderDecode' -fuzztime 5s ./internal/wire/
