@@ -48,8 +48,12 @@ type Transport interface {
 	// Receive returns the channel of inbound datagrams. The channel is
 	// closed when the transport closes.
 	//
-	// Ownership: each received Datagram's Payload is owned by the
-	// receiver; the transport never reuses or mutates it after delivery.
+	// Ownership: each received Datagram's Payload is a whole buffer that is
+	// the receiver's — Payload[:cap(Payload)], shared with no other datagram
+	// — and the transport never reuses or mutates it after delivery. The
+	// receiver may keep it for good, or, once it holds no reference to it any
+	// more, give it back with wire.RxRelease for a later datagram to be
+	// copied into (the built-in transports draw their copies from that pool).
 	Receive() <-chan wire.Datagram
 	// Close detaches the node.
 	Close() error
@@ -521,7 +525,7 @@ func (n *Network) sendBatch(dgs []wire.Datagram) (int, error) {
 			// Common case on ideal links: queue the copy for the single
 			// locked delivery run.
 			cp := *dg
-			cp.Payload = append([]byte(nil), dg.Payload...)
+			cp.Payload = wire.RxCopy(dg.Payload)
 			if f.corrupt {
 				n.corruptCopy(cp.Payload)
 			}
@@ -552,6 +556,9 @@ func (n *Network) deliverRun(dst *simTransport, cps []wire.Datagram) {
 	if dst.closed {
 		dst.mu.Unlock()
 		n.stats.droppedDead.Add(uint64(len(cps)))
+		for _, cp := range cps {
+			wire.RxRelease(cp.Payload)
+		}
 		return
 	}
 	for _, cp := range cps {
@@ -560,6 +567,7 @@ func (n *Network) deliverRun(dst *simTransport, cps []wire.Datagram) {
 			delivered++
 		default:
 			droppedQueue++
+			wire.RxRelease(cp.Payload)
 		}
 	}
 	dst.mu.Unlock()
@@ -583,10 +591,11 @@ func (n *Network) corruptCopy(p []byte) {
 // transmit copies the payload (the Send contract lets the sender reuse its
 // buffer as soon as Send returns, and the Receive contract gives the
 // receiver sole ownership), optionally flips one bit of the copy, and
-// delivers it after delay.
+// delivers it after delay. A duplicate is a second transmit and so a second
+// copy.
 func (n *Network) transmit(dst *simTransport, dg wire.Datagram, delay time.Duration, corrupt bool) {
 	cp := dg
-	cp.Payload = append([]byte(nil), dg.Payload...)
+	cp.Payload = wire.RxCopy(dg.Payload)
 	if corrupt && len(cp.Payload) > 0 {
 		n.rngMu.Lock()
 		i := n.rng.Intn(len(cp.Payload))
@@ -608,11 +617,14 @@ func (n *Network) transmit(dst *simTransport, dg wire.Datagram, delay time.Durat
 	}()
 }
 
+// deliver queues a copy the fabric made for dst; one it has to drop instead
+// goes back to the pool it came from.
 func (n *Network) deliver(dst *simTransport, dg wire.Datagram) {
 	dst.mu.Lock()
 	if dst.closed {
 		dst.mu.Unlock()
 		n.stats.droppedDead.Add(1)
+		wire.RxRelease(dg.Payload)
 		return
 	}
 	select {
@@ -622,6 +634,7 @@ func (n *Network) deliver(dst *simTransport, dg wire.Datagram) {
 	default:
 		dst.mu.Unlock()
 		n.stats.droppedQueue.Add(1)
+		wire.RxRelease(dg.Payload)
 	}
 }
 

@@ -244,12 +244,13 @@ func (t *UDPTransport) deliverRx(pkt []byte) {
 		return
 	}
 	// Copy out of the reused read buffer.
-	dg.Payload = append([]byte(nil), dg.Payload...)
+	dg.Payload = wire.RxCopy(dg.Payload)
 	select {
 	case t.rx <- dg:
 		t.rxPackets.Add(1)
 	default:
 		t.rxDropped.Add(1)
+		wire.RxRelease(dg.Payload)
 	}
 }
 

@@ -458,14 +458,18 @@ func (e *Engine) dispatch(dg wire.Datagram, scratch *psp.Scratch) {
 
 func (e *Engine) handleILP(dg wire.Datagram, scratch *psp.Scratch) {
 	key := pipeKey{local: dg.Dst, remote: dg.Src}
+	// As in Manager.handleILPRun, a datagram consumed here — no pipe, does
+	// not open or decode, a probe, a probe ack — gives its buffer back.
 	p := e.peer(key)
 	if p == nil {
 		e.rxNoPipe.Add(1)
+		wire.RxRelease(dg.Payload)
 		return
 	}
 	hdrRaw, payload, err := p.crypto.RX.OpenScratch(scratch, dg.Payload[1:])
 	if err != nil {
 		e.rxOpenErrors.Add(1)
+		wire.RxRelease(dg.Payload)
 		return
 	}
 	e.rxPackets.Add(1)
@@ -474,6 +478,7 @@ func (e *Engine) handleILP(dg wire.Datagram, scratch *psp.Scratch) {
 	}
 	var hdr wire.ILPHeader
 	if _, err := hdr.DecodeFromBytes(hdrRaw); err != nil {
+		wire.RxRelease(dg.Payload)
 		return
 	}
 	switch hdr.Service {
@@ -481,8 +486,10 @@ func (e *Engine) handleILP(dg wire.Datagram, scratch *psp.Scratch) {
 		e.keepalivesRcvd.Add(1)
 		ack := wire.ILPHeader{Service: wire.SvcPipeProbeAck, Conn: hdr.Conn}
 		_ = e.Send(key.local, key.remote, &ack, nil)
+		wire.RxRelease(dg.Payload)
 		return
 	case wire.SvcPipeProbeAck:
+		wire.RxRelease(dg.Payload)
 		return
 	}
 	if h := p.ep.cfg.Handler; h != nil {
@@ -521,21 +528,10 @@ func (e *Engine) handleMsg1(local, remote wire.Addr, body []byte) {
 		return
 	}
 	out := append([]byte{byte(wire.FrameHandshake2)}, msg2...)
-	if err := e.cfg.Transport.Send(wire.Datagram{Src: local, Dst: remote, Payload: out}); err != nil {
-		return
+	// Install, then reply, for the reason Manager.handleMsg1 gives.
+	if e.establish(key, ep, res, &msg1Reply{digest: digest, msg2: out}) {
+		_ = e.cfg.Transport.Send(wire.Datagram{Src: local, Dst: remote, Payload: out})
 	}
-	e.mu.Lock()
-	if _, ok := e.respCache[key]; !ok {
-		e.respFIFO = append(e.respFIFO, key)
-		if len(e.respFIFO) > engineRespCacheMax {
-			evict := e.respFIFO[0]
-			e.respFIFO = e.respFIFO[1:]
-			delete(e.respCache, evict)
-		}
-	}
-	e.respCache[key] = msg1Reply{digest: digest, msg2: out}
-	e.mu.Unlock()
-	e.establish(key, ep, res)
 }
 
 func (e *Engine) handleMsg2(local, remote wire.Addr, body []byte) {
@@ -560,13 +556,15 @@ func (e *Engine) handleMsg2(local, remote wire.Addr, body []byte) {
 		e.mu.Unlock()
 		return
 	}
-	e.establish(key, pc.ep, res)
+	e.establish(key, pc.ep, res, nil)
 }
 
-func (e *Engine) establish(key pipeKey, ep *engineEndpoint, res *handshake.Result) {
+// establish installs the pipe and wakes any Connect waiters; reply and the
+// result are Manager.establish's.
+func (e *Engine) establish(key pipeKey, ep *engineEndpoint, res *handshake.Result, reply *msg1Reply) bool {
 	crypto, err := psp.NewPipeCrypto(res.Master, res.Initiator, res.BaseSPI)
 	if err != nil {
-		return
+		return false
 	}
 	p := &enginePeer{
 		key:       key,
@@ -580,8 +578,24 @@ func (e *Engine) establish(key pipeKey, ep *engineEndpoint, res *handshake.Resul
 	}
 	p.lastRx.Store(p.up.UnixNano())
 	e.mu.Lock()
+	pc, isPending := e.pending[key]
+	if reply != nil {
+		if isPending && key.local.Less(key.remote) {
+			e.mu.Unlock()
+			return false
+		}
+		if _, ok := e.respCache[key]; !ok {
+			e.respFIFO = append(e.respFIFO, key)
+			if len(e.respFIFO) > engineRespCacheMax {
+				evict := e.respFIFO[0]
+				e.respFIFO = e.respFIFO[1:]
+				delete(e.respCache, evict)
+			}
+		}
+		e.respCache[key] = *reply
+	}
 	e.setPeer(key, p)
-	if pc, ok := e.pending[key]; ok {
+	if isPending {
 		delete(e.pending, key)
 		close(pc.done)
 	}
@@ -589,6 +603,7 @@ func (e *Engine) establish(key pipeKey, ep *engineEndpoint, res *handshake.Resul
 	if ep.cfg.OnPeerUp != nil {
 		ep.cfg.OnPeerUp(key.remote, res.PeerIdentity)
 	}
+	return true
 }
 
 // Connect establishes (or returns) the pipe local→remote, blocking until

@@ -57,13 +57,14 @@ type Sender interface {
 // can re-seal it without re-encoding.
 //
 // Ownership, stated here once for everything above the pipe layer (the SN's
-// modules, host.Message): payload is the handler's to keep. The transport
-// gave the datagram to its receiver for good (netsim.Transport.Receive), the
-// pipe decrypted it in place, and nothing below writes to it again — so a
-// handler retains, queues or hands on payload without copying it. hdr.Data
-// and hdrRaw are the opposite: they alias the worker's open scratch, are
-// overwritten when the same worker processes its next packet, and must be
-// copied if retained.
+// modules, host.Message): payload is the handler's to keep — or, for a
+// BatchPacketHandler that holds no reference any more, to give back once
+// with pkt.Release(). The transport gave the datagram to its receiver for
+// good (netsim.Transport.Receive), the pipe decrypted it in place, and
+// nothing below writes to it again — so a handler retains, queues or hands on
+// payload without copying it. hdr.Data and hdrRaw are the opposite: they
+// alias the worker's open scratch, are overwritten when the same worker
+// processes its next packet, and must be copied if retained.
 //
 // Handlers run concurrently for packets from different source addresses but
 // serially, in arrival order, for any single source. tx is only valid for
@@ -75,11 +76,25 @@ type PacketHandler func(tx Sender, src wire.Addr, hdr wire.ILPHeader, hdrRaw, pa
 // the decoded header; HdrRaw is its encoded form (for re-seal-without-
 // re-encode forwarding); Payload is the application payload. HdrRaw and
 // Hdr.Data alias the worker's batch-open arena, valid only until the handler
-// returns; Payload is the handler's to keep (see PacketHandler).
+// returns; Payload is the handler's to keep or to Release (see PacketHandler).
 type RxPacket struct {
 	Hdr     wire.ILPHeader
 	HdrRaw  []byte
 	Payload []byte
+	// buf is the received datagram Payload lies in: the whole buffer the
+	// transport gave this node. It rides here, in the worker's scratch,
+	// because a word on wire.Datagram would widen every receive-queue slot.
+	buf []byte
+}
+
+// Release gives the packet's receive buffer back for a later inbound
+// datagram to be copied into (wire.RxRelease). Only a handler that holds no
+// reference to Payload any more may call it — everything it forwarded has
+// been copied by then (Sender) — and Payload is gone afterwards. Releasing is
+// optional, and a second Release is a no-op.
+func (p *RxPacket) Release() {
+	wire.RxRelease(p.buf)
+	p.buf, p.Payload = nil, nil
 }
 
 // BatchPacketHandler receives each decrypted same-source run of an RX batch
@@ -541,10 +556,13 @@ func (m *Manager) dispatchBatch(tx Sender, rb *rxRun, scratch *psp.Scratch) {
 // failures (auth, replay, truncation) drop only the offending packet.
 func (m *Manager) handleILPRun(tx Sender, src wire.Addr, dgs []wire.Datagram, rb *rxRun, scratch *psp.Scratch) {
 	p := m.peer(src)
+	n := len(dgs)
 	if p == nil {
+		for k := 0; k < n; k++ {
+			wire.RxRelease(dgs[k].Payload)
+		}
 		return
 	}
-	n := len(dgs)
 	m.rxOpenBatchSize.Observe(uint64(n))
 	bodies := rb.bodies[:0]
 	for k := 0; k < n; k++ {
@@ -558,14 +576,19 @@ func (m *Manager) handleILPRun(tx Sender, src wire.Addr, dgs []wire.Datagram, rb
 	p.crypto.RX.OpenBatch(scratch, bodies, results)
 	var okPkts, okBytes uint64
 	pkts := rb.pkts[:0]
+	// What never reaches a handler — a datagram that does not open or
+	// decode, a probe, a probe ack — is consumed here, and its buffer goes
+	// back to the pool: a flood of forged packets makes no garbage.
 	for k := 0; k < n; k++ {
 		if results[k].Err != nil {
+			wire.RxRelease(dgs[k].Payload)
 			continue
 		}
 		okPkts++
 		okBytes += uint64(len(bodies[k]))
 		var hdr wire.ILPHeader
 		if _, err := hdr.DecodeFromBytes(results[k].Hdr); err != nil {
+			wire.RxRelease(dgs[k].Payload)
 			continue
 		}
 		switch hdr.Service {
@@ -575,11 +598,13 @@ func (m *Manager) handleILPRun(tx Sender, src wire.Addr, dgs []wire.Datagram, rb
 			m.keepalivesRcvd.Add(1)
 			ack := wire.ILPHeader{Service: wire.SvcPipeProbeAck, Conn: hdr.Conn}
 			_ = m.Send(src, &ack, nil)
+			wire.RxRelease(dgs[k].Payload)
 			continue
 		case wire.SvcPipeProbeAck:
+			wire.RxRelease(dgs[k].Payload)
 			continue // lastRx refreshed below with the rest of the run
 		}
-		pkts = append(pkts, RxPacket{Hdr: hdr, HdrRaw: results[k].Hdr, Payload: results[k].Payload})
+		pkts = append(pkts, RxPacket{Hdr: hdr, HdrRaw: results[k].Hdr, Payload: results[k].Payload, buf: dgs[k].Payload})
 	}
 	rb.pkts = pkts
 	if okPkts > 0 {
@@ -644,13 +669,13 @@ func (m *Manager) handleMsg1(src wire.Addr, body []byte) {
 		return
 	}
 	out := append([]byte{byte(wire.FrameHandshake2)}, msg2...)
-	if err := m.cfg.Transport.Send(wire.Datagram{Dst: src, Payload: out}); err != nil {
-		return
+	// Install, then reply: the moment msg2 is on the wire the initiator may
+	// return from Connect and traffic for it may reach this node's other
+	// goroutines, which must find the pipe. A reply that fails to send leaves
+	// the pipe up — the initiator retransmits msg1 and respCache answers it.
+	if m.establish(src, res, &msg1Reply{digest: digest, msg2: out}) {
+		_ = m.cfg.Transport.Send(wire.Datagram{Dst: src, Payload: out})
 	}
-	m.mu.Lock()
-	m.respCache[src] = msg1Reply{digest: digest, msg2: out}
-	m.mu.Unlock()
-	m.establish(src, res)
 }
 
 func (m *Manager) handleMsg2(src wire.Addr, body []byte) {
@@ -674,7 +699,7 @@ func (m *Manager) handleMsg2(src wire.Addr, body []byte) {
 		m.mu.Unlock()
 		return
 	}
-	m.establish(src, res)
+	m.establish(src, res, nil)
 }
 
 // peer returns the established peer for addr from the copy-on-write table,
@@ -699,11 +724,17 @@ func (m *Manager) setPeer(addr wire.Addr, p *peer) {
 	m.peers.Store(&next)
 }
 
-// establish installs the pipe and wakes any Connect waiters.
-func (m *Manager) establish(addr wire.Addr, res *handshake.Result) {
+// establish installs the pipe and wakes any Connect waiters. A responder
+// passes the reply it is about to send, which is cached in the same critical
+// section; it gets false back, and must not reply, when a Connect of the
+// designated initiator (the lower address) began while the reply was being
+// computed — the simultaneous-open tie-break of handleMsg1, taken again where
+// it is atomic with the install, so the two ends cannot settle on different
+// handshakes.
+func (m *Manager) establish(addr wire.Addr, res *handshake.Result, reply *msg1Reply) bool {
 	crypto, err := psp.NewPipeCrypto(res.Master, res.Initiator, res.BaseSPI)
 	if err != nil {
-		return
+		return false
 	}
 	p := &peer{
 		addr:      addr,
@@ -716,8 +747,16 @@ func (m *Manager) establish(addr wire.Addr, res *handshake.Result) {
 	}
 	p.lastRx.Store(p.up.UnixNano())
 	m.mu.Lock()
+	pc, isPending := m.pending[addr]
+	if reply != nil {
+		if isPending && m.local.Less(addr) {
+			m.mu.Unlock()
+			return false
+		}
+		m.respCache[addr] = *reply
+	}
 	m.setPeer(addr, p)
-	if pc, ok := m.pending[addr]; ok {
+	if isPending {
 		delete(m.pending, addr)
 		close(pc.done)
 	}
@@ -725,6 +764,7 @@ func (m *Manager) establish(addr wire.Addr, res *handshake.Result) {
 	if m.cfg.OnPeerUp != nil {
 		m.cfg.OnPeerUp(addr, res.PeerIdentity)
 	}
+	return true
 }
 
 // keepaliveLoop probes idle pipes and tears down dead ones. It ticks at
@@ -964,7 +1004,7 @@ func (m *Manager) Send(dst wire.Addr, hdr *wire.ILPHeader, payload []byte) error
 // pipe to dst. This is the forwarding fast path used by the pipe-terminus,
 // which re-seals decrypted header bytes without re-parsing them. The framed
 // output packet is built in a pooled buffer, so the steady state performs
-// no allocations beyond the transport's own datagram copy.
+// no allocations here; the transport copies it for the receiver (wire.RxCopy).
 func (m *Manager) SendHeaderBytes(dst wire.Addr, hdrBytes, payload []byte) error {
 	return m.sealAndSend(m.sealBufs.Get().(*sealBuf), dst, hdrBytes, payload)
 }

@@ -19,7 +19,10 @@ import (
 //
 // Payload belongs to the packet: the transport handed the datagram over for
 // keeps and the pipe decrypted it in place, so whoever holds the packet may
-// retain Payload. Hdr.Data is the runtime's copy, the module's to keep too.
+// retain Payload. The SN gives a receive buffer back for reuse only when no
+// Packet was ever made of it (a cache hit that delivers to no one), so what
+// a module or OnDeliver sees is never recycled under it. Hdr.Data is the
+// runtime's copy, the module's to keep too.
 type Packet struct {
 	Src     wire.Addr
 	Hdr     wire.ILPHeader

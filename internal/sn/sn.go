@@ -212,6 +212,9 @@ type SN struct {
 	requeueDrops  *telemetry.Counter
 	peersLost     *telemetry.Counter
 	fastPathNs    *telemetry.Histogram
+	// Receive buffers handleBatch gave back after serving their packets
+	// entirely from the decision cache.
+	rxBuffersReleased *telemetry.Counter
 	// Transit packets (SvcPeering) addressed to this SN: unwrapped in the
 	// pipe-terminus, or dropped there as malformed.
 	transitUnwrapped *telemetry.Counter
@@ -297,6 +300,8 @@ func New(cfg Config) (*SN, error) {
 		requeueDrops:  reg.Counter("sn_requeue_drops_total"),
 		peersLost:     reg.Counter("sn_peers_lost_total"),
 		fastPathNs:    reg.Histogram("sn_fastpath_service_ns", telemetry.LatencyBuckets),
+
+		rxBuffersReleased: reg.Counter("sn_rx_buffers_released_total"),
 
 		transitUnwrapped: reg.Counter("sn_transit_unwrapped_total"),
 		transitMalformed: reg.Counter("sn_transit_malformed_total"),
@@ -603,8 +608,10 @@ func (s *SN) handlePacket(tx pipe.Sender, src wire.Addr, hdr wire.ILPHeader, hdr
 }
 
 // serve looks one packet up in the decision cache and runs the fast or the
-// slow path; handlePacket documents the arguments.
-func (s *SN) serve(tx pipe.Sender, src wire.Addr, hdr wire.ILPHeader, hdrRaw, payload []byte) {
+// slow path; handlePacket documents the arguments. It reports whether the SN
+// is done with payload: true for a hit whose action keeps nothing (see
+// keepsPayload), false for a miss, whose payload the slow path carries on.
+func (s *SN) serve(tx pipe.Sender, src wire.Addr, hdr wire.ILPHeader, hdrRaw, payload []byte) bool {
 	key := wire.FlowKey{Src: src, Service: hdr.Service, Conn: hdr.Conn}
 	if action, start, ok := s.cache.LookupStamped(key, 1); ok {
 		// The histogram covers the post-lookup serve cost: executing the
@@ -618,9 +625,19 @@ func (s *SN) serve(tx pipe.Sender, src wire.Addr, hdr wire.ILPHeader, hdrRaw, pa
 		}
 		s.applyFastAction(tx, src, &hdr, hdrRaw, payload, &action)
 		s.fastPathNs.Observe(uint64(time.Since(start)))
-		return
+		return !s.keepsPayload(&action)
 	}
 	s.handleMiss(src, hdr, payload)
+	return false
+}
+
+// keepsPayload reports whether executing a cached action leaves a reference
+// to the packet's payload behind. Only delivery does — the *Packet handed to
+// OnDeliver is its to keep. A forward does not: by the time applyFastAction
+// returns, each copy has been staged into a seal buffer (the worker's egress
+// Sender), sealed into one (pipe.Manager), or snapshotted (requeue).
+func (s *SN) keepsPayload(action *cache.Action) bool {
+	return action.Deliver && s.cfg.OnDeliver != nil
 }
 
 // transitEndsHere reports whether hdr is an inter-edomain transit header that
@@ -641,18 +658,19 @@ func (s *SN) transitEndsHere(hdr *wire.ILPHeader) bool {
 // service's module otherwise. Nothing is copied: the inner header aliases
 // the same buffers the outer one does. The previous hop vouches for the
 // original source, as it does for the packet. A header that does not decode
-// (wire.Transit) is a counted drop.
-func (s *SN) unwrapTransit(tx pipe.Sender, src wire.Addr, outer *wire.ILPHeader, payload []byte) {
+// (wire.Transit) is a counted drop. The result is serve's: whether the SN is
+// done with payload.
+func (s *SN) unwrapTransit(tx pipe.Sender, src wire.Addr, outer *wire.ILPHeader, payload []byte) bool {
 	var t wire.Transit
 	if err := t.DecodeFromBytes(outer.Data); err != nil {
 		s.transitMalformed.Add(1)
 		if s.trace != nil {
 			s.trace(telemetry.PacketTrace{Point: telemetry.TraceDrop, Src: src, Service: outer.Service, Conn: outer.Conn, Bytes: len(payload)})
 		}
-		return
+		return true
 	}
 	s.transitUnwrapped.Add(1)
-	s.serve(tx, t.OrigSrc, t.Inner, t.InnerRaw, payload)
+	return s.serve(tx, t.OrigSrc, t.Inner, t.InnerRaw, payload)
 }
 
 // handleBatch is the batch pipe-terminus: one call per decrypted
@@ -662,6 +680,13 @@ func (s *SN) unwrapTransit(tx pipe.Sender, src wire.Addr, outer *wire.ILPHeader,
 // round-trip instead of one per packet. Flow boundaries, misses, transit
 // packets to unwrap, and the enclave-terminus configuration fall back to the
 // per-packet path with identical semantics.
+//
+// A packet served entirely from the decision cache gives its receive buffer
+// back (pipe.RxPacket.Release) once its action has run, so the next inbound
+// datagram is copied into it: a packet crossing k SNs costs the fabric one
+// allocation, not k+1. Whatever something else still sees — a miss on its way
+// to a module, a payload OnDeliver was handed, the enclave-terminus path — is
+// never released.
 func (s *SN) handleBatch(tx pipe.Sender, src wire.Addr, pkts []pipe.RxPacket) {
 	if s.terminusEnclave != nil {
 		// Every packet crosses the enclave boundary individually; keep the
@@ -686,7 +711,10 @@ func (s *SN) handleBatch(tx pipe.Sender, src wire.Addr, pkts []pipe.RxPacket) {
 			}
 		}
 		if unwrap {
-			s.unwrapTransit(tx, src, &run[0].Hdr, run[0].Payload)
+			if s.unwrapTransit(tx, src, &run[0].Hdr, run[0].Payload) {
+				run[0].Release()
+				s.rxBuffersReleased.Add(1)
+			}
 			continue
 		}
 		key := wire.FlowKey{Src: src, Service: run[0].Hdr.Service, Conn: run[0].Hdr.Conn}
@@ -699,6 +727,12 @@ func (s *SN) handleBatch(tx pipe.Sender, src wire.Addr, pkts []pipe.RxPacket) {
 					s.trace(telemetry.PacketTrace{Point: telemetry.TraceFastPath, Src: src, Service: run[k].Hdr.Service, Conn: run[k].Hdr.Conn, Bytes: len(run[k].Payload)})
 				}
 				s.applyFastAction(tx, src, &run[k].Hdr, run[k].HdrRaw, run[k].Payload, &action)
+			}
+			if !s.keepsPayload(&action) {
+				for k := range run {
+					run[k].Release()
+				}
+				s.rxBuffersReleased.Add(uint64(len(run)))
 			}
 			s.fastPathNs.Observe(uint64(time.Since(start)))
 			continue
@@ -748,8 +782,8 @@ func (s *SN) handleMiss(src wire.Addr, hdr wire.ILPHeader, payload []byte) {
 
 // applyFastAction executes a cached decision on the fast path. Forwarding
 // with no header rewrite reuses the raw inbound header bytes, so the whole
-// hit path — decrypt, lookup, re-encrypt, send — allocates nothing beyond
-// the transport's own datagram copy.
+// hit path — decrypt, lookup, re-encrypt, send — allocates nothing; the next
+// hop's copy of the datagram is the transport's (wire.RxCopy).
 func (s *SN) applyFastAction(tx pipe.Sender, src wire.Addr, hdr *wire.ILPHeader, hdrRaw, payload []byte, action *cache.Action) {
 	if action.Drop {
 		s.ruleDrops.Add(1)

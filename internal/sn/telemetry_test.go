@@ -68,6 +68,7 @@ func TestControlMetricsOp(t *testing.T) {
 		"sn_rx_packets_total",
 		"sn_transit_unwrapped_total",
 		"sn_transit_malformed_total",
+		"sn_rx_buffers_released_total",
 		"pipe_handshake_attempts_total",
 		"pipe_peers",
 		"cache_misses_total",

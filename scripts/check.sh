@@ -8,6 +8,37 @@
 # earlier one (notably a -race failure followed by green plain-build runs).
 #
 # Usage: scripts/check.sh
+#
+# KNOWN_FLAKY — every test that failed in 5 x `go test ./...` (plain) or
+# 5 x `go test -race -short ./...` (race) at this tree, by name and count
+# (2 vCPUs, shared box, PR 23). The list is meant to shrink (ROADMAP items 1
+# and 3): a test not named here that fails is a regression, and a PR that
+# fixes one deletes its row. "alone" = the test by itself, this tree vs parent.
+#
+#   test                                                      plain  race   note
+#   chaos  TestSoakMultiEdomainChaos/seed={1,7,42}            5/5    5/5    fails every run on both trees (also alone)
+#   soak   TestSoakScenarios/sn-crash-failover/seed1          5/5    1/5    wall-clock: manual clock vs real goroutines (item 3)
+#   soak   TestSoakScenarios/sn-crash-failover/seed7          5/5    0/5    "
+#   soak   TestSoakScenarios/sn-crash-failover/seed42         4/5    0/5    "
+#   soak   TestSoakScenarios/steady-diurnal/seed1             5/5    0/5    " (race -short runs seed1 of each scenario only: "-")
+#   soak   TestSoakScenarios/steady-diurnal/seed{7,42}        2/5    -      "
+#   soak   TestSoakScenarios/degrade-recover/seed1            3/5    0/5    "
+#   soak   TestSoakScenarios/degrade-recover/seed{7,42}       1/5    -      "
+#   soak   TestSoakScenarios/sn-drain-rolling/seed42          2/5    -      "
+#   soak   TestSoakScenarios/sn-drain-rolling/seed{1,7}       1/5    0/5    "
+#   soak   TestSoakScenarios/loss-burst-access/seed{1,7,42}   1/5    0/5    "
+#   soak   TestFleetScale                                     0/5    4/5    fast-path share 0.58-0.59 vs gate 0.6; alone 0/3, parent 2/3
+#   lab    TestWarmFlowFollowsRepublishedDestination          3/5    1/5    a late watch event drops the warm rule; alone x40: 15, parent 24
+#   lab    TestPlacementDownReaddRebalances                   0/5    5/5    publish order after re-add; alone x15: 13, parent 15
+#   bench  TestTable1Shape                                    0/5    1/5    compares two wall-clock latencies (58.0 vs 56.8 us)
+#   pipe   TestSimultaneousOpen                               0/5    0/5    alone x250 under -race: 3 % (parent 10 %): a msg1 sent after
+#                                                                           its sender answered the peer's replaces the agreed keys
+#
+# No longer flaky since the handshake fix of PR 23 (0/10 plain+race here and
+# 0/10 each alone under -race; parent alone under -race: 4/10, 3/10, 1/10):
+# lab.TestHostMobilityAcrossEdomains, sn.TestDrainMidHandshakeSingleKeyEpoch,
+# host.TestUnclaimedCounted / TestServiceHandlerReceivesUnclaimed; and
+# benchmark.TestSmoke, bench.TestTable1NoService (0/10 in the sweeps).
 set -u
 
 cd "$(dirname "$0")/.."
@@ -72,10 +103,16 @@ run "slow-path dispatcher: close race, worker ownership, queue order and depth (
 	go test -race -count=10 -timeout 180s \
 	-run 'TestDispatcher|TestInProcessModuleOwnsItsWorkersOnly|TestSlowPath' \
 	./internal/sn/
-run "end-to-end allocation budgets over lab (echo round trip <= 4, fast-path delivery <= 2) and payload ownership" \
+run "allocation budgets: echo round trip <= 3, fast-path delivery <= 1 over one SN and over two (fleet), a pool miss = 1, consumed datagrams = 0, wire.Datagram = 72 bytes" \
 	go test -count=1 -v \
-	-run 'TestEchoRoundTripAllocs|TestFastPathDeliveryAllocs|TestReceivedPayloadIsTheReceivers|TestRetainedPayloadSurvivesLaterPackets' \
-	./internal/lab/ ./internal/netsim/ ./internal/host/
+	-run 'TestEchoRoundTripAllocs|TestFastPathDeliveryAllocs|TestFleetTwoSNDeliveryAllocs|TestRxCopyMissCostsOneAllocation|TestRxClassesMatchTheAllocator|TestConsumedDatagramsGoBackToThePool|TestDatagramStaysThreeWords' \
+	./internal/lab/ ./internal/wire/ ./internal/pipe/
+run "receive-buffer release safety (race-detected: released buffers are overwritten at once; sim / Mux / UDP portable / mmsg / GSO, host, SN, pipe; repeated)" \
+	go test -race -count=3 -timeout 300s \
+	-run 'TestReceivedPayloadIsTheReceivers|TestRetainedPayloadSurvivesLaterPackets|TestReleasedBuffersAreNeverSeenAgain|TestRxPacketReleaseOnce|TestRxCopyReusesWhatWasReleased|TestFastPathDeliveryAllocs|TestFleetTwoSNDeliveryAllocs' \
+	./internal/netsim/ ./internal/host/ ./internal/sn/ ./internal/pipe/ ./internal/wire/ ./internal/lab/
+run "handshake order: pipe installed before msg2 leaves, both stacks (race-detected, x30)" \
+	go test -race -count=30 -timeout 120s -run 'TestPipeIsInstalledBeforeMsg2Leaves' ./internal/pipe/
 
 run "fuzz smoke: wire ILP header decode" \
 	go test -run '^$' -fuzz 'FuzzILPHeaderDecode' -fuzztime 5s ./internal/wire/
