@@ -396,7 +396,6 @@ func TestFlappingPartitionReestablishes(t *testing.T) {
 		c.DeadAfter = 80 * time.Millisecond
 		c.Reestablish = true
 		c.HandshakeRetries = 3
-		c.HandshakeBackoffMax = 40 * time.Millisecond
 	}
 	a := newManager(t, net, "fd00::a", nil, liveness)
 	b := newManager(t, net, "fd00::b", handler, liveness)

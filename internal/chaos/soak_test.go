@@ -12,6 +12,7 @@ import (
 	"interedge/internal/netsim"
 	"interedge/internal/services/echo"
 	"interedge/internal/sn"
+	"interedge/internal/telemetry"
 	"interedge/internal/wire"
 )
 
@@ -29,16 +30,35 @@ import (
 //   - teardown leaks no goroutines and heap growth stays bounded.
 func TestSoakMultiEdomainChaos(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { runSoak(t, seed) })
+		name := fmt.Sprintf("seed=%d", seed)
+		baseGoroutines := runtime.NumGoroutine()
+		baseHeap := heapAlloc()
+		t.Run(name, func(t *testing.T) { runSoak(t, seed) })
+		// Teardown must not leak. The soak has returned, so its topology is
+		// closed and nothing of it is reachable any more: bound goroutines
+		// and heap against the pre-topology baseline.
+		waitCond(t, 5*time.Second, name+": goroutines drained after Close", func() bool {
+			runtime.GC() // finalize timer goroutines promptly
+			return runtime.NumGoroutine() <= baseGoroutines+10
+		})
+		const heapSlack = 64 << 20
+		end := heapAlloc()
+		t.Logf("%s: heap %d -> %d bytes", name, baseHeap, end)
+		if end > baseHeap+heapSlack {
+			t.Errorf("%s: heap grew from %d to %d bytes across the soak", name, baseHeap, end)
+		}
 	}
 }
 
-func runSoak(t *testing.T, seed int64) {
-	baseGoroutines := runtime.NumGoroutine()
-	var baseMem runtime.MemStats
+// heapAlloc returns the live heap after a collection.
+func heapAlloc() uint64 {
+	var m runtime.MemStats
 	runtime.GC()
-	runtime.ReadMemStats(&baseMem)
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
 
+func runSoak(t *testing.T, seed int64) {
 	net := netsim.NewNetwork(netsim.WithSeed(seed))
 	topo := lab.New(lab.WithNetwork(net), lab.WithSNConfig(func(c *sn.Config) {
 		c.KeepaliveInterval = 25 * time.Millisecond
@@ -69,15 +89,22 @@ func runSoak(t *testing.T, seed int64) {
 	}
 	// On failure, dump every node's telemetry registry: the full cross-layer
 	// counter and histogram state is usually enough to localize which layer
-	// ate the packets without re-running under a debugger.
+	// ate the packets without re-running under a debugger. The dump holds
+	// the registries, not the nodes.
+	var names []string
+	var regs []*telemetry.Registry
+	for _, ed := range []*lab.Edomain{edA, edB} {
+		for i, node := range ed.SNs {
+			names = append(names, fmt.Sprintf("%s/sn%d", ed.ID, i))
+			regs = append(regs, node.Telemetry())
+		}
+	}
 	t.Cleanup(func() {
 		if !t.Failed() {
 			return
 		}
-		for _, ed := range []*lab.Edomain{edA, edB} {
-			for i, node := range ed.SNs {
-				t.Logf("telemetry %s/sn%d:\n%s", ed.ID, i, node.Telemetry().Snapshot())
-			}
+		for i, reg := range regs {
+			t.Logf("telemetry %s:\n%s", names[i], reg.Snapshot())
 		}
 	})
 
@@ -230,21 +257,5 @@ func runSoak(t *testing.T, seed int64) {
 			}
 		})
 		conn.Close()
-	}
-
-	// Teardown must not leak: stop the schedule, close everything, then
-	// bound goroutines and heap against the pre-topology baseline.
-	cancel()
-	topo.Close()
-	waitCond(t, 5*time.Second, "goroutines drained after Close", func() bool {
-		runtime.GC() // finalize timer goroutines promptly
-		return runtime.NumGoroutine() <= baseGoroutines+10
-	})
-	var endMem runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&endMem)
-	const heapSlack = 64 << 20
-	if endMem.HeapAlloc > baseMem.HeapAlloc+heapSlack {
-		t.Errorf("heap grew from %d to %d bytes across the soak", baseMem.HeapAlloc, endMem.HeapAlloc)
 	}
 }

@@ -102,40 +102,10 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// pipeBackend is the pipe surface a Host needs, factored out so a host can
-// ride either its own pipe.Manager (New — dedicated transport, RX workers,
-// keepalive loop) or a shared pipe.Engine endpoint (NewOnEngine — pure
-// state, no goroutines). managerBinding adapts a Manager; engineBinding
-// adapts an Engine by currying the host's local address into the
-// (local, remote)-keyed engine API.
-//
-// Send takes the header by value: a pointer handed through the interface
-// would move every sent header to the heap.
-type pipeBackend interface {
-	LocalAddr() wire.Addr
-	Identity() handshake.Identity
-	Connect(addr wire.Addr) error
-	Redial(addr wire.Addr) error
-	DropPeer(addr wire.Addr)
-	RebindPeer(oldAddr, newAddr wire.Addr) error
-	PeerIdentity(addr wire.Addr) (ed25519.PublicKey, bool)
-	Send(dst wire.Addr, hdr wire.ILPHeader, payload []byte) error
-	SendHeaderBytes(dst wire.Addr, hdrBytes, payload []byte) error
-	Close() error
-}
-
-// managerBinding is a pipe.Manager as a pipeBackend.
-type managerBinding struct{ *pipe.Manager }
-
-func (b managerBinding) Send(dst wire.Addr, hdr wire.ILPHeader, payload []byte) error {
-	return b.Manager.Send(dst, &hdr, payload)
-}
-
 // Host is one InterEdge-enabled endpoint.
 type Host struct {
 	cfg   Config
-	pipes pipeBackend
-	mgr   *pipe.Manager // non-nil only for New-built hosts; see Pipes
+	pipes *pipe.Manager // the host's endpoint: its own engine (New) or a shared one (NewOnEngine)
 
 	mu        sync.Mutex
 	firstHops []wire.Addr
@@ -165,6 +135,29 @@ func New(cfg Config) (*Host, error) {
 	if cfg.Transport == nil {
 		return nil, errors.New("host: Config.Transport is required")
 	}
+	h := initHost(cfg)
+	mgr, err := pipe.New(pipe.Config{
+		Transport:         cfg.Transport,
+		Identity:          cfg.Identity,
+		Clock:             cfg.Clock,
+		Handler:           h.handlePacket,
+		Authorize:         cfg.Authorize,
+		KeepaliveInterval: cfg.KeepaliveInterval,
+		DeadAfter:         cfg.DeadAfter,
+		OnPeerDown:        h.onPeerDown,
+	})
+	if err != nil {
+		return nil, err
+	}
+	h.pipes = mgr
+	if err := h.associateFirstHops(); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// initHost is the state New and NewOnEngine share, before the host has pipes.
+func initHost(cfg Config) *Host {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
@@ -181,39 +174,30 @@ func New(cfg Config) (*Host, error) {
 		invokes:  make(map[wire.ConnectionID]chan ControlResult),
 	}
 	h.nextConn.Store(1)
-	mgr, err := pipe.New(pipe.Config{
-		Transport:         cfg.Transport,
-		Identity:          cfg.Identity,
-		Clock:             cfg.Clock,
-		Handler:           h.handlePacket,
-		Authorize:         cfg.Authorize,
-		KeepaliveInterval: cfg.KeepaliveInterval,
-		DeadAfter:         cfg.DeadAfter,
-		OnPeerDown:        h.onPeerDown,
-	})
-	if err != nil {
-		return nil, err
-	}
-	h.mgr = mgr
-	h.pipes = managerBinding{mgr}
-	for _, sn := range cfg.FirstHops {
+	return h
+}
+
+// associateFirstHops associates the pre-configured first hops, closing the
+// host's pipes if one fails.
+func (h *Host) associateFirstHops() error {
+	for _, sn := range h.cfg.FirstHops {
 		if err := h.Associate(sn); err != nil {
 			h.pipes.Close()
-			return nil, fmt.Errorf("host: associate with %s: %w", sn, err)
+			return fmt.Errorf("host: associate with %s: %w", sn, err)
 		}
 	}
-	return h, nil
+	return nil
 }
 
 // Addr returns the host's address.
 func (h *Host) Addr() wire.Addr { return h.pipes.LocalAddr() }
 
 // Identity returns the host's identity.
-func (h *Host) Identity() handshake.Identity { return h.pipes.Identity() }
+func (h *Host) Identity() handshake.Identity { return h.cfg.Identity }
 
-// Pipes exposes the pipe manager for tests. It is nil for engine-backed
-// hosts (NewOnEngine), which have no manager of their own.
-func (h *Host) Pipes() *pipe.Manager { return h.mgr }
+// Pipes exposes the host's pipe endpoint (services and tests send through
+// it directly).
+func (h *Host) Pipes() *pipe.Manager { return h.pipes }
 
 // Associate establishes a pipe to a first-hop SN and records it. The
 // paper's discovery mechanisms (configuration, anycast, lookup) all end
@@ -459,7 +443,7 @@ func (h *Host) Invoke(sn wire.Addr, target wire.ServiceID, op string, args any) 
 		h.mu.Unlock()
 	}()
 
-	if err := h.pipes.Send(sn, wire.ILPHeader{Service: wire.SvcControl, Conn: conn}, body); err != nil {
+	if err := h.pipes.Send(sn, &wire.ILPHeader{Service: wire.SvcControl, Conn: conn}, body); err != nil {
 		return nil, err
 	}
 	select {
@@ -567,7 +551,7 @@ func (c *Conn) Via() wire.Addr {
 // §4, the header data may differ per packet within a connection.
 func (c *Conn) Send(svcData, payload []byte) error {
 	hdr := wire.ILPHeader{Service: c.svc, Conn: c.id, Data: svcData}
-	return c.host.pipes.Send(c.Via(), hdr, payload)
+	return c.host.pipes.Send(c.Via(), &hdr, payload)
 }
 
 // SendVia transmits through an explicit SN (e.g. a pass-through SN chain).
@@ -576,7 +560,7 @@ func (c *Conn) SendVia(sn wire.Addr, svcData, payload []byte) error {
 		return err
 	}
 	hdr := wire.ILPHeader{Service: c.svc, Conn: c.id, Data: svcData}
-	return c.host.pipes.Send(sn, hdr, payload)
+	return c.host.pipes.Send(sn, &hdr, payload)
 }
 
 // Receive returns the connection's inbound message channel. It is closed
@@ -611,7 +595,7 @@ func (h *Host) SendDirect(dst wire.Addr, svc wire.ServiceID, conn wire.Connectio
 		return err
 	}
 	hdr := wire.ILPHeader{Service: svc, Conn: conn, Data: svcData}
-	return h.pipes.Send(dst, hdr, payload)
+	return h.pipes.Send(dst, &hdr, payload)
 }
 
 // Close shuts the host down.
@@ -623,9 +607,9 @@ func (h *Host) Close() error {
 	}
 	h.closed = true
 	h.mu.Unlock()
-	// Stop the pipe backend first. A manager's Close waits for every RX
+	// Stop the pipes first. Closing a host's own engine waits for every RX
 	// worker, so once it returns no handlePacket can race a conn-channel
-	// close. An engine binding only unregisters the endpoint (the engine
+	// close. On a shared engine only the endpoint is removed (the engine
 	// keeps running for its other hosts); its peers are removed atomically,
 	// so no NEW packet dispatches here afterwards — see NewOnEngine for the
 	// residual in-flight-handler caveat.

@@ -81,8 +81,9 @@ type BatchSender interface {
 // vectored path when it implements BatchSender and falling back to one
 // Send per datagram otherwise. This is the adapter every batching caller
 // (the pipe egress coalescer, benchmarks) goes through, so transports
-// outside this package keep working unmodified.
-func SendBatch(t Transport, dgs []wire.Datagram) (int, error) {
+// outside this package keep working unmodified. t needs only Send, so a
+// multiplexing attachment (Mux) batches through it too.
+func SendBatch(t interface{ Send(wire.Datagram) error }, dgs []wire.Datagram) (int, error) {
 	if bs, ok := t.(BatchSender); ok {
 		return bs.SendBatch(dgs)
 	}

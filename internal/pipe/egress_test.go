@@ -69,7 +69,8 @@ func TestEgressCapTriggeredFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eg := a.newEgress()
+	eg := a.eng.newEgress()
+	eg.local = a.LocalAddr()
 	for i := 0; i < 3; i++ {
 		if err := eg.SendHeaderBytes(b.addr, enc, []byte("p")); err != nil {
 			t.Fatal(err)
@@ -144,6 +145,9 @@ func TestEgressImmediateFlushAtLowLoad(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("single packet stuck in coalescing queue: adaptive flush broken")
 	}
+	// The flush counts the packet once the transport has taken it, which
+	// can be after c has it.
+	waitFor(t, "the flush counted", func() bool { return fwd.Stats().TxBatchedPackets != 0 })
 	st := fwd.Stats()
 	if st.TxBatchedPackets != 1 {
 		t.Fatalf("TxBatchedPackets = %d, want 1", st.TxBatchedPackets)
@@ -193,6 +197,7 @@ func TestEgressPerSourceOrderingAcrossBatches(t *testing.T) {
 			t.Fatalf("timeout at packet %d/%d", i, count)
 		}
 	}
+	waitFor(t, "the last flush counted", func() bool { return fwd.Stats().TxBatchedPackets >= count })
 	st := fwd.Stats()
 	if st.TxBatchedPackets != count {
 		t.Fatalf("TxBatchedPackets = %d, want %d", st.TxBatchedPackets, count)
@@ -242,4 +247,13 @@ func TestEgressDisabled(t *testing.T) {
 	if st := fwd.Stats(); st.TxBatches != 0 || st.TxBatchedPackets != 0 {
 		t.Fatalf("stats = %+v, want no batch accounting with coalescing disabled", st)
 	}
+}
+
+// pending reports how many sealed packets are queued but not yet flushed.
+func (eg *egress) pending() int {
+	n := 0
+	for _, db := range eg.order {
+		n += len(db.dgs)
+	}
+	return n
 }

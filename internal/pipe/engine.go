@@ -3,6 +3,7 @@ package pipe
 import (
 	"crypto/ed25519"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -13,74 +14,79 @@ import (
 	"interedge/internal/clock"
 	"interedge/internal/cryptutil"
 	"interedge/internal/handshake"
+	"interedge/internal/netsim"
 	"interedge/internal/psp"
 	"interedge/internal/telemetry"
 	"interedge/internal/wire"
 )
 
-// Engine is the shared, multiplexing counterpart of Manager: one transport
-// attachment, one set of RX workers, and one keepalive sweep serving MANY
-// local identities (endpoints) at once. Where a Manager keys pipes by remote
-// address alone — it owns exactly one local address — the Engine keys them
-// by (local, remote), so 10^5–10^6 weightless endpoints can share a single
-// receive path with a goroutine budget that is O(workers), independent of
-// endpoint count.
+// Engine is the pipe stack: one transport attachment, one set of RX workers,
+// and one keepalive sweep serving one or many local identities (endpoints).
+// Pipes are keyed by (local, remote), so an SN or a standalone host is an
+// engine with a single endpoint (New), and 10^5–10^6 weightless lite hosts
+// share one engine on a multiplexing transport with a goroutine budget that is
+// O(workers), independent of endpoint count.
 //
-// Everything on a pipe stays real: handshakes run the same transcript-bound
-// exchange (addresses are part of the transcript, so each endpoint's pipes
-// carry its own identity), PSP seal/open state and epoch rotation are
-// identical to Manager pipes, and RebindPeer implements the host side of
-// SvcPipeMove unchanged. The peer on the far side cannot tell an Engine
-// endpoint from a full Manager.
+// Everything on a pipe is real: handshakes run the transcript-bound exchange
+// (addresses are part of the transcript, so each endpoint's pipes carry its
+// own identity), PSP seal/open state and epoch rotation are per pipe, and
+// RebindPeer implements the host side of SvcPipeMove. The peer on the far
+// side cannot tell a lite endpoint from an SN.
 //
-// Concurrency: the peer table is sharded across fixed RWMutex-guarded maps
-// (a copy-on-write map would make every establish O(peers) and boxing
-// struct keys into a sync.Map would allocate on the data path). Readers
-// take only the shard RLock; all writers serialize on Engine.mu first and
-// then take shard locks, so multi-shard operations (RebindPeer) never
-// deadlock and check-then-act sequences are atomic with respect to other
-// writers.
+// Concurrency: the peer table is sharded across RWMutex-guarded maps (a
+// copy-on-write map would make every establish O(peers), and boxing struct
+// keys into a sync.Map would allocate on the data path). Readers take only
+// the shard RLock; all writers serialize on Engine.mu first and then take
+// shard locks, so multi-shard operations (RebindPeer) never deadlock and
+// check-then-act sequences are atomic with respect to other writers.
 type Engine struct {
 	cfg   EngineConfig
 	telem *telemetry.Registry
 
-	shards [engineShards]peerShard
+	shards []peerShard
 
-	mu        sync.Mutex // serializes writers: pending, respCache, endpoints map writes, closed
-	pending   map[pipeKey]*enginePending
+	mu        sync.Mutex // serializes writers: pending, redialing, respCache, closed, peer-table writes
+	pending   map[pipeKey]*pendingConn
+	redialing map[pipeKey]bool
 	respCache map[pipeKey]msg1Reply
 	respFIFO  []pipeKey // insertion order for bounded eviction
 	closed    bool
 
 	epMu      sync.RWMutex
-	endpoints map[wire.Addr]*engineEndpoint
+	endpoints map[wire.Addr]*endpoint
 
-	retry *Backoff
+	retry *Backoff // handshake/redial backoff with deterministic jitter
 
-	workers []chan wire.Datagram
-
+	workers  []chan wire.Datagram
 	sealBufs sync.Pool
 
 	peerCount     atomic.Int64
 	endpointCount atomic.Int64
 
+	// Pipe metrics live in the owner's telemetry registry; these handles
+	// are the hot-path instruments (atomic counters, two histograms).
 	handshakeAttempts *telemetry.Counter
 	handshakeFailures *telemetry.Counter
 	keepalivesSent    *telemetry.Counter
 	keepalivesRcvd    *telemetry.Counter
 	peersLost         *telemetry.Counter
-	rxPackets         *telemetry.Counter
+	reestablished     *telemetry.Counter
+	txBatches         *telemetry.Counter
+	txBatchedPackets  *telemetry.Counter
+	txFlushDrops      *telemetry.Counter
 	rxNoPipe          *telemetry.Counter
 	rxOpenErrors      *telemetry.Counter
-	txPackets         *telemetry.Counter
+	flushBatchSize    *telemetry.Histogram
+	rxOpenBatchSize   *telemetry.Histogram
 
 	done chan struct{}
 	wg   sync.WaitGroup
 }
 
 // EngineTransport is the engine's attachment: like netsim.Transport but
-// without a single LocalAddr — the engine stamps Datagram.Src per send, so
-// one transport carries every endpoint's traffic (netsim.Mux implements it).
+// without a required LocalAddr — the engine stamps Datagram.Src per send, so
+// one transport can carry every endpoint's traffic (netsim.Mux implements
+// it). A netsim.Transport is an EngineTransport with one address.
 type EngineTransport interface {
 	// Send transmits dg; dg.Src must already be set to the sending
 	// endpoint's address. The transport must not retain dg.Payload.
@@ -89,45 +95,66 @@ type EngineTransport interface {
 	Close() error
 }
 
-// EngineConfig configures an Engine. The handshake/keepalive knobs mirror
-// Config and share its defaults; identity, authorization, and packet
-// handling move to the per-endpoint EndpointConfig.
+// EngineConfig configures an Engine. Identity, authorization, and packet
+// handling are per endpoint (EndpointConfig).
 type EngineConfig struct {
 	Transport EngineTransport
 	// Clock defaults to the real clock.
 	Clock clock.Clock
-	// HandshakeTimeout, HandshakeBackoffMax, HandshakeRetries: as Config.
-	HandshakeTimeout    time.Duration
-	HandshakeBackoffMax time.Duration
-	HandshakeRetries    int
-	// KeepaliveInterval, when nonzero, enables the liveness sweep across
-	// every pipe of every endpoint. DeadAfter defaults to 4× the interval.
-	// The engine never re-establishes automatically; a dead pipe is
-	// reported through the owning endpoint's OnPeerDown and stays down
-	// until someone calls Connect again (the fleet controller's job).
+	// HandshakeTimeout is the retransmission interval of the FIRST msg1
+	// attempt (default 250ms). Later attempts back off exponentially with
+	// jitter, capped at 8×HandshakeTimeout.
+	HandshakeTimeout time.Duration
+	// HandshakeRetries is the number of msg1 transmissions before giving
+	// up (default 5).
+	HandshakeRetries int
+	// KeepaliveInterval, when nonzero, enables pipe liveness across every
+	// pipe of every endpoint: a sealed probe is sent on any pipe idle longer
+	// than the interval, and a pipe with no authenticated inbound traffic
+	// for DeadAfter is torn down (the owning endpoint's OnPeerDown fires).
 	KeepaliveInterval time.Duration
-	DeadAfter         time.Duration
-	// JitterSeed seeds handshake-retry jitter (default 1; there is no
-	// single local address to derive it from).
-	JitterSeed int64
-	// RxWorkers is the receive fan-out width (default GOMAXPROCS). Inbound
-	// datagrams shard by (dst, src) so one pipe's traffic stays ordered.
+	// DeadAfter is the idle window after which a peer is declared dead
+	// (default 4×KeepaliveInterval).
+	DeadAfter time.Duration
+	// Reestablish re-handshakes dead pipes automatically with capped
+	// exponential backoff until the pipe is back, its endpoint is removed,
+	// or the engine closes. The new pipe has a fresh master secret, so its
+	// key epochs restart. Without it a dead pipe stays down until someone
+	// calls Connect again.
+	Reestablish bool
+	// RxWorkers is the number of receive-pipeline workers (default
+	// GOMAXPROCS). With 1 worker every packet is processed inline on the
+	// receive goroutine. Datagrams are sharded by pipe, so one pipe's
+	// traffic stays on one worker, in order.
 	RxWorkers int
-	// Telemetry receives the engine_* instruments; nil creates a private
-	// registry.
+	// TxBatch caps the per-destination egress coalescing queue each worker
+	// offers its handlers: sends through the handler's Sender accumulate and
+	// go out as one transport batch when the worker's input drains
+	// (NAPI-style — a worker with nothing left to read flushes immediately,
+	// so an idle node adds no latency) or when a destination reaches the cap
+	// under backpressure. 0 selects the default (32); 1 disables coalescing
+	// and hands handlers their endpoint's Manager directly.
+	TxBatch int
+	// Telemetry is the registry the pipe instruments are created in,
+	// normally the owning node's registry so pipe metrics appear in the
+	// node's snapshot. Nil creates a private registry.
 	Telemetry *telemetry.Registry
 }
 
-// EndpointConfig describes one local identity multiplexed onto an Engine.
+// EndpointConfig describes one local identity on an Engine.
 type EndpointConfig struct {
 	// Addr is the endpoint's local address; pipes are keyed by it.
 	Addr wire.Addr
 	// Identity signs this endpoint's handshakes.
 	Identity handshake.Identity
-	// Handler receives the endpoint's decrypted inbound packets, under
-	// PacketHandler's ownership rule: hdr.Data and hdrRaw are only valid for
-	// the duration of the call, payload is the handler's to keep.
+	// Handler receives the endpoint's decrypted inbound packets one at a
+	// time (see PacketHandler for ownership).
 	Handler PacketHandler
+	// BatchHandler, when set, takes precedence over Handler: each decrypted
+	// same-pipe run of a receive batch is delivered as one call, letting the
+	// consumer amortize per-packet work (e.g. run-coalesced decision-cache
+	// lookups) across the run.
+	BatchHandler BatchPacketHandler
 	// Authorize defaults to accept-all.
 	Authorize AuthorizePeer
 	// OnPeerUp / OnPeerDown are optional. OnPeerDown only fires from the
@@ -142,26 +169,47 @@ type pipeKey struct {
 	remote wire.Addr
 }
 
-// engineShards is the fixed peer-table shard count. Power of two; sized so
-// that with ~10^6 pipes each shard map holds ~4k entries and writer
-// contention during fleet bring-up stays low.
+// engineShards is the peer-table shard count of a shared engine. Power of
+// two; sized so that with ~10^6 pipes each shard map holds ~4k entries and
+// writer contention during fleet bring-up stays low.
 const engineShards = 256
 
-// engineRespCacheMax bounds the msg1-idempotency cache. Manager keeps one
-// entry per peer forever (its peer set is small); an engine serving 10^6
-// endpoints cannot. Entries are evicted FIFO — retransmissions arrive
-// within the handshake-retry window, so only the recent tail matters.
-const engineRespCacheMax = 8192
+// soloShards is the peer-table shard count of a one-endpoint engine (New):
+// an SN's or a host's pipes number in the thousands at most, and 256 shards
+// per node would be most of the node's pipe-layer heap.
+const soloShards = 16
 
+// respCacheMax bounds the msg1-idempotency cache. Entries are evicted FIFO —
+// retransmissions arrive within the handshake-retry window, so only the
+// recent tail matters.
+const respCacheMax = 8192
+
+// backoffCap is the handshake backoff ceiling, in HandshakeTimeouts.
+const backoffCap = 8
+
+// rxWorkerQueueDepth bounds each worker's backlog. A full queue blocks the
+// receive loop (backpressure into the transport queue, which drops like a
+// NIC would) rather than reordering or dropping here.
+const rxWorkerQueueDepth = 512
+
+// rxDispatchBatch caps how many queued datagrams a worker gathers before
+// dispatching them as one batch. It matches the transports' vectored
+// receive sizing, so one recvmmsg burst flows through one crypto pass.
+const rxDispatchBatch = 32
+
+// peerShard is one stripe of the peer table. Its map is made on first
+// install, so an engine's empty shards cost only their lock.
 type peerShard struct {
 	mu sync.RWMutex
-	m  map[pipeKey]*enginePeer
+	m  map[pipeKey]*peer
 }
 
-// enginePeer is the engine-side pipe state: the same key material and
-// liveness clock as Manager's peer, plus the owning endpoint resolved at
-// establish time so the data path never looks endpoints up.
-type enginePeer struct {
+// peer is one established pipe: its keys, the handshake-derived material
+// retained so the pipe can be exported to a sibling node during a drain
+// (ExportPeer) without a fresh handshake, its traffic counters, and the
+// owning endpoint, resolved at establish time so the data path never looks
+// endpoints up.
+type peer struct {
 	key      pipeKey
 	identity ed25519.PublicKey
 	crypto   *psp.PipeCrypto
@@ -171,37 +219,78 @@ type enginePeer struct {
 	initiator bool
 	baseSPI   uint32
 
-	ep *engineEndpoint
+	ep *endpoint
 
+	txPackets atomic.Uint64
+	rxPackets atomic.Uint64
+	txBytes   atomic.Uint64
+	rxBytes   atomic.Uint64
+	// lastRx is the UnixNano timestamp of the last authenticated inbound
+	// packet; keepalive liveness is judged against it.
 	lastRx atomic.Int64
 }
 
-type enginePending struct {
+type pendingConn struct {
 	hs   *handshake.Pending
-	ep   *engineEndpoint
-	done chan struct{}
+	ep   *endpoint
+	done chan struct{} // closed when the pipe (by any path) is up
 	err  error
 }
 
-type engineEndpoint struct {
-	cfg    EndpointConfig
-	sender Sender // pre-bound engineBoundSender, allocated once
+type endpoint struct {
+	cfg EndpointConfig
+	// handle is the endpoint's one Manager; handlers get it as their Sender
+	// when egress coalescing is off.
+	handle *Manager
 }
 
-// engineBoundSender adapts the engine to the Sender interface for one
-// endpoint, so PacketHandlers written against Manager semantics work
-// unchanged.
-type engineBoundSender struct {
-	e     *Engine
-	local wire.Addr
+// msg1Reply caches the responder's answer to the most recent msg1 on one
+// pipe, keyed by a digest of the msg1 body. Initiators retransmit msg1 on a
+// timer until msg2 arrives, so the responder routinely sees the same msg1
+// more than once. Running handshake.Respond again for a retransmission would
+// draw a fresh ephemeral — new keys — and re-establish the pipe with a secret
+// the initiator never learns (the initiator drops any msg2 after its first
+// Complete), silently poisoning a pipe the first exchange already brought up.
+// The cache makes msg1 idempotent: a repeat gets the identical msg2 back
+// (covering a lost msg2) and leaves the established keys alone. A msg1 with a
+// new digest is a fresh handshake attempt (e.g. peer restart) and replaces
+// the entry.
+type msg1Reply struct {
+	digest [sha256.Size]byte
+	msg2   []byte
 }
 
-func (s *engineBoundSender) SendHeaderBytes(dst wire.Addr, hdrBytes, payload []byte) error {
-	return s.e.SendHeaderBytes(s.local, dst, hdrBytes, payload)
+// sealBuf bundles the reusable buffers for one in-flight send: the framed
+// output packet, the header Send encodes for it, and the PSP seal scratch.
+type sealBuf struct {
+	buf     []byte
+	hdr     []byte
+	scratch psp.Scratch
+}
+
+// encodeHeader encodes hdr into the buffer's header scratch.
+func (sb *sealBuf) encodeHeader(hdr *wire.ILPHeader) ([]byte, error) {
+	enc, err := hdr.AppendEncode(sb.hdr[:0])
+	sb.hdr = enc
+	return enc, err
+}
+
+// rxRun is a worker's reusable batch-dispatch scratch: the gathered
+// datagrams, the per-run sealed bodies and open results, and the decoded
+// packets handed to the handler.
+type rxRun struct {
+	dgs     []wire.Datagram
+	bodies  [][]byte
+	results []psp.OpenResult
+	pkts    []RxPacket
 }
 
 // NewEngine creates an Engine and starts its receive pipeline.
 func NewEngine(cfg EngineConfig) (*Engine, error) {
+	return newEngine(cfg, engineShards)
+}
+
+func newEngine(cfg EngineConfig, shards int) (*Engine, error) {
 	if cfg.Transport == nil {
 		return nil, errors.New("pipe: EngineConfig.Transport is required")
 	}
@@ -210,9 +299,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	}
 	if cfg.HandshakeTimeout == 0 {
 		cfg.HandshakeTimeout = 250 * time.Millisecond
-	}
-	if cfg.HandshakeBackoffMax == 0 {
-		cfg.HandshakeBackoffMax = 8 * cfg.HandshakeTimeout
 	}
 	if cfg.HandshakeRetries == 0 {
 		cfg.HandshakeRetries = 5
@@ -226,20 +312,27 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	if cfg.RxWorkers < 1 {
 		cfg.RxWorkers = 1
 	}
-	seed := cfg.JitterSeed
-	if seed == 0 {
-		seed = 1
+	if cfg.TxBatch == 0 {
+		cfg.TxBatch = DefaultTxBatch
+	}
+	// Seed retry jitter from the transport's own address, so a simulation
+	// replays the same schedule while distinct nodes draw decorrelated
+	// delays. A multiplexing transport has no single address; its engine
+	// seeds from none.
+	var seedFrom []byte
+	if t, ok := cfg.Transport.(interface{ LocalAddr() wire.Addr }); ok {
+		a := t.LocalAddr().As16()
+		seedFrom = a[:]
 	}
 	e := &Engine{
 		cfg:       cfg,
-		pending:   make(map[pipeKey]*enginePending),
+		shards:    make([]peerShard, shards),
+		pending:   make(map[pipeKey]*pendingConn),
+		redialing: make(map[pipeKey]bool),
 		respCache: make(map[pipeKey]msg1Reply),
-		endpoints: make(map[wire.Addr]*engineEndpoint),
-		retry:     NewBackoff(cfg.HandshakeTimeout, cfg.HandshakeBackoffMax, seed),
+		endpoints: make(map[wire.Addr]*endpoint),
+		retry:     NewBackoff(cfg.HandshakeTimeout, backoffCap*cfg.HandshakeTimeout, DeriveSeed(seedFrom)),
 		done:      make(chan struct{}),
-	}
-	for i := range e.shards {
-		e.shards[i].m = make(map[pipeKey]*enginePeer)
 	}
 	e.sealBufs.New = func() any { return new(sealBuf) }
 	reg := cfg.Telemetry
@@ -247,16 +340,20 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		reg = telemetry.NewRegistry()
 	}
 	e.telem = reg
-	e.handshakeAttempts = reg.Counter("engine_handshake_attempts_total")
-	e.handshakeFailures = reg.Counter("engine_handshake_failures_total")
-	e.keepalivesSent = reg.Counter("engine_keepalives_sent_total")
-	e.keepalivesRcvd = reg.Counter("engine_keepalives_rcvd_total")
-	e.peersLost = reg.Counter("engine_peers_lost_total")
-	e.rxPackets = reg.Counter("engine_rx_packets_total")
+	e.handshakeAttempts = reg.Counter("pipe_handshake_attempts_total")
+	e.handshakeFailures = reg.Counter("pipe_handshake_failures_total")
+	e.keepalivesSent = reg.Counter("pipe_keepalives_sent_total")
+	e.keepalivesRcvd = reg.Counter("pipe_keepalives_rcvd_total")
+	e.peersLost = reg.Counter("pipe_peers_lost_total")
+	e.reestablished = reg.Counter("pipe_reestablished_total")
+	e.txBatches = reg.Counter("pipe_tx_batches_total")
+	e.txBatchedPackets = reg.Counter("pipe_tx_batched_packets_total")
+	e.txFlushDrops = reg.Counter("pipe_tx_flush_drops_total")
 	e.rxNoPipe = reg.Counter("engine_rx_no_pipe_total")
 	e.rxOpenErrors = reg.Counter("engine_rx_open_errors_total")
-	e.txPackets = reg.Counter("engine_tx_packets_total")
-	_ = reg.Register(telemetry.NewGaugeFunc("engine_pipes", e.peerCount.Load))
+	e.flushBatchSize = reg.Histogram("pipe_tx_flush_batch_size", telemetry.BatchBuckets)
+	e.rxOpenBatchSize = reg.Histogram("pipe_rx_open_batch_size", telemetry.BatchBuckets)
+	_ = reg.Register(telemetry.NewGaugeFunc("pipe_peers", e.peerCount.Load))
 	_ = reg.Register(telemetry.NewGaugeFunc("engine_endpoints", e.endpointCount.Load))
 	if cfg.RxWorkers > 1 {
 		e.workers = make([]chan wire.Datagram, cfg.RxWorkers)
@@ -276,7 +373,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	return e, nil
 }
 
-// Telemetry returns the registry holding the engine_* instruments.
+// Telemetry returns the registry holding the engine's pipe instruments.
 func (e *Engine) Telemetry() *telemetry.Registry { return e.telem }
 
 // RxWorkers returns the effective receive fan-out width.
@@ -285,21 +382,51 @@ func (e *Engine) RxWorkers() int { return e.cfg.RxWorkers }
 // Pipes returns the number of established pipes across all endpoints.
 func (e *Engine) Pipes() int { return int(e.peerCount.Load()) }
 
+// Stats returns a snapshot of engine-wide pipe metrics.
+func (e *Engine) Stats() Stats {
+	return Stats{
+		HandshakeAttempts: e.handshakeAttempts.Load(),
+		HandshakeFailures: e.handshakeFailures.Load(),
+		KeepalivesSent:    e.keepalivesSent.Load(),
+		KeepalivesRcvd:    e.keepalivesRcvd.Load(),
+		PeersLost:         e.peersLost.Load(),
+		Reestablished:     e.reestablished.Load(),
+		TxBatches:         e.txBatches.Load(),
+		TxBatchedPackets:  e.txBatchedPackets.Load(),
+		TxFlushDrops:      e.txFlushDrops.Load(),
+	}
+}
+
 // AddEndpoint registers a local identity on the engine. It fails if the
 // address is already registered.
 func (e *Engine) AddEndpoint(cfg EndpointConfig) error {
+	_, err := e.addEndpoint(cfg, false)
+	return err
+}
+
+// Attach registers a local identity like AddEndpoint and returns its
+// handle. Closing the handle removes the endpoint; the engine keeps serving
+// its other endpoints.
+func (e *Engine) Attach(cfg EndpointConfig) (*Manager, error) {
+	return e.addEndpoint(cfg, false)
+}
+
+// addEndpoint registers cfg and returns the endpoint's one handle, which is
+// also the Sender its handlers get when egress coalescing is off. owns marks
+// the handle of an engine's only endpoint (New): closing it closes the
+// engine.
+func (e *Engine) addEndpoint(cfg EndpointConfig, owns bool) (*Manager, error) {
 	if !cfg.Addr.IsValid() {
-		return errors.New("pipe: EndpointConfig.Addr is required")
+		return nil, errors.New("pipe: EndpointConfig.Addr is required")
 	}
 	if cfg.Authorize == nil {
 		cfg.Authorize = func(wire.Addr, ed25519.PublicKey) bool { return true }
 	}
-	ep := &engineEndpoint{cfg: cfg}
-	ep.sender = &engineBoundSender{e: e, local: cfg.Addr}
+	ep := &endpoint{cfg: cfg, handle: &Manager{eng: e, local: cfg.Addr, owns: owns}}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
-		return ErrManagerClosed
+		return nil, ErrManagerClosed
 	}
 	e.epMu.Lock()
 	_, dup := e.endpoints[cfg.Addr]
@@ -308,10 +435,10 @@ func (e *Engine) AddEndpoint(cfg EndpointConfig) error {
 	}
 	e.epMu.Unlock()
 	if dup {
-		return fmt.Errorf("pipe: endpoint %s already registered", cfg.Addr)
+		return nil, fmt.Errorf("pipe: endpoint %s already registered", cfg.Addr)
 	}
 	e.endpointCount.Add(1)
-	return nil
+	return ep.handle, nil
 }
 
 // RemoveEndpoint unregisters a local identity, tears down its pipes, and
@@ -333,55 +460,46 @@ func (e *Engine) RemoveEndpoint(local wire.Addr) {
 			close(pc.done)
 		}
 	}
-	var removed int64
-	for i := range e.shards {
-		sh := &e.shards[i]
-		sh.mu.Lock()
-		for key := range sh.m {
-			if key.local == local {
-				delete(sh.m, key)
-				removed++
-			}
-		}
-		sh.mu.Unlock()
+	var gone []pipeKey
+	e.eachPeer(local, func(p *peer) { gone = append(gone, p.key) })
+	for _, key := range gone {
+		e.setPeer(key, nil)
 	}
-	e.peerCount.Add(-removed)
 	e.mu.Unlock()
 }
 
-func (e *Engine) endpoint(local wire.Addr) *engineEndpoint {
+func (e *Engine) endpoint(local wire.Addr) *endpoint {
 	e.epMu.RLock()
 	ep := e.endpoints[local]
 	e.epMu.RUnlock()
 	return ep
 }
 
-// pipeShardIndex maps a pipe key onto [0, n) with FNV-1a over both
-// addresses plus an avalanche mix, so sequentially allocated lab addresses
-// still spread evenly.
+// pipeShardIndex maps a pipe key onto [0, n), n a power of two: each
+// address half is multiplied by its own odd constant, and an avalanche mix
+// spreads the sum, so sequentially allocated lab addresses still land
+// evenly. It runs on every send, so it works a word, not a byte, at a time.
 func pipeShardIndex(local, remote wire.Addr, n int) int {
-	h := uint64(14695981039346656037)
-	a := local.As16()
-	for _, c := range a {
-		h = (h ^ uint64(c)) * 1099511628211
-	}
-	b := remote.As16()
-	for _, c := range b {
-		h = (h ^ uint64(c)) * 1099511628211
-	}
+	a, b := local.As16(), remote.As16()
+	h := binary.BigEndian.Uint64(a[:8])*0x9e3779b97f4a7c15 ^
+		binary.BigEndian.Uint64(a[8:])*0xc2b2ae3d27d4eb4f ^
+		binary.BigEndian.Uint64(b[:8])*0x165667b19e3779f9 ^
+		binary.BigEndian.Uint64(b[8:])*0xd6e8feb86659fd93
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
-	return int(h % uint64(n))
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return int(h & uint64(n-1))
 }
 
 func (e *Engine) shard(key pipeKey) *peerShard {
-	return &e.shards[pipeShardIndex(key.local, key.remote, engineShards)]
+	return &e.shards[pipeShardIndex(key.local, key.remote, len(e.shards))]
 }
 
 // peer returns the established pipe for key, or nil. Readers take only the
 // shard read-lock.
-func (e *Engine) peer(key pipeKey) *enginePeer {
+func (e *Engine) peer(key pipeKey) *peer {
 	sh := e.shard(key)
 	sh.mu.RLock()
 	p := sh.m[key]
@@ -391,13 +509,16 @@ func (e *Engine) peer(key pipeKey) *enginePeer {
 
 // setPeer installs (p != nil) or removes (p == nil) the pipe for key and
 // maintains the pipe gauge. Callers must hold e.mu.
-func (e *Engine) setPeer(key pipeKey, p *enginePeer) {
+func (e *Engine) setPeer(key pipeKey, p *peer) {
 	sh := e.shard(key)
 	sh.mu.Lock()
 	_, had := sh.m[key]
 	if p == nil {
 		delete(sh.m, key)
 	} else {
+		if sh.m == nil {
+			sh.m = make(map[pipeKey]*peer)
+		}
 		sh.m[key] = p
 	}
 	sh.mu.Unlock()
@@ -409,21 +530,48 @@ func (e *Engine) setPeer(key pipeKey, p *enginePeer) {
 	}
 }
 
+// eachPeer calls fn for every established pipe of local — of every
+// endpoint when local is the zero address — under its shard's read lock.
+func (e *Engine) eachPeer(local wire.Addr, fn func(*peer)) {
+	for i := range e.shards {
+		sh := &e.shards[i]
+		sh.mu.RLock()
+		for key, p := range sh.m {
+			if key.local == local || !local.IsValid() {
+				fn(p)
+			}
+		}
+		sh.mu.RUnlock()
+	}
+}
+
 func (e *Engine) receiveLoop() {
 	defer e.wg.Done()
 	n := len(e.workers)
 	if n == 0 {
-		var scratch psp.Scratch
-		for dg := range e.cfg.Transport.Receive() {
-			e.dispatch(dg, &scratch)
-		}
+		// Single-worker pipeline: process inline with the same adaptive
+		// egress coalescing the sharded workers get.
+		e.consume(e.cfg.Transport.Receive())
 		return
 	}
+	// A datagram's worker is (ShardIndex(src) + ShardIndex(dst)) mod n, so
+	// one pipe's traffic always lands on one worker. It uses the shared
+	// wire.ShardIndex hash: on a one-endpoint engine the dst term is a fixed
+	// rotation, so the worker that handles a source is the only one that
+	// handles any source of the same source-affine decision-cache shard (an
+	// SN creates its cache with one shard per RX worker), while a shared
+	// engine still spreads its endpoints across workers. The dst term is
+	// kept from the previous datagram while dst repeats.
+	var dst wire.Addr
+	dstTerm := 0
 	for dg := range e.cfg.Transport.Receive() {
 		if len(dg.Payload) < 1 {
 			continue
 		}
-		e.workers[pipeShardIndex(dg.Dst, dg.Src, n)] <- dg
+		if dg.Dst != dst {
+			dst, dstTerm = dg.Dst, wire.ShardIndex(dg.Dst, n)
+		}
+		e.workers[(wire.ShardIndex(dg.Src, n)+dstTerm)%n] <- dg
 	}
 	for _, ch := range e.workers {
 		close(ch)
@@ -432,68 +580,180 @@ func (e *Engine) receiveLoop() {
 
 func (e *Engine) runWorker(ch chan wire.Datagram) {
 	defer e.wg.Done()
+	e.consume(ch)
+}
+
+// consume is the body every receive worker runs: gather whatever the input
+// channel has ready (up to rxDispatchBatch), push the whole batch through
+// one crypto pass, and let egress coalesce while more input is immediately
+// available. The flush policy is NAPI-style adaptive — the inner drain loop
+// keeps gathering and dispatching as long as the channel has a datagram
+// ready, and the coalescer flushes the moment it does not. At low load every
+// packet therefore flushes before the worker blocks again (no added
+// latency); under backpressure receive batches grow toward rxDispatchBatch
+// and egress batches toward the per-destination cap.
+func (e *Engine) consume(ch <-chan wire.Datagram) {
 	var scratch psp.Scratch
-	for dg := range ch {
-		e.dispatch(dg, &scratch)
+	var rb rxRun
+	var eg *egress
+	if e.cfg.TxBatch > 1 {
+		eg = e.newEgress()
+	}
+	for {
+		dg, ok := <-ch
+		if !ok {
+			return
+		}
+		rb.dgs = append(rb.dgs[:0], dg)
+		closed := false
+	drain:
+		for {
+			select {
+			case dg, ok = <-ch:
+				if !ok {
+					closed = true
+					break drain
+				}
+				rb.dgs = append(rb.dgs, dg)
+				if len(rb.dgs) >= rxDispatchBatch {
+					e.dispatchBatch(eg, &rb, &scratch)
+					rb.dgs = rb.dgs[:0]
+				}
+			default:
+				break drain
+			}
+		}
+		if len(rb.dgs) > 0 {
+			e.dispatchBatch(eg, &rb, &scratch)
+			rb.dgs = rb.dgs[:0]
+		}
+		if eg != nil {
+			eg.flushAll()
+		}
+		if closed {
+			return
+		}
 	}
 }
 
-// dispatch demuxes one inbound datagram: dg.Dst names the endpoint,
-// dg.Src the remote. Handshake frames go through the engine's pending
-// machinery; ILP frames are opened with the worker's scratch (zero-alloc
-// once warm) and handed to the owning endpoint's handler.
-func (e *Engine) dispatch(dg wire.Datagram, scratch *psp.Scratch) {
-	if len(dg.Payload) < 1 {
-		return
-	}
-	switch wire.FrameType(dg.Payload[0]) {
-	case wire.FrameHandshake1:
-		e.handleMsg1(dg.Dst, dg.Src, dg.Payload[1:])
-	case wire.FrameHandshake2:
-		e.handleMsg2(dg.Dst, dg.Src, dg.Payload[1:])
-	case wire.FrameILP:
-		e.handleILP(dg, scratch)
+// dispatchBatch walks one gathered batch in arrival order: dg.Dst names the
+// endpoint and dg.Src the remote. Handshake frames are handled inline, and
+// each maximal run of consecutive ILP datagrams on one pipe is opened and
+// delivered as a unit. eg is the worker's egress, or nil when coalescing is
+// off.
+func (e *Engine) dispatchBatch(eg *egress, rb *rxRun, scratch *psp.Scratch) {
+	dgs := rb.dgs
+	for i := 0; i < len(dgs); {
+		dg := &dgs[i]
+		if len(dg.Payload) < 1 {
+			i++
+			continue
+		}
+		switch wire.FrameType(dg.Payload[0]) {
+		case wire.FrameHandshake1:
+			e.handleMsg1(dg.Dst, dg.Src, dg.Payload[1:])
+			i++
+		case wire.FrameHandshake2:
+			e.handleMsg2(dg.Dst, dg.Src, dg.Payload[1:])
+			i++
+		case wire.FrameILP:
+			j := i + 1
+			for j < len(dgs) && dgs[j].Src == dg.Src && dgs[j].Dst == dg.Dst &&
+				len(dgs[j].Payload) >= 1 &&
+				wire.FrameType(dgs[j].Payload[0]) == wire.FrameILP {
+				j++
+			}
+			e.handleILPRun(eg, pipeKey{local: dg.Dst, remote: dg.Src}, dgs[i:j], rb, scratch)
+			i = j
+		default:
+			i++
+		}
 	}
 }
 
-func (e *Engine) handleILP(dg wire.Datagram, scratch *psp.Scratch) {
-	key := pipeKey{local: dg.Dst, remote: dg.Src}
-	// As in Manager.handleILPRun, a datagram consumed here — no pipe, does
-	// not open or decode, a probe, a probe ack — gives its buffer back.
+// handleILPRun opens one same-pipe run of sealed ILP packets with a single
+// OpenBatch pass and delivers the survivors — through the endpoint's
+// BatchHandler as one call when configured, else per packet through its
+// Handler. Per-packet failures (auth, replay, truncation) drop only the
+// offending packet.
+func (e *Engine) handleILPRun(eg *egress, key pipeKey, dgs []wire.Datagram, rb *rxRun, scratch *psp.Scratch) {
+	n := len(dgs)
 	p := e.peer(key)
+	// What never reaches a handler — no pipe, a datagram that does not open
+	// or decode, a probe, a probe ack — is consumed here, and its buffer goes
+	// back to the pool: a flood of forged packets makes no garbage.
 	if p == nil {
-		e.rxNoPipe.Add(1)
-		wire.RxRelease(dg.Payload)
+		e.rxNoPipe.Add(uint64(n))
+		for k := range dgs {
+			wire.RxRelease(dgs[k].Payload)
+		}
 		return
 	}
-	hdrRaw, payload, err := p.crypto.RX.OpenScratch(scratch, dg.Payload[1:])
-	if err != nil {
-		e.rxOpenErrors.Add(1)
-		wire.RxRelease(dg.Payload)
+	e.rxOpenBatchSize.Observe(uint64(n))
+	bodies := rb.bodies[:0]
+	for k := range dgs {
+		bodies = append(bodies, dgs[k].Payload[1:])
+	}
+	rb.bodies = bodies
+	if cap(rb.results) < n {
+		rb.results = make([]psp.OpenResult, n)
+	}
+	results := rb.results[:n]
+	p.crypto.RX.OpenBatch(scratch, bodies, results)
+	var okPkts, okBytes uint64
+	pkts := rb.pkts[:0]
+	for k := range dgs {
+		if results[k].Err != nil {
+			e.rxOpenErrors.Add(1)
+			wire.RxRelease(dgs[k].Payload)
+			continue
+		}
+		okPkts++
+		okBytes += uint64(len(bodies[k]))
+		var hdr wire.ILPHeader
+		if _, err := hdr.DecodeFromBytes(results[k].Hdr); err != nil {
+			wire.RxRelease(dgs[k].Payload)
+			continue
+		}
+		switch hdr.Service {
+		case wire.SvcPipeProbe:
+			// Liveness probe: answer through the pipe so the ack proves we
+			// still hold the keys. Never dispatched to the handler.
+			e.keepalivesRcvd.Add(1)
+			ack := wire.ILPHeader{Service: wire.SvcPipeProbeAck, Conn: hdr.Conn}
+			_ = e.Send(key.local, key.remote, &ack, nil)
+			wire.RxRelease(dgs[k].Payload)
+			continue
+		case wire.SvcPipeProbeAck:
+			wire.RxRelease(dgs[k].Payload)
+			continue // lastRx refreshed below with the rest of the run
+		}
+		pkts = append(pkts, RxPacket{Hdr: hdr, HdrRaw: results[k].Hdr, Payload: results[k].Payload, buf: dgs[k].Payload})
+	}
+	rb.pkts = pkts
+	if okPkts > 0 {
+		p.rxPackets.Add(okPkts)
+		p.rxBytes.Add(okBytes)
+		if e.cfg.KeepaliveInterval > 0 {
+			p.lastRx.Store(e.cfg.Clock.Now().UnixNano())
+		}
+	}
+	if len(pkts) == 0 {
 		return
 	}
-	e.rxPackets.Add(1)
-	if e.cfg.KeepaliveInterval > 0 {
-		p.lastRx.Store(e.cfg.Clock.Now().UnixNano())
+	var tx Sender = p.ep.handle
+	if eg != nil {
+		eg.local = key.local
+		tx = eg
 	}
-	var hdr wire.ILPHeader
-	if _, err := hdr.DecodeFromBytes(hdrRaw); err != nil {
-		wire.RxRelease(dg.Payload)
-		return
-	}
-	switch hdr.Service {
-	case wire.SvcPipeProbe:
-		e.keepalivesRcvd.Add(1)
-		ack := wire.ILPHeader{Service: wire.SvcPipeProbeAck, Conn: hdr.Conn}
-		_ = e.Send(key.local, key.remote, &ack, nil)
-		wire.RxRelease(dg.Payload)
-		return
-	case wire.SvcPipeProbeAck:
-		wire.RxRelease(dg.Payload)
+	if h := p.ep.cfg.BatchHandler; h != nil {
+		h(tx, key.remote, pkts)
 		return
 	}
 	if h := p.ep.cfg.Handler; h != nil {
-		h(p.ep.sender, dg.Src, hdr, hdrRaw, payload)
+		for k := range pkts {
+			h(tx, key.remote, pkts[k].Hdr, pkts[k].HdrRaw, pkts[k].Payload)
+		}
 	}
 }
 
@@ -505,8 +765,9 @@ func (e *Engine) handleMsg1(local, remote wire.Addr, body []byte) {
 	key := pipeKey{local: local, remote: remote}
 	digest := sha256.Sum256(body)
 	e.mu.Lock()
-	// Simultaneous open: same tie-break as Manager — the numerically lower
-	// address is the designated initiator and ignores the peer's msg1.
+	// Simultaneous open: if we have a pending handshake to remote and our
+	// address is lower, we are the designated initiator — ignore their
+	// msg1; they will answer ours.
 	if _, isPending := e.pending[key]; isPending && local.Less(remote) {
 		e.mu.Unlock()
 		return
@@ -522,13 +783,16 @@ func (e *Engine) handleMsg1(local, remote wire.Addr, body []byte) {
 	// the transcript, so local must be the address the msg1 was sent to.
 	msg2, res, err := handshake.Respond(ep.cfg.Identity, local, remote, body)
 	if err != nil {
-		return
+		return // malformed or forged; drop silently like any bad packet
 	}
 	if !ep.cfg.Authorize(remote, res.PeerIdentity) {
 		return
 	}
 	out := append([]byte{byte(wire.FrameHandshake2)}, msg2...)
-	// Install, then reply, for the reason Manager.handleMsg1 gives.
+	// Install, then reply: the moment msg2 is on the wire the initiator may
+	// return from Connect and traffic for it may reach this node's other
+	// goroutines, which must find the pipe. A reply that fails to send leaves
+	// the pipe up — the initiator retransmits msg1 and respCache answers it.
 	if e.establish(key, ep, res, &msg1Reply{digest: digest, msg2: out}) {
 		_ = e.cfg.Transport.Send(wire.Datagram{Src: local, Dst: remote, Payload: out})
 	}
@@ -559,14 +823,19 @@ func (e *Engine) handleMsg2(local, remote wire.Addr, body []byte) {
 	e.establish(key, pc.ep, res, nil)
 }
 
-// establish installs the pipe and wakes any Connect waiters; reply and the
-// result are Manager.establish's.
-func (e *Engine) establish(key pipeKey, ep *engineEndpoint, res *handshake.Result, reply *msg1Reply) bool {
+// establish installs the pipe and wakes any Connect waiters. A responder
+// passes the reply it is about to send, which is cached in the same critical
+// section; it gets false back, and must not reply, when a Connect of the
+// designated initiator (the lower address) began while the reply was being
+// computed — the simultaneous-open tie-break of handleMsg1, taken again where
+// it is atomic with the install, so the two ends cannot settle on different
+// handshakes.
+func (e *Engine) establish(key pipeKey, ep *endpoint, res *handshake.Result, reply *msg1Reply) bool {
 	crypto, err := psp.NewPipeCrypto(res.Master, res.Initiator, res.BaseSPI)
 	if err != nil {
 		return false
 	}
-	p := &enginePeer{
+	p := &peer{
 		key:       key,
 		identity:  res.PeerIdentity,
 		crypto:    crypto,
@@ -586,10 +855,9 @@ func (e *Engine) establish(key pipeKey, ep *engineEndpoint, res *handshake.Resul
 		}
 		if _, ok := e.respCache[key]; !ok {
 			e.respFIFO = append(e.respFIFO, key)
-			if len(e.respFIFO) > engineRespCacheMax {
-				evict := e.respFIFO[0]
+			if len(e.respFIFO) > respCacheMax {
+				delete(e.respCache, e.respFIFO[0])
 				e.respFIFO = e.respFIFO[1:]
-				delete(e.respCache, evict)
 			}
 		}
 		e.respCache[key] = *reply
@@ -634,14 +902,22 @@ func (e *Engine) Connect(local, remote wire.Addr) error {
 		e.mu.Unlock()
 		return err
 	}
-	pc := &enginePending{hs: hs, ep: ep, done: make(chan struct{})}
+	pc := &pendingConn{hs: hs, ep: ep, done: make(chan struct{})}
 	e.pending[key] = pc
 	e.mu.Unlock()
 
 	msg1 := append([]byte{byte(wire.FrameHandshake1)}, hs.Msg1()...)
 	for attempt := 0; attempt < e.cfg.HandshakeRetries; attempt++ {
 		e.handshakeAttempts.Add(1)
-		_ = e.cfg.Transport.Send(wire.Datagram{Src: local, Dst: remote, Payload: msg1})
+		// Keep retrying a failed send — the peer may attach shortly (e.g.
+		// an SN restart) — unless the transport itself is gone.
+		if err := e.cfg.Transport.Send(wire.Datagram{Src: local, Dst: remote, Payload: msg1}); errors.Is(err, netsim.ErrClosed) {
+			e.failPending(key, pc, err)
+			return err
+		}
+		// Exponential backoff with jitter between retransmissions, so a
+		// crowd of nodes re-dialing a recovered peer doesn't synchronize
+		// into repeated handshake bursts.
 		select {
 		case <-pc.done:
 			return pc.err
@@ -658,7 +934,7 @@ func (e *Engine) Connect(local, remote wire.Addr) error {
 	return pc.err
 }
 
-func (e *Engine) failPending(key pipeKey, pc *enginePending, err error) {
+func (e *Engine) failPending(key pipeKey, pc *pendingConn, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if cur, ok := e.pending[key]; ok && cur == pc {
@@ -666,7 +942,8 @@ func (e *Engine) failPending(key pipeKey, pc *enginePending, err error) {
 		pc.err = err
 		close(pc.done)
 	}
-	// As with Manager: if establish won the race, pc.err stays nil.
+	// If the pipe came up concurrently (pc.done already closed by
+	// establish), pc.err stays nil and callers see success.
 }
 
 // HasPeer reports whether the pipe local→remote is established.
@@ -683,55 +960,48 @@ func (e *Engine) PeerIdentity(local, remote wire.Addr) (ed25519.PublicKey, bool)
 	return p.identity, true
 }
 
+// Peers lists the established pipes of endpoint local.
+func (e *Engine) Peers(local wire.Addr) []PeerInfo {
+	out := make([]PeerInfo, 0)
+	e.eachPeer(local, func(p *peer) {
+		out = append(out, PeerInfo{
+			Addr: p.key.remote, Identity: p.identity, Established: p.up,
+			TxPackets: p.txPackets.Load(), RxPackets: p.rxPackets.Load(),
+			TxBytes: p.txBytes.Load(), RxBytes: p.rxBytes.Load(),
+		})
+	})
+	return out
+}
+
+// RotateAll advances the sending key epoch on every pipe of endpoint local
+// (§4 key rotation).
+func (e *Engine) RotateAll(local wire.Addr) error {
+	var err error
+	e.eachPeer(local, func(p *peer) {
+		if err == nil {
+			err = p.crypto.TX.Rotate()
+		}
+	})
+	return err
+}
+
 // DropPeer tears down the pipe local→remote.
 func (e *Engine) DropPeer(local, remote wire.Addr) {
-	key := pipeKey{local: local, remote: remote}
 	e.mu.Lock()
-	e.setPeer(key, nil)
+	e.setPeer(pipeKey{local: local, remote: remote}, nil)
 	e.mu.Unlock()
 }
 
-// Redial discards any pipe state for local→remote and re-handshakes.
+// Redial discards any pipe state for local→remote and re-handshakes. Use
+// when the peer restarted: its old pipe keys are gone, so traffic sealed
+// with the previous master secret would be dropped.
 func (e *Engine) Redial(local, remote wire.Addr) error {
 	e.DropPeer(local, remote)
 	return e.Connect(local, remote)
 }
 
-// RebindPeer moves the endpoint's established pipe from oldRemote to
-// newRemote keeping its keys — the host side of SvcPipeMove, identical in
-// semantics to Manager.RebindPeer including the no-clobber rule and the TX
-// epoch rotation.
-func (e *Engine) RebindPeer(local, oldRemote, newRemote wire.Addr) error {
-	oldKey := pipeKey{local: local, remote: oldRemote}
-	newKey := pipeKey{local: local, remote: newRemote}
-	e.mu.Lock()
-	old := e.peer(oldKey)
-	if old == nil {
-		e.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrNoPipe, oldRemote)
-	}
-	if e.peer(newKey) != nil {
-		e.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrPeerExists, newRemote)
-	}
-	p := &enginePeer{
-		key:       newKey,
-		identity:  old.identity,
-		crypto:    old.crypto,
-		up:        e.cfg.Clock.Now(),
-		master:    old.master,
-		initiator: old.initiator,
-		baseSPI:   old.baseSPI,
-		ep:        old.ep,
-	}
-	p.lastRx.Store(p.up.UnixNano())
-	e.setPeer(oldKey, nil)
-	e.setPeer(newKey, p)
-	e.mu.Unlock()
-	return p.crypto.TX.Rotate()
-}
-
 // Send encodes hdr and sends it with payload over the pipe local→remote.
+// The header is encoded into the same pooled buffer the packet is sealed in.
 func (e *Engine) Send(local, remote wire.Addr, hdr *wire.ILPHeader, payload []byte) error {
 	sb := e.sealBufs.Get().(*sealBuf)
 	enc, err := sb.encodeHeader(hdr)
@@ -743,9 +1013,10 @@ func (e *Engine) Send(local, remote wire.Addr, hdr *wire.ILPHeader, payload []by
 }
 
 // SendHeaderBytes sends an already-encoded ILP header with payload over the
-// pipe local→remote. Like Manager.SendHeaderBytes it builds the framed
-// packet in a pooled buffer: the steady state performs no allocations
-// beyond whatever the transport does with the datagram.
+// pipe local→remote. This is the forwarding fast path, which re-seals
+// decrypted header bytes without re-parsing them. The framed output packet is
+// built in a pooled buffer, so the steady state performs no allocations here;
+// the transport copies it for the receiver (wire.RxCopy).
 func (e *Engine) SendHeaderBytes(local, remote wire.Addr, hdrBytes, payload []byte) error {
 	return e.sealAndSend(e.sealBufs.Get().(*sealBuf), local, remote, hdrBytes, payload)
 }
@@ -765,23 +1036,29 @@ func (e *Engine) sealAndSend(sb *sealBuf, local, remote wire.Addr, hdrBytes, pay
 		return err
 	}
 	sb.buf = sealed
+	// Transports must not retain dg.Payload after Send returns (netsim
+	// copies it into the receiver's queue; UDP encodes before writing), so
+	// the buffer can go straight back into the pool.
 	if err := e.cfg.Transport.Send(wire.Datagram{Src: local, Dst: remote, Payload: sealed}); err != nil {
 		return err
 	}
-	e.txPackets.Add(1)
+	p.txPackets.Add(1)
+	p.txBytes.Add(uint64(len(sealed)))
 	return nil
 }
 
 // keepaliveLoop is the single liveness sweep shared by every pipe of every
-// endpoint: probe pipes idle past the keepalive interval, declare pipes
-// idle past DeadAfter dead. One goroutine regardless of fleet size.
+// endpoint: probe pipes idle past the keepalive interval, declare pipes idle
+// past DeadAfter dead. One goroutine regardless of fleet size. It ticks at
+// half the keepalive interval on the configured clock, so a Manual clock
+// drives liveness deterministically in tests.
 func (e *Engine) keepaliveLoop() {
 	defer e.wg.Done()
 	tick := e.cfg.KeepaliveInterval / 2
 	if tick <= 0 {
 		tick = e.cfg.KeepaliveInterval
 	}
-	var sweep []*enginePeer
+	var sweep []*peer
 	for {
 		select {
 		case <-e.done:
@@ -790,14 +1067,7 @@ func (e *Engine) keepaliveLoop() {
 		}
 		now := e.cfg.Clock.Now()
 		sweep = sweep[:0]
-		for i := range e.shards {
-			sh := &e.shards[i]
-			sh.mu.RLock()
-			for _, p := range sh.m {
-				sweep = append(sweep, p)
-			}
-			sh.mu.RUnlock()
-		}
+		e.eachPeer(wire.Addr{}, func(p *peer) { sweep = append(sweep, p) })
 		for _, p := range sweep {
 			idle := now.Sub(time.Unix(0, p.lastRx.Load()))
 			switch {
@@ -812,9 +1082,12 @@ func (e *Engine) keepaliveLoop() {
 	}
 }
 
-func (e *Engine) peerDead(p *enginePeer) {
+// peerDead removes a pipe that failed liveness, notifies OnPeerDown, and
+// (with Reestablish) starts the automatic re-establishment loop.
+func (e *Engine) peerDead(p *peer) {
 	e.mu.Lock()
 	if e.peer(p.key) != p {
+		// Already replaced or removed by a concurrent path.
 		e.mu.Unlock()
 		return
 	}
@@ -823,6 +1096,58 @@ func (e *Engine) peerDead(p *enginePeer) {
 	e.peersLost.Add(1)
 	if p.ep.cfg.OnPeerDown != nil {
 		p.ep.cfg.OnPeerDown(p.key.remote, p.identity)
+	}
+	if e.cfg.Reestablish {
+		e.reestablishAsync(p.key)
+	}
+}
+
+// reestablishAsync starts (at most one) background re-handshake loop for
+// key.
+func (e *Engine) reestablishAsync(key pipeKey) {
+	e.mu.Lock()
+	if e.closed || e.redialing[key] {
+		e.mu.Unlock()
+		return
+	}
+	e.redialing[key] = true
+	e.wg.Add(1)
+	e.mu.Unlock()
+	go e.reestablish(key)
+}
+
+// reestablish re-handshakes key with capped exponential backoff between
+// rounds until the pipe is up (by any path), its endpoint is removed, or the
+// engine closes. The fresh handshake derives a new master secret, so the
+// re-established pipe's key epochs restart from zero.
+func (e *Engine) reestablish(key pipeKey) {
+	defer e.wg.Done()
+	defer func() {
+		e.mu.Lock()
+		delete(e.redialing, key)
+		e.mu.Unlock()
+	}()
+	for {
+		if e.HasPeer(key.local, key.remote) {
+			e.reestablished.Add(1)
+			return
+		}
+		err := e.Connect(key.local, key.remote)
+		if err == nil {
+			e.reestablished.Add(1)
+			return
+		}
+		if errors.Is(err, ErrManagerClosed) || e.endpoint(key.local) == nil {
+			return
+		}
+		// Each Connect already retried with backoff; wait a further
+		// jittered max-backoff round before trying again so a long
+		// partition doesn't turn into a handshake flood.
+		select {
+		case <-e.cfg.Clock.After(e.retry.Jitter(e.retry.max)):
+		case <-e.done:
+			return
+		}
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 type loopTransport struct {
 	eng           *Engine
 	inline        bool
+	inlineRun     rxRun
 	inlineScratch psp.Scratch
 
 	mu     sync.Mutex
@@ -34,7 +35,8 @@ func newLoopTransport(depth int) *loopTransport {
 
 func (t *loopTransport) Send(dg wire.Datagram) error {
 	if t.inline {
-		t.eng.dispatch(dg, &t.inlineScratch)
+		t.inlineRun.dgs = append(t.inlineRun.dgs[:0], dg)
+		t.eng.dispatchBatch(nil, &t.inlineRun, &t.inlineScratch)
 		return nil
 	}
 	cp := make([]byte, len(dg.Payload))

@@ -40,16 +40,17 @@ var (
 	ErrPeerExists = errors.New("pipe: peer already established")
 )
 
-// ExportPeer snapshots the established pipe to addr as portable state. The
-// pipe remains usable afterwards; a draining caller typically follows up
-// with DropPeer once the state has been delivered to the successor.
-func (m *Manager) ExportPeer(addr wire.Addr) (PipeState, error) {
-	p := m.peer(addr)
+// ExportPeer snapshots the established pipe local→remote as portable
+// state. The pipe remains usable afterwards; a draining caller typically
+// follows up with DropPeer once the state has been delivered to the
+// successor.
+func (e *Engine) ExportPeer(local, remote wire.Addr) (PipeState, error) {
+	p := e.peer(pipeKey{local: local, remote: remote})
 	if p == nil {
-		return PipeState{}, fmt.Errorf("%w: %s", ErrNoPipe, addr)
+		return PipeState{}, fmt.Errorf("%w: %s", ErrNoPipe, remote)
 	}
 	return PipeState{
-		Addr:      p.addr,
+		Addr:      remote,
 		Identity:  p.identity,
 		Master:    p.master,
 		Initiator: p.initiator,
@@ -59,81 +60,91 @@ func (m *Manager) ExportPeer(addr wire.Addr) (PipeState, error) {
 	}, nil
 }
 
-// ImportPeer installs an established pipe from exported state, resuming TX
-// one epoch above the exporter's (fresh IV space) and RX at the peer's
-// current sending epoch. Receivers accept any newer epoch, so the peer
-// needs no notification to keep the pipe flowing.
+// ImportPeer installs an established pipe from local to state.Addr from
+// exported state, resuming TX one epoch above the exporter's (fresh IV
+// space) and RX at the peer's current sending epoch. Receivers accept any
+// newer epoch, so the peer needs no notification to keep the pipe flowing.
 //
-// If a pipe to state.Addr already exists, ImportPeer refuses with
-// ErrPeerExists and changes nothing: a concurrent full handshake (e.g. the
-// peer re-established on its own while the handoff was in flight) carries
-// fresher keys than the export, and must win. Handshake establishment, by
-// contrast, always replaces — both ends install the same fresh result, so
-// every race converges with exactly one live key schedule per pipe.
-func (m *Manager) ImportPeer(state PipeState) error {
+// If the pipe already exists, ImportPeer refuses with ErrPeerExists and
+// changes nothing: a concurrent full handshake (e.g. the peer re-established
+// on its own while the handoff was in flight) carries fresher keys than the
+// export, and must win. Handshake establishment, by contrast, always
+// replaces — both ends install the same fresh result, so every race
+// converges with exactly one live key schedule per pipe.
+func (e *Engine) ImportPeer(local wire.Addr, state PipeState) error {
+	ep := e.endpoint(local)
+	if ep == nil {
+		return fmt.Errorf("pipe: no endpoint %s on engine", local)
+	}
 	crypto, err := psp.NewPipeCryptoAt(state.Master, state.Initiator, state.BaseSPI,
 		state.TxEpoch+1, state.RxEpoch)
 	if err != nil {
 		return err
 	}
+	key := pipeKey{local: local, remote: state.Addr}
 	p := &peer{
-		addr:      state.Addr,
+		key:       key,
 		identity:  state.Identity,
 		crypto:    crypto,
-		up:        m.cfg.Clock.Now(),
+		up:        e.cfg.Clock.Now(),
 		master:    state.Master,
 		initiator: state.Initiator,
 		baseSPI:   state.BaseSPI,
+		ep:        ep,
 	}
 	p.lastRx.Store(p.up.UnixNano())
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
 		return ErrManagerClosed
 	}
-	if m.peer(state.Addr) != nil {
+	if e.peer(key) != nil {
 		return fmt.Errorf("%w: %s", ErrPeerExists, state.Addr)
 	}
-	m.setPeer(state.Addr, p)
+	e.setPeer(key, p)
 	return nil
 }
 
-// RebindPeer moves an established pipe from oldAddr to newAddr, keeping its
-// keys: the host side of a drain, invoked when the serving SN announces its
-// successor (SvcPipeMove). The sending epoch rotates so the successor's
-// fresh replay window only ever sees new IVs from us.
+// RebindPeer moves the endpoint's established pipe from oldRemote to
+// newRemote, keeping its keys: the host side of a drain, invoked when the
+// serving SN announces its successor (SvcPipeMove). The sending epoch
+// rotates so the successor's fresh replay window only ever sees new IVs from
+// us.
 //
-// Like ImportPeer it refuses to clobber: if a pipe to newAddr already
+// Like ImportPeer it refuses to clobber: if a pipe to newRemote already
 // exists (a full handshake with the successor raced the move and won, with
 // fresher keys), the rebind fails with ErrPeerExists and the old entry is
 // left alone for normal teardown.
-func (m *Manager) RebindPeer(oldAddr, newAddr wire.Addr) error {
-	m.mu.Lock()
-	old := m.peer(oldAddr)
+func (e *Engine) RebindPeer(local, oldRemote, newRemote wire.Addr) error {
+	oldKey := pipeKey{local: local, remote: oldRemote}
+	newKey := pipeKey{local: local, remote: newRemote}
+	e.mu.Lock()
+	old := e.peer(oldKey)
 	if old == nil {
-		m.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrNoPipe, oldAddr)
+		e.mu.Unlock()
+		return fmt.Errorf("%w: %s", ErrNoPipe, oldRemote)
 	}
-	if m.peer(newAddr) != nil {
-		m.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrPeerExists, newAddr)
+	if e.peer(newKey) != nil {
+		e.mu.Unlock()
+		return fmt.Errorf("%w: %s", ErrPeerExists, newRemote)
 	}
 	p := &peer{
-		addr:      newAddr,
+		key:       newKey,
 		identity:  old.identity,
 		crypto:    old.crypto,
-		up:        m.cfg.Clock.Now(),
+		up:        e.cfg.Clock.Now(),
 		master:    old.master,
 		initiator: old.initiator,
 		baseSPI:   old.baseSPI,
+		ep:        old.ep,
 	}
 	p.txPackets.Store(old.txPackets.Load())
 	p.rxPackets.Store(old.rxPackets.Load())
 	p.txBytes.Store(old.txBytes.Load())
 	p.rxBytes.Store(old.rxBytes.Load())
 	p.lastRx.Store(p.up.UnixNano())
-	m.setPeer(oldAddr, nil)
-	m.setPeer(newAddr, p)
-	m.mu.Unlock()
+	e.setPeer(oldKey, nil)
+	e.setPeer(newKey, p)
+	e.mu.Unlock()
 	return p.crypto.TX.Rotate()
 }

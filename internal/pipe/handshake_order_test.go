@@ -16,7 +16,7 @@ import (
 // data packet — has happened by the time the sender's Send comes back. It
 // keeps the transport contract (the receiver gets its own copy).
 type syncLoop struct {
-	addr    wire.Addr           // stamped as Src for a Manager; invalid under an Engine, which stamps its own
+	addr    wire.Addr           // the one address of a single-address transport; invalid for a mux
 	deliver func(wire.Datagram) // the peer stack's receive path
 	rx      chan wire.Datagram  // never fed: the stack's own receive loop idles on it
 	once    sync.Once
@@ -44,6 +44,15 @@ func (l *syncLoop) Close() error {
 	return nil
 }
 
+// dispatchInto returns e's receive path for one datagram, run on the
+// caller's goroutine.
+func dispatchInto(e *Engine) func(wire.Datagram) {
+	return func(dg wire.Datagram) {
+		var scratch psp.Scratch
+		e.dispatchBatch(nil, &rxRun{dgs: []wire.Datagram{dg}}, &scratch)
+	}
+}
+
 // TestPipeIsInstalledBeforeMsg2Leaves: a responder must have the pipe in its
 // table before the reply that announces it is on the wire. Over a synchronous
 // loopback everything msg2 causes happens inside the responder's Send — the
@@ -51,7 +60,9 @@ func (l *syncLoop) Close() error {
 // thing that knows) it sends its first data packet, which reaches the
 // responder while that Send is still on the stack. A responder that replies
 // first and installs second has no pipe for it, every time; one that installs
-// first delivers it, every time. One body, both pipe stacks.
+// first delivers it, every time. One body, one stack, driven two ways:
+// "manager" is two nodes from New on their own single-address transports,
+// "engine" two endpoints of one engine on a shared transport.
 func TestPipeIsInstalledBeforeMsg2Leaves(t *testing.T) {
 	a, b := wire.MustAddr("fd00::a"), wire.MustAddr("fd00::b")
 	identity := func(t *testing.T) handshake.Identity {
@@ -80,13 +91,7 @@ func TestPipeIsInstalledBeforeMsg2Leaves(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { mb.Close() })
-			into := func(m *Manager) func(wire.Datagram) {
-				return func(dg wire.Datagram) {
-					var scratch psp.Scratch
-					m.dispatchBatch(m, &rxRun{dgs: []wire.Datagram{dg}}, &scratch)
-				}
-			}
-			ta.deliver, tb.deliver = into(mb), into(ma)
+			ta.deliver, tb.deliver = dispatchInto(mb.eng), dispatchInto(ma.eng)
 			return func() error { return ma.Connect(b) },
 				func(hdr *wire.ILPHeader, payload []byte) error { return ma.Send(b, hdr, payload) }
 		}},
@@ -97,10 +102,7 @@ func TestPipeIsInstalledBeforeMsg2Leaves(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { e.Close() })
-			tr.deliver = func(dg wire.Datagram) {
-				var scratch psp.Scratch
-				e.dispatch(dg, &scratch)
-			}
+			tr.deliver = dispatchInto(e)
 			if err := e.AddEndpoint(EndpointConfig{Addr: a, Identity: identity(t), OnPeerUp: onUp}); err != nil {
 				t.Fatal(err)
 			}

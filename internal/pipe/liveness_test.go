@@ -73,6 +73,8 @@ func TestDeadPeerDetectionFiresOnPeerDown(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	// OnPeerDown runs after the pipe has left the table.
+	waitFor(t, "OnPeerDown", func() bool { return downs.Load() != 0 })
 	if downs.Load() != 1 {
 		t.Fatalf("OnPeerDown fired %d times, want 1", downs.Load())
 	}
@@ -89,7 +91,6 @@ func TestReestablishAfterPartitionHeals(t *testing.T) {
 	opt := func(c *Config) {
 		c.KeepaliveInterval = 20 * time.Millisecond
 		c.HandshakeTimeout = 10 * time.Millisecond
-		c.HandshakeBackoffMax = 40 * time.Millisecond
 		c.HandshakeRetries = 3
 		c.Reestablish = true
 	}
@@ -148,7 +149,6 @@ func TestHandshakeBackoffMetricsAndFailure(t *testing.T) {
 	net := netsim.NewNetwork()
 	a := newNode(t, net, "fd00::1", func(c *Config) {
 		c.HandshakeTimeout = 5 * time.Millisecond
-		c.HandshakeBackoffMax = 20 * time.Millisecond
 		c.HandshakeRetries = 4
 	})
 	start := time.Now()
@@ -163,8 +163,8 @@ func TestHandshakeBackoffMetricsAndFailure(t *testing.T) {
 	if st.HandshakeFailures != 1 {
 		t.Fatalf("HandshakeFailures = %d, want 1", st.HandshakeFailures)
 	}
-	// Backoff schedule: jittered [d/2, d) waits for d = 5, 10, 20, 20ms —
-	// total in [27.5ms, 55ms). Allow slack above, but the cap must hold.
+	// Backoff schedule: jittered [d/2, d) waits for d = 5, 10, 20, 40ms —
+	// total in [37.5ms, 75ms). Allow slack above, but the cap must hold.
 	if elapsed > 500*time.Millisecond {
 		t.Fatalf("backoff not capped: took %v", elapsed)
 	}
@@ -177,18 +177,19 @@ func TestBackoffDoublesAndCaps(t *testing.T) {
 	net := netsim.NewNetwork()
 	a := newNode(t, net, "fd00::1", func(c *Config) {
 		c.HandshakeTimeout = 10 * time.Millisecond
-		c.HandshakeBackoffMax = 40 * time.Millisecond
 	})
+	// The cap is 8×HandshakeTimeout.
 	wantMax := []time.Duration{
 		10 * time.Millisecond, // attempt 0
 		20 * time.Millisecond, // attempt 1
 		40 * time.Millisecond, // attempt 2
-		40 * time.Millisecond, // attempt 3: capped
-		40 * time.Millisecond, // attempt 9: still capped
+		80 * time.Millisecond, // attempt 3: capped
+		80 * time.Millisecond, // attempt 4: still capped
+		80 * time.Millisecond, // attempt 9: still capped
 	}
-	for i, attempt := range []int{0, 1, 2, 3, 9} {
+	for i, attempt := range []int{0, 1, 2, 3, 4, 9} {
 		for trial := 0; trial < 20; trial++ {
-			d := a.mgr.backoff(attempt)
+			d := a.mgr.eng.retry.Attempt(attempt)
 			if d < wantMax[i]/2 || d >= wantMax[i] {
 				t.Fatalf("backoff(%d) = %v, want in [%v, %v)", attempt, d, wantMax[i]/2, wantMax[i])
 			}
@@ -202,7 +203,7 @@ func TestJitterSeedIsDeterministicPerNode(t *testing.T) {
 		a := newNode(t, net, "fd00::1")
 		out := make([]time.Duration, 8)
 		for i := range out {
-			out[i] = a.mgr.jitter(100 * time.Millisecond)
+			out[i] = a.mgr.eng.retry.Jitter(100 * time.Millisecond)
 		}
 		return out
 	}

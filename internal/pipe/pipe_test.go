@@ -105,6 +105,20 @@ func TestBidirectionalAfterSingleHandshake(t *testing.T) {
 	}
 }
 
+// waitFor polls cond until it holds. Counters and callbacks are updated
+// after the packet or the table change they report becomes visible, so a
+// test that has just observed one waits for the other.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: never happened", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func waitPeer(t *testing.T, m *Manager, addr wire.Addr) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)

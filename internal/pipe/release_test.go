@@ -32,10 +32,12 @@ func TestRxPacketReleaseOnce(t *testing.T) {
 
 // TestConsumedDatagramsGoBackToThePool: what the pipe layer consumes itself
 // never becomes garbage. Each round sends the receiver a forged ILP datagram
-// (fails to open), a liveness probe (answered below the handler; the ack is
-// consumed by the sender's own manager) and one good packet to wait on. Only
+// (the pipe's SPI, fails to open), a flood of forgeries naming another
+// pipe's SPI, a liveness probe (answered below the handler; the ack is
+// consumed by the sender's own engine) and one good packet to wait on. Only
 // the good packet's buffer leaves the pool — its handler owns it — so a round
-// costs that one allocation on either pipe stack, not four.
+// costs that one allocation, whether the receiver is a node from New on its
+// own transport ("manager") or an endpoint of an engine on a mux ("engine").
 func TestConsumedDatagramsGoBackToThePool(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime changes sync.Pool retention and alloc counts")
@@ -84,22 +86,31 @@ func TestConsumedDatagramsGoBackToThePool(t *testing.T) {
 			if err := src.mgr.Connect(dst); err != nil {
 				t.Fatal(err)
 			}
+			back := src.mgr.eng.peer(pipeKey{local: src.addr, remote: dst})
 			// A forgery good enough to be decrypted: the pipe's own SPI, a
 			// fresh IV, a plausible length — and no valid tag.
 			forged := make([]byte, 91)
 			forged[0] = byte(wire.FrameILP)
-			binary.BigEndian.PutUint32(forged[1:], src.mgr.peer(dst).baseSPI)
+			binary.BigEndian.PutUint32(forged[1:], back.baseSPI)
 			binary.BigEndian.PutUint64(forged[5:], 1<<40)
 			binary.BigEndian.PutUint16(forged[13:], 30)
+			// The same forgery naming another pipe: refused on its SPI.
+			wrongSPI := append([]byte(nil), forged...)
+			binary.BigEndian.PutUint32(wrongSPI[1:], back.baseSPI^0x100)
 			probe := wire.ILPHeader{Service: wire.SvcPipeProbe}
 			good := wire.ILPHeader{Service: wire.SvcNull, Conn: 1}
 			payload := make([]byte, 60)
 			lost := time.After(30 * time.Second)
-			back := src.mgr.peer(dst)
 			acks := back.rxPackets.Load()
+			tr := src.mgr.eng.cfg.Transport
 			round := func() {
-				if err := src.mgr.cfg.Transport.Send(wire.Datagram{Dst: dst, Payload: forged}); err != nil {
+				if err := tr.Send(wire.Datagram{Dst: dst, Payload: forged}); err != nil {
 					t.Fatal(err)
+				}
+				for k := 0; k < 8; k++ {
+					if err := tr.Send(wire.Datagram{Dst: dst, Payload: wrongSPI}); err != nil {
+						t.Fatal(err)
+					}
 				}
 				if err := src.mgr.Send(dst, &probe, nil); err != nil {
 					t.Fatal(err)
@@ -112,7 +123,7 @@ func TestConsumedDatagramsGoBackToThePool(t *testing.T) {
 				case <-lost:
 					t.Fatal("the good packet never arrived")
 				}
-				// The round ends when the sender's own manager has consumed
+				// The round ends when the sender's own engine has consumed
 				// the ack (the only thing the receiver ever sends it).
 				for acks++; back.rxPackets.Load() < acks; runtime.Gosched() {
 					select {
@@ -126,7 +137,7 @@ func TestConsumedDatagramsGoBackToThePool(t *testing.T) {
 				round()
 			}
 			allocs := testing.AllocsPerRun(300, round)
-			t.Logf("forged + probe + ack + good packet: %.2f allocations", allocs)
+			t.Logf("forged + 8 wrong-SPI + probe + ack + good packet: %.2f allocations", allocs)
 			if allocs > 1 {
 				t.Errorf("a round allocated %.2f times, want <= 1 (the good packet's buffer, which its handler keeps)", allocs)
 			}

@@ -159,3 +159,67 @@ func TestSendHeaderBytesAllocs(t *testing.T) {
 		t.Fatalf("SendHeaderBytes allocated %.1f times per op, want <= 1 (transport copy)", allocs)
 	}
 }
+
+// TestRxWorkerOwnsSourceCacheShard pins the affinity an SN's decision cache
+// relies on: on a one-endpoint engine with n RX workers, every source's
+// packets reach one worker, and that worker is the only one handling any
+// source of the same cache.NewSourceAffine shard — the cache stripes by
+// wire.ShardIndex(src, n), so the worker hash must agree with it. Each
+// worker hands its handler its own egress, which names the worker here.
+func TestRxWorkerOwnsSourceCacheShard(t *testing.T) {
+	const workers = 4
+	const senders = 24
+	const perSender = 20
+	net := netsim.NewNetwork()
+	var mu sync.Mutex
+	workerOf := make(map[wire.Addr]Sender) // source → the tx its packets came with
+	got := 0
+	done := make(chan struct{})
+	b := newNode(t, net, "fd00::b", func(c *Config) {
+		c.RxWorkers = workers
+		c.Handler = func(tx Sender, src wire.Addr, _ wire.ILPHeader, _, _ []byte) {
+			mu.Lock()
+			defer mu.Unlock()
+			if prev, ok := workerOf[src]; ok && prev != tx {
+				t.Errorf("source %s reached two workers", src)
+			}
+			workerOf[src] = tx
+			if got++; got == senders*perSender {
+				close(done)
+			}
+		}
+	})
+	for i := 0; i < senders; i++ {
+		n := newNode(t, net, fmt.Sprintf("fd00::1:%x", i))
+		if err := n.mgr.Connect(b.addr); err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < perSender; k++ {
+			if err := n.mgr.Send(b.addr, &wire.ILPHeader{Service: wire.SvcNull, Conn: 1}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("not every packet arrived")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	workerOfShard := make(map[int]Sender)
+	shardOfWorker := make(map[Sender]int)
+	for src, tx := range workerOf {
+		shard := wire.ShardIndex(src, workers)
+		if w, ok := workerOfShard[shard]; ok && w != tx {
+			t.Errorf("cache shard %d is handled by two workers", shard)
+		}
+		if s, ok := shardOfWorker[tx]; ok && s != shard {
+			t.Errorf("one worker handles cache shards %d and %d", s, shard)
+		}
+		workerOfShard[shard], shardOfWorker[tx] = tx, shard
+	}
+	if len(workerOfShard) != workers {
+		t.Fatalf("senders covered %d of %d cache shards; the test needs them all", len(workerOfShard), workers)
+	}
+}

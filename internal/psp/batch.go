@@ -175,7 +175,7 @@ func (r *RX) OpenBatch(s *Scratch, pkts [][]byte, out []OpenResult) {
 		var ph wire.PSPHeader
 		hn, err := ph.DecodeFromBytes(pkts[i])
 		if err == nil && ph.SPI&^uint32(epochMask) != r.baseSPI {
-			err = fmt.Errorf("psp: SPI %#x does not match pipe base %#x", ph.SPI, r.baseSPI)
+			err = ErrBadSPI
 		}
 		if err == nil && len(pkts[i]) < hn+2 {
 			err = wire.ErrTruncated

@@ -53,6 +53,10 @@ var (
 	ErrBadEpoch   = errors.New("psp: packet epoch not current or previous")
 	ErrReplay     = errors.New("psp: replayed or too-old IV")
 	ErrAuthFailed = errors.New("psp: authentication failed")
+	// ErrBadSPI rejects a packet whose SPI names another pipe. It is a
+	// sentinel, not a formatted error, so a flood of wrong-SPI packets
+	// makes no garbage.
+	ErrBadSPI = errors.New("psp: SPI does not match pipe")
 )
 
 func epochKey(master cryptutil.Key, dir Direction, epoch uint32) (cipher.AEAD, error) {
@@ -431,7 +435,7 @@ func (r *RX) OpenScratch(s *Scratch, packet []byte) (hdrPlain, payload []byte, e
 		return nil, nil, err
 	}
 	if ph.SPI&^uint32(epochMask) != r.baseSPI {
-		return nil, nil, fmt.Errorf("psp: SPI %#x does not match pipe base %#x", ph.SPI, r.baseSPI)
+		return nil, nil, ErrBadSPI
 	}
 	if len(packet) < n+2 {
 		return nil, nil, wire.ErrTruncated

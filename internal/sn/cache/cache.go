@@ -164,8 +164,8 @@ type Cache struct {
 	shards []*shard
 	mask   uint64
 	// srcAffine selects shards by wire.ShardIndex over the flow source
-	// alone, mirroring the pipe manager's RX-worker sharding so worker i
-	// exclusively owns shard i (NewSourceAffine).
+	// alone, mirroring the pipe engine's RX-worker sharding so each worker
+	// exclusively owns one shard (NewSourceAffine).
 	srcAffine bool
 }
 
@@ -201,8 +201,9 @@ func NewSharded(capacity, shards int) *Cache {
 }
 
 // NewSourceAffine creates a cache with exactly `workers` shards selected
-// by the flow's source address via wire.ShardIndex — the same hash the
-// pipe manager uses to pick the RX worker for a source. With one cache
+// by the flow's source address via wire.ShardIndex — the same hash, up to
+// a fixed rotation, the pipe engine of a one-address node uses to pick the
+// RX worker for a source. With one cache
 // shard per RX worker, every fast-path lookup lands on the shard its
 // worker exclusively owns: the shard's lock and CLOCK state stay in that
 // worker's cache hierarchy instead of bouncing between cores. The shard

@@ -266,9 +266,10 @@ func New(cfg Config) (*SN, error) {
 	}
 	// The decision cache is sharded source-affine with exactly one shard per
 	// pipe rx worker (mirroring pipe.New's worker-count defaulting): both
-	// sides hash sources with wire.ShardIndex, so the worker handling a
-	// source is the only one touching that source's shard and fast-path
-	// lookups never contend across workers.
+	// sides hash sources with wire.ShardIndex — the pipe engine rotates it by
+	// a constant for the SN's one address — so the worker handling a source
+	// is the only one touching that source's shard and fast-path lookups
+	// never contend across workers.
 	workers := cfg.RxWorkers
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -578,7 +579,7 @@ func (s *SN) Inject(src wire.Addr, hdr wire.ILPHeader, payload []byte) {
 // handlePacket is the pipe-terminus (§4, Figure 2): decrypted packets
 // arrive here, consult the decision cache, and either execute the cached
 // action (fast path) or go to the service module (slow path). It runs
-// concurrently on the pipe manager's sharded rx workers — one worker per
+// concurrently on the pipe engine's sharded rx workers — one worker per
 // source address — so per-flow order is preserved without any lock here.
 // hdrRaw is the encoded header as it arrived; hdr.Data and hdrRaw alias
 // the calling worker's scratch buffer and are only valid until return,

@@ -40,7 +40,7 @@ func MustAddr(s string) Addr {
 }
 
 // ShardIndex maps an address onto one of n shards (FNV-1a over the
-// 16-byte form). Both the pipe manager's RX-worker sharding and the
+// 16-byte form). Both the pipe engine's RX-worker sharding and the
 // decision cache's source-affine striping use this same function, so the
 // worker that owns a source also owns that source's cache shard — lookups
 // from the fast path never touch a shard another worker is writing.
@@ -80,7 +80,7 @@ const (
 	SvcPeering ServiceID = 0x02
 	// SvcPipeProbe and SvcPipeProbeAck carry pipe-liveness keepalives.
 	// They are sealed like any ILP packet — an ack proves the peer still
-	// holds the pipe keys — but are consumed inside the pipe manager and
+	// holds the pipe keys — but are consumed inside the pipe engine and
 	// never reach a PacketHandler.
 	SvcPipeProbe    ServiceID = 0x03
 	SvcPipeProbeAck ServiceID = 0x04

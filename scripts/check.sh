@@ -11,34 +11,38 @@
 #
 # KNOWN_FLAKY — every test that failed in 5 x `go test ./...` (plain) or
 # 5 x `go test -race -short ./...` (race) at this tree, by name and count
-# (2 vCPUs, shared box, PR 23). The list is meant to shrink (ROADMAP items 1
-# and 3): a test not named here that fails is a regression, and a PR that
-# fixes one deletes its row. "alone" = the test by itself, this tree vs parent.
+# (2 vCPUs, shared box). Rows at 0/5 failed in the previous sweep, whose
+# counts follow "prev:", and are not known fixed. The list is meant to
+# shrink (ROADMAP items 1 and 3): a test not named here that fails is a
+# regression, and a change that fixes one deletes its row. "alone" = the
+# test by itself, this tree vs parent.
 #
 #   test                                                      plain  race   note
-#   chaos  TestSoakMultiEdomainChaos/seed={1,7,42}            5/5    5/5    fails every run on both trees (also alone)
-#   soak   TestSoakScenarios/sn-crash-failover/seed1          5/5    1/5    wall-clock: manual clock vs real goroutines (item 3)
-#   soak   TestSoakScenarios/sn-crash-failover/seed7          5/5    0/5    "
-#   soak   TestSoakScenarios/sn-crash-failover/seed42         4/5    0/5    "
-#   soak   TestSoakScenarios/steady-diurnal/seed1             5/5    0/5    " (race -short runs seed1 of each scenario only: "-")
-#   soak   TestSoakScenarios/steady-diurnal/seed{7,42}        2/5    -      "
-#   soak   TestSoakScenarios/degrade-recover/seed1            3/5    0/5    "
-#   soak   TestSoakScenarios/degrade-recover/seed{7,42}       1/5    -      "
-#   soak   TestSoakScenarios/sn-drain-rolling/seed42          2/5    -      "
-#   soak   TestSoakScenarios/sn-drain-rolling/seed{1,7}       1/5    0/5    "
-#   soak   TestSoakScenarios/loss-burst-access/seed{1,7,42}   1/5    0/5    "
-#   soak   TestFleetScale                                     0/5    4/5    fast-path share 0.58-0.59 vs gate 0.6; alone 0/3, parent 2/3
-#   lab    TestWarmFlowFollowsRepublishedDestination          3/5    1/5    a late watch event drops the warm rule; alone x40: 15, parent 24
-#   lab    TestPlacementDownReaddRebalances                   0/5    5/5    publish order after re-add; alone x15: 13, parent 15
-#   bench  TestTable1Shape                                    0/5    1/5    compares two wall-clock latencies (58.0 vs 56.8 us)
-#   pipe   TestSimultaneousOpen                               0/5    0/5    alone x250 under -race: 3 % (parent 10 %): a msg1 sent after
+#   soak   TestSoakScenarios/sn-crash-failover/seed{1,7,42}   5/5    0/5    wall-clock: manual clock vs real goroutines (item 3)
+#   soak   TestSoakScenarios/steady-diurnal/seed1             0/5    0/5    " (race -short runs seed1 of each scenario only: "-"); prev: 5/5
+#   soak   TestSoakScenarios/steady-diurnal/seed{7,42}        0/5    -      "; prev: 2/5
+#   soak   TestSoakScenarios/degrade-recover/seed1            0/5    0/5    "; prev: 3/5
+#   soak   TestSoakScenarios/degrade-recover/seed{7,42}       0/5    -      "; prev: 1/5
+#   soak   TestSoakScenarios/sn-drain-rolling/seed42          1/5    -      "
+#   soak   TestSoakScenarios/sn-drain-rolling/seed{1,7}       0/5    0/5    "; prev: 1/5
+#   soak   TestSoakScenarios/loss-burst-access/seed{1,7}      1/5    0/5    " (one run each)
+#   soak   TestSoakScenarios/loss-burst-access/seed42         0/5    -      "; prev: 1/5
+#   soak   TestFleetScale                                     0/5    5/5    fast-path share 0.29-0.59 vs gate 0.6 under -race
+#   lab    TestWarmFlowFollowsRepublishedDestination          2/5    0/5    a late watch event drops the warm rule (item 1)
+#   lab    TestPlacementDownReaddRebalances                   0/5    5/5    publish order after re-add (item 1)
+#   bench  TestTable1Shape                                    0/5    0/5    compares two wall-clock latencies; prev: 1/5 race
+#   pipe   TestSimultaneousOpen                               0/5    0/5    alone x250 under -race: 3 % (prev): a msg1 sent after
 #                                                                           its sender answered the peer's replaces the agreed keys
 #
-# No longer flaky since the handshake fix of PR 23 (0/10 plain+race here and
-# 0/10 each alone under -race; parent alone under -race: 4/10, 3/10, 1/10):
-# lab.TestHostMobilityAcrossEdomains, sn.TestDrainMidHandshakeSingleKeyEpoch,
-# host.TestUnclaimedCounted / TestServiceHandlerReceivesUnclaimed; and
-# benchmark.TestSmoke, bench.TestTable1NoService (0/10 in the sweeps).
+# Fixed since the previous sweep: chaos.TestSoakMultiEdomainChaos (its leak
+# gate measured a topology the test still held; 0/10 here). Three tests read
+# a counter or a callback the moment the packet or table change it reports
+# became visible; they now wait for it. Alone under -race, this tree before the fix vs
+# parent: pipe.TestEgressImmediateFlushAtLowLoad 12/40 vs 11/40,
+# pipe.TestDeadPeerDetectionFiresOnPeerDown 5/150 vs 0/150 (a reader blocked
+# on the peer-table shard lock wakes the instant the dead pipe leaves it,
+# before OnPeerDown runs), sn.TestForwardRequeuesWhileEstablishing 0/150 vs
+# 1/150; in this sweep they failed 2/5, 1/5 and 1/5 under -race.
 set -u
 
 cd "$(dirname "$0")/.."
@@ -103,7 +107,7 @@ run "slow-path dispatcher: close race, worker ownership, queue order and depth (
 	go test -race -count=10 -timeout 180s \
 	-run 'TestDispatcher|TestInProcessModuleOwnsItsWorkersOnly|TestSlowPath' \
 	./internal/sn/
-run "allocation budgets: echo round trip <= 3, fast-path delivery <= 1 over one SN and over two (fleet), a pool miss = 1, consumed datagrams = 0, wire.Datagram = 72 bytes" \
+run "allocation budgets: echo round trip <= 3, fast-path delivery <= 1 over one SN and over two (fleet), a pool miss = 1, consumed datagrams (forged, wrong-SPI, probes) = 0, wire.Datagram = 72 bytes" \
 	go test -count=1 -v \
 	-run 'TestEchoRoundTripAllocs|TestFastPathDeliveryAllocs|TestFleetTwoSNDeliveryAllocs|TestRxCopyMissCostsOneAllocation|TestRxClassesMatchTheAllocator|TestConsumedDatagramsGoBackToThePool|TestDatagramStaysThreeWords' \
 	./internal/lab/ ./internal/wire/ ./internal/pipe/
@@ -111,7 +115,9 @@ run "receive-buffer release safety (race-detected: released buffers are overwrit
 	go test -race -count=3 -timeout 300s \
 	-run 'TestReceivedPayloadIsTheReceivers|TestRetainedPayloadSurvivesLaterPackets|TestReleasedBuffersAreNeverSeenAgain|TestRxPacketReleaseOnce|TestRxCopyReusesWhatWasReleased|TestFastPathDeliveryAllocs|TestFleetTwoSNDeliveryAllocs' \
 	./internal/netsim/ ./internal/host/ ./internal/sn/ ./internal/pipe/ ./internal/wire/ ./internal/lab/
-run "handshake order: pipe installed before msg2 leaves, both stacks (race-detected, x30)" \
+run "pipe stack, whole package: handshakes, liveness, egress, handoff, RX affinity (race-detected, x3)" \
+	go test -race -count=3 -timeout 300s ./internal/pipe/
+run "handshake order: pipe installed before msg2 leaves, single-address and mux (race-detected, x30)" \
 	go test -race -count=30 -timeout 120s -run 'TestPipeIsInstalledBeforeMsg2Leaves' ./internal/pipe/
 
 run "fuzz smoke: wire ILP header decode" \
