@@ -1,7 +1,7 @@
 // Package cryptutil provides the cryptographic primitives shared by ILP,
-// PSP, the handshake, tunnels, and enclaves: an RFC 5869 HKDF built on the
-// standard library's HMAC, X25519 key agreement, Ed25519 signing helpers,
-// and fixed-size symmetric key types.
+// PSP, the handshake, tunnels, and enclaves: RFC 5869 HKDF key derivation,
+// X25519 key agreement, Ed25519 signing helpers, and fixed-size symmetric
+// key types.
 //
 // Everything here wraps the Go standard library; there are no external
 // dependencies.
@@ -10,11 +10,10 @@ package cryptutil
 import (
 	"crypto/ecdh"
 	"crypto/ed25519"
-	"crypto/hmac"
+	"crypto/hkdf"
 	"crypto/rand"
 	"crypto/sha256"
 	"crypto/subtle"
-	"errors"
 	"fmt"
 	"io"
 )
@@ -47,38 +46,9 @@ func NewRandomKey() Key {
 	return k
 }
 
-// HKDFExtract implements the HKDF-Extract step of RFC 5869 with SHA-256.
-func HKDFExtract(salt, ikm []byte) []byte {
-	if len(salt) == 0 {
-		salt = make([]byte, sha256.Size)
-	}
-	mac := hmac.New(sha256.New, salt)
-	mac.Write(ikm)
-	return mac.Sum(nil)
-}
-
-// HKDFExpand implements the HKDF-Expand step of RFC 5869 with SHA-256,
-// producing length bytes of output keyed by prk and bound to info.
-func HKDFExpand(prk, info []byte, length int) ([]byte, error) {
-	if length > 255*sha256.Size {
-		return nil, errors.New("cryptutil: HKDF expand length too large")
-	}
-	out := make([]byte, 0, length)
-	var t []byte
-	for counter := byte(1); len(out) < length; counter++ {
-		mac := hmac.New(sha256.New, prk)
-		mac.Write(t)
-		mac.Write(info)
-		mac.Write([]byte{counter})
-		t = mac.Sum(nil)
-		out = append(out, t...)
-	}
-	return out[:length], nil
-}
-
 // HKDF performs Extract-then-Expand per RFC 5869 with SHA-256.
 func HKDF(secret, salt, info []byte, length int) ([]byte, error) {
-	return HKDFExpand(HKDFExtract(salt, secret), info, length)
+	return hkdf.Key(sha256.New, secret, salt, string(info), length)
 }
 
 // DeriveKey derives a single symmetric Key from secret bound to info. Salt

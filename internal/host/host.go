@@ -220,8 +220,9 @@ func (h *Host) Associate(sn wire.Addr) error {
 // Reassociate re-establishes the pipe to a first-hop SN from scratch —
 // the recovery step after an SN crash/restart (§3.3: "for stateless
 // services, SN failures are like router failures and can be easily
-// recovered from"). Service-level state is reconstructed by clients
-// (e.g. pubsub.Client.Reestablish).
+// recovered from"). Service-level state is reconstructed by the service
+// clients: the group services' (pub/sub, multicast, anycast) through
+// groupfan.Client.Reestablish.
 func (h *Host) Reassociate(sn wire.Addr) error {
 	if err := h.pipes.Redial(sn); err != nil {
 		return err

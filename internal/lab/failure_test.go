@@ -153,41 +153,18 @@ func TestStatefulServiceRecoveryPubSub(t *testing.T) {
 	}
 	awaitMsg(t, got, "one")
 
-	// The subscriber's SN dies and is replaced at the same address.
-	ed.SNs[1].Close()
-	tr, err := topo.Net.Attach(subSNAddr)
-	if err != nil {
+	// The subscriber's SN dies and is replaced at the same address by a
+	// node whose pub/sub state starts empty; the subscriber must
+	// reconstruct its own state.
+	if _, err := topo.RestartSN(ed, 1, mkSetup()); err != nil {
 		t.Fatal(err)
 	}
-	id, err := handshake.NewIdentity()
-	if err != nil {
-		t.Fatal(err)
-	}
-	node2, err := sn.New(sn.Config{Transport: tr, Identity: id})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node2.Close()
-	if err := node2.Register(pubsub.New(ed.Core, topo.Fabric, topo.Global)); err != nil {
-		t.Fatal(err)
-	}
-	// The edomain core still lists the old SN's membership; the
-	// replacement re-registers (operationally this is the node boot flow).
-	ed.Core.RegisterSN(subSNAddr)
-
-	// Other SNs and the publisher's SN hold stale pipes to the dead node;
-	// the publisher's SN will re-establish on demand, but the subscriber
-	// must reconstruct its own state first.
 	if err := sub.Reassociate(subSNAddr); err != nil {
 		t.Fatal(err)
 	}
 	if err := sc.Reestablish(); err != nil {
 		t.Fatal(err)
 	}
-	// The publisher's SN must also redial the replaced peer: its cached
-	// pipe is dead. (Auto-healing timers would do this in production; the
-	// test does it explicitly.)
-	ed.SNs[0].Pipes().DropPeer(subSNAddr)
 
 	if err := pc.Publish("t", []byte("two")); err != nil {
 		t.Fatal(err)

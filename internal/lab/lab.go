@@ -121,7 +121,10 @@ type SNSetup func(node *sn.SN, ed *Edomain) error
 
 // NewSN creates one service node attached to the substrate.
 func (t *Topology) NewSN(cfgEdit ...func(*sn.Config)) (*sn.SN, error) {
-	addr := t.alloc.Next()
+	return t.newSNAt(t.alloc.Next(), cfgEdit...)
+}
+
+func (t *Topology) newSNAt(addr wire.Addr, cfgEdit ...func(*sn.Config)) (*sn.SN, error) {
 	tr, err := t.Net.Attach(addr)
 	if err != nil {
 		return nil, err
@@ -148,10 +151,38 @@ func (t *Topology) NewSN(cfgEdit ...func(*sn.Config)) (*sn.SN, error) {
 	return node, nil
 }
 
+// newMemberSN creates an SN of ed at addr. Pipe handoffs are only
+// accepted from sibling SNs of the edomain, and a sibling found dead by
+// pipe keepalives is reported to the core as an unannounced ring change.
+// Every member SN runs the peering forwarder (its pipe-terminus unwraps
+// transit addressed to it without one).
+func (t *Topology) newMemberSN(ed *Edomain, addr wire.Addr) (*sn.SN, error) {
+	core := ed.Core
+	node, err := t.newSNAt(addr, func(c *sn.Config) {
+		c.AcceptHandoff = core.HasSN
+		prev := c.OnPeerDown
+		c.OnPeerDown = func(addr wire.Addr, identity ed25519.PublicKey) {
+			if core.HasSN(addr) {
+				core.ReportSNDown(addr)
+			}
+			if prev != nil {
+				prev(addr, identity)
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := node.Register(peering.NewForwarder(t.Fabric, node.Telemetry())); err != nil {
+		return nil, err
+	}
+	core.RegisterSN(node.Addr())
+	return node, nil
+}
+
 // AddEdomain creates an edomain with numSNs service nodes. The first SN is
-// the gateway. Every SN runs the peering forwarder (its pipe-terminus unwraps
-// transit addressed to it without one); setup (optional) registers additional
-// service modules per SN.
+// the gateway. setup (optional) registers additional service modules per
+// SN.
 func (t *Topology) AddEdomain(id edomain.ID, numSNs int, setup SNSetup) (*Edomain, error) {
 	if _, dup := t.edomains[id]; dup {
 		return nil, fmt.Errorf("lab: edomain %s already exists", id)
@@ -164,30 +195,11 @@ func (t *Topology) AddEdomain(id edomain.ID, numSNs int, setup SNSetup) (*Edomai
 	// created later (NewNodeResolver) chain through it.
 	ed.Core.NewResolver(rescache.Config{Clock: t.Clock})
 	t.closers = append(t.closers, func() error { ed.Core.Close(); return nil })
-	core := ed.Core
 	for i := 0; i < numSNs; i++ {
-		node, err := t.NewSN(func(c *sn.Config) {
-			// Pipe handoffs are only accepted from sibling SNs of this
-			// edomain, and a sibling found dead by pipe keepalives is
-			// reported to the core as an unannounced ring change.
-			c.AcceptHandoff = core.HasSN
-			prev := c.OnPeerDown
-			c.OnPeerDown = func(addr wire.Addr, identity ed25519.PublicKey) {
-				if core.HasSN(addr) {
-					core.ReportSNDown(addr)
-				}
-				if prev != nil {
-					prev(addr, identity)
-				}
-			}
-		})
+		node, err := t.newMemberSN(ed, t.alloc.Next())
 		if err != nil {
 			return nil, err
 		}
-		if err := node.Register(peering.NewForwarder(t.Fabric, node.Telemetry())); err != nil {
-			return nil, err
-		}
-		ed.Core.RegisterSN(node.Addr())
 		ed.SNs = append(ed.SNs, node)
 	}
 	if err := t.Fabric.AddEdomain(id, ed.SNs[0].Addr()); err != nil {
@@ -207,6 +219,35 @@ func (t *Topology) AddEdomain(id edomain.ID, numSNs int, setup SNSetup) (*Edomai
 	}
 	t.edomains[id] = ed
 	return ed, nil
+}
+
+// RestartSN stands in for a crash and restart of ed.SNs[idx]: the node is
+// closed, and a fresh one — new identity, empty module state, setup's
+// modules — takes its address and its place in ed.SNs. Every SN of the
+// topology drops its pipe to the dead node and redials on demand. Hosts
+// rebuild their own state (host.Reassociate, then the service clients'
+// Reestablish; §3.3).
+func (t *Topology) RestartSN(ed *Edomain, idx int, setup SNSetup) (*sn.SN, error) {
+	addr := ed.SNs[idx].Addr()
+	ed.SNs[idx].Close()
+	node, err := t.newMemberSN(ed, addr)
+	if err != nil {
+		return nil, err
+	}
+	if setup != nil {
+		if err := setup(node, ed); err != nil {
+			return nil, err
+		}
+	}
+	ed.SNs[idx] = node
+	for _, e := range t.edomains {
+		for _, other := range e.SNs {
+			if other != node {
+				other.Pipes().DropPeer(addr)
+			}
+		}
+	}
+	return node, nil
 }
 
 // NewNodeResolver builds the SN-tier resolution cache for one node: the

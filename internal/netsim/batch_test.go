@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"testing"
 	"time"
 
@@ -167,12 +166,20 @@ func TestFabricBatchFaultDeterminism(t *testing.T) {
 	}
 }
 
+// forEachUDPTier runs a UDP transport test on the default tier (GSO where
+// the kernel has it) and again with GSO off (sendmmsg framing).
+func forEachUDPTier(t *testing.T, test func(t *testing.T, opts ...UDPOption)) {
+	t.Run("default", func(t *testing.T) { test(t) })
+	t.Run("nogso", func(t *testing.T) { test(t, WithoutUDPGSO()) })
+}
+
 func TestUDPSendBatchRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		opts []UDPOption
 	}{
 		{"vectored", nil},
+		{"vectored-nogso", []UDPOption{WithoutUDPGSO()}},
 		{"fallback", []UDPOption{WithoutMMsg()}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -216,102 +223,108 @@ func TestUDPSendBatchRoundTrip(t *testing.T) {
 }
 
 func TestUDPSendBatchMixedDestinations(t *testing.T) {
-	dir := NewUDPDirectory()
-	addrA, addrB, addrC := wire.MustAddr("fd00::a"), wire.MustAddr("fd00::b"), wire.MustAddr("fd00::c")
-	ta, err := NewUDPTransport(addrA, "127.0.0.1:0", dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ta.Close()
-	tb, _ := NewUDPTransport(addrB, "127.0.0.1:0", dir)
-	defer tb.Close()
-	tc, _ := NewUDPTransport(addrC, "127.0.0.1:0", dir)
-	defer tc.Close()
+	forEachUDPTier(t, func(t *testing.T, opts ...UDPOption) {
+		dir := NewUDPDirectory()
+		addrA, addrB, addrC := wire.MustAddr("fd00::a"), wire.MustAddr("fd00::b"), wire.MustAddr("fd00::c")
+		ta, err := NewUDPTransport(addrA, "127.0.0.1:0", dir, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ta.Close()
+		tb, _ := NewUDPTransport(addrB, "127.0.0.1:0", dir, opts...)
+		defer tb.Close()
+		tc, _ := NewUDPTransport(addrC, "127.0.0.1:0", dir, opts...)
+		defer tc.Close()
 
-	dgs := []wire.Datagram{
-		{Dst: addrB, Payload: []byte("b0")},
-		{Dst: addrC, Payload: []byte("c0")},
-		{Dst: addrB, Payload: []byte("b1")},
-	}
-	if sent, err := SendBatch(ta, dgs); err != nil || sent != 3 {
-		t.Fatalf("SendBatch = %d, %v", sent, err)
-	}
-	gotB := drainN(t, tb.Receive(), 2)
-	if string(gotB[0].Payload) != "b0" || string(gotB[1].Payload) != "b1" {
-		t.Fatalf("b order = %q, %q", gotB[0].Payload, gotB[1].Payload)
-	}
-	if gotC := drainN(t, tc.Receive(), 1); string(gotC[0].Payload) != "c0" {
-		t.Fatalf("c = %q", gotC[0].Payload)
-	}
+		dgs := []wire.Datagram{
+			{Dst: addrB, Payload: []byte("b0")},
+			{Dst: addrC, Payload: []byte("c0")},
+			{Dst: addrB, Payload: []byte("b1")},
+		}
+		if sent, err := SendBatch(ta, dgs); err != nil || sent != 3 {
+			t.Fatalf("SendBatch = %d, %v", sent, err)
+		}
+		gotB := drainN(t, tb.Receive(), 2)
+		if string(gotB[0].Payload) != "b0" || string(gotB[1].Payload) != "b1" {
+			t.Fatalf("b order = %q, %q", gotB[0].Payload, gotB[1].Payload)
+		}
+		if gotC := drainN(t, tc.Receive(), 1); string(gotC[0].Payload) != "c0" {
+			t.Fatalf("c = %q", gotC[0].Payload)
+		}
+	})
 }
 
 func TestUDPSendBatchUnknownDestination(t *testing.T) {
-	dir := NewUDPDirectory()
-	addrA, addrB := wire.MustAddr("fd00::a"), wire.MustAddr("fd00::b")
-	ta, err := NewUDPTransport(addrA, "127.0.0.1:0", dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ta.Close()
-	tb, _ := NewUDPTransport(addrB, "127.0.0.1:0", dir)
-	defer tb.Close()
+	forEachUDPTier(t, func(t *testing.T, opts ...UDPOption) {
+		dir := NewUDPDirectory()
+		addrA, addrB := wire.MustAddr("fd00::a"), wire.MustAddr("fd00::b")
+		ta, err := NewUDPTransport(addrA, "127.0.0.1:0", dir, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ta.Close()
+		tb, _ := NewUDPTransport(addrB, "127.0.0.1:0", dir, opts...)
+		defer tb.Close()
 
-	dgs := mkBatch(addrB, 4)
-	dgs[2].Dst = wire.MustAddr("fd00::dead")
-	sent, err := SendBatch(ta, dgs)
-	if !errors.Is(err, ErrUnknownDestination) || sent != 2 {
-		t.Fatalf("SendBatch = %d, %v; want 2, ErrUnknownDestination", sent, err)
-	}
-	drainN(t, tb.Receive(), 2)
+		dgs := mkBatch(addrB, 4)
+		dgs[2].Dst = wire.MustAddr("fd00::dead")
+		sent, err := SendBatch(ta, dgs)
+		if !errors.Is(err, ErrUnknownDestination) || sent != 2 {
+			t.Fatalf("SendBatch = %d, %v; want 2, ErrUnknownDestination", sent, err)
+		}
+		drainN(t, tb.Receive(), 2)
+	})
 }
 
 func TestUDPRxMalformedAndDropCounters(t *testing.T) {
-	dir := NewUDPDirectory()
-	addr := wire.MustAddr("fd00::a")
-	// Queue depth 1: the second well-formed datagram that arrives while
-	// nothing reads the channel must be counted as dropped.
-	tr, err := NewUDPTransport(addr, "127.0.0.1:0", dir, WithUDPQueueDepth(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	ep, _ := dir.Lookup(addr)
-	raw, err := net.DialUDP("udp", nil, ep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-
-	// Malformed: too short to hold a datagram header.
-	if _, err := raw.Write([]byte{0x01, 0x02}); err != nil {
-		t.Fatal(err)
-	}
-	waitFor := func(what string, get func() uint64, want uint64) {
-		t.Helper()
-		deadline := time.Now().Add(2 * time.Second)
-		for get() < want {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s = %d, want >= %d", what, get(), want)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	waitFor("RxMalformed", func() uint64 { return tr.Stats().RxMalformed }, 1)
-
-	good := wire.Datagram{Src: wire.MustAddr("fd00::b"), Dst: addr, Payload: []byte("x")}
-	enc, err := good.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 16; i++ {
-		if _, err := raw.Write(enc); err != nil {
+	forEachUDPTier(t, func(t *testing.T, opts ...UDPOption) {
+		dir := NewUDPDirectory()
+		addr := wire.MustAddr("fd00::a")
+		// Queue depth 1: the second well-formed datagram that arrives while
+		// nothing reads the channel must be counted as dropped.
+		tr, err := NewUDPTransport(addr, "127.0.0.1:0", dir, append(opts, WithUDPQueueDepth(1))...)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	waitFor("RxDropped", func() uint64 { return tr.Stats().RxDropped }, 1)
-	if st := tr.Stats(); st.RxPackets == 0 {
-		t.Fatalf("RxPackets = 0, want > 0; stats %+v", st)
-	}
+		defer tr.Close()
+		ep, _ := dir.Lookup(addr)
+		raw, err := net.DialUDP("udp", nil, ep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer raw.Close()
+
+		// Malformed: too short to hold a datagram header.
+		if _, err := raw.Write([]byte{0x01, 0x02}); err != nil {
+			t.Fatal(err)
+		}
+		waitFor := func(what string, get func() uint64, want uint64) {
+			t.Helper()
+			deadline := time.Now().Add(2 * time.Second)
+			for get() < want {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s = %d, want >= %d", what, get(), want)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+		waitFor("RxMalformed", func() uint64 { return tr.Stats().RxMalformed }, 1)
+
+		good := wire.Datagram{Src: wire.MustAddr("fd00::b"), Dst: addr, Payload: []byte("x")}
+		enc, err := good.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 16; i++ {
+			if _, err := raw.Write(enc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitFor("RxDropped", func() uint64 { return tr.Stats().RxDropped }, 1)
+		if st := tr.Stats(); st.RxPackets == 0 {
+			t.Fatalf("RxPackets = 0, want > 0; stats %+v", st)
+		}
+	})
 }
 
 // TestUDPGSOCapabilityProbe logs (never fails) whether this kernel takes
@@ -326,8 +339,8 @@ func TestUDPGSOCapabilityProbe(t *testing.T) {
 }
 
 func TestUDPGSOSuperDatagramRoundTrip(t *testing.T) {
-	if !UDPGSOSupported() || os.Getenv("INTEREDGE_NO_GSO") != "" {
-		t.Skip("UDP_SEGMENT unavailable or forced off")
+	if !UDPGSOSupported() {
+		t.Skip("UDP_SEGMENT unavailable")
 	}
 	dir := NewUDPDirectory()
 	addrA, addrB := wire.MustAddr("fd00::a"), wire.MustAddr("fd00::b")
@@ -365,8 +378,8 @@ func TestUDPGSOSuperDatagramRoundTrip(t *testing.T) {
 }
 
 func TestUDPGSOMixedSizeRuns(t *testing.T) {
-	if !UDPGSOSupported() || os.Getenv("INTEREDGE_NO_GSO") != "" {
-		t.Skip("UDP_SEGMENT unavailable or forced off")
+	if !UDPGSOSupported() {
+		t.Skip("UDP_SEGMENT unavailable")
 	}
 	dir := NewUDPDirectory()
 	addrA, addrB := wire.MustAddr("fd00::a"), wire.MustAddr("fd00::b")
@@ -463,13 +476,15 @@ func TestUDPGSODeterminismVsFallback(t *testing.T) {
 }
 
 func TestUDPSendBatchAfterClose(t *testing.T) {
-	dir := NewUDPDirectory()
-	tr, err := NewUDPTransport(wire.MustAddr("fd00::a"), "127.0.0.1:0", dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.Close()
-	if _, err := SendBatch(tr, mkBatch(wire.MustAddr("fd00::b"), 2)); !errors.Is(err, ErrClosed) {
-		t.Fatalf("err = %v, want ErrClosed", err)
-	}
+	forEachUDPTier(t, func(t *testing.T, opts ...UDPOption) {
+		dir := NewUDPDirectory()
+		tr, err := NewUDPTransport(wire.MustAddr("fd00::a"), "127.0.0.1:0", dir, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Close()
+		if _, err := SendBatch(tr, mkBatch(wire.MustAddr("fd00::b"), 2)); !errors.Is(err, ErrClosed) {
+			t.Fatalf("err = %v, want ErrClosed", err)
+		}
+	})
 }

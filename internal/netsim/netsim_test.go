@@ -263,42 +263,46 @@ func TestAddrAllocatorUnique(t *testing.T) {
 }
 
 func TestUDPTransportRoundTrip(t *testing.T) {
-	dir := NewUDPDirectory()
-	addrA, addrB := wire.MustAddr("fd00::a"), wire.MustAddr("fd00::b")
-	ta, err := NewUDPTransport(addrA, "127.0.0.1:0", dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ta.Close()
-	tb, err := NewUDPTransport(addrB, "127.0.0.1:0", dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tb.Close()
-
-	if err := ta.Send(wire.Datagram{Dst: addrB, Payload: []byte("over udp")}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case dg := <-tb.Receive():
-		if string(dg.Payload) != "over udp" || dg.Src != addrA {
-			t.Fatalf("got %+v", dg)
+	forEachUDPTier(t, func(t *testing.T, opts ...UDPOption) {
+		dir := NewUDPDirectory()
+		addrA, addrB := wire.MustAddr("fd00::a"), wire.MustAddr("fd00::b")
+		ta, err := NewUDPTransport(addrA, "127.0.0.1:0", dir, opts...)
+		if err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("timeout")
-	}
+		defer ta.Close()
+		tb, err := NewUDPTransport(addrB, "127.0.0.1:0", dir, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tb.Close()
+
+		if err := ta.Send(wire.Datagram{Dst: addrB, Payload: []byte("over udp")}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case dg := <-tb.Receive():
+			if string(dg.Payload) != "over udp" || dg.Src != addrA {
+				t.Fatalf("got %+v", dg)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("timeout")
+		}
+	})
 }
 
 func TestUDPTransportUnknownDestination(t *testing.T) {
-	dir := NewUDPDirectory()
-	ta, err := NewUDPTransport(wire.MustAddr("fd00::a"), "127.0.0.1:0", dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ta.Close()
-	if err := ta.Send(wire.Datagram{Dst: wire.MustAddr("fd00::b")}); err != ErrUnknownDestination {
-		t.Fatalf("err = %v", err)
-	}
+	forEachUDPTier(t, func(t *testing.T, opts ...UDPOption) {
+		dir := NewUDPDirectory()
+		ta, err := NewUDPTransport(wire.MustAddr("fd00::a"), "127.0.0.1:0", dir, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ta.Close()
+		if err := ta.Send(wire.Datagram{Dst: wire.MustAddr("fd00::b")}); err != ErrUnknownDestination {
+			t.Fatalf("err = %v", err)
+		}
+	})
 }
 
 func BenchmarkFabricDelivery(b *testing.B) {

@@ -3,7 +3,6 @@ package netsim
 import (
 	"bytes"
 	"encoding/binary"
-	"os"
 	"testing"
 	"time"
 
@@ -69,7 +68,7 @@ func TestReceivedPayloadIsTheReceivers(t *testing.T) {
 		}},
 		{name: "udp-portable", make: udpPair(WithoutMMsg())},
 		{name: "udp-mmsg", skip: func() bool { return !mmsgArch }, make: udpPair(WithoutUDPGSO())},
-		{name: "udp-gso", skip: func() bool { return !UDPGSOSupported() || os.Getenv("INTEREDGE_NO_GSO") != "" }, make: udpPair()},
+		{name: "udp-gso", skip: func() bool { return !UDPGSOSupported() }, make: udpPair()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.skip != nil && tc.skip() {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -80,8 +79,7 @@ func WithoutMMsg() UDPOption {
 
 // WithoutUDPGSO disables UDP segmentation/receive offload (UDP_SEGMENT /
 // UDP_GRO), forcing per-datagram sendmmsg framing. Used by tests to
-// exercise the fallback; the INTEREDGE_NO_GSO environment variable forces
-// the same for a whole test run (the CI fallback leg).
+// exercise the fallback.
 func WithoutUDPGSO() UDPOption {
 	return func(t *UDPTransport) { t.noGSO = true }
 }
@@ -167,9 +165,6 @@ func NewUDPTransport(addr wire.Addr, listen string, dir *UDPDirectory, opts ...U
 	}
 	if t.telem == nil {
 		t.telem = telemetry.NewRegistry()
-	}
-	if os.Getenv("INTEREDGE_NO_GSO") != "" {
-		t.noGSO = true
 	}
 	t.rxPackets = t.telem.Counter("transport_udp_rx_packets_total")
 	t.rxDropped = t.telem.Counter("transport_udp_rx_dropped_total")

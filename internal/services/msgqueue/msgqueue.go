@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/netip"
 	"sync"
 
 	"interedge/internal/host"
@@ -107,7 +108,11 @@ func (m *Module) HandleControl(env sn.Env, src wire.Addr, op string, args []byte
 		}
 		var mirrors []wire.Addr
 		for _, ms := range a.Mirrors {
-			mirrors = append(mirrors, wire.MustAddr(ms))
+			mirror, err := netip.ParseAddr(ms)
+			if err != nil {
+				return nil, fmt.Errorf("msgqueue: create: mirror: %w", err)
+			}
+			mirrors = append(mirrors, mirror)
 		}
 		m.mu.Lock()
 		if _, dup := m.topics[a.Topic]; dup {

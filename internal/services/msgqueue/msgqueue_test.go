@@ -245,3 +245,19 @@ func TestErrors(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// A create naming a mirror that is not an address is refused with an
+// error, and the SN that received it keeps serving.
+func TestMalformedControlCreate(t *testing.T) {
+	topo, ed, _ := newWorld(t)
+	h, err := topo.NewHost(ed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.InvokeFirstHop(wire.SvcMsgQueue, "create", createArgs{Topic: "t", Mirrors: []string{"not-an-addr"}}); err == nil {
+		t.Fatal("create with a malformed mirror address succeeded")
+	}
+	if _, err := h.InvokeFirstHop(wire.SvcControl, "health", nil); err != nil {
+		t.Fatalf("SN stopped answering after a malformed create: %v", err)
+	}
+}

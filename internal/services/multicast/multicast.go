@@ -1,8 +1,7 @@
 // Package multicast implements InterEdge multicast packet delivery (§6.2):
-// receivers join groups with owner-authorized signed joins, senders
-// register before sending, and SNs fan packets out to every member host —
-// through member SNs within the edomain and into remote member edomains
-// via the peering fabric.
+// an SN fans a packet out to every member host — through member SNs within
+// the edomain and into remote member edomains via the peering fabric.
+// Membership and sender registration are groupfan's.
 //
 // Unlike pub/sub (message-oriented, with retained replay), multicast is a
 // raw packet service: payloads are forwarded as-is with the sender's
@@ -10,11 +9,6 @@
 package multicast
 
 import (
-	"encoding/json"
-	"errors"
-	"fmt"
-	"sync"
-
 	"interedge/internal/edomain"
 	"interedge/internal/host"
 	"interedge/internal/lookup"
@@ -24,57 +18,12 @@ import (
 	"interedge/internal/wire"
 )
 
-// Packet kinds in the first byte of header data.
-const (
-	kindSend    byte = iota // host → first-hop SN
-	kindIntra               // SN → member SN, same edomain
-	kindInter               // SN → remote edomain gateway (via transit)
-	kindDeliver             // SN → member host
-)
-
-// Errors returned by the module.
-var (
-	ErrNotSender   = errors.New("multicast: host is not a registered sender")
-	ErrBadHeader   = errors.New("multicast: malformed header data")
-	ErrUnknownPeer = errors.New("multicast: request from host without verified identity")
-)
-
-// HeaderData encodes (kind, group) as header data.
-func HeaderData(kind byte, group string) []byte {
-	return append([]byte{kind}, group...)
-}
-
-func parseHeader(data []byte) (byte, string, error) {
-	if len(data) < 1 {
-		return 0, "", ErrBadHeader
-	}
-	return data[0], string(data[1:]), nil
-}
-
 // Module is the multicast service module.
-type Module struct {
-	core   *edomain.Core
-	fabric *peering.Fabric
-	global *lookup.Service
-	fan    groupfan.Fanout
-
-	mu       sync.Mutex
-	members  map[string]map[wire.Addr]struct{}
-	senders  map[string]map[wire.Addr]struct{}
-	snSender map[string]func() // group -> cancel of SN-level registration
-}
+type Module struct{ *groupfan.Groups }
 
 // New creates the multicast module.
 func New(core *edomain.Core, fabric *peering.Fabric, global *lookup.Service) *Module {
-	return &Module{
-		core:     core,
-		fabric:   fabric,
-		global:   global,
-		fan:      groupfan.Fanout{Core: core, Fabric: fabric},
-		members:  make(map[string]map[wire.Addr]struct{}),
-		senders:  make(map[string]map[wire.Addr]struct{}),
-		snSender: make(map[string]func()),
-	}
+	return &Module{groupfan.New(wire.SvcMulticast, core, fabric, global)}
 }
 
 // Service implements sn.Module.
@@ -86,248 +35,42 @@ func (*Module) Name() string { return "multicast" }
 // Version implements sn.Module.
 func (*Module) Version() string { return "1.0" }
 
-// Stop implements sn.Stopper.
-func (m *Module) Stop() error {
-	m.mu.Lock()
-	cancels := make([]func(), 0, len(m.snSender))
-	for _, c := range m.snSender {
-		cancels = append(cancels, c)
-	}
-	m.snSender = make(map[string]func())
-	m.mu.Unlock()
-	for _, c := range cancels {
-		c()
-	}
-	return nil
-}
-
-type joinArgs struct {
-	Group string `json:"group"`
-	Auth  []byte `json:"auth,omitempty"`
-}
-
-type groupArgs struct {
-	Group string `json:"group"`
-}
-
-// HandleControl implements sn.ControlHandler: join, leave, register_sender.
-func (m *Module) HandleControl(env sn.Env, src wire.Addr, op string, args []byte) ([]byte, error) {
-	switch op {
-	case "join":
-		var a joinArgs
-		if err := json.Unmarshal(args, &a); err != nil {
-			return nil, fmt.Errorf("multicast: bad join args: %w", err)
-		}
-		identity, ok := env.PeerIdentity(src)
-		if !ok {
-			return nil, ErrUnknownPeer
-		}
-		if err := m.global.ValidateJoin(lookup.GroupID(a.Group), identity, a.Auth); err != nil {
-			return nil, fmt.Errorf("multicast: join rejected: %w", err)
-		}
-		m.mu.Lock()
-		if m.members[a.Group] == nil {
-			m.members[a.Group] = make(map[wire.Addr]struct{})
-		}
-		m.members[a.Group][src] = struct{}{}
-		m.mu.Unlock()
-		return nil, m.core.JoinGroup(lookup.GroupID(a.Group), env.LocalAddr(), src)
-
-	case "leave":
-		var a groupArgs
-		if err := json.Unmarshal(args, &a); err != nil {
-			return nil, err
-		}
-		m.mu.Lock()
-		if hs, ok := m.members[a.Group]; ok {
-			delete(hs, src)
-			if len(hs) == 0 {
-				delete(m.members, a.Group)
-			}
-		}
-		m.mu.Unlock()
-		return nil, m.core.LeaveGroup(lookup.GroupID(a.Group), env.LocalAddr(), src)
-
-	case "register_sender":
-		var a groupArgs
-		if err := json.Unmarshal(args, &a); err != nil {
-			return nil, err
-		}
-		return nil, m.registerSender(env, src, a.Group)
-
-	default:
-		return nil, fmt.Errorf("multicast: unknown op %q", op)
-	}
-}
-
-func (m *Module) registerSender(env sn.Env, src wire.Addr, group string) error {
-	m.mu.Lock()
-	if m.senders[group] == nil {
-		m.senders[group] = make(map[wire.Addr]struct{})
-	}
-	m.senders[group][src] = struct{}{}
-	needSN := m.snSender[group] == nil
-	m.mu.Unlock()
-	if !needSN {
-		return nil
-	}
-	_, events, cancel, err := m.core.RegisterSender(lookup.GroupID(group), env.LocalAddr())
-	if err != nil {
-		return err
-	}
-	go func() {
-		for range events {
-		}
-	}()
-	m.mu.Lock()
-	if m.snSender[group] != nil {
-		m.mu.Unlock()
-		cancel()
-		return nil
-	}
-	m.snSender[group] = cancel
-	m.mu.Unlock()
-	return nil
-}
-
-// HandlePacket implements sn.Module.
+// HandlePacket implements sn.Module: forward to every local member but the
+// sender, and spread on. A host's send goes to the other member SNs here
+// and in remote edomains; a copy that came in from another edomain goes to
+// this edomain's other member SNs.
 func (m *Module) HandlePacket(env sn.Env, pkt *sn.Packet) (sn.Decision, error) {
-	kind, group, err := parseHeader(pkt.Hdr.Data)
+	kind, group, err := m.Admit(pkt)
 	if err != nil {
 		return sn.Decision{}, err
 	}
-	switch kind {
-	case kindSend:
-		m.mu.Lock()
-		_, isSender := m.senders[group][pkt.Src]
-		m.mu.Unlock()
-		if !isSender {
-			return sn.Decision{}, ErrNotSender
-		}
-		d := m.deliverLocal(env, group, pkt)
-		intra := wire.ILPHeader{Service: wire.SvcMulticast, Conn: pkt.Hdr.Conn, Data: HeaderData(kindIntra, group)}
-		if err := m.fan.SpreadIntra(env, lookup.GroupID(group), &intra, pkt.Payload); err != nil {
-			env.Logf("multicast: intra: %v", err)
-		}
-		inter := wire.ILPHeader{Service: wire.SvcMulticast, Conn: pkt.Hdr.Conn, Data: HeaderData(kindInter, group)}
-		if err := m.fan.SpreadInter(env, lookup.GroupID(group), &inter, pkt.Payload, env.LocalAddr()); err != nil {
-			env.Logf("multicast: inter: %v", err)
-		}
-		return d, nil
-
-	case kindIntra:
-		return m.deliverLocal(env, group, pkt), nil
-
-	case kindInter:
-		d := m.deliverLocal(env, group, pkt)
-		intra := wire.ILPHeader{Service: wire.SvcMulticast, Conn: pkt.Hdr.Conn, Data: HeaderData(kindIntra, group)}
-		if err := m.fan.SpreadIntra(env, lookup.GroupID(group), &intra, pkt.Payload); err != nil {
-			env.Logf("multicast: inter->intra: %v", err)
-		}
-		return d, nil
-
-	default:
-		return sn.Decision{}, fmt.Errorf("multicast: unexpected kind %d", kind)
+	if kind != groupfan.KindIntra {
+		m.Spread(env, group, pkt.Hdr.Conn, pkt.Payload, kind == groupfan.KindSend)
 	}
-}
-
-// deliverLocal builds forwards to every local member host.
-func (m *Module) deliverLocal(env sn.Env, group string, pkt *sn.Packet) sn.Decision {
-	m.mu.Lock()
-	targets := make([]wire.Addr, 0, len(m.members[group]))
-	for h := range m.members[group] {
-		targets = append(targets, h)
-	}
-	m.mu.Unlock()
 	var d sn.Decision
-	hdr := wire.ILPHeader{Service: wire.SvcMulticast, Conn: pkt.Hdr.Conn, Data: HeaderData(kindDeliver, group)}
-	for _, h := range targets {
+	hdr := m.Header(groupfan.KindDeliver, group, pkt.Hdr.Conn)
+	for _, h := range m.Members(group) {
 		if h == pkt.Src {
 			continue // don't echo to the sending member
 		}
 		hcopy := hdr
 		d.Forwards = append(d.Forwards, sn.Forward{Dst: h, Hdr: &hcopy})
 	}
-	return d
+	return d, nil
 }
-
-// --- Host-side client -------------------------------------------------------
 
 // Handler receives one multicast delivery.
-type Handler func(group string, payload []byte)
+type Handler = groupfan.Handler
 
 // Client is the host-side multicast logic.
-type Client struct {
-	h *host.Host
-
-	mu      sync.Mutex
-	conn    *host.Conn
-	handler map[string]Handler
-}
+type Client struct{ *groupfan.Client }
 
 // NewClient attaches multicast client logic to a host.
 func NewClient(h *host.Host) *Client {
-	c := &Client{h: h, handler: make(map[string]Handler)}
-	h.OnService(wire.SvcMulticast, c.onMessage)
-	return c
-}
-
-func (c *Client) onMessage(msg host.Message) {
-	kind, group, err := parseHeader(msg.Hdr.Data)
-	if err != nil || kind != kindDeliver {
-		return
-	}
-	c.mu.Lock()
-	fn, ok := c.handler[group]
-	c.mu.Unlock()
-	if ok {
-		fn(group, msg.Payload)
-	}
+	return &Client{groupfan.NewClient(h, wire.SvcMulticast)}
 }
 
 // Join joins a group (auth nil for open groups).
 func (c *Client) Join(group string, auth []byte, fn Handler) error {
-	c.mu.Lock()
-	c.handler[group] = fn
-	c.mu.Unlock()
-	if _, err := c.h.InvokeFirstHop(wire.SvcMulticast, "join", joinArgs{Group: group, Auth: auth}); err != nil {
-		c.mu.Lock()
-		delete(c.handler, group)
-		c.mu.Unlock()
-		return err
-	}
-	return nil
-}
-
-// Leave leaves a group.
-func (c *Client) Leave(group string) error {
-	c.mu.Lock()
-	delete(c.handler, group)
-	c.mu.Unlock()
-	_, err := c.h.InvokeFirstHop(wire.SvcMulticast, "leave", groupArgs{Group: group})
-	return err
-}
-
-// RegisterSender registers intent to send.
-func (c *Client) RegisterSender(group string) error {
-	_, err := c.h.InvokeFirstHop(wire.SvcMulticast, "register_sender", groupArgs{Group: group})
-	return err
-}
-
-// Send multicasts a payload to a group.
-func (c *Client) Send(group string, payload []byte) error {
-	c.mu.Lock()
-	conn := c.conn
-	c.mu.Unlock()
-	if conn == nil {
-		var err error
-		conn, err = c.h.NewConn(wire.SvcMulticast)
-		if err != nil {
-			return err
-		}
-		c.mu.Lock()
-		c.conn = conn
-		c.mu.Unlock()
-	}
-	return conn.Send(HeaderData(kindSend, group), payload)
+	return c.Client.Join(groupfan.Args{Group: group, Auth: auth}, fn)
 }

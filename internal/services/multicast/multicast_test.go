@@ -14,6 +14,7 @@ import (
 type world struct {
 	topo  *lab.Topology
 	owner cryptutil.SigningKeypair
+	setup lab.SNSetup
 }
 
 func newWorld(t *testing.T) *world {
@@ -35,7 +36,7 @@ func newWorld(t *testing.T) *world {
 		t.Fatal(err)
 	}
 	t.Cleanup(topo.Close)
-	return &world{topo: topo, owner: owner}
+	return &world{topo: topo, owner: owner, setup: setup}
 }
 
 func (w *world) openGroup(t *testing.T, g string) {
@@ -213,4 +214,84 @@ func TestClosedGroupJoinNeedsAuth(t *testing.T) {
 	if err := cl.Join("vip", auth, s.handler); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// A join that fails on a group the host already belongs to (here: no
+// authorization for a closed group) leaves the working membership alone:
+// deliveries keep reaching the handler of the earlier join.
+func TestFailedRejoinKeepsMembership(t *testing.T) {
+	w := newWorld(t)
+	if err := w.topo.Global.CreateGroup("vip", w.owner.Public); err != nil {
+		t.Fatal(err)
+	}
+	edA, _ := w.topo.Edomain("ed-a")
+	member, _ := w.topo.NewHost(edA, 1)
+	mcl := NewClient(member)
+	s := newSink()
+	auth := lookup.SignJoinAuthorization(w.owner, "vip", member.Identity().PublicKey())
+	if err := mcl.Join("vip", auth, s.handler); err != nil {
+		t.Fatal(err)
+	}
+	stray := newSink()
+	if err := mcl.Join("vip", nil, stray.handler); err == nil {
+		t.Fatal("unauthorized re-join succeeded")
+	}
+	sender, _ := w.topo.NewHost(edA, 0)
+	scl := NewClient(sender)
+	if err := scl.RegisterSender("vip"); err != nil {
+		t.Fatal(err)
+	}
+	if err := scl.Send("vip", []byte("still here")); err != nil {
+		t.Fatal(err)
+	}
+	s.await(t, "still here")
+	select {
+	case got := <-stray.ch:
+		t.Fatalf("the rejected join's handler received %q", got)
+	default:
+	}
+}
+
+// §3.3: the member's SN loses its multicast state (it is replaced at the
+// same address by a node with a fresh module, as after a crash and
+// restart); the host re-associates and Reestablish restores delivery.
+func TestHostDrivenStateReconstruction(t *testing.T) {
+	w := newWorld(t)
+	w.openGroup(t, "durable")
+	edA, _ := w.topo.Edomain("ed-a")
+	sender, err := w.topo.NewHost(edA, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	member, err := w.topo.NewHost(edA, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mcl := NewClient(member)
+	s := newSink()
+	if err := mcl.Join("durable", nil, s.handler); err != nil {
+		t.Fatal(err)
+	}
+	scl := NewClient(sender)
+	if err := scl.RegisterSender("durable"); err != nil {
+		t.Fatal(err)
+	}
+	if err := scl.Send("durable", []byte("before")); err != nil {
+		t.Fatal(err)
+	}
+	s.await(t, "before")
+
+	if _, err := w.topo.RestartSN(edA, 1, w.setup); err != nil {
+		t.Fatal(err)
+	}
+	if err := member.Reassociate(edA.SNs[1].Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if err := mcl.Reestablish(); err != nil {
+		t.Fatal(err)
+	}
+	if err := scl.Send("durable", []byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	s.await(t, "after")
 }

@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -173,12 +174,20 @@ func (m *Module) HandleControl(env sn.Env, src wire.Addr, op string, args []byte
 		if err := json.Unmarshal(args, &a); err != nil {
 			return nil, err
 		}
+		peers := make([]wire.Addr, len(a.Peers))
+		for i, p := range a.Peers {
+			addr, err := netip.ParseAddr(p)
+			if err != nil {
+				return nil, fmt.Errorf("ordered: add_peer: %w", err)
+			}
+			peers[i] = addr
+		}
 		m.mu.Lock()
 		if m.deliverySNs[a.Channel] == nil {
 			m.deliverySNs[a.Channel] = make(map[wire.Addr]struct{})
 		}
-		for _, p := range a.Peers {
-			m.deliverySNs[a.Channel][wire.MustAddr(p)] = struct{}{}
+		for _, p := range peers {
+			m.deliverySNs[a.Channel][p] = struct{}{}
 		}
 		m.mu.Unlock()
 		return nil, nil

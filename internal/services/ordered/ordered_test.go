@@ -213,3 +213,19 @@ func TestLateMessageMarkedNotDropped(t *testing.T) {
 		t.Fatal("straggler dropped")
 	}
 }
+
+// An add_peer naming something that is not an address is refused with an
+// error, and the SN that received it keeps serving.
+func TestMalformedControlAddPeer(t *testing.T) {
+	topo, ed, _ := newWorld(t, []time.Duration{0}, 60*time.Millisecond)
+	h, err := topo.NewHost(ed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.InvokeFirstHop(wire.SvcOrdered, "add_peer", subscribeArgs{Channel: "ch", Peers: []string{"not-an-addr"}}); err == nil {
+		t.Fatal("add_peer with a malformed address succeeded")
+	}
+	if _, err := h.InvokeFirstHop(wire.SvcControl, "health", nil); err != nil {
+		t.Fatalf("SN stopped answering after a malformed add_peer: %v", err)
+	}
+}

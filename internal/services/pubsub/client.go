@@ -1,159 +1,42 @@
 package pubsub
 
 import (
-	"fmt"
-	"sync"
-
 	"interedge/internal/host"
+	"interedge/internal/services/groupfan"
 	"interedge/internal/wire"
 )
 
 // Handler receives one delivered message.
-type Handler func(topic string, msg []byte)
+type Handler = groupfan.Handler
 
-type subState struct {
-	auth   []byte
-	replay bool
-	fn     Handler
-}
-
-// Client is the host-side pub/sub support (§3.1: the host component
-// implements "client-side support for services — such as pub/sub … that
-// require host logic"). It tracks the host's subscriptions and sender
-// registrations so they can be re-established after an SN failure —
-// the host-driven state reconstruction of §3.3.
-type Client struct {
-	h *host.Host
-
-	mu      sync.Mutex
-	conn    *host.Conn
-	subs    map[string]subState
-	senders map[string]struct{}
-}
+// Client is the host-side pub/sub support: a groupfan.Client under the
+// pub/sub vocabulary.
+type Client struct{ g *groupfan.Client }
 
 // NewClient attaches pub/sub client logic to a host.
 func NewClient(h *host.Host) (*Client, error) {
-	c := &Client{
-		h:       h,
-		subs:    make(map[string]subState),
-		senders: make(map[string]struct{}),
-	}
-	h.OnService(wire.SvcPubSub, c.onMessage)
-	return c, nil
-}
-
-func (c *Client) onMessage(msg host.Message) {
-	kind, topic, err := parseHeader(msg.Hdr.Data)
-	if err != nil || kind != kindDeliver {
-		return
-	}
-	c.mu.Lock()
-	st, ok := c.subs[topic]
-	c.mu.Unlock()
-	if ok {
-		st.fn(topic, msg.Payload)
-	}
+	return &Client{g: groupfan.NewClient(h, wire.SvcPubSub)}, nil
 }
 
 // Subscribe joins a topic with the given credentials and registers fn for
 // deliveries. auth may be nil for open topics. When replay is true, the
 // SN replays its retained recent messages.
 func (c *Client) Subscribe(topic string, auth []byte, replay bool, fn Handler) error {
-	// Install the handler before invoking: replayed messages can arrive
-	// ahead of the control reply.
-	c.mu.Lock()
-	_, existed := c.subs[topic]
-	c.subs[topic] = subState{auth: auth, replay: replay, fn: fn}
-	c.mu.Unlock()
-	if _, err := c.h.InvokeFirstHop(wire.SvcPubSub, "subscribe", subscribeArgs{
-		Topic: topic, Auth: auth, Replay: replay,
-	}); err != nil {
-		if !existed {
-			c.mu.Lock()
-			delete(c.subs, topic)
-			c.mu.Unlock()
-		}
-		return err
-	}
-	return nil
+	return c.g.Join(groupfan.Args{Group: topic, Auth: auth, Replay: replay}, fn)
 }
 
 // Unsubscribe leaves a topic.
-func (c *Client) Unsubscribe(topic string) error {
-	c.mu.Lock()
-	delete(c.subs, topic)
-	c.mu.Unlock()
-	_, err := c.h.InvokeFirstHop(wire.SvcPubSub, "unsubscribe", topicArgs{Topic: topic})
-	return err
-}
+func (c *Client) Unsubscribe(topic string) error { return c.g.Leave(topic) }
 
 // RegisterSender announces the host's intent to publish to a topic (§6.2
 // sender registration).
-func (c *Client) RegisterSender(topic string) error {
-	if _, err := c.h.InvokeFirstHop(wire.SvcPubSub, "register_sender", topicArgs{Topic: topic}); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.senders[topic] = struct{}{}
-	c.mu.Unlock()
-	return nil
-}
+func (c *Client) RegisterSender(topic string) error { return c.g.RegisterSender(topic) }
 
 // Publish sends a message to a topic. The host must have registered as a
 // sender first.
-func (c *Client) Publish(topic string, msg []byte) error {
-	conn, err := c.pubConn()
-	if err != nil {
-		return err
-	}
-	return conn.Send(HeaderData(kindPublish, topic), msg)
-}
-
-func (c *Client) pubConn() (*host.Conn, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn != nil {
-		return c.conn, nil
-	}
-	conn, err := c.h.NewConn(wire.SvcPubSub)
-	if err != nil {
-		return nil, fmt.Errorf("pubsub: open publish connection: %w", err)
-	}
-	c.conn = conn
-	return conn, nil
-}
+func (c *Client) Publish(topic string, msg []byte) error { return c.g.Send(topic, msg) }
 
 // Reestablish re-issues every subscription and sender registration against
 // the host's (possibly new) first-hop SN — §3.3's host-driven state
 // reconstruction after an SN failure.
-func (c *Client) Reestablish() error {
-	c.mu.Lock()
-	subs := make(map[string]subState, len(c.subs))
-	for t, st := range c.subs {
-		subs[t] = st
-	}
-	senders := make([]string, 0, len(c.senders))
-	for t := range c.senders {
-		senders = append(senders, t)
-	}
-	// The publish connection may be pinned to the failed SN; reopen lazily.
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
-	}
-	c.mu.Unlock()
-
-	for topic, st := range subs {
-		if _, err := c.h.InvokeFirstHop(wire.SvcPubSub, "subscribe", subscribeArgs{
-			Topic: topic, Auth: st.auth, Replay: st.replay,
-		}); err != nil {
-			return fmt.Errorf("pubsub: re-subscribe %q: %w", topic, err)
-		}
-	}
-	for _, topic := range senders {
-		if _, err := c.h.InvokeFirstHop(wire.SvcPubSub, "register_sender", topicArgs{Topic: topic}); err != nil {
-			return fmt.Errorf("pubsub: re-register sender %q: %w", topic, err)
-		}
-	}
-	return nil
-}
+func (c *Client) Reestablish() error { return c.g.Reestablish() }

@@ -1,20 +1,14 @@
 // Package pubsub implements the InterEdge pub/sub service (§6.2): hosts
-// subscribe to topics at their first-hop SN with join messages validated
-// against the topic owner's signed authorizations (or an open statement)
-// in the global lookup service; senders register before publishing; SNs
-// fan messages out to member SNs in their edomain and, through the
-// peering fabric, to every remote member edomain.
-//
-// Resiliency follows §3.3's host-driven state reconstruction: subscriber
-// state lives at hosts, and the Client re-issues its subscriptions when
-// its SN is replaced. The SN additionally retains the last few messages
-// per topic so re-subscribers can request replay.
+// subscribe to topics at their first-hop SN, senders register before
+// publishing, and SNs fan messages out to member SNs in their edomain and,
+// through the peering fabric, to every remote member edomain. Membership,
+// sender registration and the host-side state reconstruction of §3.3 are
+// groupfan's; this package adds retention: an SN keeps the last few
+// messages per topic and replays them to a subscriber that asks.
 package pubsub
 
 import (
-	"encoding/json"
-	"errors"
-	"fmt"
+	"slices"
 	"sync"
 
 	"interedge/internal/edomain"
@@ -25,70 +19,27 @@ import (
 	"interedge/internal/wire"
 )
 
-// Message kinds carried in the first byte of the ILP header data.
-const (
-	kindPublish byte = iota // host → its first-hop SN
-	kindIntra               // SN → member SN, same edomain
-	kindInter               // SN → remote edomain's gateway SN (via transit)
-	kindDeliver             // SN → subscribed host
-)
-
 // RetainedPerTopic is the number of recent messages an SN keeps per topic
 // for replay to late subscribers.
 const RetainedPerTopic = 32
 
-// Errors returned by the module.
-var (
-	ErrNotSender     = errors.New("pubsub: host is not a registered sender for topic")
-	ErrBadHeader     = errors.New("pubsub: malformed header data")
-	ErrUnknownPeer   = errors.New("pubsub: request from host without verified identity")
-	ErrNotSubscribed = errors.New("pubsub: host is not subscribed")
-)
-
-// HeaderData encodes (kind, topic) as ILP header data.
-func HeaderData(kind byte, topic string) []byte {
-	return append([]byte{kind}, topic...)
-}
-
-// parseHeader splits header data into kind and topic.
-func parseHeader(data []byte) (byte, string, error) {
-	if len(data) < 1 {
-		return 0, "", ErrBadHeader
-	}
-	return data[0], string(data[1:]), nil
-}
-
-type senderState struct {
-	cancel func()
-}
-
 // Module is the pub/sub service module for one SN.
 type Module struct {
-	core   *edomain.Core
-	fabric *peering.Fabric
-	global *lookup.Service
-	fan    groupfan.Fanout
+	*groupfan.Groups
 
 	mu       sync.Mutex
-	subs     map[string]map[wire.Addr]struct{} // topic -> subscriber hosts
-	senders  map[string]map[wire.Addr]struct{} // topic -> registered sender hosts
-	snSender map[string]*senderState           // topic -> SN-level sender registration
 	retained map[string][][]byte
 }
 
 // New creates the pub/sub module. fabric may be nil in single-edomain
 // deployments.
 func New(core *edomain.Core, fabric *peering.Fabric, global *lookup.Service) *Module {
-	return &Module{
-		core:     core,
-		fabric:   fabric,
-		global:   global,
-		fan:      groupfan.Fanout{Core: core, Fabric: fabric},
-		subs:     make(map[string]map[wire.Addr]struct{}),
-		senders:  make(map[string]map[wire.Addr]struct{}),
-		snSender: make(map[string]*senderState),
+	m := &Module{
+		Groups:   groupfan.New(wire.SvcPubSub, core, fabric, global),
 		retained: make(map[string][][]byte),
 	}
+	m.OnJoin = m.replay
+	return m
 }
 
 // Service implements sn.Module.
@@ -100,201 +51,43 @@ func (*Module) Name() string { return "pubsub" }
 // Version implements sn.Module.
 func (*Module) Version() string { return "1.0" }
 
-// Stop implements sn.Stopper: release SN-level sender registrations.
-func (m *Module) Stop() error {
-	m.mu.Lock()
-	states := make([]*senderState, 0, len(m.snSender))
-	for _, st := range m.snSender {
-		states = append(states, st)
-	}
-	m.snSender = make(map[string]*senderState)
-	m.mu.Unlock()
-	for _, st := range states {
-		st.cancel()
-	}
-	return nil
-}
-
-// --- Control plane ----------------------------------------------------------
-
-type subscribeArgs struct {
-	Topic  string `json:"topic"`
-	Auth   []byte `json:"auth,omitempty"`
-	Replay bool   `json:"replay,omitempty"`
-}
-
-type topicArgs struct {
-	Topic string `json:"topic"`
-}
-
-// HandleControl implements sn.ControlHandler with ops: subscribe,
-// unsubscribe, register_sender, unregister_sender.
-func (m *Module) HandleControl(env sn.Env, src wire.Addr, op string, args []byte) ([]byte, error) {
-	switch op {
-	case "subscribe":
-		var a subscribeArgs
-		if err := json.Unmarshal(args, &a); err != nil {
-			return nil, fmt.Errorf("pubsub: bad subscribe args: %w", err)
-		}
-		return nil, m.subscribe(env, src, a)
-	case "unsubscribe":
-		var a topicArgs
-		if err := json.Unmarshal(args, &a); err != nil {
-			return nil, fmt.Errorf("pubsub: bad unsubscribe args: %w", err)
-		}
-		return nil, m.unsubscribe(env, src, a.Topic)
-	case "register_sender":
-		var a topicArgs
-		if err := json.Unmarshal(args, &a); err != nil {
-			return nil, fmt.Errorf("pubsub: bad register_sender args: %w", err)
-		}
-		return nil, m.registerSender(env, src, a.Topic)
-	case "unregister_sender":
-		var a topicArgs
-		if err := json.Unmarshal(args, &a); err != nil {
-			return nil, err
-		}
-		m.mu.Lock()
-		if hs, ok := m.senders[a.Topic]; ok {
-			delete(hs, src)
-		}
-		m.mu.Unlock()
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("pubsub: unknown op %q", op)
-	}
-}
-
-// subscribe validates the host's join credentials and records the
-// subscription ("these messages must have a signature from the owner
-// authorizing them to join", §6.2).
-func (m *Module) subscribe(env sn.Env, src wire.Addr, a subscribeArgs) error {
-	identity, ok := env.PeerIdentity(src)
-	if !ok {
-		return ErrUnknownPeer
-	}
-	if err := m.global.ValidateJoin(lookup.GroupID(a.Topic), identity, a.Auth); err != nil {
-		return fmt.Errorf("pubsub: join rejected: %w", err)
+// replay sends a new subscriber that asked for it the topic's retained
+// messages.
+func (m *Module) replay(env sn.Env, src wire.Addr, a groupfan.Args) {
+	if !a.Replay {
+		return
 	}
 	m.mu.Lock()
-	if m.subs[a.Topic] == nil {
-		m.subs[a.Topic] = make(map[wire.Addr]struct{})
-	}
-	m.subs[a.Topic][src] = struct{}{}
-	var replay [][]byte
-	if a.Replay {
-		replay = append(replay, m.retained[a.Topic]...)
-	}
+	msgs := slices.Clone(m.retained[a.Group])
 	m.mu.Unlock()
-
-	if err := m.core.JoinGroup(lookup.GroupID(a.Topic), env.LocalAddr(), src); err != nil {
-		return err
-	}
-	// Replay retained messages to the new subscriber.
-	hdr := wire.ILPHeader{Service: wire.SvcPubSub, Conn: 0, Data: HeaderData(kindDeliver, a.Topic)}
-	for _, msg := range replay {
+	hdr := m.Header(groupfan.KindDeliver, a.Group, 0)
+	for _, msg := range msgs {
 		if err := env.Send(src, &hdr, msg); err != nil {
 			env.Logf("pubsub: replay to %s failed: %v", src, err)
 		}
 	}
-	return nil
 }
 
-func (m *Module) unsubscribe(env sn.Env, src wire.Addr, topic string) error {
-	m.mu.Lock()
-	if hs, ok := m.subs[topic]; ok {
-		delete(hs, src)
-		if len(hs) == 0 {
-			delete(m.subs, topic)
-		}
-	}
-	m.mu.Unlock()
-	return m.core.LeaveGroup(lookup.GroupID(topic), env.LocalAddr(), src)
-}
-
-// registerSender records the host as a sender and performs the SN-level
-// registration with the edomain core on first use ("before a host can
-// send to a group it must first inform its first-hop SN", §6.2).
-func (m *Module) registerSender(env sn.Env, src wire.Addr, topic string) error {
-	m.mu.Lock()
-	if m.senders[topic] == nil {
-		m.senders[topic] = make(map[wire.Addr]struct{})
-	}
-	m.senders[topic][src] = struct{}{}
-	needSN := m.snSender[topic] == nil
-	m.mu.Unlock()
-
-	if !needSN {
-		return nil
-	}
-	_, events, cancel, err := m.core.RegisterSender(lookup.GroupID(topic), env.LocalAddr())
-	if err != nil {
-		return fmt.Errorf("pubsub: SN sender registration: %w", err)
-	}
-	// Drain the member watch; MemberSNs is queried live at fan-out time,
-	// but consuming the channel keeps the core's notifier unblocked.
-	go func() {
-		for range events {
-		}
-	}()
-	m.mu.Lock()
-	if m.snSender[topic] != nil {
-		m.mu.Unlock()
-		cancel()
-		return nil
-	}
-	m.snSender[topic] = &senderState{cancel: cancel}
-	m.mu.Unlock()
-	return nil
-}
-
-// --- Data plane --------------------------------------------------------------
-
-// HandlePacket implements sn.Module.
+// HandlePacket implements sn.Module: retain, deliver to local subscribers,
+// and spread on. A host's publish goes to the other member SNs here and in
+// remote edomains; a copy that came in from another edomain goes to this
+// edomain's other member SNs.
 func (m *Module) HandlePacket(env sn.Env, pkt *sn.Packet) (sn.Decision, error) {
-	kind, topic, err := parseHeader(pkt.Hdr.Data)
+	kind, topic, err := m.Admit(pkt)
 	if err != nil {
 		return sn.Decision{}, err
 	}
-	switch kind {
-	case kindPublish:
-		m.mu.Lock()
-		_, isSender := m.senders[topic][pkt.Src]
-		m.mu.Unlock()
-		if !isSender {
-			return sn.Decision{}, ErrNotSender
+	m.retain(topic, pkt.Payload)
+	hdr := m.Header(groupfan.KindDeliver, topic, 0)
+	for _, h := range m.Members(topic) {
+		if err := env.Send(h, &hdr, pkt.Payload); err != nil {
+			env.Logf("pubsub: deliver to %s failed: %v", h, err)
 		}
-		m.retain(topic, pkt.Payload)
-		m.deliverLocal(env, topic, pkt.Payload)
-		intra := wire.ILPHeader{Service: wire.SvcPubSub, Conn: pkt.Hdr.Conn, Data: HeaderData(kindIntra, topic)}
-		if err := m.fan.SpreadIntra(env, lookup.GroupID(topic), &intra, pkt.Payload); err != nil {
-			env.Logf("pubsub: intra spread: %v", err)
-		}
-		inter := wire.ILPHeader{Service: wire.SvcPubSub, Conn: pkt.Hdr.Conn, Data: HeaderData(kindInter, topic)}
-		if err := m.fan.SpreadInter(env, lookup.GroupID(topic), &inter, pkt.Payload, env.LocalAddr()); err != nil {
-			env.Logf("pubsub: inter spread: %v", err)
-		}
-		return sn.Decision{}, nil
-
-	case kindIntra:
-		m.retain(topic, pkt.Payload)
-		m.deliverLocal(env, topic, pkt.Payload)
-		return sn.Decision{}, nil
-
-	case kindInter:
-		// Entry point into this edomain: deliver locally and fan to the
-		// edomain's member SNs.
-		m.retain(topic, pkt.Payload)
-		m.deliverLocal(env, topic, pkt.Payload)
-		intra := wire.ILPHeader{Service: wire.SvcPubSub, Conn: pkt.Hdr.Conn, Data: HeaderData(kindIntra, topic)}
-		if err := m.fan.SpreadIntra(env, lookup.GroupID(topic), &intra, pkt.Payload); err != nil {
-			env.Logf("pubsub: inter->intra spread: %v", err)
-		}
-		return sn.Decision{}, nil
-
-	default:
-		return sn.Decision{}, fmt.Errorf("pubsub: unexpected kind %d at SN", kind)
 	}
+	if kind != groupfan.KindIntra {
+		m.Spread(env, topic, pkt.Hdr.Conn, pkt.Payload, kind == groupfan.KindSend)
+	}
+	return sn.Decision{}, nil
 }
 
 func (m *Module) retain(topic string, msg []byte) {
@@ -306,30 +99,4 @@ func (m *Module) retain(topic string, msg []byte) {
 		r = r[len(r)-RetainedPerTopic:]
 	}
 	m.retained[topic] = r
-}
-
-func (m *Module) deliverLocal(env sn.Env, topic string, msg []byte) {
-	m.mu.Lock()
-	targets := make([]wire.Addr, 0, len(m.subs[topic]))
-	for h := range m.subs[topic] {
-		targets = append(targets, h)
-	}
-	m.mu.Unlock()
-	hdr := wire.ILPHeader{Service: wire.SvcPubSub, Conn: 0, Data: HeaderData(kindDeliver, topic)}
-	for _, h := range targets {
-		if err := env.Send(h, &hdr, msg); err != nil {
-			env.Logf("pubsub: deliver to %s failed: %v", h, err)
-		}
-	}
-}
-
-// Subscribers returns the local subscribers of a topic (tests).
-func (m *Module) Subscribers(topic string) []wire.Addr {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]wire.Addr, 0, len(m.subs[topic]))
-	for h := range m.subs[topic] {
-		out = append(out, h)
-	}
-	return out
 }

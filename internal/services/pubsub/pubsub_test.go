@@ -10,13 +10,13 @@ import (
 	"interedge/internal/lab"
 	"interedge/internal/lookup"
 	"interedge/internal/sn"
-	"interedge/internal/wire"
 )
 
 // testWorld is a two-edomain deployment with pub/sub on every SN.
 type testWorld struct {
 	topo  *lab.Topology
 	owner cryptutil.SigningKeypair
+	setup lab.SNSetup
 }
 
 func newWorld(t *testing.T, snsPerEdomain int) *testWorld {
@@ -39,7 +39,7 @@ func newWorld(t *testing.T, snsPerEdomain int) *testWorld {
 		t.Fatal(err)
 	}
 	t.Cleanup(topo.Close)
-	return &testWorld{topo: topo, owner: owner}
+	return &testWorld{topo: topo, owner: owner, setup: setup}
 }
 
 func (w *testWorld) openTopic(t *testing.T, topic string) {
@@ -329,21 +329,15 @@ func TestHostDrivenStateReconstruction(t *testing.T) {
 	}
 	col.await(t, "before")
 
-	// The subscriber's SN (index 1) loses its soft state: simulate by
-	// removing the subscription maps — equivalent to a crash+restart of
-	// the module. Then the host reconstructs.
-	node := edA.SNs[1]
-	mod, ok := node.Module(wire.SvcPubSub)
-	if !ok {
-		t.Fatal("no pubsub module")
+	// The subscriber's SN (index 1) loses its soft state: it is replaced
+	// at the same address by a node with a fresh pub/sub module, as after
+	// a crash and restart. Then the host reconstructs.
+	if _, err := w.topo.RestartSN(edA, 1, w.setup); err != nil {
+		t.Fatal(err)
 	}
-	psMod := mod.(*Module)
-	psMod.mu.Lock()
-	psMod.subs = make(map[string]map[wire.Addr]struct{})
-	psMod.senders = make(map[string]map[wire.Addr]struct{})
-	psMod.retained = make(map[string][][]byte)
-	psMod.mu.Unlock()
-
+	if err := sub.Reassociate(edA.SNs[1].Addr()); err != nil {
+		t.Fatal(err)
+	}
 	if err := subClient.Reestablish(); err != nil {
 		t.Fatal(err)
 	}

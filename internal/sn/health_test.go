@@ -653,3 +653,57 @@ func TestIPCRestartingFastFail(t *testing.T) {
 		t.Fatalf("restarts = %d with frozen clock", restarts.Load())
 	}
 }
+
+// ctrlPanicModule's control handler panics on op "boom" and answers every
+// other op.
+type ctrlPanicModule struct{ failModule }
+
+func (ctrlPanicModule) Name() string { return "ctrl-panicky" }
+func (ctrlPanicModule) HandleControl(_ Env, _ wire.Addr, op string, _ []byte) ([]byte, error) {
+	if op == "boom" {
+		panic("control kaboom")
+	}
+	return []byte(`"pong"`), nil
+}
+
+// TestControlPanicContained: a panicking control handler costs its caller
+// an error response, not the SN. The panic is counted like a packet-path
+// one, and the node goes on answering control requests.
+func TestControlPanicContained(t *testing.T) {
+	network := netsim.NewNetwork()
+	node := newTestSN(t, network, "fd00::5")
+	if err := node.Register(ctrlPanicModule{}); err != nil {
+		t.Fatal(err)
+	}
+	cl := newClient(t, network, "fd00::1")
+	if err := cl.mgr.Connect(node.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	invoke := func(op string) ControlResponse {
+		t.Helper()
+		req, _ := json.Marshal(ControlRequest{Target: wire.SvcNull, Op: op})
+		if err := cl.mgr.Send(node.Addr(), &wire.ILPHeader{Service: wire.SvcControl, Conn: 7}, req); err != nil {
+			t.Fatal(err)
+		}
+		var resp ControlResponse
+		if err := json.Unmarshal(cl.await(t).payload, &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	if resp := invoke("boom"); resp.OK || !strings.Contains(resp.Error, "panicked") {
+		t.Fatalf("panicking op answered %+v, want a panic error", resp)
+	}
+	if h := moduleHealth(t, node, wire.SvcNull); h.Panics != 1 {
+		t.Fatalf("Panics = %d, want 1", h.Panics)
+	}
+	if v := node.Telemetry().Snapshot().Value(`sn_module_panics_total{module="ctrl-panicky"}`); v != 1 {
+		t.Fatalf("sn_module_panics_total = %v, want 1", v)
+	}
+	if resp := invoke("ping"); !resp.OK || string(resp.Data) != `"pong"` {
+		t.Fatalf("op after the panic answered %+v", resp)
+	}
+	if resp := invoke("health"); !resp.OK {
+		t.Fatalf("health after the panic: %s", resp.Error)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"maps"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -126,6 +127,21 @@ type registeredModule struct {
 	enclave  *enclave.Enclave
 	ctrl     ControlHandler
 	stopOnce sync.Once
+	// notePanic counts and logs a contained module panic.
+	notePanic func(v any)
+}
+
+// control runs the module's control handler under the containment of its
+// packet path: a panic is counted and logged like a HandlePacket panic and
+// answered as a *ModulePanicError instead of killing the SN.
+func (reg *registeredModule) control(src wire.Addr, op string, args []byte) (data []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			reg.notePanic(r)
+			data, err = nil, &ModulePanicError{Value: r, Stack: debug.Stack()}
+		}
+	}()
+	return reg.ctrl.HandleControl(reg.env, src, op, args)
 }
 
 // health snapshots the module's containment state.
@@ -445,7 +461,7 @@ func (s *SN) Register(mod Module, opts ...ModuleOption) error {
 	}
 	// The containment callbacks reference reg.disp, which is assigned
 	// below, before the module becomes reachable from the packet path.
-	notePanic := func(v any) {
+	reg.notePanic = func(v any) {
 		reg.disp.panics.Add(1)
 		s.cfg.Logf("sn %s: module %s panicked (contained): %v", s.Addr(), mod.Name(), v)
 	}
@@ -457,10 +473,10 @@ func (s *SN) Register(mod Module, opts ...ModuleOption) error {
 	var inv invoker
 	switch mc.transport {
 	case TransportChan, TransportDirect:
-		inv = &directInvoker{h: recoverHandleFunc(h, notePanic)}
+		inv = &directInvoker{h: recoverHandleFunc(h, reg.notePanic)}
 	case TransportIPC:
 		retry := pipe.NewBackoff(mc.restartBase, mc.restartMax, pipe.DeriveSeed([]byte(mod.Name())))
-		ipcInv, err := newIPCInvoker(mod.Name(), h, s.cfg.Clock, retry, s.cfg.Logf, notePanic, noteRestart)
+		ipcInv, err := newIPCInvoker(mod.Name(), h, s.cfg.Clock, retry, s.cfg.Logf, reg.notePanic, noteRestart)
 		if err != nil {
 			return err
 		}
@@ -1031,7 +1047,7 @@ func (s *SN) handleControl(src wire.Addr, hdr wire.ILPHeader, payload []byte) {
 		respond(ControlResponse{Error: fmt.Sprintf("service %s has no control handler", req.Target)})
 		return
 	}
-	data, err := reg.ctrl.HandleControl(reg.env, src, req.Op, req.Args)
+	data, err := reg.control(src, req.Op, req.Args)
 	if err != nil {
 		respond(ControlResponse{Error: err.Error()})
 		return

@@ -11,38 +11,32 @@
 #
 # KNOWN_FLAKY — every test that failed in 5 x `go test ./...` (plain) or
 # 5 x `go test -race -short ./...` (race) at this tree, by name and count
-# (2 vCPUs, shared box). Rows at 0/5 failed in the previous sweep, whose
-# counts follow "prev:", and are not known fixed. The list is meant to
-# shrink (ROADMAP items 1 and 3): a test not named here that fails is a
-# regression, and a change that fixes one deletes its row. "alone" = the
-# test by itself, this tree vs parent.
+# (2 vCPUs, shared box), with the parent's count from the same interleaved
+# sweep after "parent:". Rows at 0/5 failed in an earlier sweep and are not
+# known fixed. The list is meant to shrink (ROADMAP items 1 and 3): a test
+# not named here that fails is a regression, and a change that fixes one
+# deletes its row. "alone" = the test by itself, this tree vs parent.
 #
 #   test                                                      plain  race   note
-#   soak   TestSoakScenarios/sn-crash-failover/seed{1,7,42}   5/5    0/5    wall-clock: manual clock vs real goroutines (item 3)
-#   soak   TestSoakScenarios/steady-diurnal/seed1             0/5    0/5    " (race -short runs seed1 of each scenario only: "-"); prev: 5/5
-#   soak   TestSoakScenarios/steady-diurnal/seed{7,42}        0/5    -      "; prev: 2/5
-#   soak   TestSoakScenarios/degrade-recover/seed1            0/5    0/5    "; prev: 3/5
-#   soak   TestSoakScenarios/degrade-recover/seed{7,42}       0/5    -      "; prev: 1/5
-#   soak   TestSoakScenarios/sn-drain-rolling/seed42          1/5    -      "
-#   soak   TestSoakScenarios/sn-drain-rolling/seed{1,7}       0/5    0/5    "; prev: 1/5
-#   soak   TestSoakScenarios/loss-burst-access/seed{1,7}      1/5    0/5    " (one run each)
-#   soak   TestSoakScenarios/loss-burst-access/seed42         0/5    -      "; prev: 1/5
-#   soak   TestFleetScale                                     0/5    5/5    fast-path share 0.29-0.59 vs gate 0.6 under -race
-#   lab    TestWarmFlowFollowsRepublishedDestination          2/5    0/5    a late watch event drops the warm rule (item 1)
-#   lab    TestPlacementDownReaddRebalances                   0/5    5/5    publish order after re-add (item 1)
-#   bench  TestTable1Shape                                    0/5    0/5    compares two wall-clock latencies; prev: 1/5 race
-#   pipe   TestSimultaneousOpen                               0/5    0/5    alone x250 under -race: 3 % (prev): a msg1 sent after
+#   soak   TestSoakScenarios/sn-crash-failover/seed{1,7}      5/5    1/5    wall-clock: manual clock vs real goroutines (item 3);
+#                                                                           race -short runs seed1 of each scenario only ("-"); parent: 5/5, 1/5
+#   soak   TestSoakScenarios/sn-crash-failover/seed42         4/5    -      "; parent: 4/5
+#   soak   TestSoakScenarios/steady-diurnal/seed1             0/5    0/5    "; parent: 2/5, 0/5
+#   soak   TestSoakScenarios/steady-diurnal/seed{7,42}        0/5    -      "; parent: 1/5
+#   soak   TestSoakScenarios/degrade-recover/seed1            1/5    0/5    "; parent: 1/5, 0/5
+#   soak   TestSoakScenarios/degrade-recover/seed{7,42}       0/5    -      "; parent: 0/5
+#   soak   TestSoakScenarios/sn-drain-rolling/seed42          1/5    -      "; parent: 2/5
+#   soak   TestSoakScenarios/sn-drain-rolling/seed7           1/5    -      "; parent: 0/5
+#   soak   TestSoakScenarios/sn-drain-rolling/seed1           0/5    0/5    "; parent: 0/5, 0/5
+#   soak   TestSoakScenarios/loss-burst-access/seed{1,42}     0/5    0/5    "; parent: 1/5, 0/5
+#   soak   TestSoakScenarios/loss-burst-access/seed7          0/5    -      "; parent: 1/5
+#   soak   TestFleetScale                                     1/5    3/5    fast-path share 0.29-0.59 vs gate 0.6 under -race; parent: 4/5, 5/5
+#   lab    TestWarmFlowFollowsRepublishedDestination          2/5    0/5    a late watch event drops the warm rule (item 1); parent: 0/5, 1/5;
+#                                                                           alone x80: 22/80 vs 19/80
+#   lab    TestPlacementDownReaddRebalances                   0/5    5/5    publish order after re-add (item 1); parent: 0/5, 5/5
+#   bench  TestTable1Shape                                    0/5    0/5    compares two wall-clock latencies; parent: 0/5, 0/5
+#   pipe   TestSimultaneousOpen                               0/5    0/5    alone x250 under -race: 3 % (earlier sweep): a msg1 sent after
 #                                                                           its sender answered the peer's replaces the agreed keys
-#
-# Fixed since the previous sweep: chaos.TestSoakMultiEdomainChaos (its leak
-# gate measured a topology the test still held; 0/10 here). Three tests read
-# a counter or a callback the moment the packet or table change it reports
-# became visible; they now wait for it. Alone under -race, this tree before the fix vs
-# parent: pipe.TestEgressImmediateFlushAtLowLoad 12/40 vs 11/40,
-# pipe.TestDeadPeerDetectionFiresOnPeerDown 5/150 vs 0/150 (a reader blocked
-# on the peer-table shard lock wakes the instant the dead pipe leaves it,
-# before OnPeerDown runs), sn.TestForwardRequeuesWhileEstablishing 0/150 vs
-# 1/150; in this sweep they failed 2/5, 1/5 and 1/5 under -race.
 set -u
 
 cd "$(dirname "$0")/.."
@@ -91,18 +85,18 @@ run "telemetry zero-alloc pins" \
 echo "==> UDP GSO capability probe (informational; batch paths fall back when absent)"
 go test -count=1 -run 'TestUDPGSOCapabilityProbe' -v ./internal/netsim/ | grep -i 'gso\|PASS\|FAIL' || true
 
-run "forced segmentation-offload fallback suite (INTEREDGE_NO_GSO=1)" \
-	env INTEREDGE_NO_GSO=1 go test -count=1 ./internal/netsim/ ./internal/pipe/ ./internal/chaos/
-
 run "chaos suite (race-detected, fixed seeds, bounded)" \
 	go test -race -count=1 -timeout 180s ./internal/chaos/
 
 run "module-fault containment suite (race-detected, fixed seeds)" \
 	go test -race -count=1 -timeout 120s -run 'TestModuleFaultContainmentChaos' ./internal/chaos/
-run "module-fault containment: sn unit suites" \
+run "module-fault containment: sn unit suites, and control requests that panic or are malformed" \
 	go test -race -count=1 -timeout 120s \
-	-run 'Breaker|PanicContainment|PanicIPC|DeadlineTimeout|Degraded|IPCDecodeFailure|IPCRestarting' \
-	./internal/sn/
+	-run 'Breaker|PanicContainment|PanicIPC|DeadlineTimeout|Degraded|IPCDecodeFailure|IPCRestarting|ControlPanicContained|MalformedControl' \
+	./internal/sn/ ./internal/services/ordered/ ./internal/services/msgqueue/
+run "group services: shared membership, sender registration and host client (race-detected, x3)" \
+	go test -race -count=3 -timeout 300s \
+	./internal/services/groupfan/ ./internal/services/pubsub/ ./internal/services/multicast/ ./internal/services/anycast/
 run "slow-path dispatcher: close race, worker ownership, queue order and depth (race-detected, repeated)" \
 	go test -race -count=10 -timeout 180s \
 	-run 'TestDispatcher|TestInProcessModuleOwnsItsWorkersOnly|TestSlowPath' \
