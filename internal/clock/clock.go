@@ -60,6 +60,8 @@ type Manual struct {
 	mu      sync.Mutex
 	now     time.Time
 	waiters waiterHeap
+	// fired holds the channels the latest Advance delivered on.
+	fired []chan time.Time
 }
 
 // NewManual returns a Manual clock starting at start.
@@ -169,10 +171,33 @@ func (m *Manual) Advance(d time.Duration) {
 		due = append(due, w)
 	}
 	now := m.now
+	fired := m.fired[:0]
+	for _, w := range due {
+		fired = append(fired, w.ch)
+	}
+	m.fired = fired
 	m.mu.Unlock()
 	for _, w := range due {
 		w.ch <- now
 	}
+}
+
+// Unreceived reports how many of the timers the latest Advance fired still
+// hold their value: their waiters have not yet run. A driver that advances
+// the clock from one goroutine can wait for it to reach zero before the next
+// Advance, so that simulated time does not outrun the goroutines it wakes.
+// A channel nobody receives from any more (a select that took another case)
+// stays counted until the next Advance.
+func (m *Manual) Unreceived() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	n := 0
+	for _, ch := range m.fired {
+		if len(ch) > 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // Set moves the clock to exactly t (which must not be earlier than the

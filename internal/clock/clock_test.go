@@ -53,6 +53,39 @@ func TestManualAfterFiresOnAdvance(t *testing.T) {
 	}
 }
 
+func TestManualUnreceivedCountsLatestAdvance(t *testing.T) {
+	m := NewManual(time.Unix(0, 0))
+	a := m.After(time.Second)
+	b := m.After(time.Second)
+	stopped := m.NewTimer(time.Second)
+	stopped.Stop()
+	later := m.After(time.Minute)
+	if n := m.Unreceived(); n != 0 {
+		t.Fatalf("Unreceived() = %d before any Advance, want 0", n)
+	}
+	m.Advance(time.Second)
+	if n := m.Unreceived(); n != 2 {
+		t.Fatalf("Unreceived() = %d after firing two timers, want 2", n)
+	}
+	<-a
+	if n := m.Unreceived(); n != 1 {
+		t.Fatalf("Unreceived() = %d after one receive, want 1", n)
+	}
+	<-b
+	if n := m.Unreceived(); n != 0 {
+		t.Fatalf("Unreceived() = %d after both receives, want 0", n)
+	}
+	m.Advance(time.Second)
+	if n := m.Unreceived(); n != 0 {
+		t.Fatalf("Unreceived() = %d after an Advance firing nothing, want 0", n)
+	}
+	m.Advance(time.Minute)
+	if n := m.Unreceived(); n != 1 {
+		t.Fatalf("Unreceived() = %d, want 1", n)
+	}
+	<-later
+}
+
 func TestManualAfterZeroFiresImmediately(t *testing.T) {
 	m := NewManual(time.Unix(0, 0))
 	select {

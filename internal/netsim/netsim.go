@@ -153,6 +153,11 @@ type Network struct {
 	partitions    map[linkKey]bool
 	telem         *telemetry.Registry
 	stats         fabricStats
+
+	// due counts the delayed copies not yet delivered by delivery time
+	// (Unix ns), so Settled can tell the late ones from the early.
+	dueMu sync.Mutex
+	due   map[int64]int
 }
 
 type linkKey struct{ from, to wire.Addr }
@@ -237,6 +242,7 @@ func NewNetwork(opts ...NetworkOption) *Network {
 		links:      make(map[linkKey]*linkState),
 		faults:     make(map[linkKey]FaultProfile),
 		partitions: make(map[linkKey]bool),
+		due:        make(map[int64]int),
 	}
 	for _, o := range opts {
 		o(n)
@@ -610,12 +616,47 @@ func (n *Network) transmit(dst *simTransport, dg wire.Datagram, delay time.Durat
 		return
 	}
 	// Register the timer synchronously so that a Manual clock advanced
-	// right after Send returns still fires this delivery.
+	// right after Send returns still fires this delivery. The clock is read
+	// after: the recorded time is never before the timer's, so a copy
+	// Settled counts as due has had its timer fire.
 	timer := n.clk.After(delay)
+	at := n.clk.Now().Add(delay).UnixNano()
+	n.dueMu.Lock()
+	n.due[at]++
+	n.dueMu.Unlock()
 	go func() {
 		<-timer
 		n.deliver(dst, cp)
+		n.dueMu.Lock()
+		if n.due[at]--; n.due[at] == 0 {
+			delete(n.due, at)
+		}
+		n.dueMu.Unlock()
 	}()
+}
+
+// Settled reports whether every datagram due by now has reached its
+// receiver: no delayed copy whose time has come is still undelivered, and
+// every receive queue is empty. A driver of a Manual clock can wait for it
+// after each Advance, so that simulated time does not outrun the nodes.
+func (n *Network) Settled() bool {
+	now := n.clk.Now().UnixNano()
+	n.dueMu.Lock()
+	for at := range n.due {
+		if at <= now {
+			n.dueMu.Unlock()
+			return false
+		}
+	}
+	n.dueMu.Unlock()
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	for _, t := range n.nodes {
+		if len(t.rx) > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // deliver queues a copy the fabric made for dst; one it has to drop instead

@@ -113,6 +113,43 @@ func TestLatencyWithManualClock(t *testing.T) {
 	}
 }
 
+// TestSettledTracksDueDatagrams pins what a Manual-clock driver waits on:
+// a delayed datagram not yet due leaves the fabric settled, one whose time
+// has come is unsettled until it is delivered and taken off its queue.
+func TestSettledTracksDueDatagrams(t *testing.T) {
+	clk := clock.NewManual(time.Unix(0, 0))
+	n := NewNetwork(WithClock(clk))
+	a := attach(t, n, "fd00::1")
+	b := attach(t, n, "fd00::2")
+	n.SetLinkBoth(a.LocalAddr(), b.LocalAddr(), LinkProfile{Latency: 10 * time.Millisecond})
+
+	if !n.Settled() {
+		t.Fatal("empty fabric not settled")
+	}
+	if err := a.Send(wire.Datagram{Dst: b.LocalAddr(), Payload: []byte("x")}); err != nil {
+		t.Fatal(err)
+	}
+	if !n.Settled() {
+		t.Fatal("a datagram not yet due unsettled the fabric")
+	}
+	clk.Advance(10 * time.Millisecond)
+	if n.Settled() {
+		t.Fatal("fabric settled with a due datagram not yet received")
+	}
+	select {
+	case <-b.Receive():
+	case <-time.After(time.Second):
+		t.Fatal("not delivered after clock advance")
+	}
+	deadline := time.Now().Add(time.Second)
+	for !n.Settled() {
+		if time.Now().After(deadline) {
+			t.Fatal("fabric not settled after the datagram was received")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestLossIsDeterministicWithSeed(t *testing.T) {
 	run := func() (delivered int) {
 		n := NewNetwork(WithSeed(7))

@@ -215,7 +215,7 @@ func (r *RX) OpenBatch(s *Scratch, pkts [][]byte, out []OpenResult) {
 			continue
 		}
 		if !haveLast || m.spi != lastSPI {
-			epoch := reconstructEpoch(r.epoch, m.spi&epochMask)
+			epoch := reconstructEpoch(r.cur.epoch, m.spi&epochMask)
 			aead, win, aerr := r.aeadForEpoch(epoch)
 			if aerr != nil {
 				out[i].Err = aerr
@@ -274,6 +274,11 @@ func (r *RX) OpenBatch(s *Scratch, pkts [][]byte, out []OpenResult) {
 			continue
 		}
 		win := r.commitEpoch(m.epoch, m.aead)
+		if win == nil {
+			out[i].Err = ErrBadEpoch
+			m.ok = false
+			continue
+		}
 		if replay {
 			if rerr := win.check(m.iv); rerr != nil {
 				out[i].Err = rerr

@@ -284,17 +284,26 @@ func carryShift(b *[replayWords]uint64) {
 	}
 }
 
+// epochSlot is one receive epoch: its key and its replay window. A slot
+// with a nil aead is empty.
+type epochSlot struct {
+	epoch uint32
+	aead  cipher.AEAD
+	win   replayWindow
+}
+
 // RX is the receiving half of one direction of a pipe. It accepts the
 // current and the immediately previous key epoch, and (optionally) enforces
 // anti-replay per epoch. Safe for concurrent use.
 type RX struct {
-	mu          sync.Mutex
-	master      cryptutil.Key
-	dir         Direction
-	baseSPI     uint32
-	epoch       uint32 // highest epoch observed
-	aeads       map[uint32]cipher.AEAD
-	windows     map[uint32]*replayWindow
+	mu      sync.Mutex
+	master  cryptutil.Key
+	dir     Direction
+	baseSPI uint32
+	// cur is the highest epoch authenticated so far and is never empty;
+	// prev holds epoch cur.epoch-1, or is empty until a packet of that
+	// epoch authenticates.
+	cur, prev   epochSlot
 	replayCheck bool
 }
 
@@ -303,18 +312,7 @@ func NewRX(master cryptutil.Key, dir Direction, baseSPI uint32) (*RX, error) {
 	if baseSPI&epochMask != 0 {
 		return nil, fmt.Errorf("psp: baseSPI low byte must be zero, got %#x", baseSPI)
 	}
-	aead, err := epochKey(master, dir, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &RX{
-		master:      master,
-		dir:         dir,
-		baseSPI:     baseSPI,
-		aeads:       map[uint32]cipher.AEAD{0: aead},
-		windows:     map[uint32]*replayWindow{0: {}},
-		replayCheck: true,
-	}, nil
+	return NewRXAt(master, dir, baseSPI, 0)
 }
 
 // NewRXAt creates receiving state resuming at a given epoch. Earlier
@@ -336,9 +334,7 @@ func NewRXAt(master cryptutil.Key, dir Direction, baseSPI, epoch uint32) (*RX, e
 		master:      master,
 		dir:         dir,
 		baseSPI:     baseSPI,
-		epoch:       epoch,
-		aeads:       map[uint32]cipher.AEAD{epoch: aead},
-		windows:     map[uint32]*replayWindow{epoch: {}},
+		cur:         epochSlot{epoch: epoch, aead: aead},
 		replayCheck: true,
 	}, nil
 }
@@ -347,7 +343,7 @@ func NewRXAt(master cryptutil.Key, dir Direction, baseSPI, epoch uint32) (*RX, e
 func (r *RX) Epoch() uint32 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.epoch
+	return r.cur.epoch
 }
 
 // SetReplayCheck enables or disables anti-replay enforcement. It is on by
@@ -371,20 +367,30 @@ func reconstructEpoch(cur, low uint32) uint32 {
 	return epoch
 }
 
+// slot returns the slot holding epoch, or nil.
+func (r *RX) slot(epoch uint32) *epochSlot {
+	switch {
+	case epoch == r.cur.epoch:
+		return &r.cur
+	case epoch == r.prev.epoch && r.prev.aead != nil:
+		return &r.prev
+	}
+	return nil
+}
+
 // aeadForEpoch returns the AEAD and replay window for an already-tracked
 // epoch, or derives a tentative AEAD (win == nil) for an acceptable but
 // unseen one — any newer epoch (the sender may have rotated several times
 // before sending) or the immediately previous epoch; anything older is
-// rejected. It never mutates receiver state: the epoch cache, the windows,
-// and the sliding current epoch are only touched by commitEpoch AFTER the
-// packet authenticates. Committing on first sight would let a single
-// corrupted or forged SPI byte advance the epoch and evict the live keys,
-// permanently killing the pipe.
+// rejected. It never mutates receiver state: the epoch slots are only
+// touched by commitEpoch AFTER the packet authenticates. Committing on first
+// sight would let a single corrupted or forged SPI byte advance the epoch
+// and evict the live keys, permanently killing the pipe.
 func (r *RX) aeadForEpoch(epoch uint32) (cipher.AEAD, *replayWindow, error) {
-	if aead, ok := r.aeads[epoch]; ok {
-		return aead, r.windows[epoch], nil
+	if sl := r.slot(epoch); sl != nil {
+		return sl.aead, &sl.win, nil
 	}
-	if epoch+1 < r.epoch {
+	if epoch+1 < r.cur.epoch {
 		return nil, nil, ErrBadEpoch
 	}
 	aead, err := epochKey(r.master, r.dir, epoch)
@@ -394,27 +400,31 @@ func (r *RX) aeadForEpoch(epoch uint32) (cipher.AEAD, *replayWindow, error) {
 	return aead, nil, nil
 }
 
-// commitEpoch records an authenticated packet's epoch: caches its key,
-// creates its replay window, advances the current epoch, and drops epochs
-// older than the previous one. Idempotent (concurrent opens of the same
-// new epoch both commit). Must be called with r.mu held.
+// commitEpoch records an authenticated packet's epoch and returns its
+// replay window. A newer epoch becomes current, and the old current stays
+// as previous only if it is the epoch just before; the previous epoch fills
+// the empty previous slot. Idempotent (concurrent opens of the same new
+// epoch both commit). It returns nil for an epoch older than the previous
+// one, which a newer epoch committed since aeadForEpoch passed it: that
+// packet is rejected as if it had arrived after the newer one. Must be
+// called with r.mu held.
 func (r *RX) commitEpoch(epoch uint32, aead cipher.AEAD) *replayWindow {
-	if w, ok := r.windows[epoch]; ok {
-		return w
+	if sl := r.slot(epoch); sl != nil {
+		return &sl.win
 	}
-	r.aeads[epoch] = aead
-	w := &replayWindow{}
-	r.windows[epoch] = w
-	if epoch > r.epoch {
-		r.epoch = epoch
-		for e := range r.aeads {
-			if e+1 < epoch {
-				delete(r.aeads, e)
-				delete(r.windows, e)
-			}
+	switch {
+	case epoch > r.cur.epoch:
+		r.prev = epochSlot{}
+		if epoch == r.cur.epoch+1 {
+			r.prev = r.cur
 		}
+		r.cur = epochSlot{epoch: epoch, aead: aead}
+		return &r.cur.win
+	case epoch+1 == r.cur.epoch:
+		r.prev = epochSlot{epoch: epoch, aead: aead}
+		return &r.prev.win
 	}
-	return w
+	return nil
 }
 
 // Open parses and authenticates a sealed packet, returning the decrypted
@@ -452,7 +462,7 @@ func (r *RX) OpenScratch(s *Scratch, packet []byte) (hdrPlain, payload []byte, e
 	// runs outside the lock.
 	epochLow := ph.SPI & epochMask
 	r.mu.Lock()
-	epoch := reconstructEpoch(r.epoch, epochLow)
+	epoch := reconstructEpoch(r.cur.epoch, epochLow)
 	aead, win, aerr := r.aeadForEpoch(epoch)
 	if aerr != nil {
 		r.mu.Unlock()
@@ -480,6 +490,10 @@ func (r *RX) OpenScratch(s *Scratch, packet []byte) (hdrPlain, payload []byte, e
 
 	r.mu.Lock()
 	win = r.commitEpoch(epoch, aead)
+	if win == nil {
+		r.mu.Unlock()
+		return nil, nil, ErrBadEpoch
+	}
 	if r.replayCheck {
 		// Re-validate under lock: a concurrent Open of the same IV may have
 		// won the race between check and mark.

@@ -18,6 +18,10 @@
 // to correctness: eviction was already allowed to be arbitrary (B.1), so
 // per-shard CLOCK sweeps are just one more admissible eviction order.
 //
+// Capacity is a bound, not a working set (B.1 lets entries go at will), so
+// memory follows the rules installed: a shard starts with no slots and grows
+// its slot array toward its fixed capacity as rules arrive, never past it.
+//
 // Writes cost O(entries changed), never O(capacity): empty slots come off
 // a free list, a full shard goes straight to the CLOCK hand, and per-shard
 // reverse indexes (flow source → rules, next hop or dependency → rules),
@@ -122,8 +126,8 @@ type entry struct {
 // fanout is the byDst node for a further address of a rule: a second or
 // later distinct next hop, or the address the rule depends on. The nodes
 // live outside the slots, in a slice that grows only when such rules are
-// installed; node ids from len(slots) up name fanout nodes, smaller ids are
-// slots.
+// installed; node ids from the shard's capacity up name fanout nodes,
+// smaller ids are slots, so a growing slot array never renumbers a node.
 type fanout struct {
 	link
 	addr wire.Addr
@@ -135,11 +139,11 @@ type fanout struct {
 // shard is one independently locked CLOCK cache.
 type shard struct {
 	mu       sync.Mutex
+	capacity int32 // fixed; slots grows to it and no further
 	index    map[wire.FlowKey]int32
 	slots    []entry
 	hand     int32
 	free     int32                  // slots an invalidation emptied, joined by links[bySrc].next
-	fresh    int32                  // slots[fresh:] have never been used
 	heads    [2]map[wire.Addr]int32 // per index: address → first node of its list
 	fan      []fanout
 	fanFree  int32
@@ -158,8 +162,9 @@ type shard struct {
 // the tests pinning it) is unchanged.
 const minShardCapacity = 1024
 
-// Cache is a fixed-capacity decision cache striped over power-of-two many
-// CLOCK shards. It is safe for concurrent use.
+// Cache is a decision cache of bounded capacity striped over power-of-two
+// many CLOCK shards; its memory follows the rules it holds. It is safe for
+// concurrent use.
 type Cache struct {
 	shards []*shard
 	mask   uint64
@@ -231,13 +236,13 @@ func newCache(capacity, n int, srcAffine bool) *Cache {
 			sz++
 		}
 		c.shards[i] = &shard{
-			index:   make(map[wire.FlowKey]int32, sz),
-			slots:   make([]entry, sz),
-			free:    none,
-			heads:   [2]map[wire.Addr]int32{{}, {}},
-			fanFree: none,
-			now:     time.Now,
-			enabled: true,
+			capacity: int32(sz),
+			index:    make(map[wire.FlowKey]int32),
+			free:     none,
+			heads:    [2]map[wire.Addr]int32{{}, {}},
+			fanFree:  none,
+			now:      time.Now,
+			enabled:  true,
 		}
 	}
 	return c
@@ -361,18 +366,21 @@ func (c *Cache) Add(key wire.FlowKey, action Action) {
 	s.linkDests(i, action.DependsOn)
 }
 
-// takeSlot returns an empty slot: one an invalidation freed, else one never
-// used, else — the shard is full — the CLOCK (second-chance) victim, whose
-// rule it removes. It never searches for a free slot. Must be called with
-// s.mu held, like every shard method below.
+// takeSlot returns an empty slot: one an invalidation freed, else a new one
+// at the end of a shard not yet at capacity, else — the shard is full — the
+// CLOCK (second-chance) victim, whose rule it removes. It never searches for
+// a free slot. Must be called with s.mu held, like every shard method below.
 func (s *shard) takeSlot() int32 {
 	if i := s.free; i != none {
 		s.free = s.slots[i].links[bySrc].next
 		return i
 	}
-	if int(s.fresh) < len(s.slots) {
-		s.fresh++
-		return s.fresh - 1
+	if n := len(s.slots); n < int(s.capacity) {
+		if n == cap(s.slots) {
+			s.grow()
+		}
+		s.slots = s.slots[:n+1]
+		return int32(n)
 	}
 	for {
 		i := s.hand
@@ -386,6 +394,19 @@ func (s *shard) takeSlot() int32 {
 		s.remove(i)
 		return i
 	}
+}
+
+// grow reallocates the slot array as append would, but never past the
+// shard's capacity, so a full shard holds exactly capacity slots.
+func (s *shard) grow() {
+	n := len(s.slots)
+	c := 2 * n
+	if n >= 256 {
+		c = n + (n+3*256)/4
+	}
+	grown := make([]entry, n, min(max(c, 8), int(s.capacity)))
+	copy(grown, s.slots)
+	s.slots = grown
 }
 
 // remove takes the rule in slot i out of the table and both indexes; the
@@ -417,11 +438,11 @@ func (s *shard) invalidateList(ix int, a wire.Addr) {
 	}
 }
 
-func (s *shard) fanNode(id int32) *fanout { return &s.fan[int(id)-len(s.slots)] }
+func (s *shard) fanNode(id int32) *fanout { return &s.fan[id-s.capacity] }
 
 // link returns node id's links in index ix.
 func (s *shard) link(ix int, id int32) *link {
-	if int(id) >= len(s.slots) {
+	if id >= s.capacity {
 		return &s.fanNode(id).link
 	}
 	return &s.slots[id].links[ix]
@@ -429,7 +450,7 @@ func (s *shard) link(ix int, id int32) *link {
 
 // slotOf returns the slot of the rule that node id indexes.
 func (s *shard) slotOf(id int32) int32 {
-	if int(id) >= len(s.slots) {
+	if id >= s.capacity {
 		return s.fanNode(id).slot
 	}
 	return id
@@ -498,7 +519,7 @@ func (s *shard) linkFanout(i int32, a wire.Addr, dep bool) {
 	id := s.fanFree
 	if id == none {
 		s.fan = append(s.fan, fanout{})
-		id = int32(len(s.slots) + len(s.fan) - 1)
+		id = s.capacity + int32(len(s.fan)-1)
 	} else {
 		s.fanFree = s.fanNode(id).sib
 	}
@@ -585,7 +606,7 @@ func (c *Cache) CollectDest(dst wire.Addr, max int) []wire.FlowKey {
 		for id := s.head(byDst, dst); id != none; id = s.link(byDst, id).next {
 			s.examined++
 			// A rule that only depends on dst does not forward to it.
-			if int(id) < len(s.slots) || !s.fanNode(id).dep {
+			if id < s.capacity || !s.fanNode(id).dep {
 				found = append(found, s.slotOf(id))
 			}
 		}
@@ -654,12 +675,13 @@ func (c *Cache) RegisterTelemetry(r *telemetry.Registry) {
 		telemetry.NewCounterFunc("cache_evictions_total", stat(func(s Stats) uint64 { return s.Evictions })),
 		telemetry.NewCounterFunc("cache_inserts_total", stat(func(s Stats) uint64 { return s.Inserts })),
 		telemetry.NewGaugeFunc("cache_entries", func() int64 { return int64(c.Len()) }),
+		// Shard capacities are fixed at construction: no lock to read them.
 		telemetry.NewGaugeFunc("cache_capacity", func() int64 {
-			n := 0
+			n := int64(0)
 			for _, s := range c.shards {
-				n += len(s.slots)
+				n += int64(s.capacity)
 			}
-			return int64(n)
+			return n
 		}),
 	)
 }
@@ -679,7 +701,7 @@ func (c *Cache) Snapshot() Stats {
 			st.Invalidated[i] += n
 		}
 		st.Size += len(s.index)
-		st.Capacity += len(s.slots)
+		st.Capacity += int(s.capacity)
 		s.mu.Unlock()
 	}
 	return st

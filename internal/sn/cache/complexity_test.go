@@ -9,8 +9,8 @@ import (
 )
 
 // TestEntrySize pins the slot at the size it had before it carried index
-// links: a 65536-slot cache is half an SN's heap, so 16 bytes more per slot
-// would show as +5 % on the benchmark's heap_kb_per_host.
+// links: a full 65536-slot cache is 8.5 MiB, so 16 bytes more per slot would
+// show on the benchmark's heap_kb_per_host wherever caches fill.
 func TestEntrySize(t *testing.T) {
 	if got := unsafe.Sizeof(entry{}); got > 136 {
 		t.Fatalf("entry is %d bytes, want <= 136", got)

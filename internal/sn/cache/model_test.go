@@ -64,27 +64,26 @@ func refCollectDest(c *Cache, dst wire.Addr, max int) []wire.FlowKey {
 
 // checkShard fails unless the table, the free slots, both reverse indexes
 // and the fanout nodes of s all describe the same set of rules. The index
-// lists are compared with a scan of every slot.
+// lists are compared with a scan of every slot. The slot array grows to the
+// shard's capacity and never past it, not even in spare room: a full
+// shard's array is exactly capacity slots.
 func checkShard(t testing.TB, s *shard) {
 	t.Helper()
 	n := int32(len(s.slots))
+	if n > s.capacity || cap(s.slots) > int(s.capacity) {
+		t.Fatalf("%d slots, room for %d, in a shard of capacity %d", n, cap(s.slots), s.capacity)
+	}
 	live := make(map[int32]bool)
 	for k, i := range s.index {
-		if s.slots[i].key != k || live[i] {
-			t.Fatalf("index[%v] = slot %d, which holds %v (shared: %v)", k, i, s.slots[i].key, live[i])
+		if i < 0 || i >= n || s.slots[i].key != k || live[i] {
+			t.Fatalf("index[%v] = slot %d of %d (shared: %v)", k, i, n, live[i])
 		}
 		live[i] = true
 	}
 	empty := make(map[int32]bool)
 	for i := s.free; i != none; i = s.slots[i].links[bySrc].next {
-		if live[i] || empty[i] || i >= s.fresh {
-			t.Fatalf("free list holds slot %d: live %v, twice %v, fresh from %d", i, live[i], empty[i], s.fresh)
-		}
-		empty[i] = true
-	}
-	for i := s.fresh; i < n; i++ {
-		if live[i] {
-			t.Fatalf("slot %d is live but fresh starts at %d", i, s.fresh)
+		if i < 0 || i >= n || live[i] || empty[i] {
+			t.Fatalf("free list holds slot %d of %d: live %v, twice %v", i, n, live[i], empty[i])
 		}
 		empty[i] = true
 	}
@@ -248,7 +247,7 @@ func runOps(t testing.TB, c *Cache, data []byte) (st Stats) {
 			if r := model[key]; r != nil {
 				r.action, r.lastUsed = kept, now
 			} else {
-				if s := c.shardFor(key); len(s.index) == len(s.slots) {
+				if s := c.shardFor(key); len(s.index) == int(s.capacity) {
 					delete(model, s.slots[refClockVictim(s)].key)
 					want.Evictions++
 				}

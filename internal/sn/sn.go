@@ -32,7 +32,9 @@ type Config struct {
 	Identity handshake.Identity
 	// Clock defaults to the real clock.
 	Clock clock.Clock
-	// CacheSize is the decision-cache capacity (default 65536 entries).
+	// CacheSize is the decision-cache capacity (default 65536 entries):
+	// a bound, not an allocation; the cache's memory follows the rules
+	// installed.
 	CacheSize int
 	// TPM is the node's TPM; created automatically when nil.
 	TPM *tpm.TPM

@@ -12,6 +12,8 @@ const (
 	raceEnabled     = true
 	tickYieldBase   = 50 * time.Microsecond
 	tickYieldPerPkt = 20 * time.Microsecond
+	// settleMax bounds how long one tick waits for the world to settle.
+	settleMax = 50 * time.Millisecond
 
 	// fastpathP99Bound is loosened an order of magnitude under the race
 	// detector: it slows genuine service time by roughly that factor,

@@ -342,10 +342,10 @@ func runScenario(sc Scenario, seed int64, ro *runOpts) (*runOutcome, error) {
 			}
 		}
 		clk.Advance(sc.Tick)
+		settle(clk, net)
 		// Yield real time in proportion to the load just injected so
 		// slow-path workers and delivery goroutines keep pace with the
 		// injected clock instead of being starved by this loop.
-		runtime.Gosched()
 		pause := tickYieldBase + time.Duration(offered)*tickYieldPerPkt
 		if pause > 0 {
 			time.Sleep(pause)
@@ -353,6 +353,7 @@ func runScenario(sc Scenario, seed int64, ro *runOpts) (*runOutcome, error) {
 	}
 	for i := 0; i < sc.DrainTicks; i++ {
 		clk.Advance(sc.Tick)
+		settle(clk, net)
 		time.Sleep(20 * time.Microsecond)
 	}
 	time.Sleep(20 * time.Millisecond)
@@ -398,6 +399,29 @@ func runScenario(sc Scenario, seed int64, ro *runOpts) (*runOutcome, error) {
 	}
 	out.bad += strayBad.Load()
 	return out, nil
+}
+
+// settle holds the injected clock after an advance until the world has
+// caught up with it: every timer the advance fired has been received and
+// every datagram due by now has left its receive queue. Without it, a node
+// starved of CPU for a few milliseconds misses a simulated keepalive
+// window, and a live pipe is declared dead. The condition must hold on two
+// checks in a row, so that a goroutine that has just taken its timer but
+// not yet sent what it fired for is not missed. A timer nobody receives
+// from any more holds the clock for at most settleMax.
+func settle(clk *clock.Manual, net *netsim.Network) {
+	deadline := time.Now().Add(settleMax)
+	for quiet := 0; quiet < 2; {
+		runtime.Gosched()
+		if clk.Unreceived() == 0 && net.Settled() {
+			quiet++
+		} else {
+			quiet = 0
+		}
+		if time.Now().After(deadline) {
+			return
+		}
+	}
 }
 
 // buildFlows opens every conn of the scenario's traffic mix and indexes
