@@ -286,8 +286,8 @@ func scenarioDDoS(topo *lab.Topology, w *worldState) error {
 	if err != nil {
 		return err
 	}
-	if _, err := target.InvokeFirstHop(wire.SvcDDoS, "protect", map[string]any{
-		"target": target.Addr().String(), "rate": 100.0, "burst": 200.0,
+	if _, err := ddos.OpProtect.CallFirstHop(target, ddos.ProtectArgs{
+		Target: target.Addr(), Rate: 100, Burst: 200,
 	}); err != nil {
 		return err
 	}

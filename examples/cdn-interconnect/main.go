@@ -87,8 +87,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if _, err := h.InvokeFirstHop(wire.SvcCDNCache, "publish", map[string]string{
-			"name": "index.html", "origin": origin.Addr().String(),
+		if _, err := cdncache.OpPublish.CallFirstHop(h, cdncache.PublishArgs{
+			Name: "index.html", Origin: origin.Addr(),
 		}); err != nil {
 			log.Fatal(err)
 		}

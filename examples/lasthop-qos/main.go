@@ -10,6 +10,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"net/netip"
 	"time"
 
 	"interedge/internal/host"
@@ -54,9 +55,9 @@ func main() {
 	cfg := qos.ConfigArgs{
 		BandwidthBps: 100_000,
 		Mode:         "priority",
-		Classes:      []qos.Class{{Prefix: "fd00:9a8e::/32", Level: 0}},
+		Classes:      []qos.Class{{Prefix: netip.MustParsePrefix("fd00:9a8e::/32"), Level: 0}},
 	}
-	if _, err := home.InvokeFirstHop(wire.SvcQoS, "configure", cfg); err != nil {
+	if _, err := qos.OpConfigure.CallFirstHop(home, cfg); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("receiver configured last-hop QoS: 100 KB/s, gaming prefix at priority 0")

@@ -12,7 +12,6 @@ package host
 
 import (
 	"crypto/ed25519"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -28,10 +27,9 @@ import (
 
 // Errors returned by the host stack.
 var (
-	ErrNoFirstHop     = errors.New("host: no first-hop SN associated")
-	ErrInvokeTimeout  = errors.New("host: control invocation timed out")
-	ErrControlRefused = errors.New("host: control operation refused")
-	ErrDirectDenied   = errors.New("host: direct connectivity not permitted to destination")
+	ErrNoFirstHop    = errors.New("host: no first-hop SN associated")
+	ErrInvokeTimeout = errors.New("host: control invocation timed out")
+	ErrDirectDenied  = errors.New("host: direct connectivity not permitted to destination")
 )
 
 // Message is one inbound ILP packet delivered to a connection or service
@@ -111,7 +109,7 @@ type Host struct {
 	firstHops []wire.Addr
 	conns     map[connKey]*Conn
 	handlers  map[wire.ServiceID]ServiceHandler
-	invokes   map[wire.ConnectionID]chan ControlResult
+	invokes   map[wire.ConnectionID]chan []byte // control replies awaited by RoundTrip
 	closed    bool
 
 	nextConn atomic.Uint64
@@ -122,12 +120,6 @@ type Host struct {
 type connKey struct {
 	svc  wire.ServiceID
 	conn wire.ConnectionID
-}
-
-// ControlResult is the parsed outcome of a control invocation.
-type ControlResult struct {
-	Data json.RawMessage
-	Err  error
 }
 
 // New creates a host and associates it with any pre-configured first hops.
@@ -171,7 +163,7 @@ func initHost(cfg Config) *Host {
 		cfg:      cfg,
 		conns:    make(map[connKey]*Conn),
 		handlers: make(map[wire.ServiceID]ServiceHandler),
-		invokes:  make(map[wire.ConnectionID]chan ControlResult),
+		invokes:  make(map[wire.ConnectionID]chan []byte),
 	}
 	h.nextConn.Store(1)
 	return h
@@ -307,6 +299,8 @@ func (h *Host) handlePacket(_ pipe.Sender, src wire.Addr, hdr wire.ILPHeader, _ 
 	h.rxUnclaimed.Add(1)
 }
 
+// handleControlReply hands a control reply to the RoundTrip awaiting it. A
+// host serves no control ops, so anything else is unclaimed.
 func (h *Host) handleControlReply(conn wire.ConnectionID, payload []byte) {
 	h.mu.Lock()
 	ch, ok := h.invokes[conn]
@@ -318,20 +312,7 @@ func (h *Host) handleControlReply(conn wire.ConnectionID, payload []byte) {
 		h.rxUnclaimed.Add(1)
 		return
 	}
-	var resp struct {
-		OK    bool            `json:"ok"`
-		Error string          `json:"error"`
-		Data  json.RawMessage `json:"data"`
-	}
-	if err := json.Unmarshal(payload, &resp); err != nil {
-		ch <- ControlResult{Err: fmt.Errorf("host: malformed control reply: %w", err)}
-		return
-	}
-	if !resp.OK {
-		ch <- ControlResult{Err: fmt.Errorf("%w: %s", ErrControlRefused, resp.Error)}
-		return
-	}
-	ch <- ControlResult{Data: resp.Data}
+	ch <- payload
 }
 
 // handlePipeMove reacts to a draining first-hop SN announcing its
@@ -414,27 +395,12 @@ func (h *Host) OnService(svc wire.ServiceID, handler ServiceHandler) {
 // handler, or pending invocation.
 func (h *Host) UnclaimedPackets() uint64 { return h.rxUnclaimed.Load() }
 
-// Invoke performs an out-of-band control operation against a service on
-// the given SN and waits for the reply (§3.2 second invocation style).
-func (h *Host) Invoke(sn wire.Addr, target wire.ServiceID, op string, args any) (json.RawMessage, error) {
-	var raw json.RawMessage
-	if args != nil {
-		b, err := json.Marshal(args)
-		if err != nil {
-			return nil, fmt.Errorf("host: marshal args: %w", err)
-		}
-		raw = b
-	}
-	body, err := json.Marshal(struct {
-		Target wire.ServiceID  `json:"target"`
-		Op     string          `json:"op"`
-		Args   json.RawMessage `json:"args,omitempty"`
-	}{target, op, raw})
-	if err != nil {
-		return nil, err
-	}
+// RoundTrip sends one encoded control request to the SN sn and waits for
+// the payload of its reply (§3.2's out-of-band invocation style); it makes
+// the host a control.Caller, through which typed ops are called.
+func (h *Host) RoundTrip(sn wire.Addr, req []byte) ([]byte, error) {
 	conn := wire.ConnectionID(h.nextConn.Add(1))
-	ch := make(chan ControlResult, 1)
+	ch := make(chan []byte, 1)
 	h.mu.Lock()
 	h.invokes[conn] = ch
 	h.mu.Unlock()
@@ -444,12 +410,12 @@ func (h *Host) Invoke(sn wire.Addr, target wire.ServiceID, op string, args any) 
 		h.mu.Unlock()
 	}()
 
-	if err := h.pipes.Send(sn, &wire.ILPHeader{Service: wire.SvcControl, Conn: conn}, body); err != nil {
+	if err := h.pipes.Send(sn, &wire.ILPHeader{Service: wire.SvcControl, Conn: conn}, req); err != nil {
 		return nil, err
 	}
 	select {
-	case res := <-ch:
-		return res.Data, res.Err
+	case reply := <-ch:
+		return reply, nil
 	case <-h.cfg.Clock.After(h.cfg.InvokeTimeout):
 		return nil, ErrInvokeTimeout
 	}
@@ -461,15 +427,6 @@ func (h *Host) Invoke(sn wire.Addr, target wire.ServiceID, op string, args any) 
 // allocations (the pipe layer seals in pooled buffers).
 func (h *Host) SendHeaderBytes(sn wire.Addr, hdrBytes, payload []byte) error {
 	return h.pipes.SendHeaderBytes(sn, hdrBytes, payload)
-}
-
-// InvokeFirstHop is Invoke against the default first-hop SN.
-func (h *Host) InvokeFirstHop(target wire.ServiceID, op string, args any) (json.RawMessage, error) {
-	sn, err := h.FirstHop()
-	if err != nil {
-		return nil, err
-	}
-	return h.Invoke(sn, target, op, args)
 }
 
 // ConnOption customizes NewConn.

@@ -3,11 +3,12 @@ package host
 import (
 	"bytes"
 	"crypto/ed25519"
-	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
+	"interedge/internal/control"
 	"interedge/internal/handshake"
 	"interedge/internal/netsim"
 	"interedge/internal/sn"
@@ -23,12 +24,19 @@ func (echoModule) Version() string         { return "1" }
 func (echoModule) HandlePacket(env sn.Env, pkt *sn.Packet) (sn.Decision, error) {
 	return sn.Decision{Forwards: []sn.Forward{{Dst: pkt.Src}}}, nil
 }
-func (echoModule) HandleControl(env sn.Env, src wire.Addr, op string, args []byte) ([]byte, error) {
-	switch op {
-	case "status":
-		return json.Marshal("ready")
-	default:
-		return nil, errors.New("bad op")
+
+// echoModule's control ops: status answers, broken refuses.
+var (
+	opStatus = control.NewOp[control.None, string](wire.SvcEcho, "status")
+	opBroken = control.NewOp[control.None, control.None](wire.SvcEcho, "broken")
+)
+
+func (echoModule) ControlOps() []sn.ControlOp {
+	return []sn.ControlOp{
+		sn.Handle(opStatus, func(sn.Env, wire.Addr, control.None) (string, error) { return "ready", nil }),
+		sn.Handle(opBroken, func(sn.Env, wire.Addr, control.None) (control.None, error) {
+			return control.None{}, errors.New("bad op")
+		}),
 	}
 }
 
@@ -148,12 +156,12 @@ func TestInvokeControl(t *testing.T) {
 	if err := h.Associate(node.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	data, err := h.InvokeFirstHop(wire.SvcEcho, "status", nil)
+	status, err := opStatus.CallFirstHop(h, control.None{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(data) != `"ready"` {
-		t.Fatalf("data = %s", data)
+	if status != "ready" {
+		t.Fatalf("status = %q", status)
 	}
 }
 
@@ -164,9 +172,9 @@ func TestInvokeControlError(t *testing.T) {
 	if err := h.Associate(node.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	_, err := h.Invoke(node.Addr(), wire.SvcEcho, "nope", nil)
-	if !errors.Is(err, ErrControlRefused) {
-		t.Fatalf("err = %v, want ErrControlRefused", err)
+	_, err := opBroken.Call(h, node.Addr(), control.None{})
+	if !errors.Is(err, control.ErrRefused) || !strings.Contains(err.Error(), "bad op") {
+		t.Fatalf("err = %v, want control.ErrRefused with the handler's error", err)
 	}
 }
 
@@ -181,7 +189,7 @@ func TestInvokeTimeout(t *testing.T) {
 	}
 	// Partition after association so the request vanishes.
 	net.Partition(h.Addr(), node.Addr())
-	_, err := h.Invoke(node.Addr(), wire.SvcEcho, "status", nil)
+	_, err := opStatus.Call(h, node.Addr(), control.None{})
 	if err != ErrInvokeTimeout {
 		t.Fatalf("err = %v, want ErrInvokeTimeout", err)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"interedge/internal/control"
 	"interedge/internal/handshake"
 	"interedge/internal/netsim"
 	"interedge/internal/pipe"
@@ -367,13 +368,13 @@ func TestInterEdomainTransitEndToEnd(t *testing.T) {
 			t.Fatal("gwA's forwarder never saw the looping packet")
 		}
 	}
-	req, _ := json.Marshal(sn.ControlRequest{Target: wire.SvcNone, Op: "metrics"})
+	req := []byte(`{"target":0,"op":"metrics"}`)
 	if err := hostMgr.Send(gwA.Addr(), &wire.ILPHeader{Service: wire.SvcControl, Conn: 11}, req); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case body := <-ctrl:
-		var resp sn.ControlResponse
+		var resp control.Response
 		var snap telemetry.Snapshot
 		if err := json.Unmarshal(body, &resp); err != nil || !resp.OK {
 			t.Fatalf("metrics op: %s err %v", body, err)

@@ -9,10 +9,10 @@ package attest
 import (
 	"crypto/ed25519"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 
+	"interedge/internal/control"
 	"interedge/internal/host"
 	"interedge/internal/sn"
 	"interedge/internal/tpm"
@@ -47,7 +47,8 @@ func (m *Module) HandlePacket(env sn.Env, pkt *sn.Packet) (sn.Decision, error) {
 	return sn.Decision{}, errors.New("attest: no data-plane traffic expected")
 }
 
-type quoteArgs struct {
+// QuoteArgs are the args of quote.
+type QuoteArgs struct {
 	Nonce []byte `json:"nonce"`
 }
 
@@ -59,37 +60,29 @@ type WireQuote struct {
 	EK    []byte   `json:"ek"`
 }
 
-// HandleControl implements sn.ControlHandler: op "quote".
-func (m *Module) HandleControl(env sn.Env, src wire.Addr, op string, args []byte) ([]byte, error) {
-	switch op {
-	case "quote":
-		var a quoteArgs
-		if err := json.Unmarshal(args, &a); err != nil {
-			return nil, err
-		}
+// OpQuote challenges the SN with a nonce; it answers with a quote.
+var OpQuote = control.NewOp[QuoteArgs, WireQuote](wire.SvcAttest, "quote")
+
+// ControlOps implements sn.ControlServer.
+func (m *Module) ControlOps() []sn.ControlOp {
+	return []sn.ControlOp{sn.Handle(OpQuote, func(_ sn.Env, _ wire.Addr, a QuoteArgs) (WireQuote, error) {
 		if len(a.Nonce) == 0 {
-			return nil, ErrNoNonce
+			return WireQuote{}, ErrNoNonce
 		}
 		q := m.tpm.Quote(a.Nonce)
 		wq := WireQuote{Nonce: q.Nonce, Sig: q.Sig, EK: m.tpm.EndorsementKey()}
 		for i := range q.PCRs {
 			wq.PCRs = append(wq.PCRs, hex.EncodeToString(q.PCRs[i][:]))
 		}
-		return json.Marshal(wq)
-	default:
-		return nil, fmt.Errorf("attest: unknown op %q", op)
-	}
+		return wq, nil
+	})}
 }
 
 // RequestQuote challenges the SN at via with nonce and returns the parsed
 // quote.
 func RequestQuote(h *host.Host, via wire.Addr, nonce []byte) (*WireQuote, error) {
-	data, err := h.Invoke(via, wire.SvcAttest, "quote", quoteArgs{Nonce: nonce})
+	wq, err := OpQuote.Call(h, via, QuoteArgs{Nonce: nonce})
 	if err != nil {
-		return nil, err
-	}
-	var wq WireQuote
-	if err := json.Unmarshal(data, &wq); err != nil {
 		return nil, err
 	}
 	return &wq, nil

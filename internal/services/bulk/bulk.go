@@ -13,12 +13,12 @@ package bulk
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
 	"time"
 
+	"interedge/internal/control"
 	"interedge/internal/host"
 	"interedge/internal/sn"
 	"interedge/internal/wire"
@@ -69,32 +69,32 @@ func (*Module) Name() string { return "bulk" }
 // Version implements sn.Module.
 func (*Module) Version() string { return "1.0" }
 
-type statArgs struct {
+// StatArgs are the args of stat.
+type StatArgs struct {
 	Name string `json:"name"`
 }
 
-type statReply struct {
+// StatReply is the reply of stat.
+type StatReply struct {
 	Total int    `json:"total"`
 	Have  int    `json:"have"`
 	Hash  string `json:"hash,omitempty"`
 }
 
-// HandleControl implements sn.ControlHandler: op "stat" reports a
-// dataset's chunk count and completeness so receivers can plan transfers.
-func (m *Module) HandleControl(env sn.Env, src wire.Addr, op string, args []byte) ([]byte, error) {
-	switch op {
-	case "stat":
-		var a statArgs
-		if err := json.Unmarshal(args, &a); err != nil {
-			return nil, err
-		}
+// OpStat reports a dataset's chunk count and completeness so receivers
+// can plan transfers.
+var OpStat = control.NewOp[StatArgs, StatReply](wire.SvcBulk, "stat")
+
+// ControlOps implements sn.ControlServer.
+func (m *Module) ControlOps() []sn.ControlOp {
+	return []sn.ControlOp{sn.Handle(OpStat, func(_ sn.Env, _ wire.Addr, a StatArgs) (StatReply, error) {
 		m.mu.Lock()
 		defer m.mu.Unlock()
 		ds, ok := m.datasets[a.Name]
 		if !ok {
-			return nil, ErrUnknown
+			return StatReply{}, ErrUnknown
 		}
-		rep := statReply{Total: ds.total, Have: ds.have}
+		rep := StatReply{Total: ds.total, Have: ds.have}
 		if ds.have == ds.total {
 			h := sha256.New()
 			for _, c := range ds.chunks {
@@ -102,10 +102,8 @@ func (m *Module) HandleControl(env sn.Env, src wire.Addr, op string, args []byte
 			}
 			rep.Hash = fmt.Sprintf("%x", h.Sum(nil))
 		}
-		return json.Marshal(rep)
-	default:
-		return nil, fmt.Errorf("bulk: unknown op %q", op)
-	}
+		return rep, nil
+	})}
 }
 
 // HandlePacket implements sn.Module.
@@ -201,15 +199,8 @@ func Publish(h *host.Host, name string, data []byte) error {
 
 // Stat queries a dataset's state at the SN serving via.
 func Stat(h *host.Host, via wire.Addr, name string) (total, have int, err error) {
-	data, err := h.Invoke(via, wire.SvcBulk, "stat", statArgs{Name: name})
-	if err != nil {
-		return 0, 0, err
-	}
-	var rep statReply
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return 0, 0, err
-	}
-	return rep.Total, rep.Have, nil
+	rep, err := OpStat.Call(h, via, StatArgs{Name: name})
+	return rep.Total, rep.Have, err
 }
 
 // Fetch downloads a dataset from the SN at via, resuming from alreadyHave

@@ -13,13 +13,12 @@ package cdncache
 import (
 	"container/list"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net/netip"
 	"sync"
 	"time"
 
+	"interedge/internal/control"
 	"interedge/internal/host"
 	"interedge/internal/sn"
 	"interedge/internal/wire"
@@ -111,32 +110,34 @@ func (m *Module) Stats() Stats {
 	return Stats{Hits: m.hits, Misses: m.misses, OriginFetches: m.fetches, BytesCached: m.size}
 }
 
-type publishArgs struct {
-	Name   string `json:"name"`
-	Origin string `json:"origin"`
+// PublishArgs are the args of publish.
+type PublishArgs struct {
+	Name   string    `json:"name"`
+	Origin wire.Addr `json:"origin"`
 }
 
-// HandleControl implements sn.ControlHandler: op "publish" registers the
-// origin host for a content name (invoked by the application provider).
-func (m *Module) HandleControl(env sn.Env, src wire.Addr, op string, args []byte) ([]byte, error) {
-	switch op {
-	case "publish":
-		var a publishArgs
-		if err := json.Unmarshal(args, &a); err != nil {
-			return nil, err
-		}
-		origin, err := netip.ParseAddr(a.Origin)
-		if err != nil {
-			return nil, fmt.Errorf("cdncache: bad origin: %w", err)
-		}
-		m.mu.Lock()
-		m.origins[a.Name] = origin
-		m.mu.Unlock()
-		return nil, nil
-	case "stats":
-		return json.Marshal(m.Stats())
-	default:
-		return nil, fmt.Errorf("cdncache: unknown op %q", op)
+// The service's control ops. publish registers the origin host for a
+// content name (invoked by the application provider).
+var (
+	OpPublish = control.NewOp[PublishArgs, control.None](wire.SvcCDNCache, "publish")
+	OpStats   = control.NewOp[control.None, Stats](wire.SvcCDNCache, "stats")
+)
+
+// ControlOps implements sn.ControlServer.
+func (m *Module) ControlOps() []sn.ControlOp {
+	return []sn.ControlOp{
+		sn.Handle(OpPublish, func(_ sn.Env, _ wire.Addr, a PublishArgs) (control.None, error) {
+			if !a.Origin.IsValid() {
+				return control.None{}, errors.New("cdncache: publish names no origin")
+			}
+			m.mu.Lock()
+			m.origins[a.Name] = a.Origin
+			m.mu.Unlock()
+			return control.None{}, nil
+		}),
+		sn.Handle(OpStats, func(sn.Env, wire.Addr, control.None) (Stats, error) {
+			return m.Stats(), nil
+		}),
 	}
 }
 

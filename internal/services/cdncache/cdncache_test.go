@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"interedge/internal/control"
 	"interedge/internal/lab"
 	"interedge/internal/wire"
 )
@@ -29,7 +30,7 @@ func publish(t *testing.T, topo *lab.Topology, ed *lab.Edomain, name string, ori
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.InvokeFirstHop(wire.SvcCDNCache, "publish", publishArgs{Name: name, Origin: origin.String()}); err != nil {
+	if _, err := OpPublish.CallFirstHop(h, PublishArgs{Name: name, Origin: origin}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -179,11 +180,11 @@ func TestStatsControlOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := h.InvokeFirstHop(wire.SvcCDNCache, "stats", nil)
+	stats, err := OpStats.CallFirstHop(h, control.None{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) == 0 {
-		t.Fatal("empty stats")
+	if stats != (Stats{}) {
+		t.Fatalf("stats of an unused cache = %+v", stats)
 	}
 }

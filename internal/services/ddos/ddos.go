@@ -10,13 +10,12 @@
 package ddos
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net/netip"
 	"sync"
 	"time"
 
+	"interedge/internal/control"
 	"interedge/internal/sched"
 	"interedge/internal/sn"
 	"interedge/internal/sn/cache"
@@ -27,6 +26,7 @@ import (
 var (
 	ErrBadHeader    = errors.New("ddos: malformed header data")
 	ErrNotProtected = errors.New("ddos: destination not protected here")
+	ErrNotOwnTarget = errors.New("ddos: a host may protect only its own address")
 )
 
 // DefaultPenalty is how long a drop rule stays installed.
@@ -68,49 +68,47 @@ func (*Module) Name() string { return "ddos" }
 // Version implements sn.Module.
 func (*Module) Version() string { return "1.0" }
 
-type protectArgs struct {
-	Target string  `json:"target"`
-	Rate   float64 `json:"rate"`  // bytes/sec per source
-	Burst  float64 `json:"burst"` // bytes
+// ProtectArgs are the args of protect and unprotect.
+type ProtectArgs struct {
+	Target wire.Addr `json:"target"`
+	Rate   float64   `json:"rate"`  // bytes/sec per source
+	Burst  float64   `json:"burst"` // bytes
 }
 
-// HandleControl implements sn.ControlHandler: protect, unprotect.
-func (m *Module) HandleControl(env sn.Env, src wire.Addr, op string, args []byte) ([]byte, error) {
-	switch op {
-	case "protect":
-		var a protectArgs
-		if err := json.Unmarshal(args, &a); err != nil {
-			return nil, err
-		}
-		target, err := netip.ParseAddr(a.Target)
-		if err != nil {
-			return nil, fmt.Errorf("ddos: bad target: %w", err)
-		}
-		if a.Rate <= 0 || a.Burst <= 0 {
-			return nil, errors.New("ddos: rate and burst must be positive")
-		}
-		m.mu.Lock()
-		m.protected[target] = &protection{
-			rate: a.Rate, burst: a.Burst,
-			buckets: make(map[wire.Addr]*sched.TokenBucket),
-		}
-		m.mu.Unlock()
-		return nil, nil
-	case "unprotect":
-		var a protectArgs
-		if err := json.Unmarshal(args, &a); err != nil {
-			return nil, err
-		}
-		target, err := netip.ParseAddr(a.Target)
-		if err != nil {
-			return nil, err
-		}
-		m.mu.Lock()
-		delete(m.protected, target)
-		m.mu.Unlock()
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("ddos: unknown op %q", op)
+// The service's control ops. Each acts only on the caller's own address:
+// a host can protect itself, never strip or throttle another's protection.
+var (
+	OpProtect   = control.NewOp[ProtectArgs, control.None](wire.SvcDDoS, "protect")
+	OpUnprotect = control.NewOp[ProtectArgs, control.None](wire.SvcDDoS, "unprotect")
+)
+
+// ControlOps implements sn.ControlServer.
+func (m *Module) ControlOps() []sn.ControlOp {
+	return []sn.ControlOp{
+		sn.Handle(OpProtect, func(_ sn.Env, caller wire.Addr, a ProtectArgs) (control.None, error) {
+			if a.Target != caller {
+				return control.None{}, ErrNotOwnTarget
+			}
+			if a.Rate <= 0 || a.Burst <= 0 {
+				return control.None{}, errors.New("ddos: rate and burst must be positive")
+			}
+			m.mu.Lock()
+			m.protected[a.Target] = &protection{
+				rate: a.Rate, burst: a.Burst,
+				buckets: make(map[wire.Addr]*sched.TokenBucket),
+			}
+			m.mu.Unlock()
+			return control.None{}, nil
+		}),
+		sn.Handle(OpUnprotect, func(_ sn.Env, caller wire.Addr, a ProtectArgs) (control.None, error) {
+			if a.Target != caller {
+				return control.None{}, ErrNotOwnTarget
+			}
+			m.mu.Lock()
+			delete(m.protected, a.Target)
+			m.mu.Unlock()
+			return control.None{}, nil
+		}),
 	}
 }
 

@@ -1,11 +1,14 @@
 package ddos
 
 import (
+	"errors"
 	"testing"
 	"time"
 
+	"interedge/internal/control"
 	"interedge/internal/host"
 	"interedge/internal/lab"
+	"interedge/internal/sn"
 	"interedge/internal/wire"
 )
 
@@ -29,9 +32,7 @@ func newWorld(t *testing.T) (*lab.Topology, *lab.Edomain, *Module) {
 
 func protect(t *testing.T, h *host.Host, rate, burst float64) {
 	t.Helper()
-	if _, err := h.InvokeFirstHop(wire.SvcDDoS, "protect", protectArgs{
-		Target: h.Addr().String(), Rate: rate, Burst: burst,
-	}); err != nil {
+	if _, err := OpProtect.CallFirstHop(h, ProtectArgs{Target: h.Addr(), Rate: rate, Burst: burst}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -79,6 +80,13 @@ func TestAttackerDroppedAtFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	flood(t, ed.SNs[0], mod, attacker, target)
+}
+
+// flood sends the attacker's over-rate traffic toward target and waits for
+// the module to drop it on the fast path.
+func flood(t *testing.T, node *sn.SN, mod *Module, attacker, target *host.Host) {
+	t.Helper()
 	conn, err := attacker.NewConn(wire.SvcDDoS)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +99,6 @@ func TestAttackerDroppedAtFastPath(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond) // let the slow path see early packets
 	}
-	node := ed.SNs[0]
 	deadline := time.Now().Add(3 * time.Second)
 	for node.Counters().RuleDrops == 0 {
 		if time.Now().After(deadline) {
@@ -189,15 +196,40 @@ func TestProtectValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.InvokeFirstHop(wire.SvcDDoS, "protect", protectArgs{Target: "not-an-addr", Rate: 1, Burst: 1}); err == nil {
-		t.Fatal("bad target accepted")
+	if _, err := OpProtect.CallFirstHop(h, ProtectArgs{Rate: 1, Burst: 1}); err == nil {
+		t.Fatal("protection of no target accepted")
 	}
-	if _, err := h.InvokeFirstHop(wire.SvcDDoS, "protect", protectArgs{Target: h.Addr().String(), Rate: 0, Burst: 1}); err == nil {
+	if _, err := OpProtect.CallFirstHop(h, ProtectArgs{Target: h.Addr(), Rate: 0, Burst: 1}); err == nil {
 		t.Fatal("zero rate accepted")
 	}
-	if _, err := h.InvokeFirstHop(wire.SvcDDoS, "unknown-op", nil); err == nil {
-		t.Fatal("unknown op accepted")
+}
+
+// TestProtectionIsTheCallersOwn: protect and unprotect act only on the
+// caller's own address. Another host can neither strip a host's protection
+// nor throttle it with a protection of its own.
+func TestProtectionIsTheCallersOwn(t *testing.T) {
+	topo, ed, mod := newWorld(t)
+	a, err := topo.NewHost(ed, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
+	b, err := topo.NewHost(ed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	protect(t, a, 10, 60)
+	if _, err := OpUnprotect.CallFirstHop(b, ProtectArgs{Target: a.Addr()}); !errors.Is(err, control.ErrRefused) {
+		t.Fatalf("B's unprotect of A: err = %v, want a refusal", err)
+	}
+	if _, err := OpProtect.CallFirstHop(b, ProtectArgs{Target: a.Addr(), Rate: 1e9, Burst: 1e9}); !errors.Is(err, control.ErrRefused) {
+		t.Fatalf("B's protect of A: err = %v, want a refusal", err)
+	}
+	// A's own protection still holds: over-rate traffic dies at the fast path.
+	attacker, err := topo.NewHost(ed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flood(t, ed.SNs[0], mod, attacker, a)
 }
 
 func TestUnprotectStopsService(t *testing.T) {
@@ -207,7 +239,7 @@ func TestUnprotectStopsService(t *testing.T) {
 		t.Fatal(err)
 	}
 	protect(t, target, 1e6, 1e6)
-	if _, err := target.InvokeFirstHop(wire.SvcDDoS, "unprotect", protectArgs{Target: target.Addr().String()}); err != nil {
+	if _, err := OpUnprotect.CallFirstHop(target, ProtectArgs{Target: target.Addr()}); err != nil {
 		t.Fatal(err)
 	}
 	sender, err := topo.NewHost(ed, 0)

@@ -6,12 +6,11 @@
 package firewall
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net/netip"
 	"sync"
 
+	"interedge/internal/control"
 	"interedge/internal/sn"
 	"interedge/internal/sn/cache"
 	"interedge/internal/wire"
@@ -24,19 +23,14 @@ var (
 
 // Rule is one ordered filter rule.
 type Rule struct {
-	Prefix string `json:"prefix"`
-	Allow  bool   `json:"allow"`
-}
-
-type compiledRule struct {
-	prefix netip.Prefix
-	allow  bool
+	Prefix netip.Prefix `json:"prefix"`
+	Allow  bool         `json:"allow"`
 }
 
 // Module is the firewall service.
 type Module struct {
 	mu           sync.Mutex
-	rules        []compiledRule
+	rules        []Rule
 	defaultAllow bool
 	denied       uint64
 	allowed      uint64
@@ -56,38 +50,44 @@ func (*Module) Name() string { return "firewall" }
 // Version implements sn.Module.
 func (*Module) Version() string { return "1.0" }
 
-type setRulesArgs struct {
+// SetRulesArgs are the args of set_rules.
+type SetRulesArgs struct {
 	Rules        []Rule `json:"rules"`
 	DefaultAllow bool   `json:"default_allow"`
 }
 
-// HandleControl implements sn.ControlHandler: set_rules, stats.
-func (m *Module) HandleControl(env sn.Env, src wire.Addr, op string, args []byte) ([]byte, error) {
-	switch op {
-	case "set_rules":
-		var a setRulesArgs
-		if err := json.Unmarshal(args, &a); err != nil {
-			return nil, err
-		}
-		compiled := make([]compiledRule, 0, len(a.Rules))
-		for _, r := range a.Rules {
-			p, err := netip.ParsePrefix(r.Prefix)
-			if err != nil {
-				return nil, fmt.Errorf("firewall: bad prefix %q: %w", r.Prefix, err)
+// Stats is the reply of stats: packets the rules allowed and denied.
+type Stats struct {
+	Allowed uint64 `json:"allowed"`
+	Denied  uint64 `json:"denied"`
+}
+
+// The service's control ops. set_rules replaces the rule list.
+var (
+	OpSetRules = control.NewOp[SetRulesArgs, control.None](wire.SvcFirewall, "set_rules")
+	OpStats    = control.NewOp[control.None, Stats](wire.SvcFirewall, "stats")
+)
+
+// ControlOps implements sn.ControlServer.
+func (m *Module) ControlOps() []sn.ControlOp {
+	return []sn.ControlOp{
+		sn.Handle(OpSetRules, func(_ sn.Env, _ wire.Addr, a SetRulesArgs) (control.None, error) {
+			for _, r := range a.Rules {
+				if !r.Prefix.IsValid() {
+					return control.None{}, errors.New("firewall: rule with no prefix")
+				}
 			}
-			compiled = append(compiled, compiledRule{prefix: p, allow: r.Allow})
-		}
-		m.mu.Lock()
-		m.rules = compiled
-		m.defaultAllow = a.DefaultAllow
-		m.mu.Unlock()
-		return nil, nil
-	case "stats":
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		return json.Marshal(map[string]uint64{"allowed": m.allowed, "denied": m.denied})
-	default:
-		return nil, fmt.Errorf("firewall: unknown op %q", op)
+			m.mu.Lock()
+			m.rules = a.Rules
+			m.defaultAllow = a.DefaultAllow
+			m.mu.Unlock()
+			return control.None{}, nil
+		}),
+		sn.Handle(OpStats, func(sn.Env, wire.Addr, control.None) (Stats, error) {
+			m.mu.Lock()
+			defer m.mu.Unlock()
+			return Stats{Allowed: m.allowed, Denied: m.denied}, nil
+		}),
 	}
 }
 
@@ -109,8 +109,8 @@ func (m *Module) HandlePacket(env sn.Env, pkt *sn.Packet) (sn.Decision, error) {
 	m.mu.Lock()
 	allow := m.defaultAllow
 	for _, r := range m.rules {
-		if r.prefix.Contains(pkt.Src) {
-			allow = r.allow
+		if r.Prefix.Contains(pkt.Src) {
+			allow = r.Allow
 			break
 		}
 	}

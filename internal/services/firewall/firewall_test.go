@@ -1,10 +1,11 @@
 package firewall
 
 import (
-	"encoding/json"
+	"net/netip"
 	"testing"
 	"time"
 
+	"interedge/internal/control"
 	"interedge/internal/host"
 	"interedge/internal/lab"
 	"interedge/internal/wire"
@@ -66,8 +67,8 @@ func TestDenyRuleBlocksAndOffloads(t *testing.T) {
 	if err := blockedClient.Associate(ed.SNs[0].Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := operator.InvokeFirstHop(wire.SvcFirewall, "set_rules", setRulesArgs{
-		Rules:        []Rule{{Prefix: "fd00:bad::/32", Allow: false}},
+	if _, err := OpSetRules.CallFirstHop(operator, SetRulesArgs{
+		Rules:        []Rule{{Prefix: netip.MustParsePrefix("fd00:bad::/32"), Allow: false}},
 		DefaultAllow: true,
 	}); err != nil {
 		t.Fatal(err)
@@ -114,10 +115,10 @@ func TestFirstMatchWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Specific allow before broad deny.
-	if _, err := operator.InvokeFirstHop(wire.SvcFirewall, "set_rules", setRulesArgs{
+	if _, err := OpSetRules.CallFirstHop(operator, SetRulesArgs{
 		Rules: []Rule{
-			{Prefix: "fd00:bad:1::/48", Allow: true},
-			{Prefix: "fd00:bad::/32", Allow: false},
+			{Prefix: netip.MustParsePrefix("fd00:bad:1::/48"), Allow: true},
+			{Prefix: netip.MustParsePrefix("fd00:bad::/32"), Allow: false},
 		},
 		DefaultAllow: true,
 	}); err != nil {
@@ -156,7 +157,7 @@ func TestDefaultDeny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := operator.InvokeFirstHop(wire.SvcFirewall, "set_rules", setRulesArgs{DefaultAllow: false}); err != nil {
+	if _, err := OpSetRules.CallFirstHop(operator, SetRulesArgs{DefaultAllow: false}); err != nil {
 		t.Fatal(err)
 	}
 	client, err := topo.NewHost(ed, 0)
@@ -189,17 +190,10 @@ func TestStatsAndValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.InvokeFirstHop(wire.SvcFirewall, "set_rules", setRulesArgs{
-		Rules: []Rule{{Prefix: "junk", Allow: true}},
-	}); err == nil {
-		t.Fatal("bad prefix accepted")
+	if _, err := OpSetRules.CallFirstHop(h, SetRulesArgs{Rules: []Rule{{Allow: true}}}); err == nil {
+		t.Fatal("rule with no prefix accepted")
 	}
-	data, err := h.InvokeFirstHop(wire.SvcFirewall, "stats", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st map[string]uint64
-	if err := json.Unmarshal(data, &st); err != nil {
+	if _, err := OpStats.CallFirstHop(h, control.None{}); err != nil {
 		t.Fatal(err)
 	}
 }

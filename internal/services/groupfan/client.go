@@ -24,6 +24,7 @@ type joined struct {
 type Client struct {
 	h   *host.Host
 	svc wire.ServiceID
+	ops Ops
 
 	mu      sync.Mutex
 	conn    *host.Conn
@@ -36,6 +37,7 @@ func NewClient(h *host.Host, svc wire.ServiceID) *Client {
 	c := &Client{
 		h:       h,
 		svc:     svc,
+		ops:     OpsOf(svc),
 		joined:  make(map[string]joined),
 		senders: make(map[string]struct{}),
 	}
@@ -64,7 +66,7 @@ func (c *Client) Join(a Args, fn Handler) error {
 	prev, had := c.joined[a.Group]
 	c.joined[a.Group] = joined{args: a, fn: fn}
 	c.mu.Unlock()
-	if _, err := c.h.InvokeFirstHop(c.svc, "join", a); err != nil {
+	if _, err := c.ops.Join.CallFirstHop(c.h, a); err != nil {
 		c.mu.Lock()
 		if had {
 			c.joined[a.Group] = prev
@@ -82,14 +84,14 @@ func (c *Client) Leave(group string) error {
 	c.mu.Lock()
 	delete(c.joined, group)
 	c.mu.Unlock()
-	_, err := c.h.InvokeFirstHop(c.svc, "leave", Args{Group: group})
+	_, err := c.ops.Leave.CallFirstHop(c.h, Args{Group: group})
 	return err
 }
 
 // RegisterSender announces the host's intent to send to a group (§6.2
 // sender registration).
 func (c *Client) RegisterSender(group string) error {
-	if _, err := c.h.InvokeFirstHop(c.svc, "register_sender", Args{Group: group}); err != nil {
+	if _, err := c.ops.RegisterSender.CallFirstHop(c.h, Args{Group: group}); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -143,12 +145,12 @@ func (c *Client) Reestablish() error {
 	c.mu.Unlock()
 
 	for _, a := range joins {
-		if _, err := c.h.InvokeFirstHop(c.svc, "join", a); err != nil {
+		if _, err := c.ops.Join.CallFirstHop(c.h, a); err != nil {
 			return fmt.Errorf("%s: rejoin %q: %w", c.svc, a.Group, err)
 		}
 	}
 	for _, group := range senders {
-		if _, err := c.h.InvokeFirstHop(c.svc, "register_sender", Args{Group: group}); err != nil {
+		if _, err := c.ops.RegisterSender.CallFirstHop(c.h, Args{Group: group}); err != nil {
 			return fmt.Errorf("%s: re-register sender %q: %w", c.svc, group, err)
 		}
 	}

@@ -19,12 +19,12 @@
 package groupfan
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
 	"sync"
 
+	"interedge/internal/control"
 	"interedge/internal/edomain"
 	"interedge/internal/lookup"
 	"interedge/internal/peering"
@@ -94,7 +94,7 @@ var coreRegisterSender = (*edomain.Core).RegisterSender
 // Groups is one group service's state on one SN: the member hosts and
 // sender hosts attached here, and the SN's own sender registrations with
 // the edomain core. A module embeds it to get the shared control ops
-// (HandleControl) and the release of its registrations (Stop).
+// (ControlOps) and the release of its registrations (Stop).
 type Groups struct {
 	svc    wire.ServiceID
 	core   *edomain.Core
@@ -128,25 +128,40 @@ func New(svc wire.ServiceID, core *edomain.Core, fabric *peering.Fabric, global 
 	}
 }
 
-// HandleControl implements sn.ControlHandler with the ops join, leave,
-// register_sender and unregister_sender.
-func (g *Groups) HandleControl(env sn.Env, src wire.Addr, op string, args []byte) ([]byte, error) {
-	var a Args
-	if err := json.Unmarshal(args, &a); err != nil {
-		return nil, fmt.Errorf("%s: bad %s args: %w", g.svc, op, err)
+// Ops are the shared control ops of one group service.
+type Ops struct {
+	Join, Leave, RegisterSender, UnregisterSender control.Op[Args, control.None]
+}
+
+// OpsOf declares the group control ops of service svc.
+func OpsOf(svc wire.ServiceID) Ops {
+	return Ops{
+		Join:             control.NewOp[Args, control.None](svc, "join"),
+		Leave:            control.NewOp[Args, control.None](svc, "leave"),
+		RegisterSender:   control.NewOp[Args, control.None](svc, "register_sender"),
+		UnregisterSender: control.NewOp[Args, control.None](svc, "unregister_sender"),
 	}
-	switch op {
-	case "join":
-		return nil, g.Join(env, src, a)
-	case "leave":
-		return nil, g.Leave(env, src, a.Group)
-	case "register_sender":
-		return nil, g.RegisterSender(env, src, a.Group)
-	case "unregister_sender":
-		g.UnregisterSender(src, a.Group)
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("%s: unknown op %q", g.svc, op)
+}
+
+// ControlOps implements sn.ControlServer with the ops join, leave,
+// register_sender and unregister_sender.
+func (g *Groups) ControlOps() []sn.ControlOp {
+	ops := OpsOf(g.svc)
+	none := func(err error) (control.None, error) { return control.None{}, err }
+	return []sn.ControlOp{
+		sn.Handle(ops.Join, func(env sn.Env, caller wire.Addr, a Args) (control.None, error) {
+			return none(g.Join(env, caller, a))
+		}),
+		sn.Handle(ops.Leave, func(env sn.Env, caller wire.Addr, a Args) (control.None, error) {
+			return none(g.Leave(env, caller, a.Group))
+		}),
+		sn.Handle(ops.RegisterSender, func(env sn.Env, caller wire.Addr, a Args) (control.None, error) {
+			return none(g.RegisterSender(env, caller, a.Group))
+		}),
+		sn.Handle(ops.UnregisterSender, func(_ sn.Env, caller wire.Addr, a Args) (control.None, error) {
+			g.UnregisterSender(caller, a.Group)
+			return none(nil)
+		}),
 	}
 }
 

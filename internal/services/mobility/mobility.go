@@ -8,13 +8,11 @@ package mobility
 import (
 	"crypto/ed25519"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"net/netip"
 	"sync"
 	"time"
 
+	"interedge/internal/control"
 	"interedge/internal/host"
 	"interedge/internal/sn"
 	"interedge/internal/wire"
@@ -87,75 +85,60 @@ func (m *Module) HandlePacket(env sn.Env, pkt *sn.Packet) (sn.Decision, error) {
 	return sn.Decision{}, errors.New("mobility: no data-plane traffic expected")
 }
 
-type locateArgs struct {
+// LocateArgs are the args of locate.
+type LocateArgs struct {
 	Identity []byte `json:"identity"`
 }
 
-type locateReply struct {
-	HostAddr string `json:"host_addr"`
-	SN       string `json:"sn"`
-	Seq      uint64 `json:"seq"`
+// LocateReply is the reply of locate.
+type LocateReply struct {
+	HostAddr wire.Addr `json:"host_addr"`
+	SN       wire.Addr `json:"sn"`
+	Seq      uint64    `json:"seq"`
 }
 
-// HandleControl implements sn.ControlHandler: register, locate.
-func (m *Module) HandleControl(env sn.Env, src wire.Addr, op string, args []byte) ([]byte, error) {
-	switch op {
-	case "register":
-		// The registration is bound to the verified pipe identity of the
-		// requesting host: no spoofing another host's location.
-		identity, ok := env.PeerIdentity(src)
-		if !ok {
-			return nil, ErrUnknownPeer
-		}
-		m.registry.update(identity, Location{
-			HostAddr: src,
-			SN:       env.LocalAddr(),
-			Updated:  env.Now(),
-		})
-		return nil, nil
-	case "locate":
-		var a locateArgs
-		if err := json.Unmarshal(args, &a); err != nil {
-			return nil, err
-		}
-		loc, ok := m.registry.lookup(a.Identity)
-		if !ok {
-			return nil, ErrUnknownHost
-		}
-		return json.Marshal(locateReply{
-			HostAddr: loc.HostAddr.String(),
-			SN:       loc.SN.String(),
-			Seq:      loc.Seq,
-		})
-	default:
-		return nil, fmt.Errorf("mobility: unknown op %q", op)
+// The service's control ops.
+var (
+	// OpRegister binds the caller's verified pipe identity to its current
+	// address and SN: no spoofing another host's location.
+	OpRegister = control.NewOp[control.None, control.None](wire.SvcMobility, "register")
+	OpLocate   = control.NewOp[LocateArgs, LocateReply](wire.SvcMobility, "locate")
+)
+
+// ControlOps implements sn.ControlServer.
+func (m *Module) ControlOps() []sn.ControlOp {
+	return []sn.ControlOp{
+		sn.Handle(OpRegister, func(env sn.Env, caller wire.Addr, _ control.None) (control.None, error) {
+			identity, ok := env.PeerIdentity(caller)
+			if !ok {
+				return control.None{}, ErrUnknownPeer
+			}
+			m.registry.update(identity, Location{
+				HostAddr: caller,
+				SN:       env.LocalAddr(),
+				Updated:  env.Now(),
+			})
+			return control.None{}, nil
+		}),
+		sn.Handle(OpLocate, func(_ sn.Env, _ wire.Addr, a LocateArgs) (LocateReply, error) {
+			loc, ok := m.registry.lookup(a.Identity)
+			if !ok {
+				return LocateReply{}, ErrUnknownHost
+			}
+			return LocateReply{HostAddr: loc.HostAddr, SN: loc.SN, Seq: loc.Seq}, nil
+		}),
 	}
 }
 
 // Register announces the host's current attachment at its first-hop SN.
 // Call again after each move.
 func Register(h *host.Host) error {
-	_, err := h.InvokeFirstHop(wire.SvcMobility, "register", nil)
+	_, err := OpRegister.CallFirstHop(h, control.None{})
 	return err
 }
 
 // Locate resolves a host identity to its current address and SN.
 func Locate(h *host.Host, identity ed25519.PublicKey) (hostAddr, snAddr wire.Addr, err error) {
-	data, err := h.InvokeFirstHop(wire.SvcMobility, "locate", locateArgs{Identity: identity})
-	if err != nil {
-		return wire.Addr{}, wire.Addr{}, err
-	}
-	var rep locateReply
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return wire.Addr{}, wire.Addr{}, err
-	}
-	ha, err := netip.ParseAddr(rep.HostAddr)
-	if err != nil {
-		return wire.Addr{}, wire.Addr{}, err
-	}
-	sa, err := netip.ParseAddr(rep.SN)
-	if err != nil {
-		return wire.Addr{}, wire.Addr{}, err
-	}
-	return ha, sa, nil
+	rep, err := OpLocate.CallFirstHop(h, LocateArgs{Identity: identity})
+	return rep.HostAddr, rep.SN, err
 }

@@ -12,12 +12,11 @@ package msgqueue
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net/netip"
 	"sync"
 
+	"interedge/internal/control"
 	"interedge/internal/host"
 	"interedge/internal/sn"
 	"interedge/internal/wire"
@@ -71,139 +70,125 @@ func (*Module) Name() string { return "msgqueue" }
 // Version implements sn.Module.
 func (*Module) Version() string { return "1.0" }
 
-type createArgs struct {
-	Topic     string   `json:"topic"`
-	Mirrors   []string `json:"mirrors,omitempty"`
-	Retention int      `json:"retention,omitempty"` // max messages kept
+// CreateArgs are the args of create and create_mirror.
+type CreateArgs struct {
+	Topic     string      `json:"topic"`
+	Mirrors   []wire.Addr `json:"mirrors,omitempty"`
+	Retention int         `json:"retention,omitempty"` // max messages kept
 }
 
-type fetchArgs struct {
+// FetchArgs are the args of fetch.
+type FetchArgs struct {
 	Topic string `json:"topic"`
 	Group string `json:"group"`
 	Max   int    `json:"max,omitempty"`
 }
 
-type fetchReply struct {
+// FetchReply is the reply of fetch.
+type FetchReply struct {
 	Messages []Message `json:"messages"`
 	Next     uint64    `json:"next"`
 }
 
-type commitArgs struct {
+// CommitArgs are the args of commit.
+type CommitArgs struct {
 	Topic  string `json:"topic"`
 	Group  string `json:"group"`
 	Offset uint64 `json:"offset"`
 }
 
-// HandleControl implements sn.ControlHandler: create, create_mirror,
-// fetch, commit.
-func (m *Module) HandleControl(env sn.Env, src wire.Addr, op string, args []byte) ([]byte, error) {
-	switch op {
-	case "create":
-		var a createArgs
-		if err := json.Unmarshal(args, &a); err != nil {
-			return nil, err
-		}
-		if a.Retention == 0 {
-			a.Retention = 4096
-		}
-		var mirrors []wire.Addr
-		for _, ms := range a.Mirrors {
-			mirror, err := netip.ParseAddr(ms)
-			if err != nil {
-				return nil, fmt.Errorf("msgqueue: create: mirror: %w", err)
+// The service's control ops. A host creates a topic at its home SN with
+// create; the home SN sends create_mirror to each mirror SN itself.
+var (
+	OpCreate       = control.NewOp[CreateArgs, control.None](wire.SvcMsgQueue, "create")
+	OpCreateMirror = control.NewOp[CreateArgs, control.None](wire.SvcMsgQueue, "create_mirror")
+	OpFetch        = control.NewOp[FetchArgs, FetchReply](wire.SvcMsgQueue, "fetch")
+	OpCommit       = control.NewOp[CommitArgs, control.None](wire.SvcMsgQueue, "commit")
+)
+
+// ControlOps implements sn.ControlServer.
+func (m *Module) ControlOps() []sn.ControlOp {
+	return []sn.ControlOp{
+		sn.Handle(OpCreate, m.create),
+		sn.Handle(OpCreateMirror, func(_ sn.Env, _ wire.Addr, a CreateArgs) (control.None, error) {
+			m.mu.Lock()
+			if _, dup := m.topics[a.Topic]; !dup {
+				m.topics[a.Topic] = &topicState{
+					retention: a.Retention,
+					offsets:   make(map[string]uint64),
+				}
 			}
-			mirrors = append(mirrors, mirror)
-		}
-		m.mu.Lock()
-		if _, dup := m.topics[a.Topic]; dup {
 			m.mu.Unlock()
-			return nil, fmt.Errorf("msgqueue: topic %q exists", a.Topic)
-		}
-		m.topics[a.Topic] = &topicState{
-			home: true, mirrors: mirrors, retention: a.Retention,
-			offsets: make(map[string]uint64),
-		}
-		m.mu.Unlock()
-		// Tell each mirror SN to host a replica.
-		for _, mirror := range mirrors {
-			req, _ := json.Marshal(sn.ControlRequest{
-				Target: wire.SvcMsgQueue, Op: "create_mirror",
-				Args: mustJSON(createArgs{Topic: a.Topic, Retention: a.Retention}),
-			})
-			hdr := wire.ILPHeader{Service: wire.SvcControl, Conn: 0}
-			if err := env.Send(mirror, &hdr, req); err != nil {
-				env.Logf("msgqueue: mirror setup %s: %v", mirror, err)
+			return control.None{}, nil
+		}),
+		sn.Handle(OpFetch, m.fetch),
+		sn.Handle(OpCommit, func(_ sn.Env, _ wire.Addr, a CommitArgs) (control.None, error) {
+			m.mu.Lock()
+			defer m.mu.Unlock()
+			ts, ok := m.topics[a.Topic]
+			if !ok {
+				return control.None{}, ErrUnknownTopic
 			}
-		}
-		return nil, nil
-
-	case "create_mirror":
-		var a createArgs
-		if err := json.Unmarshal(args, &a); err != nil {
-			return nil, err
-		}
-		m.mu.Lock()
-		if _, dup := m.topics[a.Topic]; !dup {
-			m.topics[a.Topic] = &topicState{
-				retention: a.Retention,
-				offsets:   make(map[string]uint64),
+			if a.Offset > ts.offsets[a.Group] {
+				ts.offsets[a.Group] = a.Offset
 			}
-		}
-		m.mu.Unlock()
-		return nil, nil
-
-	case "fetch":
-		var a fetchArgs
-		if err := json.Unmarshal(args, &a); err != nil {
-			return nil, err
-		}
-		if a.Max == 0 {
-			a.Max = 64
-		}
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		ts, ok := m.topics[a.Topic]
-		if !ok {
-			return nil, ErrUnknownTopic
-		}
-		start := ts.offsets[a.Group]
-		if start < ts.baseOff {
-			start = ts.baseOff // retention already dropped older messages
-		}
-		var out []Message
-		for i := start; i < ts.baseOff+uint64(len(ts.msgs)) && len(out) < a.Max; i++ {
-			out = append(out, ts.msgs[i-ts.baseOff])
-		}
-		next := start + uint64(len(out))
-		return json.Marshal(fetchReply{Messages: out, Next: next})
-
-	case "commit":
-		var a commitArgs
-		if err := json.Unmarshal(args, &a); err != nil {
-			return nil, err
-		}
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		ts, ok := m.topics[a.Topic]
-		if !ok {
-			return nil, ErrUnknownTopic
-		}
-		if a.Offset > ts.offsets[a.Group] {
-			ts.offsets[a.Group] = a.Offset
-		}
-		return nil, nil
-
-	default:
-		return nil, fmt.Errorf("msgqueue: unknown op %q", op)
+			return control.None{}, nil
+		}),
 	}
 }
 
-func mustJSON(v any) json.RawMessage {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(err)
+// create homes a topic here and tells each mirror SN to host a replica.
+// The mirrors' replies come back as control packets this SN drops.
+func (m *Module) create(env sn.Env, _ wire.Addr, a CreateArgs) (control.None, error) {
+	if !wire.AllValid(a.Mirrors) {
+		return control.None{}, errors.New("msgqueue: mirror with no address")
 	}
-	return b
+	if a.Retention == 0 {
+		a.Retention = 4096
+	}
+	m.mu.Lock()
+	if _, dup := m.topics[a.Topic]; dup {
+		m.mu.Unlock()
+		return control.None{}, fmt.Errorf("msgqueue: topic %q exists", a.Topic)
+	}
+	m.topics[a.Topic] = &topicState{
+		home: true, mirrors: a.Mirrors, retention: a.Retention,
+		offsets: make(map[string]uint64),
+	}
+	m.mu.Unlock()
+	req, err := OpCreateMirror.Request(CreateArgs{Topic: a.Topic, Retention: a.Retention})
+	if err != nil {
+		return control.None{}, err
+	}
+	for _, mirror := range a.Mirrors {
+		hdr := wire.ILPHeader{Service: wire.SvcControl}
+		if err := env.Send(mirror, &hdr, req); err != nil {
+			env.Logf("msgqueue: mirror setup %s: %v", mirror, err)
+		}
+	}
+	return control.None{}, nil
+}
+
+// fetch returns up to a.Max messages from the group's committed offset.
+func (m *Module) fetch(_ sn.Env, _ wire.Addr, a FetchArgs) (FetchReply, error) {
+	if a.Max == 0 {
+		a.Max = 64
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ts, ok := m.topics[a.Topic]
+	if !ok {
+		return FetchReply{}, ErrUnknownTopic
+	}
+	start := ts.offsets[a.Group]
+	if start < ts.baseOff {
+		start = ts.baseOff // retention already dropped older messages
+	}
+	var out []Message
+	for i := start; i < ts.baseOff+uint64(len(ts.msgs)) && len(out) < a.Max; i++ {
+		out = append(out, ts.msgs[i-ts.baseOff])
+	}
+	return FetchReply{Messages: out, Next: start + uint64(len(out))}, nil
 }
 
 // HandlePacket implements sn.Module.
@@ -299,11 +284,7 @@ func NewClient(h *host.Host) *Client { return &Client{h: h} }
 // CreateTopic creates a topic homed at the host's first-hop SN, mirrored
 // to the given SNs.
 func (c *Client) CreateTopic(topic string, mirrors []wire.Addr, retention int) error {
-	ms := make([]string, len(mirrors))
-	for i, m := range mirrors {
-		ms[i] = m.String()
-	}
-	_, err := c.h.InvokeFirstHop(wire.SvcMsgQueue, "create", createArgs{Topic: topic, Mirrors: ms, Retention: retention})
+	_, err := OpCreate.CallFirstHop(c.h, CreateArgs{Topic: topic, Mirrors: mirrors, Retention: retention})
 	return err
 }
 
@@ -329,19 +310,12 @@ func (c *Client) Produce(topic string, payload []byte) error {
 // Fetch pulls up to max messages for a consumer group from the SN at via
 // (any replica of the topic).
 func (c *Client) Fetch(via wire.Addr, topic, group string, max int) ([]Message, uint64, error) {
-	data, err := c.h.Invoke(via, wire.SvcMsgQueue, "fetch", fetchArgs{Topic: topic, Group: group, Max: max})
-	if err != nil {
-		return nil, 0, err
-	}
-	var rep fetchReply
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, 0, err
-	}
-	return rep.Messages, rep.Next, nil
+	rep, err := OpFetch.Call(c.h, via, FetchArgs{Topic: topic, Group: group, Max: max})
+	return rep.Messages, rep.Next, err
 }
 
 // Commit advances the consumer group's offset at the given replica.
 func (c *Client) Commit(via wire.Addr, topic, group string, offset uint64) error {
-	_, err := c.h.Invoke(via, wire.SvcMsgQueue, "commit", commitArgs{Topic: topic, Group: group, Offset: offset})
+	_, err := OpCommit.Call(c.h, via, CommitArgs{Topic: topic, Group: group, Offset: offset})
 	return err
 }

@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"interedge/internal/control"
 	"interedge/internal/lab"
+	"interedge/internal/sn"
 	"interedge/internal/wire"
 )
 
@@ -246,18 +248,62 @@ func TestErrors(t *testing.T) {
 	}
 }
 
-// A create naming a mirror that is not an address is refused with an
-// error, and the SN that received it keeps serving.
+// A create naming a mirror with no address is refused with an error, and
+// the SN that received it keeps serving. (Args that do not decode at all,
+// such as a mirror that is no address, are refused by the SN's one control
+// dispatch; see sn.TestMalformedControlArgsRefused.)
 func TestMalformedControlCreate(t *testing.T) {
 	topo, ed, _ := newWorld(t)
 	h, err := topo.NewHost(ed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.InvokeFirstHop(wire.SvcMsgQueue, "create", createArgs{Topic: "t", Mirrors: []string{"not-an-addr"}}); err == nil {
-		t.Fatal("create with a malformed mirror address succeeded")
+	if _, err := OpCreate.CallFirstHop(h, CreateArgs{Topic: "t", Mirrors: []wire.Addr{{}}}); err == nil {
+		t.Fatal("create with a mirror of no address succeeded")
 	}
-	if _, err := h.InvokeFirstHop(wire.SvcControl, "health", nil); err != nil {
+	if _, err := sn.OpHealth.CallFirstHop(h, control.None{}); err != nil {
 		t.Fatalf("SN stopped answering after a malformed create: %v", err)
+	}
+}
+
+// TestMirroredTopicLeavesSNsIdle: the home SN sends create_mirror to the
+// mirror SN, which answers it. The home SN must drop that answer, not
+// answer it in turn: two SNs answering each other's replies bounce them
+// forever, and both would keep receiving packets with nothing going on.
+func TestMirroredTopicLeavesSNsIdle(t *testing.T) {
+	topo, ed, _ := newWorld(t)
+	h, err := topo.NewHost(ed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := NewClient(h).CreateTopic("geo", []wire.Addr{ed.SNs[1].Addr()}, 0); err != nil {
+		t.Fatal(err)
+	}
+	// The mirror exists once a fetch at the mirror SN finds the topic.
+	near, err := topo.NewHost(ed, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewClient(near)
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		if _, _, err := c.Fetch(ed.SNs[1].Addr(), "geo", "g", 1); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("mirror never created")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	before := []uint64{ed.SNs[0].Counters().RxPackets, ed.SNs[1].Counters().RxPackets}
+	time.Sleep(500 * time.Millisecond)
+	for i, node := range ed.SNs {
+		if rx := node.Counters().RxPackets; rx-before[i] > 2 {
+			t.Errorf("SN %d received %d packets over an idle 500 ms", i, rx-before[i])
+		}
+	}
+	dropped := ed.SNs[0].Telemetry().Snapshot().Value(`sn_control_ops_total{service="unknown",op="unknown",result="dropped"}`)
+	if dropped != 1 {
+		t.Errorf("home SN dropped %v control packets, want the mirror's one reply", dropped)
 	}
 }

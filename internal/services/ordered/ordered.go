@@ -15,13 +15,12 @@ package ordered
 import (
 	"container/heap"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net/netip"
 	"sync"
 	"time"
 
+	"interedge/internal/control"
 	"interedge/internal/host"
 	"interedge/internal/sn"
 	"interedge/internal/wire"
@@ -146,53 +145,47 @@ func (m *Module) Stop() error {
 	return nil
 }
 
-type subscribeArgs struct {
+// SubscribeArgs are the args of subscribe and add_peer.
+type SubscribeArgs struct {
 	Channel string `json:"channel"`
-	// DeliverySNs lets senders learn where subscribers live; in a full
+	// Peers lets senders learn where subscribers live; in a full
 	// deployment this flows through the core/lookup machinery like
 	// pub/sub. Here each ingress is told explicitly.
-	Peers []string `json:"peers,omitempty"`
+	Peers []wire.Addr `json:"peers,omitempty"`
 }
 
-// HandleControl implements sn.ControlHandler: subscribe, add_peer.
-func (m *Module) HandleControl(env sn.Env, src wire.Addr, op string, args []byte) ([]byte, error) {
-	switch op {
-	case "subscribe":
-		var a subscribeArgs
-		if err := json.Unmarshal(args, &a); err != nil {
-			return nil, err
-		}
-		m.mu.Lock()
-		if m.subscribers[a.Channel] == nil {
-			m.subscribers[a.Channel] = make(map[wire.Addr]struct{})
-		}
-		m.subscribers[a.Channel][src] = struct{}{}
-		m.mu.Unlock()
-		return nil, nil
-	case "add_peer":
-		var a subscribeArgs
-		if err := json.Unmarshal(args, &a); err != nil {
-			return nil, err
-		}
-		peers := make([]wire.Addr, len(a.Peers))
-		for i, p := range a.Peers {
-			addr, err := netip.ParseAddr(p)
-			if err != nil {
-				return nil, fmt.Errorf("ordered: add_peer: %w", err)
+// The service's control ops.
+var (
+	OpSubscribe = control.NewOp[SubscribeArgs, control.None](wire.SvcOrdered, "subscribe")
+	OpAddPeer   = control.NewOp[SubscribeArgs, control.None](wire.SvcOrdered, "add_peer")
+)
+
+// ControlOps implements sn.ControlServer.
+func (m *Module) ControlOps() []sn.ControlOp {
+	return []sn.ControlOp{
+		sn.Handle(OpSubscribe, func(_ sn.Env, caller wire.Addr, a SubscribeArgs) (control.None, error) {
+			m.mu.Lock()
+			if m.subscribers[a.Channel] == nil {
+				m.subscribers[a.Channel] = make(map[wire.Addr]struct{})
 			}
-			peers[i] = addr
-		}
-		m.mu.Lock()
-		if m.deliverySNs[a.Channel] == nil {
-			m.deliverySNs[a.Channel] = make(map[wire.Addr]struct{})
-		}
-		for _, p := range peers {
-			m.deliverySNs[a.Channel][p] = struct{}{}
-		}
-		m.mu.Unlock()
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("ordered: unknown op %q", op)
+			m.subscribers[a.Channel][caller] = struct{}{}
+			m.mu.Unlock()
+			return control.None{}, nil
+		}),
+		sn.Handle(OpAddPeer, func(_ sn.Env, _ wire.Addr, a SubscribeArgs) (control.None, error) {
+			if !wire.AllValid(a.Peers) {
+				return control.None{}, errors.New("ordered: peer with no address")
+			}
+			m.mu.Lock()
+			if m.deliverySNs[a.Channel] == nil {
+				m.deliverySNs[a.Channel] = make(map[wire.Addr]struct{})
+			}
+			for _, p := range a.Peers {
+				m.deliverySNs[a.Channel][p] = struct{}{}
+			}
+			m.mu.Unlock()
+			return control.None{}, nil
+		}),
 	}
 }
 
@@ -345,7 +338,7 @@ func (c *Client) Subscribe(channel string, fn Handler) error {
 	c.mu.Lock()
 	c.handler[channel] = fn
 	c.mu.Unlock()
-	_, err := c.h.InvokeFirstHop(wire.SvcOrdered, "subscribe", subscribeArgs{Channel: channel})
+	_, err := OpSubscribe.CallFirstHop(c.h, SubscribeArgs{Channel: channel})
 	return err
 }
 
@@ -370,10 +363,6 @@ func (c *Client) Submit(channel string, payload []byte) error {
 // AddPeer tells a host's first-hop SN that channel subscribers live behind
 // the given SNs.
 func (c *Client) AddPeer(channel string, peers []wire.Addr) error {
-	ps := make([]string, len(peers))
-	for i, p := range peers {
-		ps[i] = p.String()
-	}
-	_, err := c.h.InvokeFirstHop(wire.SvcOrdered, "add_peer", subscribeArgs{Channel: channel, Peers: ps})
+	_, err := OpAddPeer.CallFirstHop(c.h, SubscribeArgs{Channel: channel, Peers: peers})
 	return err
 }

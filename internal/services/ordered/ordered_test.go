@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"interedge/internal/control"
 	"interedge/internal/lab"
+	"interedge/internal/sn"
 	"interedge/internal/wire"
 )
 
@@ -214,18 +216,20 @@ func TestLateMessageMarkedNotDropped(t *testing.T) {
 	}
 }
 
-// An add_peer naming something that is not an address is refused with an
-// error, and the SN that received it keeps serving.
+// An add_peer naming a peer with no address is refused with an error, and
+// the SN that received it keeps serving. (Args that do not decode at all,
+// such as a peer that is no address, are refused by the SN's one control
+// dispatch; see sn.TestMalformedControlArgsRefused.)
 func TestMalformedControlAddPeer(t *testing.T) {
 	topo, ed, _ := newWorld(t, []time.Duration{0}, 60*time.Millisecond)
 	h, err := topo.NewHost(ed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.InvokeFirstHop(wire.SvcOrdered, "add_peer", subscribeArgs{Channel: "ch", Peers: []string{"not-an-addr"}}); err == nil {
-		t.Fatal("add_peer with a malformed address succeeded")
+	if _, err := OpAddPeer.CallFirstHop(h, SubscribeArgs{Channel: "ch", Peers: []wire.Addr{{}}}); err == nil {
+		t.Fatal("add_peer with a peer of no address succeeded")
 	}
-	if _, err := h.InvokeFirstHop(wire.SvcControl, "health", nil); err != nil {
+	if _, err := sn.OpHealth.CallFirstHop(h, control.None{}); err != nil {
 		t.Fatalf("SN stopped answering after a malformed add_peer: %v", err)
 	}
 }

@@ -8,12 +8,12 @@
 package qos
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/netip"
 	"sync"
 
+	"interedge/internal/control"
 	"interedge/internal/sched"
 	"interedge/internal/sn"
 	"interedge/internal/wire"
@@ -28,14 +28,14 @@ var (
 // Class binds a source prefix to a scheduling parameter.
 type Class struct {
 	// Prefix selects sources (e.g. "fd00:1::/32").
-	Prefix string `json:"prefix"`
+	Prefix netip.Prefix `json:"prefix"`
 	// Weight is the WFQ weight (mode "wfq").
 	Weight float64 `json:"weight,omitempty"`
 	// Level is the strict priority (mode "priority", lower = served first).
 	Level int `json:"level,omitempty"`
 }
 
-// ConfigArgs is the control-op payload for "configure".
+// ConfigArgs are the args of configure.
 type ConfigArgs struct {
 	// BandwidthBps is the access-link capacity in bytes per second.
 	BandwidthBps float64 `json:"bandwidth_bps"`
@@ -110,35 +110,42 @@ func (m *Module) Stop() error {
 	return nil
 }
 
-// HandleControl implements sn.ControlHandler: op "configure" installs the
-// requesting receiver's scheduling policy ("they specify to their
-// first-hop SN … the total bandwidth that their access link can handle
-// and a set of weights or priorities … for various traffic streams
-// (identified by source prefixes)", §6.2).
-func (m *Module) HandleControl(env sn.Env, src wire.Addr, op string, args []byte) ([]byte, error) {
-	switch op {
-	case "configure":
-		var a ConfigArgs
-		if err := json.Unmarshal(args, &a); err != nil {
-			return nil, fmt.Errorf("qos: bad configure args: %w", err)
-		}
-		return nil, m.configure(env, src, a)
-	case "clear":
-		m.mu.Lock()
-		if st, ok := m.receivers[src]; ok {
-			close(st.stop)
-			delete(m.receivers, src)
-		}
-		m.mu.Unlock()
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("qos: unknown op %q", op)
+// The service's control ops, each acting on the calling receiver's own
+// policy. configure installs it ("they specify to their first-hop SN … the
+// total bandwidth that their access link can handle and a set of weights
+// or priorities … for various traffic streams (identified by source
+// prefixes)", §6.2); clear removes it.
+var (
+	OpConfigure = control.NewOp[ConfigArgs, control.None](wire.SvcQoS, "configure")
+	OpClear     = control.NewOp[control.None, control.None](wire.SvcQoS, "clear")
+)
+
+// ControlOps implements sn.ControlServer.
+func (m *Module) ControlOps() []sn.ControlOp {
+	return []sn.ControlOp{
+		sn.Handle(OpConfigure, func(env sn.Env, caller wire.Addr, a ConfigArgs) (control.None, error) {
+			return control.None{}, m.configure(env, caller, a)
+		}),
+		sn.Handle(OpClear, func(_ sn.Env, caller wire.Addr, _ control.None) (control.None, error) {
+			m.mu.Lock()
+			if st, ok := m.receivers[caller]; ok {
+				close(st.stop)
+				delete(m.receivers, caller)
+			}
+			m.mu.Unlock()
+			return control.None{}, nil
+		}),
 	}
 }
 
 func (m *Module) configure(env sn.Env, receiver wire.Addr, a ConfigArgs) error {
 	if a.BandwidthBps <= 0 {
 		return fmt.Errorf("%w: bandwidth must be positive", ErrBadConfig)
+	}
+	for _, c := range a.Classes {
+		if !c.Prefix.IsValid() {
+			return fmt.Errorf("%w: class with no prefix", ErrBadConfig)
+		}
 	}
 	capacity := a.QueueCapacity
 	if capacity == 0 {
@@ -150,25 +157,17 @@ func (m *Module) configure(env sn.Env, receiver wire.Addr, a ConfigArgs) error {
 	case "wfq":
 		w := sched.NewWFQ(capacity)
 		for _, c := range a.Classes {
-			p, err := netip.ParsePrefix(c.Prefix)
-			if err != nil {
-				return fmt.Errorf("%w: prefix %q: %v", ErrBadConfig, c.Prefix, err)
-			}
-			if err := w.SetWeight(c.Prefix, c.Weight); err != nil {
+			if err := w.SetWeight(c.Prefix.String(), c.Weight); err != nil {
 				return fmt.Errorf("%w: %v", ErrBadConfig, err)
 			}
-			prefixes = append(prefixes, classPrefix{prefix: p, name: c.Prefix})
+			prefixes = append(prefixes, classPrefix{prefix: c.Prefix, name: c.Prefix.String()})
 		}
 		scheduler = w
 	case "priority":
 		p := sched.NewPriority(capacity)
 		for _, c := range a.Classes {
-			pre, err := netip.ParsePrefix(c.Prefix)
-			if err != nil {
-				return fmt.Errorf("%w: prefix %q: %v", ErrBadConfig, c.Prefix, err)
-			}
-			p.SetLevel(c.Prefix, c.Level)
-			prefixes = append(prefixes, classPrefix{prefix: pre, name: c.Prefix})
+			p.SetLevel(c.Prefix.String(), c.Level)
+			prefixes = append(prefixes, classPrefix{prefix: c.Prefix, name: c.Prefix.String()})
 		}
 		scheduler = p
 	default:

@@ -1,9 +1,11 @@
 package qos
 
 import (
+	"net/netip"
 	"testing"
 	"time"
 
+	"interedge/internal/control"
 	"interedge/internal/host"
 	"interedge/internal/lab"
 	"interedge/internal/wire"
@@ -62,16 +64,16 @@ func TestConfigureValidation(t *testing.T) {
 	bad := []ConfigArgs{
 		{BandwidthBps: 0, Mode: "wfq"},
 		{BandwidthBps: 1000, Mode: "nonsense"},
-		{BandwidthBps: 1000, Mode: "wfq", Classes: []Class{{Prefix: "not-a-prefix", Weight: 1}}},
-		{BandwidthBps: 1000, Mode: "wfq", Classes: []Class{{Prefix: "fd00::/64", Weight: 0}}},
+		{BandwidthBps: 1000, Mode: "wfq", Classes: []Class{{Weight: 1}}},
+		{BandwidthBps: 1000, Mode: "wfq", Classes: []Class{{Prefix: netip.MustParsePrefix("fd00::/64"), Weight: 0}}},
 	}
 	for i, args := range bad {
-		if _, err := h.InvokeFirstHop(wire.SvcQoS, "configure", args); err == nil {
+		if _, err := OpConfigure.CallFirstHop(h, args); err == nil {
 			t.Fatalf("bad config %d accepted", i)
 		}
 	}
-	good := ConfigArgs{BandwidthBps: 1e6, Mode: "priority", Classes: []Class{{Prefix: "fd00::/16", Level: 1}}}
-	if _, err := h.InvokeFirstHop(wire.SvcQoS, "configure", good); err != nil {
+	good := ConfigArgs{BandwidthBps: 1e6, Mode: "priority", Classes: []Class{{Prefix: netip.MustParsePrefix("fd00::/16"), Level: 1}}}
+	if _, err := OpConfigure.CallFirstHop(h, good); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -105,9 +107,9 @@ func TestPriorityGamingBeatsBulk(t *testing.T) {
 	cfg := ConfigArgs{
 		BandwidthBps: 50_000,
 		Mode:         "priority",
-		Classes:      []Class{{Prefix: "fd00:aaaa::/32", Level: 0}},
+		Classes:      []Class{{Prefix: netip.MustParsePrefix("fd00:aaaa::/32"), Level: 0}},
 	}
-	if _, err := receiver.InvokeFirstHop(wire.SvcQoS, "configure", cfg); err != nil {
+	if _, err := OpConfigure.CallFirstHop(receiver, cfg); err != nil {
 		t.Fatal(err)
 	}
 
@@ -194,11 +196,11 @@ func TestWFQShareUnderCongestion(t *testing.T) {
 		BandwidthBps: 100_000,
 		Mode:         "wfq",
 		Classes: []Class{
-			{Prefix: "fd00:aaaa::/32", Weight: 3},
-			{Prefix: "fd00:bbbb::/32", Weight: 1},
+			{Prefix: netip.MustParsePrefix("fd00:aaaa::/32"), Weight: 3},
+			{Prefix: netip.MustParsePrefix("fd00:bbbb::/32"), Weight: 1},
 		},
 	}
-	if _, err := receiver.InvokeFirstHop(wire.SvcQoS, "configure", cfg); err != nil {
+	if _, err := OpConfigure.CallFirstHop(receiver, cfg); err != nil {
 		t.Fatal(err)
 	}
 	counts := make(chan byte, 256)
@@ -245,10 +247,10 @@ func TestClearRemovesPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := ConfigArgs{BandwidthBps: 1000, Mode: "wfq"}
-	if _, err := receiver.InvokeFirstHop(wire.SvcQoS, "configure", cfg); err != nil {
+	if _, err := OpConfigure.CallFirstHop(receiver, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := receiver.InvokeFirstHop(wire.SvcQoS, "clear", nil); err != nil {
+	if _, err := OpClear.CallFirstHop(receiver, control.None{}); err != nil {
 		t.Fatal(err)
 	}
 	if mod.QueueLen(receiver.Addr()) != 0 {

@@ -11,12 +11,11 @@
 package sdwan
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net/netip"
 	"sync"
 
+	"interedge/internal/control"
 	"interedge/internal/sn"
 	"interedge/internal/sn/cache"
 	"interedge/internal/wire"
@@ -65,87 +64,72 @@ func (*Module) Name() string { return "sdwan" }
 // Version implements sn.Module.
 func (*Module) Version() string { return "1.0" }
 
-type configArgs struct {
-	Uplinks []string         `json:"uplinks"`
-	Policy  map[string][]int `json:"policy"` // class (decimal string) -> preference order
+// ConfigArgs are the args of configure.
+type ConfigArgs struct {
+	Uplinks []wire.Addr     `json:"uplinks"`
+	Policy  map[Class][]int `json:"policy"` // class -> uplink preference order
 }
 
-type healthArgs struct {
-	Uplink string `json:"uplink"`
-	Up     bool   `json:"up"`
+// HealthArgs are the args of set_health.
+type HealthArgs struct {
+	Uplink wire.Addr `json:"uplink"`
+	Up     bool      `json:"up"`
 }
 
-// HandleControl implements sn.ControlHandler: configure, set_health.
-func (m *Module) HandleControl(env sn.Env, src wire.Addr, op string, args []byte) ([]byte, error) {
-	switch op {
-	case "configure":
-		var a configArgs
-		if err := json.Unmarshal(args, &a); err != nil {
-			return nil, err
-		}
-		var ups []wire.Addr
-		for _, s := range a.Uplinks {
-			u, err := netip.ParseAddr(s)
-			if err != nil {
-				return nil, fmt.Errorf("sdwan: bad uplink %q: %w", s, err)
-			}
-			ups = append(ups, u)
-		}
-		policy := make(map[Class][]int)
-		for cls, order := range a.Policy {
-			var c int
-			if _, err := fmt.Sscanf(cls, "%d", &c); err != nil {
-				return nil, fmt.Errorf("sdwan: bad class %q", cls)
-			}
-			for _, idx := range order {
-				if idx < 0 || idx >= len(ups) {
-					return nil, fmt.Errorf("sdwan: uplink index %d out of range", idx)
-				}
-			}
-			policy[Class(c)] = order
-		}
-		m.mu.Lock()
-		m.uplinks = ups
-		m.policy = policy
-		for _, u := range ups {
-			if _, ok := m.healthy[u]; !ok {
-				m.healthy[u] = true
-			}
-		}
-		m.mu.Unlock()
-		return nil, nil
+// The service's control ops. set_health marks an uplink up or down; the
+// flows pinned to a downed uplink fail over.
+var (
+	OpConfigure = control.NewOp[ConfigArgs, control.None](wire.SvcSDWAN, "configure")
+	OpSetHealth = control.NewOp[HealthArgs, control.None](wire.SvcSDWAN, "set_health")
+)
 
-	case "set_health":
-		var a healthArgs
-		if err := json.Unmarshal(args, &a); err != nil {
-			return nil, err
-		}
-		u, err := netip.ParseAddr(a.Uplink)
-		if err != nil {
-			return nil, err
-		}
-		m.mu.Lock()
-		m.healthy[u] = a.Up
-		// Unpin flows on a downed uplink and invalidate their cached
-		// decisions so the next packet re-routes.
-		var invalid []wire.FlowKey
-		if !a.Up {
-			for k, pinned := range m.flows {
-				if pinned == u {
-					delete(m.flows, k)
-					invalid = append(invalid, k)
-				}
-			}
-		}
-		m.mu.Unlock()
-		for _, k := range invalid {
-			env.InvalidateRule(k)
-		}
-		return nil, nil
+// ControlOps implements sn.ControlServer.
+func (m *Module) ControlOps() []sn.ControlOp {
+	return []sn.ControlOp{sn.Handle(OpConfigure, m.configure), sn.Handle(OpSetHealth, m.setHealth)}
+}
 
-	default:
-		return nil, fmt.Errorf("sdwan: unknown op %q", op)
+func (m *Module) configure(_ sn.Env, _ wire.Addr, a ConfigArgs) (control.None, error) {
+	if !wire.AllValid(a.Uplinks) {
+		return control.None{}, errors.New("sdwan: uplink with no address")
 	}
+	for _, order := range a.Policy {
+		for _, idx := range order {
+			if idx < 0 || idx >= len(a.Uplinks) {
+				return control.None{}, fmt.Errorf("sdwan: uplink index %d out of range", idx)
+			}
+		}
+	}
+	m.mu.Lock()
+	m.uplinks = a.Uplinks
+	m.policy = a.Policy
+	for _, u := range a.Uplinks {
+		if _, ok := m.healthy[u]; !ok {
+			m.healthy[u] = true
+		}
+	}
+	m.mu.Unlock()
+	return control.None{}, nil
+}
+
+func (m *Module) setHealth(env sn.Env, _ wire.Addr, a HealthArgs) (control.None, error) {
+	m.mu.Lock()
+	m.healthy[a.Uplink] = a.Up
+	// Unpin flows on a downed uplink and invalidate their cached
+	// decisions so the next packet re-routes.
+	var invalid []wire.FlowKey
+	if !a.Up {
+		for k, pinned := range m.flows {
+			if pinned == a.Uplink {
+				delete(m.flows, k)
+				invalid = append(invalid, k)
+			}
+		}
+	}
+	m.mu.Unlock()
+	for _, k := range invalid {
+		env.InvalidateRule(k)
+	}
+	return control.None{}, nil
 }
 
 // HeaderData encodes class ‖ final destination.

@@ -44,14 +44,14 @@ func configure(t *testing.T, topo *lab.Topology, ed *lab.Edomain) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	args := configArgs{
-		Uplinks: []string{ed.SNs[1].Addr().String(), ed.SNs[2].Addr().String()},
-		Policy: map[string][]int{
-			"1": {0, 1}, // interactive prefers uplink 0
-			"2": {1, 0}, // bulk prefers uplink 1
+	args := ConfigArgs{
+		Uplinks: []wire.Addr{ed.SNs[1].Addr(), ed.SNs[2].Addr()},
+		Policy: map[Class][]int{
+			ClassInteractive: {0, 1}, // interactive prefers uplink 0
+			ClassBulk:        {1, 0}, // bulk prefers uplink 1
 		},
 	}
-	if _, err := operator.InvokeFirstHop(wire.SvcSDWAN, "configure", args); err != nil {
+	if _, err := OpConfigure.CallFirstHop(operator, args); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -124,7 +124,7 @@ func TestFailoverOnUplinkDown(t *testing.T) {
 	waitPinned(t, mod, key, ed.SNs[1].Addr())
 
 	// Uplink 0 goes down; flow must repin to uplink 1 on the next packet.
-	if _, err := operator.InvokeFirstHop(wire.SvcSDWAN, "set_health", healthArgs{Uplink: ed.SNs[1].Addr().String(), Up: false}); err != nil {
+	if _, err := OpSetHealth.CallFirstHop(operator, HealthArgs{Uplink: ed.SNs[1].Addr(), Up: false}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := mod.PinnedUplink(key); ok {
@@ -159,7 +159,7 @@ func TestAllUplinksDownErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, i := range []int{1, 2} {
-		if _, err := operator.InvokeFirstHop(wire.SvcSDWAN, "set_health", healthArgs{Uplink: ed.SNs[i].Addr().String(), Up: false}); err != nil {
+		if _, err := OpSetHealth.CallFirstHop(operator, HealthArgs{Uplink: ed.SNs[i].Addr(), Up: false}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -189,12 +189,12 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.InvokeFirstHop(wire.SvcSDWAN, "configure", configArgs{Uplinks: []string{"garbage"}}); err == nil {
-		t.Fatal("bad uplink accepted")
+	if _, err := OpConfigure.CallFirstHop(h, ConfigArgs{Uplinks: []wire.Addr{{}}}); err == nil {
+		t.Fatal("uplink with no address accepted")
 	}
-	if _, err := h.InvokeFirstHop(wire.SvcSDWAN, "configure", configArgs{
-		Uplinks: []string{ed.SNs[1].Addr().String()},
-		Policy:  map[string][]int{"1": {5}},
+	if _, err := OpConfigure.CallFirstHop(h, ConfigArgs{
+		Uplinks: []wire.Addr{ed.SNs[1].Addr()},
+		Policy:  map[Class][]int{ClassInteractive: {5}},
 	}); err == nil {
 		t.Fatal("out-of-range uplink index accepted")
 	}

@@ -13,11 +13,10 @@ package vpn
 import (
 	"crypto/hmac"
 	"crypto/sha256"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"sync"
 
+	"interedge/internal/control"
 	"interedge/internal/host"
 	"interedge/internal/sn"
 	"interedge/internal/sn/cache"
@@ -56,38 +55,37 @@ func (*Module) Name() string { return "vpn" }
 // Version implements sn.Module.
 func (*Module) Version() string { return "1.0" }
 
-type registerArgs struct {
+// RegisterArgs are the args of register and unregister.
+type RegisterArgs struct {
 	Name   string `json:"name"`
 	Secret []byte `json:"secret"`
 }
 
-// HandleControl implements sn.ControlHandler: op "register" binds a public
-// name to the invoking customer host with a shared authentication secret.
-func (m *Module) HandleControl(env sn.Env, src wire.Addr, op string, args []byte) ([]byte, error) {
-	switch op {
-	case "register":
-		var a registerArgs
-		if err := json.Unmarshal(args, &a); err != nil {
-			return nil, err
-		}
-		if a.Name == "" || len(a.Secret) == 0 {
-			return nil, errors.New("vpn: name and secret required")
-		}
-		m.mu.Lock()
-		m.endpoints[a.Name] = endpoint{inside: src, secret: append([]byte(nil), a.Secret...)}
-		m.mu.Unlock()
-		return nil, nil
-	case "unregister":
-		var a registerArgs
-		if err := json.Unmarshal(args, &a); err != nil {
-			return nil, err
-		}
-		m.mu.Lock()
-		delete(m.endpoints, a.Name)
-		m.mu.Unlock()
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("vpn: unknown op %q", op)
+// The service's control ops. register binds a public name to the calling
+// customer host with a shared authentication secret.
+var (
+	OpRegister   = control.NewOp[RegisterArgs, control.None](wire.SvcVPN, "register")
+	OpUnregister = control.NewOp[RegisterArgs, control.None](wire.SvcVPN, "unregister")
+)
+
+// ControlOps implements sn.ControlServer.
+func (m *Module) ControlOps() []sn.ControlOp {
+	return []sn.ControlOp{
+		sn.Handle(OpRegister, func(_ sn.Env, caller wire.Addr, a RegisterArgs) (control.None, error) {
+			if a.Name == "" || len(a.Secret) == 0 {
+				return control.None{}, errors.New("vpn: name and secret required")
+			}
+			m.mu.Lock()
+			m.endpoints[a.Name] = endpoint{inside: caller, secret: append([]byte(nil), a.Secret...)}
+			m.mu.Unlock()
+			return control.None{}, nil
+		}),
+		sn.Handle(OpUnregister, func(_ sn.Env, _ wire.Addr, a RegisterArgs) (control.None, error) {
+			m.mu.Lock()
+			delete(m.endpoints, a.Name)
+			m.mu.Unlock()
+			return control.None{}, nil
+		}),
 	}
 }
 
@@ -157,7 +155,7 @@ func (m *Module) HandlePacket(env sn.Env, pkt *sn.Packet) (sn.Decision, error) {
 
 // Register binds a public name to the customer host at its first-hop SN.
 func Register(h *host.Host, name string, secret []byte) error {
-	_, err := h.InvokeFirstHop(wire.SvcVPN, "register", registerArgs{Name: name, Secret: secret})
+	_, err := OpRegister.CallFirstHop(h, RegisterArgs{Name: name, Secret: secret})
 	return err
 }
 

@@ -135,7 +135,7 @@ func TestUnregisterRemoves(t *testing.T) {
 	if err := Register(customer, "corp", secret); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := customer.InvokeFirstHop(wire.SvcVPN, "unregister", registerArgs{Name: "corp"}); err != nil {
+	if _, err := OpUnregister.CallFirstHop(customer, RegisterArgs{Name: "corp"}); err != nil {
 		t.Fatal(err)
 	}
 	outside, err := topo.NewHost(ed, 0)

@@ -17,10 +17,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net/netip"
 	"sync"
 	"time"
 
+	"interedge/internal/control"
 	"interedge/internal/host"
 	"interedge/internal/sn"
 	"interedge/internal/sn/cache"
@@ -53,15 +53,10 @@ type Posture struct {
 
 // AppPolicy protects one application.
 type AppPolicy struct {
-	App          string   `json:"app"`
-	Backend      string   `json:"backend"` // host address
-	MinOSVersion int      `json:"min_os_version"`
-	AllowedUsers []string `json:"allowed_users,omitempty"` // empty = all users
-}
-
-type appState struct {
-	policy  AppPolicy
-	backend wire.Addr
+	App          string    `json:"app"`
+	Backend      wire.Addr `json:"backend"` // host address
+	MinOSVersion int       `json:"min_os_version"`
+	AllowedUsers []string  `json:"allowed_users,omitempty"` // empty = all users
 }
 
 type flowState struct {
@@ -79,7 +74,7 @@ type Module struct {
 	idleTimeout time.Duration
 
 	mu      sync.Mutex
-	apps    map[string]*appState
+	apps    map[string]AppPolicy
 	flows   map[wire.FlowKey]*flowState
 	started bool
 	stop    chan struct{}
@@ -98,7 +93,7 @@ func WithIdleTimeout(d time.Duration) Option {
 // New creates the module.
 func New(opts ...Option) *Module {
 	m := &Module{
-		apps:  make(map[string]*appState),
+		apps:  make(map[string]AppPolicy),
 		flows: make(map[wire.FlowKey]*flowState),
 		stop:  make(chan struct{}),
 	}
@@ -174,26 +169,21 @@ func (*Module) Name() string { return "ztna" }
 // Version implements sn.Module.
 func (*Module) Version() string { return "1.0" }
 
-// HandleControl implements sn.ControlHandler: op "set_policy" installs an
-// application policy (invoked by the enterprise operator).
-func (m *Module) HandleControl(env sn.Env, src wire.Addr, op string, args []byte) ([]byte, error) {
-	switch op {
-	case "set_policy":
-		var p AppPolicy
-		if err := json.Unmarshal(args, &p); err != nil {
-			return nil, err
-		}
-		backend, err := netip.ParseAddr(p.Backend)
-		if err != nil {
-			return nil, fmt.Errorf("ztna: bad backend: %w", err)
+// OpSetPolicy installs an application policy (invoked by the enterprise
+// operator).
+var OpSetPolicy = control.NewOp[AppPolicy, control.None](wire.SvcZTNA, "set_policy")
+
+// ControlOps implements sn.ControlServer.
+func (m *Module) ControlOps() []sn.ControlOp {
+	return []sn.ControlOp{sn.Handle(OpSetPolicy, func(_ sn.Env, _ wire.Addr, p AppPolicy) (control.None, error) {
+		if !p.Backend.IsValid() {
+			return control.None{}, errors.New("ztna: policy names no backend")
 		}
 		m.mu.Lock()
-		m.apps[p.App] = &appState{policy: p, backend: backend}
+		m.apps[p.App] = p
 		m.mu.Unlock()
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("ztna: unknown op %q", op)
-	}
+		return control.None{}, nil
+	})}
 }
 
 // postureFragment encodes kind ‖ fragIdx(1) ‖ total(1) ‖ appLen(1) ‖ app ‖ fragment.
@@ -259,7 +249,7 @@ func (m *Module) handlePosture(env sn.Env, pkt *sn.Packet) (sn.Decision, error) 
 			doc = append(doc, f...)
 		}
 	}
-	appState, appKnown := m.apps[app]
+	policy, appKnown := m.apps[app]
 	m.mu.Unlock()
 
 	if !complete {
@@ -272,7 +262,7 @@ func (m *Module) handlePosture(env sn.Env, pkt *sn.Packet) (sn.Decision, error) 
 	if err := json.Unmarshal(doc, &posture); err != nil {
 		return sn.Decision{}, fmt.Errorf("ztna: bad posture document: %w", err)
 	}
-	if err := evaluate(appState.policy, posture); err != nil {
+	if err := evaluate(policy, posture); err != nil {
 		env.Logf("ztna: %s denied for %s: %v", app, pkt.Src, err)
 		m.mu.Lock()
 		delete(m.flows, key)
@@ -283,10 +273,10 @@ func (m *Module) handlePosture(env sn.Env, pkt *sn.Packet) (sn.Decision, error) 
 	}
 	m.mu.Lock()
 	fs.established = true
-	fs.backend = appState.backend
+	fs.backend = policy.Backend
 	fs.fragments = nil
 	m.mu.Unlock()
-	return m.admitDecision(key, appState.backend), nil
+	return m.admitDecision(key, policy.Backend), nil
 }
 
 // evaluate applies the policy to a posture document.

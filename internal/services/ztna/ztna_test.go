@@ -32,7 +32,7 @@ func setPolicy(t *testing.T, topo *lab.Topology, ed *lab.Edomain, p AppPolicy) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := operator.InvokeFirstHop(wire.SvcZTNA, "set_policy", p); err != nil {
+	if _, err := OpSetPolicy.CallFirstHop(operator, p); err != nil {
 		t.Fatal(err)
 	}
 	return operator
@@ -57,7 +57,7 @@ func TestMultiPacketEstablishmentAdmits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	setPolicy(t, topo, ed, AppPolicy{App: "erp", Backend: backend.Addr().String(), MinOSVersion: 10})
+	setPolicy(t, topo, ed, AppPolicy{App: "erp", Backend: backend.Addr(), MinOSVersion: 10})
 	got := make(chan host.Message, 8)
 	backend.OnService(wire.SvcZTNA, func(msg host.Message) { got <- msg })
 
@@ -102,7 +102,7 @@ func TestOldOSVersionDenied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	setPolicy(t, topo, ed, AppPolicy{App: "erp", Backend: backend.Addr().String(), MinOSVersion: 12})
+	setPolicy(t, topo, ed, AppPolicy{App: "erp", Backend: backend.Addr(), MinOSVersion: 12})
 	got := make(chan host.Message, 8)
 	backend.OnService(wire.SvcZTNA, func(msg host.Message) { got <- msg })
 	client, err := topo.NewHost(ed, 0)
@@ -144,7 +144,7 @@ func TestUserAllowlist(t *testing.T) {
 		t.Fatal(err)
 	}
 	setPolicy(t, topo, ed, AppPolicy{
-		App: "hr", Backend: backend.Addr().String(), MinOSVersion: 1,
+		App: "hr", Backend: backend.Addr(), MinOSVersion: 1,
 		AllowedUsers: []string{"alice"},
 	})
 	got := make(chan host.Message, 8)
@@ -174,7 +174,7 @@ func TestSurvivesCacheEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	setPolicy(t, topo, ed, AppPolicy{App: "erp", Backend: backend.Addr().String(), MinOSVersion: 1})
+	setPolicy(t, topo, ed, AppPolicy{App: "erp", Backend: backend.Addr(), MinOSVersion: 1})
 	got := make(chan host.Message, 8)
 	backend.OnService(wire.SvcZTNA, func(msg host.Message) { got <- msg })
 	client, err := topo.NewHost(ed, 0)
@@ -217,7 +217,7 @@ func TestDataBeforeEstablishmentRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	setPolicy(t, topo, ed, AppPolicy{App: "erp", Backend: backend.Addr().String()})
+	setPolicy(t, topo, ed, AppPolicy{App: "erp", Backend: backend.Addr()})
 	client, err := topo.NewHost(ed, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -280,8 +280,8 @@ func TestIdleFlowExpiresViaHitCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := operator.InvokeFirstHop(wire.SvcZTNA, "set_policy", AppPolicy{
-		App: "erp", Backend: backend.Addr().String(), MinOSVersion: 1,
+	if _, err := OpSetPolicy.CallFirstHop(operator, AppPolicy{
+		App: "erp", Backend: backend.Addr(), MinOSVersion: 1,
 	}); err != nil {
 		t.Fatal(err)
 	}

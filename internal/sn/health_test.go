@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"interedge/internal/clock"
+	"interedge/internal/control"
 	"interedge/internal/netsim"
 	"interedge/internal/pipe"
 	"interedge/internal/wire"
@@ -340,18 +341,9 @@ func TestControlHealthOp(t *testing.T) {
 	}
 	waitFor(t, func() bool { return node.Counters().ModuleErrors == 1 })
 
-	query := func(target wire.ServiceID) ControlResponse {
+	query := func(target wire.ServiceID) control.Response {
 		t.Helper()
-		req, _ := json.Marshal(ControlRequest{Target: target, Op: "health"})
-		if err := cl.mgr.Send(node.Addr(), &wire.ILPHeader{Service: wire.SvcControl, Conn: 77}, req); err != nil {
-			t.Fatal(err)
-		}
-		got := cl.await(t)
-		var resp ControlResponse
-		if err := json.Unmarshal(got.payload, &resp); err != nil {
-			t.Fatal(err)
-		}
-		return resp
+		return cl.control(t, node.Addr(), 77, rawRequest(target, "health", ""))
 	}
 
 	// All modules.
@@ -654,16 +646,20 @@ func TestIPCRestartingFastFail(t *testing.T) {
 	}
 }
 
-// ctrlPanicModule's control handler panics on op "boom" and answers every
-// other op.
+// ctrlPanicModule's control handler panics on op boom and answers op ping.
 type ctrlPanicModule struct{ failModule }
 
+var (
+	opBoom     = control.NewOp[control.None, string](wire.SvcNull, "boom")
+	opNullPing = control.NewOp[control.None, string](wire.SvcNull, "ping")
+)
+
 func (ctrlPanicModule) Name() string { return "ctrl-panicky" }
-func (ctrlPanicModule) HandleControl(_ Env, _ wire.Addr, op string, _ []byte) ([]byte, error) {
-	if op == "boom" {
-		panic("control kaboom")
+func (ctrlPanicModule) ControlOps() []ControlOp {
+	return []ControlOp{
+		Handle(opBoom, func(Env, wire.Addr, control.None) (string, error) { panic("control kaboom") }),
+		Handle(opNullPing, func(Env, wire.Addr, control.None) (string, error) { return "pong", nil }),
 	}
-	return []byte(`"pong"`), nil
 }
 
 // TestControlPanicContained: a panicking control handler costs its caller
@@ -679,17 +675,9 @@ func TestControlPanicContained(t *testing.T) {
 	if err := cl.mgr.Connect(node.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	invoke := func(op string) ControlResponse {
+	invoke := func(op string) control.Response {
 		t.Helper()
-		req, _ := json.Marshal(ControlRequest{Target: wire.SvcNull, Op: op})
-		if err := cl.mgr.Send(node.Addr(), &wire.ILPHeader{Service: wire.SvcControl, Conn: 7}, req); err != nil {
-			t.Fatal(err)
-		}
-		var resp ControlResponse
-		if err := json.Unmarshal(cl.await(t).payload, &resp); err != nil {
-			t.Fatal(err)
-		}
-		return resp
+		return cl.control(t, node.Addr(), 7, rawRequest(wire.SvcNull, op, ""))
 	}
 	if resp := invoke("boom"); resp.OK || !strings.Contains(resp.Error, "panicked") {
 		t.Fatalf("panicking op answered %+v, want a panic error", resp)
@@ -699,6 +687,9 @@ func TestControlPanicContained(t *testing.T) {
 	}
 	if v := node.Telemetry().Snapshot().Value(`sn_module_panics_total{module="ctrl-panicky"}`); v != 1 {
 		t.Fatalf("sn_module_panics_total = %v, want 1", v)
+	}
+	if v := node.Telemetry().Snapshot().Value(controlOpsName("null", "boom", "panic")); v != 1 {
+		t.Fatalf("boom panics counted by the dispatch = %v, want 1", v)
 	}
 	if resp := invoke("ping"); !resp.OK || string(resp.Data) != `"pong"` {
 		t.Fatalf("op after the panic answered %+v", resp)

@@ -2,12 +2,10 @@ package sn
 
 import (
 	"crypto/ed25519"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"maps"
 	"runtime"
-	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -127,23 +125,10 @@ type registeredModule struct {
 	disp     *dispatcher
 	env      *snEnv
 	enclave  *enclave.Enclave
-	ctrl     ControlHandler
+	ops      []*ControlOp // its control ops, health first
 	stopOnce sync.Once
 	// notePanic counts and logs a contained module panic.
 	notePanic func(v any)
-}
-
-// control runs the module's control handler under the containment of its
-// packet path: a panic is counted and logged like a HandlePacket panic and
-// answered as a *ModulePanicError instead of killing the SN.
-func (reg *registeredModule) control(src wire.Addr, op string, args []byte) (data []byte, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			reg.notePanic(r)
-			data, err = nil, &ModulePanicError{Value: r, Stack: debug.Stack()}
-		}
-	}()
-	return reg.ctrl.HandleControl(reg.env, src, op, args)
 }
 
 // health snapshots the module's containment state.
@@ -168,29 +153,6 @@ func (reg *registeredModule) health() ModuleHealth {
 	}
 }
 
-// ControlHandler is implemented by modules that accept out-of-band control
-// operations (§3.2's second invocation style: "services can be invoked by
-// the host out of band (via a control protocol between the host and its
-// first-hop SN)").
-type ControlHandler interface {
-	HandleControl(env Env, src wire.Addr, op string, args []byte) ([]byte, error)
-}
-
-// ControlRequest is the JSON envelope of a control-protocol request,
-// carried as the payload of a SvcControl packet.
-type ControlRequest struct {
-	Target wire.ServiceID  `json:"target"`
-	Op     string          `json:"op"`
-	Args   json.RawMessage `json:"args,omitempty"`
-}
-
-// ControlResponse is the JSON envelope of a control-protocol response.
-type ControlResponse struct {
-	OK    bool            `json:"ok"`
-	Error string          `json:"error,omitempty"`
-	Data  json.RawMessage `json:"data,omitempty"`
-}
-
 // SN is one InterEdge service node.
 type SN struct {
 	cfg             Config
@@ -203,6 +165,11 @@ type SN struct {
 	// copy-on-write, replaced under mu by Register (it changes nowhere
 	// else), so a miss finds its module without taking the SN-wide lock.
 	modules atomic.Pointer[moduleTable]
+	// controls is the control-protocol dispatch table: the SN's own ops and
+	// every registered module's, published copy-on-write like modules.
+	controls       atomic.Pointer[controlTable]
+	controlDropped *telemetry.Counter // control packets that were no request
+	controlUnknown *telemetry.Counter // requests naming no registered op
 
 	mu          sync.Mutex
 	configStore map[string][]byte
@@ -333,6 +300,7 @@ func New(cfg Config) (*SN, error) {
 		drainNs:        reg.Histogram("sn_drain_duration_ns", telemetry.LatencyBuckets),
 	}
 	s.modules.Store(&moduleTable{})
+	s.initControl()
 	s.cache.RegisterTelemetry(reg)
 	if rt, ok := cfg.Transport.(telemetry.Registrable); ok {
 		rt.RegisterTelemetry(reg)
@@ -458,15 +426,17 @@ func (s *SN) Register(mod Module, opts ...ModuleOption) error {
 	h := newHandleFunc(mod, env, encl)
 
 	reg := &registeredModule{mod: mod, cfg: mc, env: env, enclave: encl}
-	if ch, ok := mod.(ControlHandler); ok {
-		reg.ctrl = ch
-	}
 	// The containment callbacks reference reg.disp, which is assigned
 	// below, before the module becomes reachable from the packet path.
 	reg.notePanic = func(v any) {
 		reg.disp.panics.Add(1)
 		s.cfg.Logf("sn %s: module %s panicked (contained): %v", s.Addr(), mod.Name(), v)
 	}
+	ops, err := s.moduleControlOps(reg)
+	if err != nil {
+		return err
+	}
+	reg.ops = ops
 	noteRestart := func() {
 		reg.disp.restarts.Add(1)
 		s.cfg.Logf("sn %s: module %s server restarted", s.Addr(), mod.Name())
@@ -541,8 +511,9 @@ func (s *SN) Register(mod Module, opts ...ModuleOption) error {
 }
 
 // publishModule replaces the module table with a copy in which svc maps to
-// reg, or to nothing when reg is nil. It refuses (false) to replace one
-// registered module by another.
+// reg, or to nothing when reg is nil, and the control table with one in
+// which svc serves reg's ops. It refuses (false) to replace one registered
+// module by another.
 func (s *SN) publishModule(svc wire.ServiceID, reg *registeredModule) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -551,12 +522,15 @@ func (s *SN) publishModule(svc wire.ServiceID, reg *registeredModule) bool {
 		return false
 	}
 	next := maps.Clone(old)
+	var ops []*ControlOp
 	if reg != nil {
 		next[svc] = reg
+		ops = reg.ops
 	} else {
 		delete(next, svc)
 	}
 	s.modules.Store(&next)
+	s.publishControls(svc, ops)
 	return true
 }
 
@@ -763,10 +737,10 @@ func (s *SN) handleBatch(tx pipe.Sender, src wire.Addr, pkts []pipe.RxPacket) {
 }
 
 // handleMiss is the shared post-lookup slow path: control-protocol packets
-// are answered inline, everything else is handed to its service module.
+// are served inline, everything else is handed to its service module.
 func (s *SN) handleMiss(src wire.Addr, hdr wire.ILPHeader, payload []byte) {
 	if hdr.Service == wire.SvcControl {
-		s.handleControl(src, hdr, payload)
+		s.handleControl(src, hdr.Conn, payload)
 		return
 	}
 	if hdr.Service == wire.SvcHandoff {
@@ -989,78 +963,6 @@ func (s *SN) establishAndFlush(dst wire.Addr) {
 				s.forwarded.Add(1)
 			}
 		}
-	}
-}
-
-// handleControl serves the out-of-band control protocol: a JSON request
-// naming a target service and operation, answered on the same connection
-// ID.
-func (s *SN) handleControl(src wire.Addr, hdr wire.ILPHeader, payload []byte) {
-	respond := func(resp ControlResponse) {
-		body, err := json.Marshal(resp)
-		if err != nil {
-			return
-		}
-		s.sendControl(src, hdr.Conn, body)
-	}
-	var req ControlRequest
-	if err := json.Unmarshal(payload, &req); err != nil {
-		respond(ControlResponse{Error: "malformed control request"})
-		return
-	}
-	// "health" is answered by the SN itself so operators can read module
-	// containment state even for modules with no control handler — and
-	// especially for modules too broken to answer anything.
-	if req.Op == "health" {
-		var data []byte
-		var err error
-		if req.Target == wire.SvcControl || req.Target == wire.SvcNone {
-			data, err = json.Marshal(s.ModuleHealth())
-		} else {
-			reg, ok := s.module(req.Target)
-			if !ok {
-				respond(ControlResponse{Error: fmt.Sprintf("service %s not registered", req.Target)})
-				return
-			}
-			data, err = json.Marshal(reg.health())
-		}
-		if err != nil {
-			respond(ControlResponse{Error: err.Error()})
-			return
-		}
-		respond(ControlResponse{OK: true, Data: data})
-		return
-	}
-	// "metrics" is likewise answered by the SN itself: one snapshot of the
-	// node registry covering every layer (sn_*, pipe_*, cache_*,
-	// sn_module_*, transport_*). Each sample is an atomic read; the set is
-	// not one consistent cut (see the telemetry package contract).
-	if req.Op == "metrics" && (req.Target == wire.SvcControl || req.Target == wire.SvcNone) {
-		data, err := json.Marshal(s.telem.Snapshot())
-		if err != nil {
-			respond(ControlResponse{Error: err.Error()})
-			return
-		}
-		respond(ControlResponse{OK: true, Data: data})
-		return
-	}
-	reg, ok := s.module(req.Target)
-	if !ok || reg.ctrl == nil {
-		respond(ControlResponse{Error: fmt.Sprintf("service %s has no control handler", req.Target)})
-		return
-	}
-	data, err := reg.control(src, req.Op, req.Args)
-	if err != nil {
-		respond(ControlResponse{Error: err.Error()})
-		return
-	}
-	respond(ControlResponse{OK: true, Data: data})
-}
-
-func (s *SN) sendControl(dst wire.Addr, conn wire.ConnectionID, body []byte) {
-	hdr := wire.ILPHeader{Service: wire.SvcControl, Conn: conn}
-	if err := s.mgr.Send(dst, &hdr, body); err != nil {
-		s.forwardErrors.Add(1)
 	}
 }
 

@@ -3,11 +3,11 @@ package sn
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"interedge/internal/control"
 	"interedge/internal/handshake"
 	"interedge/internal/netsim"
 	"interedge/internal/pipe"
@@ -59,17 +59,30 @@ func (failModule) HandlePacket(Env, *Packet) (Decision, error) {
 // ctrlModule answers control ops.
 type ctrlModule struct{}
 
+// ctrlModule's ops: ping echoes its raw args, peers counts the addresses
+// it is given, refuse always fails.
+var (
+	opPing   = control.NewOp[json.RawMessage, map[string]string](wire.SvcQoS, "ping")
+	opPeers  = control.NewOp[[]wire.Addr, int](wire.SvcQoS, "peers")
+	opRefuse = control.NewOp[control.None, control.None](wire.SvcQoS, "refuse")
+)
+
 func (ctrlModule) Service() wire.ServiceID { return wire.SvcQoS }
 func (ctrlModule) Name() string            { return "ctrl" }
 func (ctrlModule) Version() string         { return "1" }
 func (ctrlModule) HandlePacket(Env, *Packet) (Decision, error) {
 	return Decision{}, nil
 }
-func (ctrlModule) HandleControl(env Env, src wire.Addr, op string, args []byte) ([]byte, error) {
-	if op == "ping" {
-		return json.Marshal(map[string]string{"pong": string(args)})
+func (ctrlModule) ControlOps() []ControlOp {
+	return []ControlOp{
+		Handle(opPing, func(_ Env, _ wire.Addr, args json.RawMessage) (map[string]string, error) {
+			return map[string]string{"pong": string(args)}, nil
+		}),
+		Handle(opPeers, func(_ Env, _ wire.Addr, peers []wire.Addr) (int, error) { return len(peers), nil }),
+		Handle(opRefuse, func(Env, wire.Addr, control.None) (control.None, error) {
+			return control.None{}, errors.New("refused")
+		}),
 	}
-	return nil, fmt.Errorf("unknown op %q", op)
 }
 
 // client is a raw pipe endpoint playing the role of a host.
@@ -369,18 +382,7 @@ func TestControlProtocol(t *testing.T) {
 	if err := cl.mgr.Connect(node.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	req, _ := json.Marshal(ControlRequest{Target: wire.SvcQoS, Op: "ping", Args: json.RawMessage(`"hi"`)})
-	if err := cl.mgr.Send(node.Addr(), &wire.ILPHeader{Service: wire.SvcControl, Conn: 42}, req); err != nil {
-		t.Fatal(err)
-	}
-	got := cl.await(t)
-	if got.hdr.Service != wire.SvcControl || got.hdr.Conn != 42 {
-		t.Fatalf("reply header %+v", got.hdr)
-	}
-	var resp ControlResponse
-	if err := json.Unmarshal(got.payload, &resp); err != nil {
-		t.Fatal(err)
-	}
+	resp := cl.control(t, node.Addr(), 42, rawRequest(wire.SvcQoS, "ping", `"hi"`))
 	if !resp.OK || string(resp.Data) != `{"pong":"\"hi\""}` {
 		t.Fatalf("resp %+v data=%s", resp, resp.Data)
 	}
@@ -393,16 +395,7 @@ func TestControlUnknownServiceErrors(t *testing.T) {
 	if err := cl.mgr.Connect(node.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	req, _ := json.Marshal(ControlRequest{Target: wire.SvcVPN, Op: "x"})
-	if err := cl.mgr.Send(node.Addr(), &wire.ILPHeader{Service: wire.SvcControl, Conn: 1}, req); err != nil {
-		t.Fatal(err)
-	}
-	got := cl.await(t)
-	var resp ControlResponse
-	if err := json.Unmarshal(got.payload, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.OK || resp.Error == "" {
+	if resp := cl.control(t, node.Addr(), 1, rawRequest(wire.SvcVPN, "x", "")); resp.OK || resp.Error == "" {
 		t.Fatalf("resp %+v", resp)
 	}
 }

@@ -47,15 +47,7 @@ func TestControlMetricsOp(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	req, _ := json.Marshal(ControlRequest{Target: wire.SvcNone, Op: "metrics"})
-	if err := cl.mgr.Send(node.Addr(), &wire.ILPHeader{Service: wire.SvcControl, Conn: 9}, req); err != nil {
-		t.Fatal(err)
-	}
-	got := cl.await(t)
-	var resp ControlResponse
-	if err := json.Unmarshal(got.payload, &resp); err != nil {
-		t.Fatal(err)
-	}
+	resp := cl.control(t, node.Addr(), 9, rawRequest(wire.SvcNone, "metrics", ""))
 	if !resp.OK {
 		t.Fatalf("metrics op error: %s", resp.Error)
 	}
@@ -137,15 +129,7 @@ func TestControlMetricsOpPinsDrainInstruments(t *testing.T) {
 	if err := cl.mgr.Connect(node.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	req, _ := json.Marshal(ControlRequest{Target: wire.SvcNone, Op: "metrics"})
-	if err := cl.mgr.Send(node.Addr(), &wire.ILPHeader{Service: wire.SvcControl, Conn: 9}, req); err != nil {
-		t.Fatal(err)
-	}
-	got := cl.await(t)
-	var resp ControlResponse
-	if err := json.Unmarshal(got.payload, &resp); err != nil {
-		t.Fatal(err)
-	}
+	resp := cl.control(t, node.Addr(), 9, rawRequest(wire.SvcNone, "metrics", ""))
 	if !resp.OK {
 		t.Fatalf("metrics op error: %s", resp.Error)
 	}
@@ -249,15 +233,7 @@ func TestControlMetricsOpExposesLookupCounters(t *testing.T) {
 	if err := cl.mgr.Connect(node.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	req, _ := json.Marshal(ControlRequest{Target: wire.SvcNone, Op: "metrics"})
-	if err := cl.mgr.Send(node.Addr(), &wire.ILPHeader{Service: wire.SvcControl, Conn: 9}, req); err != nil {
-		t.Fatal(err)
-	}
-	got := cl.await(t)
-	var resp ControlResponse
-	if err := json.Unmarshal(got.payload, &resp); err != nil {
-		t.Fatal(err)
-	}
+	resp := cl.control(t, node.Addr(), 9, rawRequest(wire.SvcNone, "metrics", ""))
 	if !resp.OK {
 		t.Fatalf("metrics op error: %s", resp.Error)
 	}

@@ -39,6 +39,17 @@ func MustAddr(s string) Addr {
 	return netip.MustParseAddr(s)
 }
 
+// AllValid reports whether no address in addrs is the zero Addr — what a
+// list decoded from JSON holds where the text was empty.
+func AllValid(addrs []Addr) bool {
+	for _, a := range addrs {
+		if !a.IsValid() {
+			return false
+		}
+	}
+	return true
+}
+
 // ShardIndex maps an address onto one of n shards (FNV-1a over the
 // 16-byte form). Both the pipe engine's RX-worker sharding and the
 // decision cache's source-affine striping use this same function, so the

@@ -125,6 +125,8 @@ run "fuzz smoke: signed address-record registration" \
 	go test -run '^$' -fuzz 'FuzzAddrRecordRegistration' -fuzztime 5s ./internal/lookup/
 run "fuzz smoke: decision-cache operations against the scanning reference" \
 	go test -run '^$' -fuzz 'FuzzCacheOps' -fuzztime 5s ./internal/sn/cache/
+run "fuzz smoke: control requests and replies against an SN serving every service module" \
+	go test -run '^$' -fuzz 'FuzzControlOps' -fuzztime 5s ./internal/lab/
 
 run "inter-edomain transit: peering and ipfwd suites (race-detected)" \
 	go test -race -count=1 -timeout 180s ./internal/peering/ ./internal/services/ipfwd/
