@@ -330,7 +330,7 @@ func BenchmarkFigure2_FullFastPath(b *testing.B) {
 func BenchmarkFigure2_FullFastPathParallel(b *testing.B) {
 	const txBatch = 32
 	maxWorkers := runtime.GOMAXPROCS(0)
-	c := cache.NewSourceAffine(65536, maxWorkers)
+	c := cache.NewSourceAffine(65536, maxWorkers, wire.Addr{})
 	tr, dst := benchUDPSender(b)
 
 	type flowState struct {

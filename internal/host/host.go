@@ -89,12 +89,11 @@ type Config struct {
 	// successor (SvcPipeMove) and the pipe was rebound to it. Optional.
 	OnPipeMoved func(old, successor wire.Addr)
 	// FastHandler, when set, receives every inbound data packet (anything
-	// that is not control-plane traffic) WITHOUT the copy the normal
-	// demultiplexer makes: hdr.Data aliases a pipe-internal buffer and is
-	// only valid for the duration of the call (payload may be retained, see
-	// pipe.PacketHandler). Connections and OnService handlers are bypassed.
-	// This is the weightless-fleet receive path: a million lite hosts cannot
-	// afford an allocation per packet.
+	// that is not control-plane traffic) straight from the pipe, header and
+	// payload its to keep (pipe.PacketHandler), with no Message built.
+	// Connections and OnService handlers are bypassed. This is the
+	// weightless-fleet receive path: a million lite hosts cannot afford an
+	// allocation per packet.
 	FastHandler func(src wire.Addr, hdr wire.ILPHeader, payload []byte)
 	// Logf receives diagnostics; nil discards them.
 	Logf func(format string, args ...any)
@@ -259,8 +258,8 @@ func (h *Host) SNIdentity(sn wire.Addr) (ed25519.PublicKey, bool) {
 
 // handlePacket demultiplexes inbound packets: control replies, open
 // connections, then service handlers. It may run concurrently for packets
-// from different pipe peers. What it delivers is safe to retain: the header
-// data is copied, the payload is the receiver's already (pipe.PacketHandler).
+// from different pipe peers. What it delivers is safe to retain without a
+// copy: header data and payload are the receiver's (pipe.PacketHandler).
 func (h *Host) handlePacket(_ pipe.Sender, src wire.Addr, hdr wire.ILPHeader, _ []byte, payload []byte) {
 	// Control-plane traffic is handled regardless of FastHandler: control
 	// replies complete Invoke waiters and SvcPipeMove drives drain rebinds,
@@ -274,14 +273,12 @@ func (h *Host) handlePacket(_ pipe.Sender, src wire.Addr, hdr wire.ILPHeader, _ 
 		return
 	}
 	if h.cfg.FastHandler != nil {
-		// Zero-copy delivery: hdr.Data aliases a pipe buffer and is only
-		// valid until return (see Config.FastHandler).
 		h.cfg.FastHandler(src, hdr, payload)
 		return
 	}
 	msg := Message{
 		Src:     src,
-		Hdr:     wire.ILPHeader{Service: hdr.Service, Conn: hdr.Conn, Data: append([]byte(nil), hdr.Data...)},
+		Hdr:     wire.ILPHeader{Service: hdr.Service, Conn: hdr.Conn, Data: hdr.Data},
 		Payload: payload,
 	}
 	h.mu.Lock()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/ed25519"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -410,11 +411,12 @@ func TestHostAuthorizePinning(t *testing.T) {
 	}
 }
 
-// TestRetainedPayloadSurvivesLaterPackets: a Message's Payload is the
-// application's to keep — the host hands over the buffer the transport gave
-// the pipe, without copying it — so a payload held on to must read the same,
-// byte for byte, after a thousand later packets have come through the same
-// pipe, receive worker and connection.
+// TestRetainedPayloadSurvivesLaterPackets: a Message's Payload and
+// Hdr.Data are the application's to keep — the host hands over the buffer
+// the transport gave the pipe, header opened into it, without copying
+// either — so a payload and header data held on to must read the same, byte
+// for byte, after a thousand later packets have come through the same pipe,
+// receive worker and connection.
 func TestRetainedPayloadSurvivesLaterPackets(t *testing.T) {
 	net := netsim.NewNetwork()
 	node := newSN(t, net, "fd00::100")
@@ -434,15 +436,18 @@ func TestRetainedPayloadSurvivesLaterPackets(t *testing.T) {
 		}
 		return p
 	}
+	dataOf := func(i int) []byte { return []byte(fmt.Sprintf("svc-data-%04d", i)) }
 	const later = 1000
 	kept := make([][]byte, 0, later+1)
+	keptData := make([][]byte, 0, later+1)
 	for i := 0; i <= later; i++ {
-		if err := conn.Send(nil, payloadOf(i)); err != nil {
+		if err := conn.Send(dataOf(i), payloadOf(i)); err != nil {
 			t.Fatal(err)
 		}
 		select {
 		case msg := <-conn.Receive():
 			kept = append(kept, msg.Payload)
+			keptData = append(keptData, msg.Hdr.Data)
 		case <-time.After(3 * time.Second):
 			t.Fatalf("echo %d never came back", i)
 		}
@@ -450,6 +455,9 @@ func TestRetainedPayloadSurvivesLaterPackets(t *testing.T) {
 	for i, p := range kept {
 		if !bytes.Equal(p, payloadOf(i)) {
 			t.Fatalf("payload %d, retained since it was delivered, no longer reads what was sent", i)
+		}
+		if !bytes.Equal(keptData[i], dataOf(i)) {
+			t.Fatalf("header data %d, retained since it was delivered, reads %q", i, keptData[i])
 		}
 	}
 }

@@ -73,63 +73,74 @@ func releasedBuffers(node *sn.SN) uint64 {
 	return uint64(node.Telemetry().Snapshot().Value("sn_rx_buffers_released_total"))
 }
 
-// TestFastPathDeliveryAllocs: Host.SendHeaderBytes → a SvcNone forwarding
-// rule at the SN → the receiving host's service handler. One allocation: the
-// SN gives the buffer it received back once the forward is staged, the
-// fabric copies the next hop's datagram into it, and that one leaves with
-// the receiving host, whose handler may keep it. The release count is checked
-// under -race too, where allocation counts mean nothing.
+// TestFastPathDeliveryAllocs: Host.SendHeaderBytes → a forwarding rule at
+// the SN → the receiving host's service handler. One allocation: the SN
+// gives the buffer it received back once the forward is staged, the fabric
+// copies the next hop's datagram into it, and that one leaves with the
+// receiving host, whose handler may keep it — header data included, which
+// the pipe opens into that same buffer (ipfwd's packets carry 16 bytes of
+// it). The release count is checked under -race too, where allocation
+// counts mean nothing.
 func TestFastPathDeliveryAllocs(t *testing.T) {
-	topo := New()
-	defer topo.Close()
-	ed, err := topo.AddEdomain("ed-a", 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := topo.NewHost(ed, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst, err := topo.NewHost(ed, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make(chan struct{}, 1)
-	dst.OnService(wire.SvcNone, func(host.Message) { got <- struct{}{} })
-	node := ed.SNs[0]
-	hdr := wire.ILPHeader{Service: wire.SvcNone, Conn: 7}
-	hdrRaw, err := hdr.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	node.Cache().Add(wire.FlowKey{Src: src.Addr(), Service: hdr.Service, Conn: hdr.Conn},
-		cache.Action{Forward: []wire.Addr{dst.Addr()}})
-	payload := make([]byte, 64)
-	lost := time.After(30 * time.Second)
-	deliver := func() {
-		if err := src.SendHeaderBytes(node.Addr(), hdrRaw, payload); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case <-got:
-		case <-lost:
-			t.Fatal("packet never delivered")
-		}
-	}
-	for i := 0; i < 64; i++ {
-		deliver()
-	}
-	hitsBefore, releasedBefore := node.Counters().FastPathHits, releasedBuffers(node)
-	allocs := testing.AllocsPerRun(500, deliver)
-	t.Logf("fast-path delivery: %.2f allocations", allocs)
-	if allocs > 1 && !raceEnabled {
-		t.Errorf("fast-path delivery allocated %.2f times, want <= 1 (the buffer that leaves with the receiving host)", allocs)
-	}
-	if n := node.Counters().FastPathHits - hitsBefore; n != 501 {
-		t.Errorf("%d of 501 packets hit the decision cache; the fast path was not what was measured", n)
-	}
-	if n := releasedBuffers(node) - releasedBefore; n != 501 {
-		t.Errorf("the SN gave back the receive buffers of %d of 501 hits", n)
+	for _, tc := range []struct {
+		name string
+		hdr  wire.ILPHeader
+	}{
+		{"no service data", wire.ILPHeader{Service: wire.SvcNone, Conn: 7}},
+		{"16 bytes of service data", wire.ILPHeader{Service: wire.SvcNone, Conn: 7, Data: []byte("0123456789abcdef")}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			topo := New()
+			defer topo.Close()
+			ed, err := topo.AddEdomain("ed-a", 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, err := topo.NewHost(ed, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst, err := topo.NewHost(ed, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make(chan struct{}, 1)
+			dst.OnService(tc.hdr.Service, func(host.Message) { got <- struct{}{} })
+			node := ed.SNs[0]
+			hdrRaw, err := tc.hdr.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			node.Cache().Add(wire.FlowKey{Src: src.Addr(), Service: tc.hdr.Service, Conn: tc.hdr.Conn},
+				cache.Action{Forward: []wire.Addr{dst.Addr()}})
+			payload := make([]byte, 64)
+			lost := time.After(30 * time.Second)
+			deliver := func() {
+				if err := src.SendHeaderBytes(node.Addr(), hdrRaw, payload); err != nil {
+					t.Fatal(err)
+				}
+				select {
+				case <-got:
+				case <-lost:
+					t.Fatal("packet never delivered")
+				}
+			}
+			for i := 0; i < 64; i++ {
+				deliver()
+			}
+			hitsBefore, releasedBefore := node.Counters().FastPathHits, releasedBuffers(node)
+			allocs := testing.AllocsPerRun(500, deliver)
+			t.Logf("fast-path delivery: %.2f allocations", allocs)
+			if allocs > 1 && !raceEnabled {
+				t.Errorf("fast-path delivery allocated %.2f times, want <= 1 (the buffer that leaves with the receiving host)", allocs)
+			}
+			if n := node.Counters().FastPathHits - hitsBefore; n != 501 {
+				t.Errorf("%d of 501 packets hit the decision cache; the fast path was not what was measured", n)
+			}
+			if n := releasedBuffers(node) - releasedBefore; n != 501 {
+				t.Errorf("the SN gave back the receive buffers of %d of 501 hits", n)
+			}
+		})
 	}
 }
 

@@ -29,12 +29,13 @@ type FleetConfig struct {
 	Hosts int
 	// EngineWorkers is the shared engine's RX fan-out width (default
 	// max(4, GOMAXPROCS)). The floor matters: the engine's workers are the
-	// only consumers of the fleet's one shared receive queue, and under Go's
+	// only consumers of the fleet's one shared receive side, and under Go's
 	// fair scheduling a single worker competing with hundreds of SN worker
 	// goroutines is starved into queue overflow.
 	EngineWorkers int
-	// MuxQueueDepth is the shared host-side receive queue (default 65536:
-	// one queue absorbs bursts for the entire fleet).
+	// MuxQueueDepth is the shared host-side receive depth (default 65536,
+	// split across the engine's RX workers: one receive side absorbs bursts
+	// for the entire fleet).
 	MuxQueueDepth int
 	// Parallelism bounds the host build/adopt worker pool (default
 	// min(64, 4*GOMAXPROCS)). Each adoption performs a real handshake.

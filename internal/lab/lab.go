@@ -18,6 +18,7 @@ import (
 	"interedge/internal/netsim"
 	"interedge/internal/peering"
 	"interedge/internal/sn"
+	"interedge/internal/telemetry"
 	"interedge/internal/wire"
 )
 
@@ -72,7 +73,10 @@ func WithSNConfig(edit func(*sn.Config)) Option {
 // attaches (SNs and hosts alike). The soak runner uses it to install a
 // capture tap that records sealed wire traffic for fuzz-corpus seeding.
 // Wrappers should forward netsim.BatchSender and telemetry.Registrable
-// when the underlying transport implements them.
+// when the underlying transport implements them. A wrapper taps sends
+// only: the node reads the receive shards of the attachment underneath
+// (netsim.ShardedReceiver), so a wrapped node receives exactly as an
+// unwrapped one does.
 func WithTransportWrap(wrap func(netsim.Transport) netsim.Transport) Option {
 	return func(t *Topology) { t.trWrap = wrap }
 }
@@ -124,13 +128,40 @@ func (t *Topology) NewSN(cfgEdit ...func(*sn.Config)) (*sn.SN, error) {
 	return t.newSNAt(t.alloc.Next(), cfgEdit...)
 }
 
-func (t *Topology) newSNAt(addr wire.Addr, cfgEdit ...func(*sn.Config)) (*sn.SN, error) {
+// attach connects a node at addr to the substrate, under the transport
+// wrapper when there is one.
+func (t *Topology) attach(addr wire.Addr) (netsim.Transport, error) {
 	tr, err := t.Net.Attach(addr)
+	if err != nil || t.trWrap == nil {
+		return tr, err
+	}
+	return &wrapped{Transport: t.trWrap(tr), rx: tr.(netsim.ShardedReceiver)}, nil
+}
+
+// wrapped is an attachment under a WithTransportWrap wrapper: sends go
+// through the wrapper, and the receive shards are the attachment's own.
+type wrapped struct {
+	netsim.Transport
+	rx netsim.ShardedReceiver
+}
+
+func (w *wrapped) ReceiveShards(n int) []<-chan wire.Datagram { return w.rx.ReceiveShards(n) }
+
+// SendBatch and RegisterTelemetry reach the wrapper's own, where it has them.
+func (w *wrapped) SendBatch(dgs []wire.Datagram) (int, error) {
+	return netsim.SendBatch(w.Transport, dgs)
+}
+
+func (w *wrapped) RegisterTelemetry(r *telemetry.Registry) {
+	if rt, ok := w.Transport.(telemetry.Registrable); ok {
+		rt.RegisterTelemetry(r)
+	}
+}
+
+func (t *Topology) newSNAt(addr wire.Addr, cfgEdit ...func(*sn.Config)) (*sn.SN, error) {
+	tr, err := t.attach(addr)
 	if err != nil {
 		return nil, err
-	}
-	if t.trWrap != nil {
-		tr = t.trWrap(tr)
 	}
 	id, err := handshake.NewIdentity()
 	if err != nil {
@@ -330,12 +361,9 @@ func (t *Topology) NewHost(ed *Edomain, snIdx int, cfgEdit ...func(*host.Config)
 		return nil, fmt.Errorf("lab: SN index %d out of range", snIdx)
 	}
 	addr := t.alloc.Next()
-	tr, err := t.Net.Attach(addr)
+	tr, err := t.attach(addr)
 	if err != nil {
 		return nil, err
-	}
-	if t.trWrap != nil {
-		tr = t.trWrap(tr)
 	}
 	id, err := handshake.NewIdentity()
 	if err != nil {
@@ -370,13 +398,9 @@ func (t *Topology) NewHost(ed *Edomain, snIdx int, cfgEdit ...func(*host.Config)
 // bookkeeping. The caller associates it with SNs manually. Useful when a
 // test needs recognizable source prefixes (e.g. QoS classes).
 func (t *Topology) NewHostAt(addr string, cfgEdit ...func(*host.Config)) (*host.Host, error) {
-	a := wire.MustAddr(addr)
-	tr, err := t.Net.Attach(a)
+	tr, err := t.attach(wire.MustAddr(addr))
 	if err != nil {
 		return nil, err
-	}
-	if t.trWrap != nil {
-		tr = t.trWrap(tr)
 	}
 	id, err := handshake.NewIdentity()
 	if err != nil {

@@ -8,10 +8,11 @@ import (
 )
 
 // Mux is a shared endpoint multiplexer: many fabric addresses (ports)
-// funneled into ONE receive queue. It exists for weightless host fleets —
+// funneled into ONE receive side. It exists for weightless host fleets —
 // a standalone Transport per host means a receive channel and a receive
 // goroutine per host, which caps simulations at O(10^4) endpoints; a Mux
-// lets 10^6 addresses share one queue drained by one engine.
+// lets 10^6 addresses share one receive side drained by one engine, split
+// into one queue per engine RX worker (ReceiveShards).
 //
 // Each port is a real attachment in the fabric's routing table: links,
 // faults, partitions, and queue-drop accounting apply per port exactly as
@@ -20,27 +21,28 @@ import (
 //
 // Close safety: the fabric's deliver paths hold a port's mutex across the
 // closed-check AND the queue send, so marking every port closed guarantees
-// no further sends into the shared queue — after which closing it is safe.
+// no further sends into the shared queues — after which closing them is
+// safe. ReceiveShards holds every port's mutex for the same reason.
 type Mux struct {
 	net *Network
-	rx  chan wire.Datagram
+	rx  *rxQueues
 
 	mu     sync.RWMutex
 	ports  map[wire.Addr]*simTransport
 	closed bool
 }
 
-// NewMux creates a multiplexer whose shared receive queue holds queueDepth
-// datagrams (0 selects the network's per-node default). The queue is shared
-// by every port, so size it for the aggregate fleet rate, not a single
-// node's.
+// NewMux creates a multiplexer whose shared receive side holds queueDepth
+// datagrams in total (0 selects the network's per-node default). It is
+// shared by every port, so size it for the aggregate fleet rate, not a
+// single node's.
 func (n *Network) NewMux(queueDepth int) *Mux {
 	if queueDepth <= 0 {
 		queueDepth = n.queueDepth
 	}
 	return &Mux{
 		net:   n,
-		rx:    make(chan wire.Datagram, queueDepth),
+		rx:    newRxQueues(queueDepth),
 		ports: make(map[wire.Addr]*simTransport),
 	}
 }
@@ -83,12 +85,12 @@ func (m *Mux) Ports() int {
 	return len(m.ports)
 }
 
-// Backlog returns the number of datagrams waiting in the shared queue.
-// Load generators use it for flow control: the queue is the fleet's one
-// NIC, and a producer that outruns the consumer overflows it exactly as a
-// real NIC would drop. Capacity returns the queue's depth.
-func (m *Mux) Backlog() int  { return len(m.rx) }
-func (m *Mux) Capacity() int { return cap(m.rx) }
+// Backlog returns the number of datagrams waiting across the shared
+// receive queues. Load generators use it for flow control: the queues are
+// the fleet's one NIC, and a producer that outruns the consumer overflows
+// them exactly as a real NIC would drop. Capacity returns their total depth.
+func (m *Mux) Backlog() int  { return m.rx.backlog() }
+func (m *Mux) Capacity() int { return m.rx.capacity() }
 
 // Send transmits dg from the port named by dg.Src. It implements
 // pipe.EngineTransport: the caller chooses the source identity per send.
@@ -102,9 +104,30 @@ func (m *Mux) Send(dg wire.Datagram) error {
 	return t.Send(dg)
 }
 
-// Receive returns the shared inbound queue. Datagrams retain their Dst so
-// the consumer can demultiplex; the channel closes when the Mux closes.
-func (m *Mux) Receive() <-chan wire.Datagram { return m.rx }
+// Receive returns the shared inbound queue (the first, once split).
+// Datagrams retain their Dst so the consumer can demultiplex; the channel
+// closes when the Mux closes.
+func (m *Mux) Receive() <-chan wire.Datagram { return m.rx.first() }
+
+// ReceiveShards implements ShardedReceiver. Delivery to a port holds that
+// port's mutex across its queue send, so the split holds every port's. A
+// closed Mux is not split: its ports may still be closing.
+func (m *Mux) ReceiveShards(n int) []<-chan wire.Datagram {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return m.rx.shards()
+	}
+	for _, t := range m.ports {
+		t.mu.Lock()
+	}
+	dropped := m.rx.split(n)
+	for _, t := range m.ports {
+		t.mu.Unlock()
+	}
+	m.net.stats.droppedQueue.Add(uint64(dropped))
+	return m.rx.shards()
+}
 
 // Close detaches every port and then closes the shared queue. Safe against
 // concurrent fabric deliveries (see the type comment).
@@ -121,6 +144,8 @@ func (m *Mux) Close() error {
 	for _, t := range ports {
 		_ = t.Close()
 	}
-	close(m.rx)
+	m.mu.Lock()
+	m.rx.close()
+	m.mu.Unlock()
 	return nil
 }

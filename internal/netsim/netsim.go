@@ -33,7 +33,10 @@ import (
 	"interedge/internal/wire"
 )
 
-// Transport is one node's attachment to the substrate.
+// Transport is one node's attachment to the substrate. Its receive side is
+// one queue (Receive); the built-in transports can also split it into one
+// queue per consumer (ShardedReceiver), which is how a pipe engine's RX
+// workers read it.
 type Transport interface {
 	// LocalAddr returns the node's address.
 	LocalAddr() wire.Addr
@@ -45,7 +48,8 @@ type Transport interface {
 	// pools its send buffers). Implementations that defer transmission
 	// must copy first.
 	Send(dg wire.Datagram) error
-	// Receive returns the channel of inbound datagrams. The channel is
+	// Receive returns the channel of inbound datagrams — the first shard,
+	// once ShardedReceiver has split the receive side. The channel is
 	// closed when the transport closes.
 	//
 	// Ownership: each received Datagram's Payload is a whole buffer that is
@@ -127,7 +131,8 @@ func WithSeed(seed int64) NetworkOption {
 	return func(n *Network) { n.rng = rand.New(rand.NewSource(seed)) }
 }
 
-// WithQueueDepth sets the per-node receive queue depth (default 4096).
+// WithQueueDepth sets the per-node receive queue depth (default 4096): the
+// total across the node's receive shards (ShardedReceiver).
 func WithQueueDepth(d int) NetworkOption {
 	return func(n *Network) { n.queueDepth = d }
 }
@@ -310,7 +315,7 @@ func (n *Network) Attach(addr wire.Addr) (Transport, error) {
 	t := &simTransport{
 		net:  n,
 		addr: addr,
-		rx:   make(chan wire.Datagram, n.queueDepth),
+		rx:   newRxQueues(n.queueDepth),
 	}
 	n.nodes[addr] = t
 	return t, nil
@@ -568,9 +573,10 @@ func (n *Network) deliverRun(dst *simTransport, cps []wire.Datagram) {
 		}
 		return
 	}
+	q := queueFor(dst.rx.load(), cps[0].Src, cps[0].Dst)
 	for _, cp := range cps {
 		select {
-		case dst.rx <- cp:
+		case q <- cp:
 			delivered++
 		default:
 			droppedQueue++
@@ -652,7 +658,7 @@ func (n *Network) Settled() bool {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	for _, t := range n.nodes {
-		if len(t.rx) > 0 {
+		if t.rx.backlog() > 0 {
 			return false
 		}
 	}
@@ -670,7 +676,7 @@ func (n *Network) deliver(dst *simTransport, dg wire.Datagram) {
 		return
 	}
 	select {
-	case dst.rx <- dg:
+	case queueFor(dst.rx.load(), dg.Src, dg.Dst) <- dg:
 		dst.mu.Unlock()
 		n.stats.delivered.Add(1)
 	default:
@@ -683,13 +689,13 @@ func (n *Network) deliver(dst *simTransport, dg wire.Datagram) {
 type simTransport struct {
 	net  *Network
 	addr wire.Addr
-	rx   chan wire.Datagram
+	rx   *rxQueues
 	// shared marks a Mux port: rx belongs to the Mux and is shared with
 	// other ports, so Close must not close it.
 	shared bool
 	mu     sync.Mutex
 	// closed is guarded by mu; deliver() checks it before sending on rx so
-	// Close can safely close the channel.
+	// Close can safely close the queues.
 	closed bool
 }
 
@@ -723,14 +729,32 @@ func (t *simTransport) SendBatch(dgs []wire.Datagram) (int, error) {
 	return t.net.sendBatch(dgs)
 }
 
-func (t *simTransport) Receive() <-chan wire.Datagram { return t.rx }
+func (t *simTransport) Receive() <-chan wire.Datagram { return t.rx.first() }
+
+// ReceiveShards implements ShardedReceiver. Every deliver path holds the
+// endpoint's lock across its queue send, so taking it here is enough.
+func (t *simTransport) ReceiveShards(n int) []<-chan wire.Datagram {
+	t.mu.Lock()
+	dropped := t.rx.split(n)
+	t.mu.Unlock()
+	t.net.stats.droppedQueue.Add(uint64(dropped))
+	return t.rx.shards()
+}
 
 // RegisterTelemetry implements telemetry.Registrable: the fabric endpoint
-// contributes a lazy gauge for its receive-queue depth so a node's snapshot
-// shows transport backpressure.
+// contributes lazy gauges for its receive backlog — the total, and the
+// fullest shard's — so a node's snapshot shows transport backpressure.
 func (t *simTransport) RegisterTelemetry(r *telemetry.Registry) {
+	registerRxGauges(r, t.rx)
+}
+
+// registerRxGauges registers the receive-backlog gauges of rx in r.
+func registerRxGauges(r *telemetry.Registry, rx *rxQueues) {
 	_ = r.Register(telemetry.NewGaugeFunc("transport_rx_queue_depth", func() int64 {
-		return int64(len(t.rx))
+		return int64(rx.backlog())
+	}))
+	_ = r.Register(telemetry.NewGaugeFunc("transport_rx_queue_depth_max", func() int64 {
+		return int64(rx.deepest())
 	}))
 }
 
@@ -742,7 +766,7 @@ func (t *simTransport) Close() error {
 	}
 	t.closed = true
 	if !t.shared {
-		close(t.rx)
+		t.rx.close()
 	}
 	t.mu.Unlock()
 	t.net.detach(t.addr)
@@ -750,9 +774,9 @@ func (t *simTransport) Close() error {
 }
 
 // attachShared registers a port at addr whose inbound traffic lands on the
-// caller-owned shared queue rx; used by Mux. Caller closes rx, never the
+// caller-owned shared queues rx; used by Mux. Caller closes rx, never the
 // port.
-func (n *Network) attachShared(addr wire.Addr, rx chan wire.Datagram) (*simTransport, error) {
+func (n *Network) attachShared(addr wire.Addr, rx *rxQueues) (*simTransport, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if _, exists := n.nodes[addr]; exists {

@@ -66,7 +66,8 @@ var errGSOUnsupported = errors.New("netsim: udp gso unsupported")
 // UDPOption configures a UDPTransport.
 type UDPOption func(*UDPTransport)
 
-// WithUDPQueueDepth sets the receive queue depth (default 4096).
+// WithUDPQueueDepth sets the receive queue depth (default 4096): the total
+// across the transport's receive shards (ShardedReceiver).
 func WithUDPQueueDepth(d int) UDPOption {
 	return func(t *UDPTransport) { t.queueDepth = d }
 }
@@ -95,11 +96,14 @@ func WithUDPTelemetry(r *telemetry.Registry) UDPOption {
 // when the kernel rejects the vectored calls, it degrades to the portable
 // per-packet path.
 type UDPTransport struct {
-	addr       wire.Addr
-	dir        *UDPDirectory
-	conn       *net.UDPConn
-	rc         syscall.RawConn
-	rx         chan wire.Datagram
+	addr wire.Addr
+	dir  *UDPDirectory
+	conn *net.UDPConn
+	rc   syscall.RawConn
+	// rx is sent to by the read loop alone, which holds rxMu while it
+	// queues a read's datagrams, so ReceiveShards can split it under rxMu.
+	rxMu       sync.Mutex
+	rx         *rxQueues
 	queueDepth int
 	noMMsg     bool
 	noGSO      bool
@@ -172,7 +176,7 @@ func NewUDPTransport(addr wire.Addr, listen string, dir *UDPDirectory, opts ...U
 	t.txPackets = t.telem.Counter("transport_udp_tx_packets_total")
 	t.txBatches = t.telem.Counter("transport_udp_tx_batches_total")
 	t.gsoSegments = t.telem.Histogram("transport_gso_segments", telemetry.BatchBuckets)
-	t.rx = make(chan wire.Datagram, t.queueDepth)
+	t.rx = newRxQueues(t.queueDepth)
 	t.encPool.New = func() any {
 		b := make([]byte, 0, wire.MTU+wire.DatagramHeaderSize)
 		return &b
@@ -221,18 +225,28 @@ func (t *UDPTransport) readLoop() {
 		n, _, err := t.conn.ReadFromUDP(buf)
 		if err != nil {
 			if t.closed.Load() {
-				close(t.rx)
+				t.closeRx()
 				return
 			}
 			continue
 		}
-		t.deliverRx(buf[:n])
+		t.rxMu.Lock()
+		t.deliverRx(t.rx.load(), buf[:n])
+		t.rxMu.Unlock()
 	}
 }
 
-// deliverRx decodes one packet off the socket and queues it, counting
-// malformed decodes and full-queue drops instead of silently eating them.
-func (t *UDPTransport) deliverRx(pkt []byte) {
+// closeRx closes every receive queue; the read loop calls it as it exits.
+func (t *UDPTransport) closeRx() {
+	t.rxMu.Lock()
+	t.rx.close()
+	t.rxMu.Unlock()
+}
+
+// deliverRx decodes one packet off the socket and queues it on its shard of
+// qs, counting malformed decodes and full-queue drops instead of silently
+// eating them. The caller holds rxMu.
+func (t *UDPTransport) deliverRx(qs []chan wire.Datagram, pkt []byte) {
 	var dg wire.Datagram
 	if _, err := dg.DecodeFromBytes(pkt); err != nil {
 		t.rxMalformed.Add(1)
@@ -241,7 +255,7 @@ func (t *UDPTransport) deliverRx(pkt []byte) {
 	// Copy out of the reused read buffer.
 	dg.Payload = wire.RxCopy(dg.Payload)
 	select {
-	case t.rx <- dg:
+	case queueFor(qs, dg.Src, dg.Dst) <- dg:
 		t.rxPackets.Add(1)
 	default:
 		t.rxDropped.Add(1)
@@ -386,17 +400,24 @@ func (t *UDPTransport) Stats() UDPStats {
 }
 
 // RegisterTelemetry implements telemetry.Registrable: it shares the socket
-// counters (the same instrument objects) into r, alongside a lazy gauge for
-// the receive-queue depth.
+// counters (the same instrument objects) into r, alongside lazy gauges for
+// the receive backlog, total and fullest shard.
 func (t *UDPTransport) RegisterTelemetry(r *telemetry.Registry) {
 	r.MustRegister(t.rxPackets, t.rxDropped, t.rxMalformed, t.txPackets, t.txBatches, t.gsoSegments)
-	_ = r.Register(telemetry.NewGaugeFunc("transport_rx_queue_depth", func() int64 {
-		return int64(len(t.rx))
-	}))
+	registerRxGauges(r, t.rx)
 }
 
 // Receive implements Transport.
-func (t *UDPTransport) Receive() <-chan wire.Datagram { return t.rx }
+func (t *UDPTransport) Receive() <-chan wire.Datagram { return t.rx.first() }
+
+// ReceiveShards implements ShardedReceiver.
+func (t *UDPTransport) ReceiveShards(n int) []<-chan wire.Datagram {
+	t.rxMu.Lock()
+	dropped := t.rx.split(n)
+	t.rxMu.Unlock()
+	t.rxDropped.Add(uint64(dropped))
+	return t.rx.shards()
+}
 
 // Close implements Transport.
 func (t *UDPTransport) Close() error {

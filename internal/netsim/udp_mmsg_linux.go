@@ -169,7 +169,7 @@ func (t *UDPTransport) readLoopMMsg() bool {
 		})
 		if err != nil {
 			if t.closed.Load() {
-				close(t.rx)
+				t.closeRx()
 				return true
 			}
 			continue
@@ -179,11 +179,13 @@ func (t *UDPTransport) readLoopMMsg() bool {
 				return false
 			}
 			if t.closed.Load() {
-				close(t.rx)
+				t.closeRx()
 				return true
 			}
 			continue
 		}
+		t.rxMu.Lock()
+		qs := t.rx.load()
 		for i := 0; i < nr; i++ {
 			b := st.bufs[i][:st.hdrs[i].len]
 			seg := 0
@@ -198,11 +200,12 @@ func (t *UDPTransport) readLoopMMsg() bool {
 					if end > len(b) {
 						end = len(b)
 					}
-					t.deliverRx(b[off:end])
+					t.deliverRx(qs, b[off:end])
 				}
 			} else {
-				t.deliverRx(b)
+				t.deliverRx(qs, b)
 			}
 		}
+		t.rxMu.Unlock()
 	}
 }

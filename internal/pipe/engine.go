@@ -57,7 +57,6 @@ type Engine struct {
 
 	retry *Backoff // handshake/redial backoff with deterministic jitter
 
-	workers  []chan wire.Datagram
 	sealBufs sync.Pool
 
 	peerCount     atomic.Int64
@@ -76,6 +75,7 @@ type Engine struct {
 	txFlushDrops      *telemetry.Counter
 	rxNoPipe          *telemetry.Counter
 	rxOpenErrors      *telemetry.Counter
+	rxMalformed       *telemetry.Counter
 	flushBatchSize    *telemetry.Histogram
 	rxOpenBatchSize   *telemetry.Histogram
 
@@ -87,6 +87,10 @@ type Engine struct {
 // without a required LocalAddr — the engine stamps Datagram.Src per send, so
 // one transport can carry every endpoint's traffic (netsim.Mux implements
 // it). A netsim.Transport is an EngineTransport with one address.
+//
+// The engine reads a transport that implements netsim.ShardedReceiver as
+// one receive queue per RX worker, each worker ranging over its own; one
+// that does not is read through Receive by a single worker.
 type EngineTransport interface {
 	// Send transmits dg; dg.Src must already be set to the sending
 	// endpoint's address. The transport must not retain dg.Payload.
@@ -123,9 +127,11 @@ type EngineConfig struct {
 	// calls Connect again.
 	Reestablish bool
 	// RxWorkers is the number of receive-pipeline workers (default
-	// GOMAXPROCS). With 1 worker every packet is processed inline on the
-	// receive goroutine. Datagrams are sharded by pipe, so one pipe's
-	// traffic stays on one worker, in order.
+	// GOMAXPROCS). The transport queues each datagram on the worker that
+	// owns its pipe (netsim.ShardedReceiver, wire.RxShard), so one pipe's
+	// traffic stays on one worker, in order, and a datagram is handed off
+	// once, from the transport to its worker. A transport that cannot shard
+	// gets one worker.
 	RxWorkers int
 	// TxBatch caps the per-destination egress coalescing queue each worker
 	// offers its handlers: sends through the handler's Sender accumulate and
@@ -186,11 +192,6 @@ const respCacheMax = 8192
 
 // backoffCap is the handshake backoff ceiling, in HandshakeTimeouts.
 const backoffCap = 8
-
-// rxWorkerQueueDepth bounds each worker's backlog. A full queue blocks the
-// receive loop (backpressure into the transport queue, which drops like a
-// NIC would) rather than reordering or dropping here.
-const rxWorkerQueueDepth = 512
 
 // rxDispatchBatch caps how many queued datagrams a worker gathers before
 // dispatching them as one batch. It matches the transports' vectored
@@ -351,21 +352,20 @@ func newEngine(cfg EngineConfig, shards int) (*Engine, error) {
 	e.txFlushDrops = reg.Counter("pipe_tx_flush_drops_total")
 	e.rxNoPipe = reg.Counter("engine_rx_no_pipe_total")
 	e.rxOpenErrors = reg.Counter("engine_rx_open_errors_total")
+	e.rxMalformed = reg.Counter("engine_rx_malformed_total")
 	e.flushBatchSize = reg.Histogram("pipe_tx_flush_batch_size", telemetry.BatchBuckets)
 	e.rxOpenBatchSize = reg.Histogram("pipe_rx_open_batch_size", telemetry.BatchBuckets)
 	_ = reg.Register(telemetry.NewGaugeFunc("pipe_peers", e.peerCount.Load))
 	_ = reg.Register(telemetry.NewGaugeFunc("engine_endpoints", e.endpointCount.Load))
-	if cfg.RxWorkers > 1 {
-		e.workers = make([]chan wire.Datagram, cfg.RxWorkers)
-		for i := range e.workers {
-			ch := make(chan wire.Datagram, rxWorkerQueueDepth)
-			e.workers[i] = ch
-			e.wg.Add(1)
-			go e.runWorker(ch)
-		}
+	queues := []<-chan wire.Datagram{cfg.Transport.Receive()}
+	if t, ok := cfg.Transport.(netsim.ShardedReceiver); ok {
+		queues = t.ReceiveShards(cfg.RxWorkers)
 	}
-	e.wg.Add(1)
-	go e.receiveLoop()
+	e.cfg.RxWorkers = len(queues)
+	for _, q := range queues {
+		e.wg.Add(1)
+		go e.consume(q)
+	}
 	if cfg.KeepaliveInterval > 0 {
 		e.wg.Add(1)
 		go e.keepaliveLoop()
@@ -545,54 +545,18 @@ func (e *Engine) eachPeer(local wire.Addr, fn func(*peer)) {
 	}
 }
 
-func (e *Engine) receiveLoop() {
-	defer e.wg.Done()
-	n := len(e.workers)
-	if n == 0 {
-		// Single-worker pipeline: process inline with the same adaptive
-		// egress coalescing the sharded workers get.
-		e.consume(e.cfg.Transport.Receive())
-		return
-	}
-	// A datagram's worker is (ShardIndex(src) + ShardIndex(dst)) mod n, so
-	// one pipe's traffic always lands on one worker. It uses the shared
-	// wire.ShardIndex hash: on a one-endpoint engine the dst term is a fixed
-	// rotation, so the worker that handles a source is the only one that
-	// handles any source of the same source-affine decision-cache shard (an
-	// SN creates its cache with one shard per RX worker), while a shared
-	// engine still spreads its endpoints across workers. The dst term is
-	// kept from the previous datagram while dst repeats.
-	var dst wire.Addr
-	dstTerm := 0
-	for dg := range e.cfg.Transport.Receive() {
-		if len(dg.Payload) < 1 {
-			continue
-		}
-		if dg.Dst != dst {
-			dst, dstTerm = dg.Dst, wire.ShardIndex(dg.Dst, n)
-		}
-		e.workers[(wire.ShardIndex(dg.Src, n)+dstTerm)%n] <- dg
-	}
-	for _, ch := range e.workers {
-		close(ch)
-	}
-}
-
-func (e *Engine) runWorker(ch chan wire.Datagram) {
-	defer e.wg.Done()
-	e.consume(ch)
-}
-
-// consume is the body every receive worker runs: gather whatever the input
-// channel has ready (up to rxDispatchBatch), push the whole batch through
-// one crypto pass, and let egress coalesce while more input is immediately
-// available. The flush policy is NAPI-style adaptive — the inner drain loop
-// keeps gathering and dispatching as long as the channel has a datagram
-// ready, and the coalescer flushes the moment it does not. At low load every
-// packet therefore flushes before the worker blocks again (no added
-// latency); under backpressure receive batches grow toward rxDispatchBatch
-// and egress batches toward the per-destination cap.
+// consume is the body every receive worker runs over its own transport
+// queue, until the transport closes it: gather whatever the queue has ready
+// (up to rxDispatchBatch), push the whole batch through one crypto pass, and
+// let egress coalesce while more input is immediately available. The flush
+// policy is NAPI-style adaptive — the inner drain loop keeps gathering and
+// dispatching as long as the queue has a datagram ready, and the coalescer
+// flushes the moment it does not. At low load every packet therefore
+// flushes before the worker blocks again (no added latency); under
+// backpressure receive batches grow toward rxDispatchBatch and egress
+// batches toward the per-destination cap.
 func (e *Engine) consume(ch <-chan wire.Datagram) {
+	defer e.wg.Done()
 	var scratch psp.Scratch
 	var rb rxRun
 	var eg *egress
@@ -674,8 +638,11 @@ func (e *Engine) dispatchBatch(eg *egress, rb *rxRun, scratch *psp.Scratch) {
 // handleILPRun opens one same-pipe run of sealed ILP packets with a single
 // OpenBatch pass and delivers the survivors — through the endpoint's
 // BatchHandler as one call when configured, else per packet through its
-// Handler. Per-packet failures (auth, replay, truncation) drop only the
-// offending packet.
+// Handler. Per-packet failures (auth, replay, truncation, a header that
+// authenticates but does not decode) drop only the offending packet. Each
+// opened header is copied back into the datagram, over its own ciphertext,
+// and decoded there: the handler owns one buffer holding header and payload
+// alike, and the worker's open scratch is free again before it returns.
 func (e *Engine) handleILPRun(eg *egress, key pipeKey, dgs []wire.Datagram, rb *rxRun, scratch *psp.Scratch) {
 	n := len(dgs)
 	p := e.peer(key)
@@ -708,13 +675,16 @@ func (e *Engine) handleILPRun(eg *egress, key pipeKey, dgs []wire.Datagram, rb *
 			wire.RxRelease(dgs[k].Payload)
 			continue
 		}
-		okPkts++
-		okBytes += uint64(len(bodies[k]))
+		hdrRaw := bodies[k][results[k].HdrAt:]
+		hdrRaw = hdrRaw[:copy(hdrRaw, results[k].Hdr)]
 		var hdr wire.ILPHeader
-		if _, err := hdr.DecodeFromBytes(results[k].Hdr); err != nil {
+		if _, err := hdr.DecodeFromBytes(hdrRaw); err != nil {
+			e.rxMalformed.Add(1)
 			wire.RxRelease(dgs[k].Payload)
 			continue
 		}
+		okPkts++
+		okBytes += uint64(len(bodies[k]))
 		switch hdr.Service {
 		case wire.SvcPipeProbe:
 			// Liveness probe: answer through the pipe so the ack proves we
@@ -728,7 +698,7 @@ func (e *Engine) handleILPRun(eg *egress, key pipeKey, dgs []wire.Datagram, rb *
 			wire.RxRelease(dgs[k].Payload)
 			continue // lastRx refreshed below with the rest of the run
 		}
-		pkts = append(pkts, RxPacket{Hdr: hdr, HdrRaw: results[k].Hdr, Payload: results[k].Payload, buf: dgs[k].Payload})
+		pkts = append(pkts, RxPacket{Hdr: hdr, HdrRaw: hdrRaw, Payload: results[k].Payload, buf: dgs[k].Payload})
 	}
 	rb.pkts = pkts
 	if okPkts > 0 {

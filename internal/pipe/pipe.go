@@ -15,10 +15,11 @@
 //   - dispatch of decrypted (header, payload) pairs to the endpoint's
 //     PacketHandler or BatchPacketHandler, with per-worker egress coalescing.
 //
-// Receive processing is sharded across RxWorkers goroutines by pipe: all
-// datagrams on one pipe (handshakes and ILP alike) are handled by the same
-// worker in arrival order, so per-peer packet order is preserved while
-// independent peers decrypt concurrently. Handlers therefore run
+// Receive processing is sharded across RxWorkers goroutines by pipe: the
+// transport queues every datagram of one pipe (handshakes and ILP alike) on
+// the same worker's queue (netsim.ShardedReceiver), which handles them in
+// arrival order, so per-peer packet order is preserved while independent
+// peers decrypt concurrently. Handlers therefore run
 // concurrently for packets from different sources; callers needing further
 // concurrency (e.g. the SN module runtime) hand off internally.
 package pipe
@@ -54,14 +55,14 @@ type Sender interface {
 // fast path can re-seal it without re-encoding.
 //
 // Ownership, stated here once for everything above the pipe layer (the SN's
-// modules, host.Message): payload is the handler's to keep — or, for a
-// BatchPacketHandler that holds no reference any more, to give back once
-// with pkt.Release(). The transport gave the datagram to its receiver for
-// good (netsim.Transport.Receive), the pipe decrypted it in place, and
-// nothing below writes to it again — so a handler retains, queues or hands on
-// payload without copying it. hdr.Data and hdrRaw are the opposite: they
-// alias the worker's open scratch, are overwritten when the same worker
-// processes its next packet, and must be copied if retained.
+// modules, host.Message): the packet is the handler's — header, data and
+// payload alike — to keep, or, for a BatchPacketHandler that holds no
+// reference to any of it any more, to give back once with pkt.Release(). The
+// transport gave the datagram to its receiver for good
+// (netsim.Transport.Receive), the pipe opened the header back into the bytes
+// its ciphertext held and decoded it there, so hdrRaw, hdr.Data and payload
+// all lie in that one buffer, and nothing below writes to it again. A
+// handler retains, queues or hands on any of them without copying.
 //
 // Handlers run concurrently for packets from different source addresses but
 // serially, in arrival order, for any single source. tx is only valid for
@@ -71,9 +72,9 @@ type PacketHandler func(tx Sender, src wire.Addr, hdr wire.ILPHeader, hdrRaw, pa
 
 // RxPacket is one decrypted inbound ILP packet of a receive batch. Hdr is
 // the decoded header; HdrRaw is its encoded form (for re-seal-without-
-// re-encode forwarding); Payload is the application payload. HdrRaw and
-// Hdr.Data alias the worker's batch-open arena, valid only until the handler
-// returns; Payload is the handler's to keep or to Release (see PacketHandler).
+// re-encode forwarding); Payload is the application payload. All three lie
+// in the received datagram, which is the handler's to keep or to Release
+// (see PacketHandler).
 type RxPacket struct {
 	Hdr     wire.ILPHeader
 	HdrRaw  []byte
@@ -86,12 +87,13 @@ type RxPacket struct {
 
 // Release gives the packet's receive buffer back for a later inbound
 // datagram to be copied into (wire.RxRelease). Only a handler that holds no
-// reference to Payload any more may call it — everything it forwarded has
-// been copied by then (Sender) — and Payload is gone afterwards. Releasing is
+// reference to HdrRaw, Hdr.Data or Payload any more may call it — everything
+// it forwarded has been copied by then (Sender) — and all three are gone
+// afterwards. Releasing is
 // optional, and a second Release is a no-op.
 func (p *RxPacket) Release() {
 	wire.RxRelease(p.buf)
-	p.buf, p.Payload = nil, nil
+	p.buf, p.HdrRaw, p.Hdr.Data, p.Payload = nil, nil, nil, nil
 }
 
 // BatchPacketHandler receives each decrypted same-pipe run of an RX batch

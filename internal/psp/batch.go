@@ -18,11 +18,15 @@ import (
 // OpenResult is the per-packet outcome of an OpenBatch call. On success
 // Err is nil, Hdr holds the decrypted ILP header bytes (aliasing the
 // Scratch arena, valid until its next batch use) and Payload aliases the
-// input packet. On failure only Err is set; other packets in the batch are
-// unaffected.
+// input packet. HdrAt is where the header's ciphertext starts in the input
+// packet: Hdr fits in that slot (the ciphertext is Hdr plus the tag), so a
+// caller that owns the packet can copy Hdr there, and keep header and
+// payload in one buffer. On failure only Err is set; other packets in the
+// batch are unaffected.
 type OpenResult struct {
 	Hdr     []byte
 	Payload []byte
+	HdrAt   int
 	Err     error
 }
 
@@ -159,7 +163,9 @@ func (t *TX) SealStaged(s *Scratch, pkts [][]byte, hdrLens []int) error {
 // Scratch it performs no steady-state allocations.
 //
 // Returned Hdr slices alias the Scratch arena and are valid until its
-// next batch use; Payload slices alias the input packets.
+// next batch use; Payload slices alias the input packets. OpenBatch never
+// writes its input, so the same sealed packets can be opened again (and be
+// rejected as replays).
 func (r *RX) OpenBatch(s *Scratch, pkts [][]byte, out []OpenResult) {
 	n := len(pkts)
 	out = out[:n]
@@ -295,6 +301,7 @@ func (r *RX) OpenBatch(s *Scratch, pkts [][]byte, out []OpenResult) {
 		if m.ok {
 			out[i].Hdr = arena[m.hdrOff : m.hdrOff+m.hdrLen]
 			out[i].Payload = pkts[i][m.aadEnd+m.ctLen:]
+			out[i].HdrAt = m.aadEnd
 		}
 	}
 }

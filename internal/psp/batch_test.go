@@ -39,6 +39,48 @@ func TestSealBatchOpenBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOpenBatchLeavesItsInputAlone: OpenBatch writes nothing into the
+// packets it opens, so the same sealed packets can be opened again (a
+// replay, and a benchmark's loop), and it reports each header's slot: the
+// bytes its ciphertext occupies, where a caller that owns the packet may
+// copy the opened header.
+func TestOpenBatchLeavesItsInputAlone(t *testing.T) {
+	init, resp := pipePair(t)
+	const n = 8
+	pkts, hdrs, payloads := sealBatchPackets(t, init.TX, n)
+	before := make([][]byte, n)
+	for i := range pkts {
+		before[i] = bytes.Clone(pkts[i])
+	}
+	var s Scratch
+	out := make([]OpenResult, n)
+	resp.RX.OpenBatch(&s, pkts, out)
+	for i, r := range out {
+		if r.Err != nil {
+			t.Fatalf("packet %d: %v", i, r.Err)
+		}
+		if !bytes.Equal(pkts[i], before[i]) {
+			t.Fatalf("OpenBatch wrote into packet %d", i)
+		}
+		ctLen := len(pkts[i]) - len(r.Payload) - r.HdrAt
+		if ctLen != len(hdrs[i])+16 {
+			t.Fatalf("packet %d: HdrAt %d names a %d-byte slot, want the %d-byte ciphertext before the payload",
+				i, r.HdrAt, ctLen, len(hdrs[i])+16)
+		}
+		slot := pkts[i][r.HdrAt:]
+		copy(slot, r.Hdr)
+		if !bytes.Equal(slot[:len(r.Hdr)], hdrs[i]) || !bytes.Equal(r.Payload, payloads[i]) {
+			t.Fatalf("packet %d: the header copied into its slot disturbed the payload", i)
+		}
+	}
+	resp.RX.OpenBatch(&s, before, out)
+	for i, r := range out {
+		if r.Err == nil {
+			t.Fatalf("packet %d opened twice", i)
+		}
+	}
+}
+
 func TestSealBatchInteropWithSequentialOpen(t *testing.T) {
 	// Packets sealed by SealBatch must be indistinguishable from Seal'd
 	// packets to a sequential receiver, and vice versa.

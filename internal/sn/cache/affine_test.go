@@ -9,15 +9,17 @@ import (
 
 func TestSourceAffineShardSelection(t *testing.T) {
 	const workers = 3 // deliberately not a power of two
-	c := NewSourceAffine(8192, workers)
+	local := wire.MustAddr("fd00::100")
+	c := NewSourceAffine(8192, workers, local)
 	if got := c.ShardCount(); got != workers {
 		t.Fatalf("ShardCount() = %d, want exactly %d (affinity requires shards == workers)", got, workers)
 	}
 	// Every key with the same source must land on the shard
-	// wire.ShardIndex picks — the one the RX worker for that source owns.
+	// wire.RxShard picks — the RX worker the transport queues that
+	// source's datagrams to this node on.
 	for i := 0; i < 64; i++ {
 		src := wire.MustAddr(fmt.Sprintf("fd00::%x", i+1))
-		want := wire.ShardIndex(src, workers)
+		want := wire.RxShard(src, local, workers)
 		for conn := 0; conn < 4; conn++ {
 			key := wire.FlowKey{Src: src, Service: wire.SvcNone, Conn: wire.ConnectionID(conn)}
 			if got := c.shardFor(key); got != c.shards[want] {
@@ -29,22 +31,22 @@ func TestSourceAffineShardSelection(t *testing.T) {
 
 func TestSourceAffineCapacityConserved(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 5, 7} {
-		c := NewSourceAffine(1000, workers)
+		c := NewSourceAffine(1000, workers, wire.Addr{})
 		if got := c.Snapshot().Capacity; got != 1000 {
 			t.Errorf("NewSourceAffine(1000, %d) capacity %d, want 1000", workers, got)
 		}
 	}
 	// Degenerate inputs clamp instead of panicking.
-	if got := NewSourceAffine(2, 8).ShardCount(); got != 2 {
-		t.Errorf("NewSourceAffine(2, 8).ShardCount() = %d, want 2", got)
+	if got := NewSourceAffine(2, 8, wire.Addr{}).ShardCount(); got != 2 {
+		t.Errorf("NewSourceAffine(2, 8, wire.Addr{}).ShardCount() = %d, want 2", got)
 	}
-	if got := NewSourceAffine(8, 0).ShardCount(); got != 1 {
-		t.Errorf("NewSourceAffine(8, 0).ShardCount() = %d, want 1", got)
+	if got := NewSourceAffine(8, 0, wire.Addr{}).ShardCount(); got != 1 {
+		t.Errorf("NewSourceAffine(8, 0, wire.Addr{}).ShardCount() = %d, want 1", got)
 	}
 }
 
 func TestLookupNAccountsRun(t *testing.T) {
-	c := NewSourceAffine(4096, 2)
+	c := NewSourceAffine(4096, 2, wire.Addr{})
 	key := flowKey(0, 0)
 	c.Add(key, Action{Drop: true})
 	act, ok := c.LookupN(key, 32)
@@ -67,7 +69,7 @@ func TestLookupNAccountsRun(t *testing.T) {
 }
 
 func TestLookupNZeroAlloc(t *testing.T) {
-	c := NewSourceAffine(4096, 4)
+	c := NewSourceAffine(4096, 4, wire.Addr{})
 	key := flowKey(0, 0)
 	c.Add(key, Action{Forward: []wire.Addr{wire.MustAddr("fd00::2")}})
 	allocs := testing.AllocsPerRun(1000, func() {

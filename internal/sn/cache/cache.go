@@ -168,10 +168,11 @@ const minShardCapacity = 1024
 type Cache struct {
 	shards []*shard
 	mask   uint64
-	// srcAffine selects shards by wire.ShardIndex over the flow source
-	// alone, mirroring the pipe engine's RX-worker sharding so each worker
-	// exclusively owns one shard (NewSourceAffine).
+	// srcAffine selects shards by wire.RxShard from the flow source to
+	// local, the receive shard a transport queues that source's datagrams
+	// on, so each RX worker exclusively owns one shard (NewSourceAffine).
 	srcAffine bool
+	local     wire.Addr
 }
 
 // New creates a cache with the given total capacity (entries) and an
@@ -205,23 +206,25 @@ func NewSharded(capacity, shards int) *Cache {
 	return newCache(capacity, n, false)
 }
 
-// NewSourceAffine creates a cache with exactly `workers` shards selected
-// by the flow's source address via wire.ShardIndex — the same hash, up to
-// a fixed rotation, the pipe engine of a one-address node uses to pick the
-// RX worker for a source. With one cache
-// shard per RX worker, every fast-path lookup lands on the shard its
-// worker exclusively owns: the shard's lock and CLOCK state stay in that
-// worker's cache hierarchy instead of bouncing between cores. The shard
-// count is not rounded to a power of two because it must equal the worker
-// count exactly for the affinity to hold.
-func NewSourceAffine(capacity, workers int) *Cache {
+// NewSourceAffine creates a cache for the node at local with exactly
+// `workers` shards, selected by the flow's source address via
+// wire.RxShard(src, local, workers) — the function the transports use to
+// queue a datagram from src to local on one of the node's RX workers. With
+// one cache shard per RX worker, every fast-path lookup lands on the shard
+// its worker exclusively owns: the shard's lock and CLOCK state stay in
+// that worker's cache hierarchy instead of bouncing between cores. The
+// shard count is not rounded to a power of two because it must equal the
+// worker count exactly for the affinity to hold.
+func NewSourceAffine(capacity, workers int, local wire.Addr) *Cache {
 	if workers < 1 {
 		workers = 1
 	}
 	if workers > capacity {
 		workers = capacity
 	}
-	return newCache(capacity, workers, true)
+	c := newCache(capacity, workers, true)
+	c.local = local
+	return c
 }
 
 func newCache(capacity, n int, srcAffine bool) *Cache {
@@ -270,7 +273,7 @@ func (c *Cache) shardFor(key wire.FlowKey) *shard {
 		return c.shards[0]
 	}
 	if c.srcAffine {
-		return c.shards[wire.ShardIndex(key.Src, len(c.shards))]
+		return c.shards[wire.RxShard(key.Src, c.local, len(c.shards))]
 	}
 	return c.shards[hashKey(key)&c.mask]
 }
@@ -569,7 +572,7 @@ func (c *Cache) Invalidate(key wire.FlowKey) {
 func (c *Cache) InvalidateSource(src wire.Addr) {
 	shards := c.shards
 	if c.srcAffine {
-		i := wire.ShardIndex(src, len(shards))
+		i := wire.RxShard(src, c.local, len(shards))
 		shards = shards[i : i+1]
 	}
 	for _, s := range shards {

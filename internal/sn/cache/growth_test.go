@@ -66,7 +66,7 @@ func TestEmptyCacheHoldsNoSlots(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	c := NewSourceAffine(65536, 2)
+	c := NewSourceAffine(65536, 2, wire.Addr{})
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 64<<10 {
@@ -82,7 +82,7 @@ func TestEmptyCacheHoldsNoSlots(t *testing.T) {
 // eviction (for -race: the gauges must not read the growing slot arrays).
 func TestGaugesWhileGrowing(t *testing.T) {
 	const capacity = 2048
-	c := NewSourceAffine(capacity, 2)
+	c := NewSourceAffine(capacity, 2, wire.Addr{})
 	reg := telemetry.NewRegistry()
 	c.RegisterTelemetry(reg)
 	done := make(chan struct{})

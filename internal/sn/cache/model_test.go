@@ -301,7 +301,7 @@ func opCaches() map[string]*Cache {
 	return map[string]*Cache{
 		"New":             New(16),
 		"NewSharded":      NewSharded(40, 4),
-		"NewSourceAffine": NewSourceAffine(30, 3),
+		"NewSourceAffine": NewSourceAffine(30, 3, wire.Addr{}),
 	}
 }
 

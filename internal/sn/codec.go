@@ -254,12 +254,12 @@ func decodeDecision(data []byte) (Decision, error) {
 				r.fail()
 				break
 			}
-			var hdr wire.ILPHeader
-			if _, err := hdr.DecodeFromBytes(r.data[r.off : r.off+hlen]); err != nil {
+			var fh wire.ILPHeader
+			if _, err := fh.DecodeFromBytes(r.data[r.off : r.off+hlen]); err != nil {
 				return Decision{}, err
 			}
-			hdr.Data = append([]byte(nil), hdr.Data...)
-			f.Hdr = &hdr
+			fh.Data = append([]byte(nil), fh.Data...)
+			f.Hdr = &fh
 			r.off += hlen
 		}
 		if flags&2 != 0 {

@@ -120,8 +120,9 @@ type Env interface {
 	// just arrived from src — the asynchronous-requeue primitive: a
 	// module that parked a packet pending slow external work (e.g. a
 	// cold resolution fill) re-injects it once the result is in. Safe
-	// to call from any goroutine; hdr and payload must not alias
-	// runtime buffers the caller does not own.
+	// to call from any goroutine. Inject takes ownership of what it is
+	// given, as the terminus does of a received packet: the caller must
+	// not write hdr.Data or payload afterwards.
 	Inject(src wire.Addr, hdr wire.ILPHeader, payload []byte)
 	// Connect ensures a pipe to dst exists.
 	Connect(dst wire.Addr) error

@@ -250,11 +250,11 @@ func New(cfg Config) (*SN, error) {
 		reg = telemetry.NewRegistry()
 	}
 	// The decision cache is sharded source-affine with exactly one shard per
-	// pipe rx worker (mirroring pipe.New's worker-count defaulting): both
-	// sides hash sources with wire.ShardIndex — the pipe engine rotates it by
-	// a constant for the SN's one address — so the worker handling a source
-	// is the only one touching that source's shard and fast-path lookups
-	// never contend across workers.
+	// pipe rx worker (mirroring pipe.New's worker-count defaulting): the
+	// transport queues a source's datagrams on worker wire.RxShard(src, SN)
+	// and the cache stripes by the same function, so the worker handling a
+	// source is the only one touching that source's shard and fast-path
+	// lookups never contend across workers.
 	workers := cfg.RxWorkers
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -264,7 +264,7 @@ func New(cfg Config) (*SN, error) {
 	}
 	s := &SN{
 		cfg:          cfg,
-		cache:        cache.NewSourceAffine(cfg.CacheSize, workers),
+		cache:        cache.NewSourceAffine(cfg.CacheSize, workers, cfg.Transport.LocalAddr()),
 		tpm:          cfg.TPM,
 		configStore:  make(map[string][]byte),
 		checkpoints:  make(map[string][]byte),
@@ -559,7 +559,8 @@ func (s *SN) ModuleEnclave(svc wire.ServiceID) (*enclave.Enclave, bool) {
 }
 
 // Inject runs a packet through the pipe-terminus as if it had arrived on a
-// pipe from src (see Env.Inject).
+// pipe from src (see Env.Inject). It takes ownership of hdr.Data and
+// payload, as the terminus does of a received packet.
 func (s *SN) Inject(src wire.Addr, hdr wire.ILPHeader, payload []byte) {
 	raw, err := hdr.Encode()
 	if err != nil {
@@ -573,9 +574,8 @@ func (s *SN) Inject(src wire.Addr, hdr wire.ILPHeader, payload []byte) {
 // action (fast path) or go to the service module (slow path). It runs
 // concurrently on the pipe engine's sharded rx workers — one worker per
 // source address — so per-flow order is preserved without any lock here.
-// hdrRaw is the encoded header as it arrived; hdr.Data and hdrRaw alias
-// the calling worker's scratch buffer and are only valid until return,
-// while payload is the receiver's to keep (pipe.PacketHandler).
+// hdrRaw is the encoded header as it arrived; hdrRaw, hdr.Data and payload
+// are the SN's to keep (pipe.PacketHandler).
 // tx is the worker's egress sender: fast-path forwards issued through it
 // coalesce into vectored transport batches, so a cache-hit burst to one
 // peer leaves as a single sendmmsg on the UDP substrate.
@@ -756,15 +756,12 @@ func (s *SN) handleMiss(src wire.Addr, hdr wire.ILPHeader, payload []byte) {
 		}
 		return
 	}
-	// The slow path retains the packet past this call, so the
-	// scratch-aliased header data must be copied; payload is the packet's
-	// own (see pipe.PacketHandler) and is kept as-is. The packet is one heap
-	// object on purpose: an invocation abandoned at its deadline may still
-	// hold it, so it cannot be recycled.
+	// The slow path retains the packet past this call, header data and
+	// payload as they are: both are the packet's own (see
+	// pipe.PacketHandler). The packet is one heap object on purpose: an
+	// invocation abandoned at its deadline may still hold it, so it cannot
+	// be recycled.
 	pkt := &Packet{Src: src, Hdr: hdr, Payload: payload}
-	if len(hdr.Data) > 0 {
-		pkt.Hdr.Data = append([]byte(nil), hdr.Data...)
-	}
 	if reg.disp.submit(pkt) {
 		s.slowPathSent.Add(1)
 		if s.trace != nil {
@@ -791,11 +788,7 @@ func (s *SN) applyFastAction(tx pipe.Sender, src wire.Addr, hdr *wire.ILPHeader,
 			s.trace(telemetry.PacketTrace{Point: telemetry.TraceDeliver, Src: src, Service: hdr.Service, Conn: hdr.Conn, Bytes: len(payload)})
 		}
 		if s.cfg.OnDeliver != nil {
-			pkt := &Packet{Src: src, Hdr: *hdr, Payload: payload}
-			if len(hdr.Data) > 0 {
-				pkt.Hdr.Data = append([]byte(nil), hdr.Data...)
-			}
-			s.cfg.OnDeliver(pkt)
+			s.cfg.OnDeliver(&Packet{Src: src, Hdr: *hdr, Payload: payload})
 		}
 	}
 	if len(action.Forward) == 0 {
@@ -892,8 +885,8 @@ func (s *SN) onPeerDown(addr wire.Addr, identity ed25519.PublicKey) {
 // pipe on demand. When no pipe exists the packet is requeued (bounded per
 // destination) rather than dropped, and a single establish-and-flush
 // goroutine per destination performs the handshake: this method is called
-// from the pipe-terminus receive loop, and a blocking handshake there
-// would deadlock (the handshake reply arrives on that same loop).
+// from a pipe-terminus rx worker, and a blocking handshake there
+// would deadlock (the handshake reply may arrive on that same worker).
 func (s *SN) sendHeaderBytes(tx pipe.Sender, dst wire.Addr, hdrBytes, payload []byte) {
 	err := tx.SendHeaderBytes(dst, hdrBytes, payload)
 	if errors.Is(err, pipe.ErrNoPipe) && !s.cfg.DisableAutoConnect {
@@ -904,8 +897,9 @@ func (s *SN) sendHeaderBytes(tx pipe.Sender, dst wire.Addr, hdrBytes, payload []
 }
 
 // requeue holds one forward while dst's pipe (re-)establishes. hdrBytes
-// may alias the rx worker's scratch buffer, so both buffers are
-// snapshotted before the packet outlives the call.
+// and payload may lie in a receive buffer the fast path gives back once
+// the action has run (handleBatch), so both are snapshotted before the
+// packet outlives the call.
 func (s *SN) requeue(dst wire.Addr, hdrBytes, payload []byte) {
 	q := queuedSend{
 		hdr:     append([]byte(nil), hdrBytes...),

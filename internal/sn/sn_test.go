@@ -113,9 +113,7 @@ func newClient(t *testing.T, net *netsim.Network, addr string) *client {
 		Transport: tr,
 		Identity:  id,
 		Handler: func(_ pipe.Sender, src wire.Addr, hdr wire.ILPHeader, _ []byte, payload []byte) {
-			h := hdr
-			h.Data = append([]byte(nil), hdr.Data...)
-			rx <- clientPkt{src: src, hdr: h, payload: append([]byte(nil), payload...)}
+			rx <- clientPkt{src: src, hdr: hdr, payload: payload}
 		},
 	})
 	if err != nil {

@@ -62,6 +62,19 @@ func (l *traceLog) count(p telemetry.TracePoint, svc wire.ServiceID) int {
 	return n
 }
 
+// within reports whether the non-empty sub lies in buf's memory.
+func within(sub, buf []byte) bool {
+	if len(sub) == 0 {
+		return false
+	}
+	for i := range buf {
+		if &buf[i] == &sub[0] {
+			return i+len(sub) <= len(buf)
+		}
+	}
+	return false
+}
+
 // TestTransitUnwrapMiss: a transit packet addressed to this SN whose inner
 // flow has no rule reaches the inner service's module with the original
 // source and a header of its own, after one rx count and one rx trace event.
@@ -80,8 +93,8 @@ func TestTransitUnwrapMiss(t *testing.T) {
 	}
 	node.handlePacket(node.mgr, prevHop, decoded, raw, []byte("payload"))
 	pkt := <-mod.got
-	for i := range raw { // the rx worker's scratch buffer moves on
-		raw[i] = 0xEE
+	if !within(pkt.Hdr.Data, raw) { // the packet's header is the module's, where it arrived
+		t.Fatal("the module's header data is a copy, not the packet's own bytes")
 	}
 	if pkt.Src != origSrc || pkt.Hdr.Service != wire.SvcEcho || pkt.Hdr.Conn != 3 ||
 		string(pkt.Hdr.Data) != "inner-data" || string(pkt.Payload) != "payload" {

@@ -51,13 +51,25 @@ func AllValid(addrs []Addr) bool {
 }
 
 // ShardIndex maps an address onto one of n shards (FNV-1a over the
-// 16-byte form). Both the pipe engine's RX-worker sharding and the
-// decision cache's source-affine striping use this same function, so the
-// worker that owns a source also owns that source's cache shard — lookups
-// from the fast path never touch a shard another worker is writing.
+// 16-byte form).
 func ShardIndex(a Addr, n int) int {
 	b := a.As16()
 	return int(fnv1a(b[:]) % uint64(n))
+}
+
+// RxShard is the receive shard, among n, of a datagram from src to dst:
+// (ShardIndex(src, n) + ShardIndex(dst, n)) mod n. The transports queue each
+// datagram on this shard, one shard per pipe-engine RX worker, so one pipe's
+// traffic stays on one worker, in order; an SN's source-affine decision cache
+// stripes by it with dst = the SN's own address, so the worker that handles a
+// source is the only one touching that source's cache shard. On a node with
+// one address the dst term is a fixed rotation, while a multiplexing
+// transport still spreads its many addresses across the workers.
+func RxShard(src, dst Addr, n int) int {
+	if n <= 1 {
+		return 0
+	}
+	return (ShardIndex(src, n) + ShardIndex(dst, n)) % n
 }
 
 // fnv1a is the 64-bit FNV-1a hash of b.

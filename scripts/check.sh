@@ -98,14 +98,14 @@ run "slow-path dispatcher: close race, worker ownership, queue order and depth (
 	go test -race -count=10 -timeout 180s \
 	-run 'TestDispatcher|TestInProcessModuleOwnsItsWorkersOnly|TestSlowPath' \
 	./internal/sn/
-run "allocation budgets: echo round trip <= 3, fast-path delivery <= 1 over one SN and over two (fleet), a pool miss = 1, consumed datagrams (forged, wrong-SPI, probes) = 0, wire.Datagram = 72 bytes" \
+run "allocation budgets: echo round trip <= 3, fast-path delivery <= 1 over one SN (with and without 16 bytes of header data) and over two (fleet), a pool miss = 1, consumed datagrams (forged, wrong-SPI, probes) = 0, wire.Datagram = 72 bytes" \
 	go test -count=1 -v \
 	-run 'TestEchoRoundTripAllocs|TestFastPathDeliveryAllocs|TestFleetTwoSNDeliveryAllocs|TestRxCopyMissCostsOneAllocation|TestRxClassesMatchTheAllocator|TestConsumedDatagramsGoBackToThePool|TestDatagramStaysThreeWords' \
 	./internal/lab/ ./internal/wire/ ./internal/pipe/
-run "receive-buffer release safety (race-detected: released buffers are overwritten at once; sim / Mux / UDP portable / mmsg / GSO, host, SN, pipe; repeated)" \
+run "receive shards and buffer ownership (race-detected: released buffers are overwritten at once; sharded sim / Mux / UDP portable / mmsg / GSO in per-pipe order, n workers = n goroutines, header and payload kept by host / SN / module, wrapped nodes keep their shards, OpenBatch leaves its input alone, undecodable headers counted; repeated)" \
 	go test -race -count=3 -timeout 300s \
-	-run 'TestReceivedPayloadIsTheReceivers|TestRetainedPayloadSurvivesLaterPackets|TestReleasedBuffersAreNeverSeenAgain|TestRxPacketReleaseOnce|TestRxCopyReusesWhatWasReleased|TestFastPathDeliveryAllocs|TestFleetTwoSNDeliveryAllocs' \
-	./internal/netsim/ ./internal/host/ ./internal/sn/ ./internal/pipe/ ./internal/wire/ ./internal/lab/
+	-run 'TestReceivedPayloadIsTheReceivers|TestReceiveShardsKeepsDepthAndQueue|TestEngineOwnsItsWorkersOnly|TestUndecodableHeaderIsCountedMalformed|TestRetainedPayloadSurvivesLaterPackets|TestTransitUnwrapMiss|TestReleasedBuffersAreNeverSeenAgain|TestRxPacketReleaseOnce|TestRxCopyReusesWhatWasReleased|TestOpenBatchLeavesItsInputAlone|TestFastPathDeliveryAllocs|TestFleetTwoSNDeliveryAllocs|TestWrappedNodesKeepTheirReceiveShards' \
+	./internal/netsim/ ./internal/host/ ./internal/sn/ ./internal/pipe/ ./internal/wire/ ./internal/psp/ ./internal/lab/
 run "pipe stack, whole package: handshakes, liveness, egress, handoff, RX affinity (race-detected, x3)" \
 	go test -race -count=3 -timeout 300s ./internal/pipe/
 run "handshake order: pipe installed before msg2 leaves, single-address and mux (race-detected, x30)" \
