@@ -24,7 +24,6 @@ import (
 
 	"interedge/internal/lookup"
 	"interedge/internal/sn"
-	"interedge/internal/sn/cache"
 	"interedge/internal/telemetry"
 	"interedge/internal/wire"
 )
@@ -389,21 +388,11 @@ func TransitDecision(fabric *Fabric, local, finalDst wire.Addr, pkt *sn.Packet, 
 	if err != nil {
 		return sn.Decision{}, err
 	}
-	outer, err := wire.TransitHeader(finalDst, pkt.Src, inner)
+	enc, err := wire.EncodeTransitHeader(finalDst, pkt.Src, inner)
 	if err != nil {
 		return sn.Decision{}, err
 	}
-	enc, err := outer.Encode()
-	if err != nil {
-		return sn.Decision{}, err
-	}
-	return sn.Decision{
-		Forwards: pkt.OneForward(sn.Forward{Dst: next, Hdr: &outer}),
-		Rules: []sn.Rule{{
-			Key:    pkt.Key(),
-			Action: cache.Action{Forward: []wire.Addr{next}, RewriteHeader: enc},
-		}},
-	}, nil
+	return pkt.Route(next, enc, wire.Addr{}), nil
 }
 
 // SendTransit wraps and launches one inner packet from the SN at env toward
@@ -472,13 +461,7 @@ func (fw *Forwarder) HandlePacket(env sn.Env, pkt *sn.Packet) (sn.Decision, erro
 		fw.splitHorizon.Inc()
 		return sn.Decision{}, nil
 	}
-	return sn.Decision{
-		Forwards: []sn.Forward{{Dst: next}},
-		// Transit flows are cacheable: later packets of this flow bypass
-		// the module entirely.
-		Rules: []sn.Rule{{
-			Key:    pkt.Key(),
-			Action: cache.Action{Forward: []wire.Addr{next}},
-		}},
-	}, nil
+	// Transit flows are cacheable: later packets of this flow bypass the
+	// module entirely.
+	return pkt.Route(next, nil, wire.Addr{}), nil
 }

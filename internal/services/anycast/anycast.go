@@ -19,7 +19,6 @@ import (
 	"interedge/internal/peering"
 	"interedge/internal/services/groupfan"
 	"interedge/internal/sn"
-	"interedge/internal/sn/cache"
 	"interedge/internal/wire"
 )
 
@@ -89,13 +88,7 @@ func (m *Module) pin(pkt *sn.Packet, dst wire.Addr, kind byte, group string) (sn
 	if err != nil {
 		return sn.Decision{}, err
 	}
-	return sn.Decision{
-		Forwards: []sn.Forward{{Dst: dst, Hdr: &hdr}},
-		Rules: []sn.Rule{{
-			Key:    pkt.Key(),
-			Action: cache.Action{Forward: []wire.Addr{dst}, RewriteHeader: enc},
-		}},
-	}, nil
+	return pkt.Route(dst, enc, wire.Addr{}), nil
 }
 
 // Handler receives anycast deliveries.

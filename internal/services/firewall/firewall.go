@@ -126,11 +126,5 @@ func (m *Module) HandlePacket(env sn.Env, pkt *sn.Packet) (sn.Decision, error) {
 			Rules: []sn.Rule{{Key: pkt.Key(), Action: cache.Action{Drop: true}}},
 		}, nil
 	}
-	return sn.Decision{
-		Forwards: []sn.Forward{{Dst: dst}},
-		Rules: []sn.Rule{{
-			Key:    pkt.Key(),
-			Action: cache.Action{Forward: []wire.Addr{dst}},
-		}},
-	}, nil
+	return pkt.Route(dst, nil, wire.Addr{}), nil
 }

@@ -21,7 +21,6 @@ import (
 	"interedge/internal/lookup/rescache"
 	"interedge/internal/peering"
 	"interedge/internal/sn"
-	"interedge/internal/sn/cache"
 	"interedge/internal/wire"
 )
 
@@ -109,13 +108,7 @@ func (m *Module) HandlePacket(env sn.Env, pkt *sn.Packet) (sn.Decision, error) {
 	for _, snAddr := range rec.SNs {
 		if snAddr == local {
 			// Last hop: deliver to the host and cache the decision.
-			return sn.Decision{
-				Forwards: pkt.OneForward(sn.Forward{Dst: dst}),
-				Rules: []sn.Rule{{
-					Key:    pkt.Key(),
-					Action: cache.Action{Forward: []wire.Addr{dst}},
-				}},
-			}, nil
+			return pkt.Route(dst, nil, wire.Addr{}), nil
 		}
 	}
 	if len(rec.SNs) == 0 {
@@ -133,13 +126,7 @@ func (m *Module) HandlePacket(env sn.Env, pkt *sn.Packet) (sn.Decision, error) {
 		}
 	}
 	if sameEdomain {
-		return sn.Decision{
-			Forwards: pkt.OneForward(sn.Forward{Dst: dstSN}),
-			Rules: []sn.Rule{{
-				Key:    pkt.Key(),
-				Action: cache.Action{Forward: []wire.Addr{dstSN}, DependsOn: dst},
-			}},
-		}, nil
+		return pkt.Route(dstSN, nil, dst), nil
 	}
 
 	// Cross-edomain: transit toward the destination SN. The inner packet

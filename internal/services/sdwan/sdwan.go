@@ -17,7 +17,6 @@ import (
 
 	"interedge/internal/control"
 	"interedge/internal/sn"
-	"interedge/internal/sn/cache"
 	"interedge/internal/wire"
 )
 
@@ -173,13 +172,7 @@ func (m *Module) HandlePacket(env sn.Env, pkt *sn.Packet) (sn.Decision, error) {
 	if !found {
 		return sn.Decision{}, ErrNoHealthyUplink
 	}
-	return sn.Decision{
-		Forwards: []sn.Forward{{Dst: chosen}},
-		Rules: []sn.Rule{{
-			Key:    pkt.Key(),
-			Action: cache.Action{Forward: []wire.Addr{chosen}},
-		}},
-	}, nil
+	return pkt.Route(chosen, nil, wire.Addr{}), nil
 }
 
 // PinnedUplink reports where a flow is pinned (tests).

@@ -142,13 +142,7 @@ func (m *Module) HandlePacket(env sn.Env, pkt *sn.Packet) (sn.Decision, error) {
 		}, nil
 	}
 	// Authenticated: forward and cache the admission.
-	return sn.Decision{
-		Forwards: []sn.Forward{{Dst: ep.inside}},
-		Rules: []sn.Rule{{
-			Key:    pkt.Key(),
-			Action: cache.Action{Forward: []wire.Addr{ep.inside}},
-		}},
-	}, nil
+	return pkt.Route(ep.inside, nil, wire.Addr{}), nil
 }
 
 // --- Client helpers ----------------------------------------------------------

@@ -236,7 +236,7 @@ func (m *Module) handlePosture(env sn.Env, pkt *sn.Packet) (sn.Decision, error) 
 	if fs.established {
 		backend := fs.backend
 		m.mu.Unlock()
-		return m.admitDecision(key, backend), nil
+		return admitDecision(pkt, backend), nil
 	}
 	if idx < len(fs.fragments) && fs.fragments[idx] == nil {
 		fs.fragments[idx] = append([]byte(nil), frag...)
@@ -276,7 +276,7 @@ func (m *Module) handlePosture(env sn.Env, pkt *sn.Packet) (sn.Decision, error) 
 	fs.backend = policy.Backend
 	fs.fragments = nil
 	m.mu.Unlock()
-	return m.admitDecision(key, policy.Backend), nil
+	return admitDecision(pkt, policy.Backend), nil
 }
 
 // evaluate applies the policy to a posture document.
@@ -302,16 +302,10 @@ func evaluate(policy AppPolicy, p Posture) error {
 // admitDecision forwards the current packet to the backend (stripping the
 // posture header down to the steady-state form) and installs the cache
 // rule for the flow.
-func (m *Module) admitDecision(key wire.FlowKey, backend wire.Addr) sn.Decision {
-	hdr := wire.ILPHeader{Service: wire.SvcZTNA, Conn: key.Conn, Data: []byte{kindData, 0}}
+func admitDecision(pkt *sn.Packet, backend wire.Addr) sn.Decision {
+	hdr := wire.ILPHeader{Service: wire.SvcZTNA, Conn: pkt.Hdr.Conn, Data: []byte{kindData, 0}}
 	enc, _ := hdr.Encode()
-	return sn.Decision{
-		Forwards: []sn.Forward{{Dst: backend, Hdr: &hdr}},
-		Rules: []sn.Rule{{
-			Key:    key,
-			Action: cache.Action{Forward: []wire.Addr{backend}, RewriteHeader: enc},
-		}},
-	}
+	return pkt.Route(backend, enc, wire.Addr{})
 }
 
 // handleData serves steady-state packets — including packets whose cache
@@ -330,7 +324,7 @@ func (m *Module) handleData(env sn.Env, pkt *sn.Packet) (sn.Decision, error) {
 	if !established {
 		return sn.Decision{}, ErrNotEstablished
 	}
-	return m.admitDecision(key, backend), nil
+	return admitDecision(pkt, backend), nil
 }
 
 // EstablishedFlows reports the module-internal decision cache size (tests).

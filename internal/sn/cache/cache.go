@@ -26,8 +26,12 @@
 // a free list, a full shard goes straight to the CLOCK hand, and per-shard
 // reverse indexes (flow source → rules, next hop or dependency → rules),
 // linked through the slots by slot number, let InvalidateSource,
-// InvalidateDest and CollectDest visit only matching rules and let Add
-// allocate nothing.
+// InvalidateDest and CollectDest visit only matching rules.
+//
+// The cache owns its next hops. Add keeps none of the caller's Forward
+// slice: every rule forwarding to one address alone shares one slice per
+// shard, named by that address's next-hop index head and dropped with it,
+// so only the first rule to an address allocates; a larger set is copied.
 package cache
 
 import (
@@ -45,9 +49,9 @@ import (
 type Action struct {
 	// Forward lists next-hop destinations; the pipe-terminus sends a copy
 	// of the packet to each ("the decision can specify multiple forwarding
-	// destinations", §4). Immutable once installed: Add indexes the rule
-	// under each address without copying the slice, so to change next hops
-	// install a new Action with a new slice; never write to this one.
+	// destinations", §4). Add copies it and keeps none of the caller's
+	// slice; the one a lookup returns is the cache's, shared between rules,
+	// and must not be written.
 	Forward []wire.Addr
 	// Drop discards the packet (used by e.g. DDoS protection). Drop takes
 	// precedence over Forward.
@@ -56,7 +60,8 @@ type Action struct {
 	// terminating at this SN, e.g. addressed to an attached host agent).
 	Deliver bool
 	// RewriteHeader, if non-nil, replaces the encoded ILP header on
-	// forwarded copies (services may rewrite per-hop metadata).
+	// forwarded copies (services may rewrite per-hop metadata). Add keeps
+	// the slice: it must not be written afterwards.
 	RewriteHeader []byte
 	// DependsOn, if valid, is the one address this decision was resolved
 	// for and does not forward to — the destination host of a rule whose
@@ -69,14 +74,11 @@ type Action struct {
 
 // held is an Action as a slot keeps it: all but DependsOn, which would grow
 // every slot by a sixth and is kept in the rule's index node instead.
+// forward is the cache's own (linkDests).
 type held struct {
 	forward       []wire.Addr
 	rewriteHeader []byte
 	drop, deliver bool
-}
-
-func hold(a *Action) held {
-	return held{forward: a.Forward, rewriteHeader: a.RewriteHeader, drop: a.Drop, deliver: a.Deliver}
 }
 
 // action returns the Action h holds, depending on dep.
@@ -111,6 +113,15 @@ const none = int32(-1)
 // link is a node of a doubly linked index list.
 type link struct{ next, prev int32 }
 
+// head is the entry of an address in an index: the first node of its list
+// and, in byDst, where the forward set {address} is in shard.ones, once a
+// rule forwarding to the address alone has asked for it (oneHop), or none.
+// Both are int32s so that a map slot is no larger than one holding the node
+// id alone: a head is kept per destination, which on a fleet SN is per host.
+type head struct {
+	first, one int32
+}
+
 type entry struct {
 	key      wire.FlowKey
 	action   held
@@ -143,10 +154,12 @@ type shard struct {
 	index    map[wire.FlowKey]int32
 	slots    []entry
 	hand     int32
-	free     int32                  // slots an invalidation emptied, joined by links[bySrc].next
-	heads    [2]map[wire.Addr]int32 // per index: address → first node of its list
+	free     int32                 // slots an invalidation emptied, joined by links[bySrc].next
+	heads    [2]map[wire.Addr]head // per index: address → its list
 	fan      []fanout
 	fanFree  int32
+	ones     []*[1]wire.Addr // one-hop forward sets, named by head.one; nil when free
+	onesFree []int32         // the free places in ones
 	now      func() time.Time
 	hits     uint64
 	misses   uint64
@@ -242,7 +255,7 @@ func newCache(capacity, n int, srcAffine bool) *Cache {
 			capacity: int32(sz),
 			index:    make(map[wire.FlowKey]int32),
 			free:     none,
-			heads:    [2]map[wire.Addr]int32{{}, {}},
+			heads:    [2]map[wire.Addr]head{{}, {}},
 			fanFree:  none,
 			now:      time.Now,
 			enabled:  true,
@@ -340,22 +353,20 @@ func (c *Cache) LookupStamped(key wire.FlowKey, n uint64) (Action, time.Time, bo
 }
 
 // Add installs (or replaces) the action for key, evicting via CLOCK within
-// the key's shard if that shard is full.
+// the key's shard if that shard is full. It keeps a copy of action.Forward,
+// never the caller's slice, and action.RewriteHeader itself.
 func (c *Cache) Add(key wire.FlowKey, action Action) {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.inserts++
-	keep := hold(&action)
 	if i, ok := s.index[key]; ok {
 		e := &s.slots[i]
-		if slices.Equal(e.action.forward, action.Forward) && s.dependsOn(i) == action.DependsOn {
-			e.action = keep
-		} else {
+		if !slices.Equal(e.action.forward, action.Forward) || s.dependsOn(i) != action.DependsOn {
 			s.unlinkDests(i)
-			e.action = keep
-			s.linkDests(i, action.DependsOn)
+			s.linkDests(i, action.Forward, action.DependsOn)
 		}
+		e.action.rewriteHeader, e.action.drop, e.action.deliver = action.RewriteHeader, action.Drop, action.Deliver
 		e.ref = true
 		e.lastUsed = s.now().UnixNano()
 		return
@@ -363,10 +374,14 @@ func (c *Cache) Add(key wire.FlowKey, action Action) {
 	i := s.takeSlot()
 	// New entries start with the reference bit clear: only an actual
 	// Lookup grants a second chance, so one-shot flows evict first.
-	s.slots[i] = entry{key: key, action: keep, lastUsed: s.now().UnixNano()}
+	s.slots[i] = entry{
+		key:      key,
+		action:   held{rewriteHeader: action.RewriteHeader, drop: action.Drop, deliver: action.Deliver},
+		lastUsed: s.now().UnixNano(),
+	}
 	s.index[key] = i
 	s.push(bySrc, key.Src, i)
-	s.linkDests(i, action.DependsOn)
+	s.linkDests(i, action.Forward, action.DependsOn)
 }
 
 // takeSlot returns an empty slot: one an invalidation freed, else a new one
@@ -460,8 +475,8 @@ func (s *shard) slotOf(id int32) int32 {
 }
 
 func (s *shard) head(ix int, a wire.Addr) int32 {
-	if id, ok := s.heads[ix][a]; ok {
-		return id
+	if h, ok := s.heads[ix][a]; ok {
+		return h.first
 	}
 	return none
 }
@@ -472,7 +487,7 @@ func (s *shard) push(ix int, a wire.Addr, id int32) {
 	h := s.head(ix, a)
 	if h == none {
 		*s.link(ix, id) = link{none, none}
-		s.heads[ix][a] = id
+		s.heads[ix][a] = head{first: id, one: none}
 		return
 	}
 	hl := s.link(ix, h)
@@ -493,17 +508,45 @@ func (s *shard) unlink(ix int, a wire.Addr, id int32) {
 	case l.prev != none:
 		s.link(ix, l.prev).next = l.next
 	case l.next != none:
-		s.heads[ix][a] = l.next
+		h := s.heads[ix][a]
+		h.first = l.next
+		s.heads[ix][a] = h
 	default:
+		if h := s.heads[ix][a]; ix == byDst && h.one != none {
+			s.ones[h.one] = nil
+			s.onesFree = append(s.onesFree, h.one)
+		}
 		delete(s.heads[ix], a)
 	}
 }
 
-// linkDests indexes slot i under every distinct address its rule forwards
-// to — Forward[0] through the slot's own link, the rest through fanout nodes
-// — and under dep, if the rule depends on an address it does not forward to.
-func (s *shard) linkDests(i int32, dep wire.Addr) {
-	fwd := s.slots[i].action.forward
+// oneHop returns the forward set {a} that every rule of the shard forwarding
+// to a alone shares. a's byDst head must exist and names it: the first such
+// rule allocates it, and it goes with the head, when the last rule indexed
+// under a does. A lookup may still hold it then, so a set is never written
+// and its place in ones takes a new one.
+func (s *shard) oneHop(a wire.Addr) []wire.Addr {
+	h := s.heads[byDst][a]
+	if h.one == none {
+		set := &[1]wire.Addr{a}
+		if n := len(s.onesFree); n > 0 {
+			h.one, s.onesFree = s.onesFree[n-1], s.onesFree[:n-1]
+			s.ones[h.one] = set
+		} else {
+			h.one = int32(len(s.ones))
+			s.ones = append(s.ones, set)
+		}
+		s.heads[byDst][a] = h
+	}
+	return s.ones[h.one][:]
+}
+
+// linkDests gives slot i the cache's own copy of fwd (oneHop's shared slice
+// for one address, a fresh copy of more) and indexes the slot under every
+// distinct address of fwd — fwd[0] through the slot's own link, the rest
+// through fanout nodes — and under dep, if the rule depends on an address
+// it does not forward to.
+func (s *shard) linkDests(i int32, fwd []wire.Addr, dep wire.Addr) {
 	s.slots[i].more = none
 	for j, a := range fwd {
 		if j == 0 {
@@ -511,6 +554,14 @@ func (s *shard) linkDests(i int32, dep wire.Addr) {
 		} else if !slices.Contains(fwd[:j], a) {
 			s.linkFanout(i, a, false)
 		}
+	}
+	switch len(fwd) {
+	case 0:
+		s.slots[i].action.forward = nil
+	case 1:
+		s.slots[i].action.forward = s.oneHop(fwd[0])
+	default:
+		s.slots[i].action.forward = slices.Clone(fwd)
 	}
 	if dep.IsValid() && !slices.Contains(fwd, dep) {
 		s.linkFanout(i, dep, true)

@@ -234,3 +234,55 @@ func BenchmarkAddWithEviction(b *testing.B) {
 		c.Add(key(i%4096), Action{Drop: true})
 	}
 }
+
+// TestAddKeepsNoCallerSlice: Add copies the next hops it is given, of a
+// one-hop rule and of a fan-out, so a caller reusing its slice — as a packet
+// does the one its verdict was built in — never rewrites an installed rule.
+func TestAddKeepsNoCallerSlice(t *testing.T) {
+	c := New(4)
+	a, b, other := wire.MustAddr("fd00::a"), wire.MustAddr("fd00::b"), wire.MustAddr("fd00::ee")
+	one := []wire.Addr{a}
+	two := []wire.Addr{a, b}
+	c.Add(key(1), Action{Forward: one})
+	c.Add(key(2), Action{Forward: two})
+	one[0], two[0], two[1] = other, other, other
+	if got, ok := c.Lookup(key(1)); !ok || len(got.Forward) != 1 || got.Forward[0] != a {
+		t.Fatalf("one-hop rule after the caller's slice changed: %+v, %v; want forward to %v", got, ok, a)
+	}
+	if got, ok := c.Lookup(key(2)); !ok || len(got.Forward) != 2 || got.Forward[0] != a || got.Forward[1] != b {
+		t.Fatalf("fan-out rule after the caller's slice changed: %+v, %v; want forward to %v and %v", got, ok, a, b)
+	}
+	if keys := c.CollectDest(other, 0); len(keys) != 0 {
+		t.Fatalf("CollectDest(%v) = %v; the index followed the caller's slice", other, keys)
+	}
+}
+
+// TestOneHopRulesShareOneSlice: every rule of a shard to one address alone
+// holds the same slice, made with the first of them and dropped with the
+// last, so installing the rest allocates no next-hop set.
+func TestOneHopRulesShareOneSlice(t *testing.T) {
+	c := NewSharded(64, 1)
+	dst := wire.MustAddr("fd00::d")
+	for i := 0; i < 8; i++ {
+		c.Add(key(i), Action{Forward: []wire.Addr{dst}})
+	}
+	first, _ := c.Lookup(key(0))
+	for i := 1; i < 8; i++ {
+		if got, _ := c.Lookup(key(i)); &got.Forward[0] != &first.Forward[0] {
+			t.Fatalf("rule %d forwards to %v through its own slice, not the shared one", i, dst)
+		}
+	}
+	k, again := key(3), Action{Forward: []wire.Addr{dst}, Deliver: true}
+	if n := testing.AllocsPerRun(100, func() { c.Invalidate(k); c.Add(k, again) }); n != 0 {
+		t.Fatalf("re-installing a one-hop rule allocated %.1f times, want 0", n)
+	}
+	c.InvalidateDest(dst)
+	if _, ok := c.shards[0].heads[byDst][dst]; ok {
+		t.Fatalf("the head of %v, and its one-hop slice, outlived every rule to it", dst)
+	}
+	c.Add(key(0), Action{Forward: []wire.Addr{dst}})
+	if got, _ := c.Lookup(key(0)); &got.Forward[0] == &first.Forward[0] {
+		t.Fatal("a rule after the last one went reuses the dropped slice")
+	}
+	checkShard(t, c.shards[0])
+}

@@ -63,7 +63,9 @@ func refCollectDest(c *Cache, dst wire.Addr, max int) []wire.FlowKey {
 }
 
 // checkShard fails unless the table, the free slots, both reverse indexes
-// and the fanout nodes of s all describe the same set of rules. The index
+// and the fanout nodes of s all describe the same set of rules, and every
+// rule to one address shares the one-hop set that address's live byDst head
+// names. The index
 // lists are compared with a scan of every slot. The slot array grows to the
 // shard's capacity and never past it, not even in spare room: a full
 // shard's array is exactly capacity slots.
@@ -106,6 +108,14 @@ func checkShard(t testing.TB, s *shard) {
 	fanUsed := 0
 	for i := range live {
 		e := &s.slots[i]
+		// A rule to one address holds that address's one-hop slice, which
+		// its live byDst head keeps: none outlives the last rule under it.
+		if len(e.action.forward) == 1 {
+			a := e.action.forward[0]
+			if h, ok := s.heads[byDst][a]; !ok || h.one == none || &s.ones[h.one][0] != &e.action.forward[0] {
+				t.Fatalf("slot %d forwards to %v through a slice its byDst head does not name", i, a)
+			}
+		}
 		add(want[bySrc], e.key.Src, i)
 		for _, a := range e.action.forward {
 			add(want[byDst], a, i)
@@ -123,12 +133,19 @@ func checkShard(t testing.TB, s *shard) {
 			fanUsed++
 		}
 	}
+	heldBy := make(map[int32]bool) // the one-hop sets a head names
 	for ix := range got {
 		for a, h := range s.heads[ix] {
-			if s.link(ix, h).prev != none {
+			if s.link(ix, h.first).prev != none {
 				t.Fatalf("index %d: head of %v has a predecessor", ix, a)
 			}
-			for id := h; id != none; id = s.link(ix, id).next {
+			if h.one != none && (ix != byDst || h.one < 0 || int(h.one) >= len(s.ones) || s.ones[h.one] == nil || s.ones[h.one][0] != a || heldBy[h.one]) {
+				t.Fatalf("index %d: head of %v names one-hop set %d of %d (held twice: %v)", ix, a, h.one, len(s.ones), heldBy[h.one])
+			}
+			if h.one != none {
+				heldBy[h.one] = true
+			}
+			for id := h.first; id != none; id = s.link(ix, id).next {
 				if next := s.link(ix, id).next; next != none && s.link(ix, next).prev != id {
 					t.Fatalf("index %d, %v: node %d → %d, whose prev is %d", ix, a, id, next, s.link(ix, next).prev)
 				}
@@ -140,6 +157,18 @@ func checkShard(t testing.TB, s *shard) {
 		if !reflect.DeepEqual(got[ix], want[ix]) {
 			t.Fatalf("index %d lists %v, a scan of the slots finds %v", ix, got[ix], want[ix])
 		}
+	}
+	// Every one-hop set belongs to a live byDst head, so none outlives the
+	// last rule indexed under its address; a free place holds no set.
+	onesFree := make(map[int32]bool)
+	for _, i := range s.onesFree {
+		if i < 0 || int(i) >= len(s.ones) || s.ones[i] != nil || onesFree[i] || heldBy[i] {
+			t.Fatalf("one-hop place %d of %d is free twice (%v), named (%v) or full (%v)", i, len(s.ones), onesFree[i], heldBy[i], s.ones[i] != nil)
+		}
+		onesFree[i] = true
+	}
+	if len(heldBy)+len(onesFree) != len(s.ones) {
+		t.Fatalf("%d one-hop sets named by heads + %d free places, want %d", len(heldBy), len(onesFree), len(s.ones))
 	}
 	fanFree := 0
 	for id := s.fanFree; id != none; id = s.fanNode(id).sib {

@@ -1,6 +1,7 @@
 package sn
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"net/netip"
@@ -189,6 +190,9 @@ func encodeDecision(dst []byte, d *Decision) ([]byte, error) {
 		if f.Empty {
 			flags |= 4
 		}
+		if f.RewriteHeader != nil {
+			flags |= 8
+		}
 		dst = append(dst, flags)
 		if f.Hdr != nil {
 			enc, err := f.Hdr.Encode()
@@ -200,6 +204,9 @@ func encodeDecision(dst []byte, d *Decision) ([]byte, error) {
 		}
 		if f.Payload != nil {
 			dst = appendBytes32(dst, f.Payload)
+		}
+		if f.RewriteHeader != nil {
+			dst = appendBytes32(dst, f.RewriteHeader)
 		}
 	}
 	dst = appendUint16(dst, uint16(len(d.Rules)))
@@ -266,6 +273,9 @@ func decodeDecision(data []byte) (Decision, error) {
 			f.Payload = append([]byte(nil), r.bytes32()...)
 		}
 		f.Empty = flags&4 != 0
+		if flags&8 != 0 {
+			f.RewriteHeader = bytes.Clone(r.bytes32())
+		}
 		d.Forwards = append(d.Forwards, f)
 	}
 	nr := int(r.uint16())

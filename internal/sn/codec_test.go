@@ -63,6 +63,9 @@ func decisionsEqual(a, b *Decision) bool {
 		if fa.Dst != fb.Dst || fa.Empty != fb.Empty || !bytes.Equal(fa.Payload, fb.Payload) {
 			return false
 		}
+		if (fa.RewriteHeader == nil) != (fb.RewriteHeader == nil) || !bytes.Equal(fa.RewriteHeader, fb.RewriteHeader) {
+			return false
+		}
 		if (fa.Hdr == nil) != (fb.Hdr == nil) {
 			return false
 		}
@@ -104,6 +107,7 @@ func TestDecisionCodecRoundTrip(t *testing.T) {
 			{Dst: wire.MustAddr("fd00::a"), Hdr: &wire.ILPHeader{Service: wire.SvcEcho, Conn: 3, Data: []byte("x")}},
 			{Dst: wire.MustAddr("fd00::b"), Payload: []byte("replaced")},
 			{Dst: wire.MustAddr("fd00::c"), Empty: true},
+			{Dst: wire.MustAddr("fd00::d"), RewriteHeader: []byte{4, 5, 6}, Payload: []byte("both")},
 		},
 		Rules: []Rule{
 			{
@@ -135,6 +139,19 @@ func TestDecisionCodecRoundTrip(t *testing.T) {
 	}
 	if !decisionsEqual(d, &got) {
 		t.Fatalf("roundtrip mismatch:\n%+v\n%+v", d, got)
+	}
+	// A Route verdict crosses with its rewrite on the forward as well as on
+	// the rule: without it the first packet would leave under the old header.
+	pkt := &Packet{Src: wire.MustAddr("fd00::1"), Hdr: wire.ILPHeader{Service: wire.SvcIPFwd, Conn: 9}}
+	route := pkt.Route(wire.MustAddr("fd00::9"), []byte{7, 8, 9}, wire.MustAddr("fd00::e"))
+	if enc, err = encodeDecision(nil, &route); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = decodeDecision(enc); err != nil {
+		t.Fatal(err)
+	}
+	if !decisionsEqual(&route, &got) || got.Forwards[0].RewriteHeader == nil {
+		t.Fatalf("Route roundtrip mismatch:\n%+v\n%+v", route, got)
 	}
 }
 

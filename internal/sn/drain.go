@@ -145,8 +145,9 @@ func (s *SN) handleHandoff(src wire.Addr, payload []byte) {
 	s.handoffPipes.Add(1)
 	// Warmth hints: rules that forwarded to the host at the old SN keep
 	// their flows on the fast path here from the first packet.
+	toHost := cache.Action{Forward: []wire.Addr{hs.Host}} // Add copies it
 	for _, k := range hs.Warmth {
-		s.cache.Add(k, cache.Action{Forward: []wire.Addr{hs.Host}})
+		s.cache.Add(k, toHost)
 	}
 	s.cfg.Logf("sn %s: imported pipe for %s from %s (%d warm rules)", s.Addr(), hs.Host, src, len(hs.Warmth))
 }

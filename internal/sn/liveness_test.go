@@ -7,24 +7,22 @@ import (
 	"time"
 
 	"interedge/internal/netsim"
-	"interedge/internal/sn/cache"
 	"interedge/internal/wire"
 )
 
-// fwdModule installs a cache rule forwarding the flow to a fixed next hop
-// and forwards the triggering packet there too.
+// fwdModule installs a cache rule forwarding the flow to a fixed next hop,
+// under a rewritten header if rewrite is set, and forwards the triggering
+// packet there too: a Route verdict.
 type fwdModule struct {
-	dst wire.Addr
+	dst     wire.Addr
+	rewrite []byte
 }
 
 func (fwdModule) Service() wire.ServiceID { return wire.SvcEcho }
 func (fwdModule) Name() string            { return "fwd" }
 func (fwdModule) Version() string         { return "1" }
 func (m fwdModule) HandlePacket(env Env, pkt *Packet) (Decision, error) {
-	return Decision{
-		Rules:    []Rule{{Key: pkt.Key(), Action: cache.Action{Forward: []wire.Addr{m.dst}}}},
-		Forwards: []Forward{{Dst: m.dst}},
-	}, nil
+	return pkt.Route(m.dst, m.rewrite, wire.Addr{}), nil
 }
 
 func TestPeerDownInvalidatesDecisionCache(t *testing.T) {
@@ -73,36 +71,54 @@ func TestPeerDownInvalidatesDecisionCache(t *testing.T) {
 	}
 }
 
+// TestForwardRequeuesWhileEstablishing: a verdict's forward to a next hop
+// with no pipe yet is requeued, a handshake performed, and the packet
+// flushed — not dropped — under the header the verdict gave it.
 func TestForwardRequeuesWhileEstablishing(t *testing.T) {
-	net := netsim.NewNetwork()
-	next := newClient(t, net, "fd00::2") // next hop with no pipe yet
-	node := newTestSN(t, net, "fd00::5")
-	if err := node.Register(fwdModule{dst: next.addr}); err != nil {
+	in := wire.ILPHeader{Service: wire.SvcEcho, Conn: 1}
+	rewritten := wire.ILPHeader{Service: wire.SvcEcho, Conn: 2, Data: []byte("rewritten")}
+	rewrite, err := rewritten.Encode()
+	if err != nil {
 		t.Fatal(err)
 	}
-	cl := newClient(t, net, "fd00::1")
-	if err := cl.mgr.Connect(node.Addr()); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name    string
+		rewrite []byte
+		want    wire.ILPHeader
+	}{
+		{"original header", nil, in},
+		{"rewritten header", rewrite, rewritten},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := netsim.NewNetwork()
+			next := newClient(t, net, "fd00::2") // next hop with no pipe yet
+			node := newTestSN(t, net, "fd00::5")
+			if err := node.Register(fwdModule{dst: next.addr, rewrite: tc.rewrite}); err != nil {
+				t.Fatal(err)
+			}
+			cl := newClient(t, net, "fd00::1")
+			if err := cl.mgr.Connect(node.Addr()); err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.mgr.Send(node.Addr(), &in, []byte("through")); err != nil {
+				t.Fatal(err)
+			}
+			got := next.await(t)
+			if string(got.payload) != "through" || got.hdr.Conn != tc.want.Conn || string(got.hdr.Data) != string(tc.want.Data) {
+				t.Fatalf("received %+v %q, want %+v %q", got.hdr, got.payload, tc.want, "through")
+			}
+			ctr := node.Counters()
+			if ctr.Requeued == 0 {
+				t.Fatal("Requeued counter is zero")
+			}
+			if ctr.RequeueDrops != 0 {
+				t.Fatalf("RequeueDrops = %d, want 0", ctr.RequeueDrops)
+			}
+			// The forward is counted once its send has returned, which can
+			// be after next has the packet.
+			waitFor(t, func() bool { return node.Counters().Forwarded != 0 })
+		})
 	}
-	// No pipe SN→next exists: the forward must be requeued, a handshake
-	// performed, and the packet flushed — not dropped.
-	if err := cl.mgr.Send(node.Addr(), &wire.ILPHeader{Service: wire.SvcEcho, Conn: 1}, []byte("through")); err != nil {
-		t.Fatal(err)
-	}
-	got := next.await(t)
-	if string(got.payload) != "through" {
-		t.Fatalf("payload %q, want %q", got.payload, "through")
-	}
-	ctr := node.Counters()
-	if ctr.Requeued == 0 {
-		t.Fatal("Requeued counter is zero")
-	}
-	if ctr.RequeueDrops != 0 {
-		t.Fatalf("RequeueDrops = %d, want 0", ctr.RequeueDrops)
-	}
-	// The forward is counted once its send has returned, which can be
-	// after next has the packet.
-	waitFor(t, func() bool { return node.Counters().Forwarded != 0 })
 }
 
 func TestRequeueDepthBoundsMemory(t *testing.T) {

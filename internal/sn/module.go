@@ -17,26 +17,43 @@ import (
 // source plus the decrypted ILP header and opaque payload (§4: the module
 // receives "the packet's L3 header and decrypted ILP header").
 //
-// Payload belongs to the packet: the transport handed the datagram over for
-// keeps and the pipe decrypted it in place, so whoever holds the packet may
-// retain Payload. The SN gives a receive buffer back for reuse only when no
+// Payload and Hdr.Data belong to the packet: the transport handed the
+// datagram over for keeps and the pipe opened header and payload in place,
+// so both lie in the packet's own buffer and whoever holds the packet may
+// retain them. The SN gives a receive buffer back for reuse only when no
 // Packet was ever made of it (a cache hit that delivers to no one), so what
-// a module or OnDeliver sees is never recycled under it. Hdr.Data is the
-// runtime's copy, the module's to keep too.
+// a module or OnDeliver sees is never recycled under it.
 type Packet struct {
 	Src     wire.Addr
 	Hdr     wire.ILPHeader
 	Payload []byte
 
-	fwd [1]Forward // backs OneForward
+	// The commonest verdicts, held in the packet so that they cost no
+	// allocation (OneForward, Route).
+	fwd  [1]Forward
+	rule [1]Rule
+	next [1]wire.Addr
 }
 
-// OneForward returns the Forwards of the commonest verdict — one copy to
-// one next hop — held in the packet itself, so the verdict costs no
+// OneForward returns the Forwards of the commonest uncached verdict — one
+// copy to one next hop — held in the packet itself, so the verdict costs no
 // allocation. The slice is only good for the Decision returned for p.
 func (p *Packet) OneForward(f Forward) []Forward {
 	p.fwd[0] = f
 	return p.fwd[:]
+}
+
+// Route returns the commonest verdict: send p to next and cache that for
+// p's flow. A non-nil rewrite is the encoded header that replaces p's on
+// this copy and on the flow's later ones; the cache keeps it, so it must not
+// be written afterwards. A valid dependsOn is the address the decision was
+// resolved for and does not forward to (cache.Action.DependsOn). The
+// verdict is held in the packet itself, so it costs no allocation; it is
+// only good for p.
+func (p *Packet) Route(next wire.Addr, rewrite []byte, dependsOn wire.Addr) Decision {
+	p.next[0] = next
+	p.rule[0] = Rule{Key: p.Key(), Action: cache.Action{Forward: p.next[:], RewriteHeader: rewrite, DependsOn: dependsOn}}
+	return Decision{Forwards: p.OneForward(Forward{Dst: next, RewriteHeader: rewrite}), Rules: p.rule[:]}
 }
 
 // Key returns the packet's decision-cache key.
@@ -51,6 +68,11 @@ type Forward struct {
 	// Hdr, if non-nil, replaces the packet's ILP header on this copy;
 	// nil forwards the original header unchanged.
 	Hdr *wire.ILPHeader
+	// RewriteHeader, if non-nil, is an encoded ILP header that replaces the
+	// packet's on this copy, as cache.Action.RewriteHeader does on a cached
+	// flow's; it takes precedence over Hdr and must not be written after
+	// the verdict is returned.
+	RewriteHeader []byte
 	// Payload, if non-nil, replaces the packet's payload on this copy;
 	// nil forwards the original payload. Use Empty to send no payload.
 	Payload []byte
@@ -131,10 +153,9 @@ type Env interface {
 	// services can validate signed join messages against it, §6.2).
 	PeerIdentity(addr wire.Addr) (ed25519.PublicKey, bool)
 
-	// AddRule installs a decision-cache entry. action.Forward is immutable
-	// from here on (the cache indexes the rule by next hop and keeps the
-	// slice): to change a rule's next hops, AddRule a new action with a
-	// new slice.
+	// AddRule installs a decision-cache entry. The cache copies
+	// action.Forward and keeps none of the caller's slice, but it keeps
+	// action.RewriteHeader, which must not be written afterwards.
 	AddRule(key wire.FlowKey, action cache.Action)
 	// InvalidateRule removes a decision-cache entry.
 	InvalidateRule(key wire.FlowKey)

@@ -826,7 +826,7 @@ func (s *SN) applyDecision(pkt *Packet, d Decision) {
 		} else if f.Empty {
 			payload = nil
 		}
-		s.sendHeader(f.Dst, hdr, payload)
+		s.sendHeader(f.Dst, hdr, f.RewriteHeader, payload)
 	}
 }
 
@@ -836,19 +836,29 @@ func (s *SN) applyDecision(pkt *Packet, d Decision) {
 // count itself is kept by the dispatcher.
 func (s *SN) degradePacket(reg *registeredModule, pkt *Packet) {
 	if reg.cfg.degraded == DegradedForward {
-		s.sendHeader(reg.cfg.degradedDst, &pkt.Hdr, pkt.Payload)
+		s.sendHeader(reg.cfg.degradedDst, &pkt.Hdr, nil, pkt.Payload)
 	}
 }
 
-// sendHeader forwards one packet copy from a dispatcher worker. Module
-// verdicts and degraded forwards do not run on an rx worker, so they send
-// through the manager (immediate path), which encodes hdr into the pooled
-// buffer it seals in; only a packet that must wait for its pipe is encoded
-// on its own, to be requeued.
-func (s *SN) sendHeader(dst wire.Addr, hdr *wire.ILPHeader, payload []byte) {
-	err := s.mgr.Send(dst, hdr, payload)
+// sendHeader forwards one packet copy from a dispatcher worker under enc, an
+// immutable encoded header (Forward.RewriteHeader), or hdr if enc is nil.
+// Module verdicts and degraded forwards do not run on an rx worker, so they
+// send through the manager (immediate path), which encodes hdr into the
+// pooled buffer it seals in; only a packet that must wait for its pipe is
+// encoded on its own, and that encoding is the requeued copy's.
+func (s *SN) sendHeader(dst wire.Addr, hdr *wire.ILPHeader, enc, payload []byte) {
+	var err error
+	if enc != nil {
+		err = s.mgr.SendHeaderBytes(dst, enc, payload)
+	} else {
+		err = s.mgr.Send(dst, hdr, payload)
+	}
 	if errors.Is(err, pipe.ErrNoPipe) && !s.cfg.DisableAutoConnect {
-		if enc, encErr := hdr.Encode(); encErr == nil {
+		var encErr error
+		if enc == nil {
+			enc, encErr = hdr.Encode()
+		}
+		if encErr == nil {
 			s.requeue(dst, enc, payload)
 			return
 		}
@@ -890,19 +900,22 @@ func (s *SN) onPeerDown(addr wire.Addr, identity ed25519.PublicKey) {
 func (s *SN) sendHeaderBytes(tx pipe.Sender, dst wire.Addr, hdrBytes, payload []byte) {
 	err := tx.SendHeaderBytes(dst, hdrBytes, payload)
 	if errors.Is(err, pipe.ErrNoPipe) && !s.cfg.DisableAutoConnect {
-		s.requeue(dst, hdrBytes, payload)
+		// hdrBytes may be the raw inbound header, which lies in a receive
+		// buffer the fast path gives back once the action has run
+		// (handleBatch): the requeued copy gets its own.
+		s.requeue(dst, append([]byte(nil), hdrBytes...), payload)
 		return
 	}
 	s.noteForward(dst, err)
 }
 
-// requeue holds one forward while dst's pipe (re-)establishes. hdrBytes
-// and payload may lie in a receive buffer the fast path gives back once
-// the action has run (handleBatch), so both are snapshotted before the
-// packet outlives the call.
-func (s *SN) requeue(dst wire.Addr, hdrBytes, payload []byte) {
+// requeue holds one forward while dst's pipe (re-)establishes. It keeps
+// hdr, which the caller must not write afterwards. payload may lie in a
+// receive buffer the fast path gives back once the action has run
+// (handleBatch), so it is snapshotted before the packet outlives the call.
+func (s *SN) requeue(dst wire.Addr, hdr, payload []byte) {
 	q := queuedSend{
-		hdr:     append([]byte(nil), hdrBytes...),
+		hdr:     hdr,
 		payload: append([]byte(nil), payload...),
 	}
 	s.mu.Lock()

@@ -47,8 +47,9 @@ func FuzzILPHeaderDecode(f *testing.F) {
 
 // FuzzTransitDecode: SvcPeering service data — the two addresses and the
 // nested header — decodes or is refused, never panics; what decodes stays
-// inside the input, re-encodes to the same bytes, and is never a service a
-// transit packet may not carry.
+// inside the input, re-encodes to the same bytes — through TransitHeader and
+// through EncodeTransitHeader, which agree — and is never a service a transit
+// packet may not carry.
 func FuzzTransitDecode(f *testing.F) {
 	for _, inner := range []ILPHeader{
 		{Service: SvcIPFwd, Conn: 2, Data: make([]byte, 16)},
@@ -88,6 +89,20 @@ func FuzzTransitDecode(f *testing.F) {
 		// itself; everything else must too.
 		if !bytes.Equal(outer.Data, data) {
 			t.Fatalf("round trip mismatch: %x vs %x", outer.Data, data)
+		}
+		// The one-allocation encoding is the outer header's ILP encoding,
+		// and decodes back to the same header.
+		enc, err := EncodeTransitHeader(tr.FinalDst, tr.OrigSrc, &tr.Inner)
+		if err != nil {
+			t.Fatalf("EncodeTransitHeader of decoded transit failed: %v", err)
+		}
+		if want, err := outer.Encode(); err != nil || !bytes.Equal(enc, want) {
+			t.Fatalf("EncodeTransitHeader = %x, TransitHeader encodes to %x (%v)", enc, want, err)
+		}
+		var back ILPHeader
+		if n, err := back.DecodeFromBytes(enc); err != nil || n != len(enc) ||
+			back.Service != SvcPeering || back.Conn != outer.Conn || !bytes.Equal(back.Data, data) {
+			t.Fatalf("encoded transit header decodes to %+v (%d of %d bytes, %v)", back, n, len(enc), err)
 		}
 	})
 }

@@ -38,30 +38,46 @@ var (
 
 func transitable(s ServiceID) bool { return s == SvcNone || s >= SvcNull }
 
-// TransitHeader builds the outer header that carries inner from origSrc to
-// the SN finalDst. The outer connection ID is a hash of (finalDst, origSrc,
-// inner service, inner connection): gateways key transit rules by (previous
-// hop, SvcPeering, connection), and hosts all number their connections from
-// the same start, so copying the inner ID would let two hosts' flows share —
-// and misroute through — one rule.
-func TransitHeader(finalDst, origSrc Addr, inner *ILPHeader) (ILPHeader, error) {
+// EncodeTransitHeader returns the encoded outer header that carries inner
+// from origSrc to the SN finalDst, in one allocation: what an ingress SN
+// sends a flow's first packet under and installs as the flow's header
+// rewrite. The outer connection ID is a hash of (finalDst, origSrc, inner
+// service, inner connection): gateways key transit rules by (previous hop,
+// SvcPeering, connection), and hosts all number their connections from the
+// same start, so copying the inner ID would let two hosts' flows share — and
+// misroute through — one rule.
+func EncodeTransitHeader(finalDst, origSrc Addr, inner *ILPHeader) ([]byte, error) {
 	if !transitable(inner.Service) {
-		return ILPHeader{}, ErrTransitInner
+		return nil, ErrTransitInner
 	}
 	if len(inner.Data) > MaxTransitInnerData {
-		return ILPHeader{}, ErrTransitTooBig
+		return nil, ErrTransitTooBig
 	}
-	data := make([]byte, TransitMetaSize+inner.EncodedSize())
+	enc := make([]byte, ILPHeaderFixedSize+TransitMetaSize+inner.EncodedSize())
+	data := enc[ILPHeaderFixedSize:]
 	d, s := finalDst.As16(), origSrc.As16()
 	copy(data[0:16], d[:])
 	copy(data[16:32], s[:])
 	if _, err := inner.SerializeTo(data[TransitMetaSize:]); err != nil {
-		return ILPHeader{}, err
+		return nil, err
 	}
 	// Hashed: the addresses and the inner service and connection IDs, which
 	// lead the encoded inner header.
 	conn := ConnectionID(fnv1a(data[:TransitMetaSize+4+8]))
-	return ILPHeader{Service: SvcPeering, Conn: conn, Data: data}, nil
+	putILPFixed(enc, SvcPeering, conn, len(data))
+	return enc, nil
+}
+
+// TransitHeader is EncodeTransitHeader decoded: the outer header, whose Data
+// aliases the one encoding.
+func TransitHeader(finalDst, origSrc Addr, inner *ILPHeader) (ILPHeader, error) {
+	enc, err := EncodeTransitHeader(finalDst, origSrc, inner)
+	if err != nil {
+		return ILPHeader{}, err
+	}
+	var outer ILPHeader
+	_, err = outer.DecodeFromBytes(enc)
+	return outer, err
 }
 
 // Transit is the decoded service data of a SvcPeering header.

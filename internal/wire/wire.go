@@ -226,11 +226,16 @@ func (h *ILPHeader) SerializeTo(buf []byte) (int, error) {
 	if len(buf) < n {
 		return 0, fmt.Errorf("wire: buffer too small for ILP header: %d < %d", len(buf), n)
 	}
-	binary.BigEndian.PutUint32(buf[0:4], uint32(h.Service))
-	binary.BigEndian.PutUint64(buf[4:12], uint64(h.Conn))
-	binary.BigEndian.PutUint16(buf[12:14], uint16(len(h.Data)))
+	putILPFixed(buf, h.Service, h.Conn, len(h.Data))
 	copy(buf[ILPHeaderFixedSize:], h.Data)
 	return n, nil
+}
+
+// putILPFixed writes the fixed portion of an ILP header into buf.
+func putILPFixed(buf []byte, svc ServiceID, conn ConnectionID, dataLen int) {
+	binary.BigEndian.PutUint32(buf[0:4], uint32(svc))
+	binary.BigEndian.PutUint64(buf[4:12], uint64(conn))
+	binary.BigEndian.PutUint16(buf[12:14], uint16(dataLen))
 }
 
 // Encode returns a freshly allocated encoding of the header.
