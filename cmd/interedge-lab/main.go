@@ -309,14 +309,15 @@ func scenarioDDoS(topo *lab.Topology, w *worldState) error {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	node := w.edA.SNs[0]
-	for node.Counters().RuleDrops == 0 {
+	for node.Telemetry().Snapshot().Value("sn_rule_drops_total") == 0 {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("no fast-path drops recorded")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	c := node.Counters()
-	fmt.Printf("  fast-path drops: %d (slow path saw only %d packets)\n\n", c.RuleDrops, c.SlowPathSent)
+	c := node.Telemetry().Snapshot()
+	fmt.Printf("  fast-path drops: %.0f (slow path saw only %.0f packets)\n\n",
+		c.Value("sn_rule_drops_total"), c.Value("sn_slowpath_sent_total"))
 	return nil
 }
 

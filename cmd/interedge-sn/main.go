@@ -116,10 +116,15 @@ func main() {
 			fmt.Println("\nshutting down")
 			return
 		case <-tick:
-			c := node.Counters()
-			fmt.Printf("rx=%d fast=%d slow=%d fwd=%d drops(rule=%d queue=%d nomod=%d)\n",
-				c.RxPackets, c.FastPathHits, c.SlowPathSent, c.Forwarded,
-				c.RuleDrops, c.SlowPathDrops, c.NoModuleDrops)
+			c := node.Telemetry().Snapshot()
+			var queueDrops uint64
+			for _, h := range node.ModuleHealth() {
+				queueDrops += h.Dropped
+			}
+			fmt.Printf("rx=%.0f fast=%.0f slow=%.0f fwd=%.0f drops(rule=%.0f queue=%d nomod=%.0f)\n",
+				c.Value("sn_rx_packets_total"), c.Value("sn_fastpath_hits_total"),
+				c.Value("sn_slowpath_sent_total"), c.Value("sn_forwarded_total"),
+				c.Value("sn_rule_drops_total"), queueDrops, c.Value("sn_no_module_drops_total"))
 		}
 	}
 }

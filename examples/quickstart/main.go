@@ -60,6 +60,7 @@ func main() {
 		}
 	}
 
-	c := ed.SNs[0].Counters()
-	fmt.Printf("SN counters: rx=%d slow-path=%d forwarded=%d\n", c.RxPackets, c.SlowPathSent, c.Forwarded)
+	c := ed.SNs[0].Telemetry().Snapshot()
+	fmt.Printf("SN counters: rx=%.0f slow-path=%.0f forwarded=%.0f\n",
+		c.Value("sn_rx_packets_total"), c.Value("sn_slowpath_sent_total"), c.Value("sn_forwarded_total"))
 }

@@ -170,8 +170,8 @@ func TestPipeIntegrityUnderCombinedFaults(t *testing.T) {
 				t.Fatalf("only %d/%d payloads delivered", delivered, sends)
 			}
 			// The run proves nothing unless every fault class actually fired.
-			st := net.Snapshot()
-			if st.Reordered == 0 || st.Duplicated == 0 || st.Corrupted == 0 {
+			st := net.Telemetry().Snapshot()
+			if st.Value("netsim_reordered_total") == 0 || st.Value("netsim_duplicated_total") == 0 || st.Value("netsim_corrupted_total") == 0 {
 				t.Fatalf("fault classes did not all fire: %+v", st)
 			}
 		})
@@ -292,7 +292,7 @@ func TestPerSourceOrderingUnderReorder(t *testing.T) {
 		return len(handled) == sends
 	})
 
-	if st := net.Snapshot(); st.Reordered == 0 {
+	if st := net.Telemetry().Snapshot(); st.Value("netsim_reordered_total") == 0 {
 		t.Fatal("substrate reordered nothing; test exercised nothing")
 	}
 	arr := rec.arrivals()
@@ -357,8 +357,8 @@ func TestNoDoubleDeliveryAcrossRekey(t *testing.T) {
 	}
 	// Give straggling duplicates time to arrive (and be rejected).
 	waitQuiesce(t, 2*time.Second, 200*time.Millisecond, func() int {
-		st := net.Snapshot()
-		return int(st.Delivered)
+		st := net.Telemetry().Snapshot()
+		return int(st.Value("netsim_delivered_total"))
 	})
 
 	mu.Lock()
@@ -371,8 +371,8 @@ func TestNoDoubleDeliveryAcrossRekey(t *testing.T) {
 			t.Fatalf("seq %d delivered %d times despite replay protection", seq, n)
 		}
 	}
-	if st := net.Snapshot(); st.Duplicated < batches*perBatch {
-		t.Fatalf("substrate duplicated only %d datagrams", st.Duplicated)
+	if st := net.Telemetry().Snapshot(); st.Value("netsim_duplicated_total") < batches*perBatch {
+		t.Fatalf("substrate duplicated only %v datagrams", st.Value("netsim_duplicated_total"))
 	}
 }
 
@@ -412,11 +412,11 @@ func TestFlappingPartitionReestablishes(t *testing.T) {
 	waitCond(t, 5*time.Second, "pipe re-established on both ends", func() bool {
 		return a.HasPeer(b.LocalAddr()) && b.HasPeer(a.LocalAddr())
 	})
-	sa, sb := a.Stats(), b.Stats()
-	if sa.PeersLost+sb.PeersLost == 0 {
+	sa, sb := a.Telemetry().Snapshot(), b.Telemetry().Snapshot()
+	if sa.Value("pipe_peers_lost_total")+sb.Value("pipe_peers_lost_total") == 0 {
 		t.Fatal("no pipe was ever torn down; the flap did not bite")
 	}
-	if sa.Reestablished+sb.Reestablished == 0 {
+	if sa.Value("pipe_reestablished_total")+sb.Value("pipe_reestablished_total") == 0 {
 		t.Fatal("no automatic re-establishment recorded")
 	}
 
@@ -512,15 +512,15 @@ func TestBatchedForwardingUnderCombinedFaults(t *testing.T) {
 			if delivered < sends*6/10 {
 				t.Fatalf("only %d/%d payloads delivered", delivered, sends)
 			}
-			bs := b.Stats()
-			if bs.TxBatchedPackets == 0 || bs.TxBatches == 0 {
+			bs := b.Telemetry().Snapshot()
+			if bs.Value("pipe_tx_batched_packets_total") == 0 || bs.Value("pipe_tx_batches_total") == 0 {
 				t.Fatalf("forwarder never coalesced: %+v", bs)
 			}
-			st := net.Snapshot()
-			if st.Reordered == 0 || st.Duplicated == 0 || st.Corrupted == 0 {
+			st := net.Telemetry().Snapshot()
+			if st.Value("netsim_reordered_total") == 0 || st.Value("netsim_duplicated_total") == 0 || st.Value("netsim_corrupted_total") == 0 {
 				t.Fatalf("fault classes did not all fire: %+v", st)
 			}
-			if st.Batches == 0 {
+			if st.Value("netsim_batches_total") == 0 {
 				t.Fatal("fabric saw no vectored batches")
 			}
 		})

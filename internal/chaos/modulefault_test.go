@@ -254,7 +254,7 @@ func runModuleFaults(t *testing.T, seed int64) {
 	waitCond(t, 10*time.Second, "fast-path deliveries", func() bool {
 		return countTag(clTally, 0xF) >= sends*6/10
 	})
-	if c := node.Counters(); c.FastPathHits == 0 {
+	if c := node.Telemetry().Snapshot(); c.Value("sn_fastpath_hits_total") == 0 {
 		t.Fatal("fast path never hit")
 	}
 
@@ -319,7 +319,7 @@ func runModuleFaults(t *testing.T, seed int64) {
 		}
 		tl.mu.Unlock()
 	}
-	if c := node.Counters(); c.ModuleErrors == 0 {
+	if c := node.Telemetry().Snapshot(); c.Value("sn_module_errors_total") == 0 {
 		t.Error("no module errors recorded despite the fault storm")
 	}
 

@@ -220,10 +220,10 @@ func runSoak(t *testing.T, seed int64) {
 
 	// The gateway flap must have bitten (each sever outlasts DeadAfter) and
 	// the mesh must re-converge once the schedule ends.
-	var peersLost uint64
+	var peersLost float64
 	for _, ed := range []*lab.Edomain{edA, edB} {
 		for _, node := range ed.SNs {
-			peersLost += node.Counters().PeersLost
+			peersLost += node.Telemetry().Snapshot().Value("sn_peers_lost_total")
 		}
 	}
 	if peersLost == 0 {

@@ -330,7 +330,7 @@ func TestConnViaPinsSN(t *testing.T) {
 		t.Fatal("timeout")
 	}
 	// sn1 saw none of this traffic.
-	if sn1.Counters().RxPackets != 0 {
+	if sn1.Telemetry().Snapshot().Value("sn_rx_packets_total") != 0 {
 		t.Fatal("pinned connection leaked through default SN")
 	}
 }

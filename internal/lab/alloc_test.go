@@ -128,14 +128,14 @@ func TestFastPathDeliveryAllocs(t *testing.T) {
 			for i := 0; i < 64; i++ {
 				deliver()
 			}
-			hitsBefore, releasedBefore := node.Counters().FastPathHits, releasedBuffers(node)
+			hitsBefore, releasedBefore := node.Telemetry().Snapshot().Value("sn_fastpath_hits_total"), releasedBuffers(node)
 			allocs := testing.AllocsPerRun(500, deliver)
 			t.Logf("fast-path delivery: %.2f allocations", allocs)
 			if allocs > 1 && !raceEnabled {
 				t.Errorf("fast-path delivery allocated %.2f times, want <= 1 (the buffer that leaves with the receiving host)", allocs)
 			}
-			if n := node.Counters().FastPathHits - hitsBefore; n != 501 {
-				t.Errorf("%d of 501 packets hit the decision cache; the fast path was not what was measured", n)
+			if n := node.Telemetry().Snapshot().Value("sn_fastpath_hits_total") - hitsBefore; n != 501 {
+				t.Errorf("%v of 501 packets hit the decision cache; the fast path was not what was measured", n)
 			}
 			if n := releasedBuffers(node) - releasedBefore; n != 501 {
 				t.Errorf("the SN gave back the receive buffers of %d of 501 hits", n)

@@ -75,8 +75,8 @@ func TestFigure1Topology(t *testing.T) {
 
 	// The path crossed both edomains via gateway pipes: the client-side
 	// gateway carries transit traffic.
-	gwCounters := edClient.Gateway().Counters()
-	if gwCounters.RxPackets == 0 {
+	gwCounters := edClient.Gateway().Telemetry().Snapshot()
+	if gwCounters.Value("sn_rx_packets_total") == 0 {
 		t.Fatal("client-edomain gateway saw no traffic")
 	}
 	if !topo.Fabric.MeshComplete() {

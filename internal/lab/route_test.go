@@ -97,10 +97,10 @@ func TestSlowPathRouteAllocs(t *testing.T) {
 			for i := 0; i < 2*conns; i++ { // every rule evicted once, pools and resolution caches warm
 				deliver()
 			}
-			var hits, misses [2]uint64
+			var hits, misses [2]float64
 			for i, node := range nodes {
-				c := node.Counters()
-				hits[i], misses[i] = c.FastPathHits, c.SlowPathSent
+				c := node.Telemetry().Snapshot()
+				hits[i], misses[i] = c.Value("sn_fastpath_hits_total"), c.Value("sn_slowpath_sent_total")
 			}
 			allocs := testing.AllocsPerRun(500, deliver)
 			t.Logf("%s miss: %.2f allocations", tc.name, allocs)
@@ -108,9 +108,9 @@ func TestSlowPathRouteAllocs(t *testing.T) {
 				t.Errorf("a %s miss allocated %.2f times, want <= %.0f", tc.name, allocs, tc.budget)
 			}
 			for i, node := range nodes {
-				c := node.Counters()
-				if h, m := c.FastPathHits-hits[i], c.SlowPathSent-misses[i]; h != 0 || m != 501 {
-					t.Errorf("SN %d: %d hits and %d misses of 501 packets; every packet must miss", i, h, m)
+				c := node.Telemetry().Snapshot()
+				if h, m := c.Value("sn_fastpath_hits_total")-hits[i], c.Value("sn_slowpath_sent_total")-misses[i]; h != 0 || m != 501 {
+					t.Errorf("SN %v: %v hits and %v misses of 501 packets; every packet must miss", i, h, m)
 				}
 			}
 		})
@@ -136,8 +136,8 @@ func TestCrossEdomainRouteInEnclave(t *testing.T) {
 		}
 		expect(t, in, msg)
 	}
-	if hits := nodes[0].Counters().FastPathHits; hits != 1 {
-		t.Fatalf("ingress SN: %d cache hits, want 1 (the second packet)", hits)
+	if hits := nodes[0].Telemetry().Snapshot().Value("sn_fastpath_hits_total"); hits != 1 {
+		t.Fatalf("ingress SN: %v cache hits, want 1 (the second packet)", hits)
 	}
 	if n := nodes[1].Telemetry().Snapshot().Value("sn_transit_unwrapped_total"); n != 2 {
 		t.Fatalf("egress SN unwrapped %v of 2 packets; the others crossed without their transit header", n)

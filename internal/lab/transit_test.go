@@ -52,10 +52,10 @@ func expect(t *testing.T, ch chan string, want string) {
 	}
 }
 
-func sumForwarded(eds ...*Edomain) (n uint64) {
+func sumForwarded(eds ...*Edomain) (n float64) {
 	for _, ed := range eds {
 		for _, node := range ed.SNs {
-			n += node.Counters().Forwarded
+			n += node.Telemetry().Snapshot().Value("sn_forwarded_total")
 		}
 	}
 	return n
@@ -110,7 +110,7 @@ func TestEqualConnectionIDsFromTwoHosts(t *testing.T) {
 	time.Sleep(50 * time.Millisecond) // a loop would keep forwarding
 	const hops = 4                    // SN → gateway → gateway → SN → host
 	if fwd := sumForwarded(edA, edB); fwd > hops*2*packets {
-		t.Fatalf("SNs forwarded %d packet copies, want at most %d", fwd, hops*2*packets)
+		t.Fatalf("SNs forwarded %v packet copies, want at most %v", fwd, hops*2*packets)
 	}
 	for _, f := range flows {
 		if len(f.in) != 0 {
@@ -154,12 +154,12 @@ func TestWarmFlowFollowsRepublishedDestination(t *testing.T) {
 			}
 			ingress, oldSN := srcEd.SNs[0], edB.SNs[1]
 			send("first")
-			decided := ingress.Counters().SlowPathSent
+			decided := ingress.Telemetry().Snapshot().Value("sn_slowpath_sent_total")
 			for i := 0; i < 4; i++ {
 				send(fmt.Sprintf("warm %d", i))
 			}
-			if slow := ingress.Counters().SlowPathSent - decided; slow != 0 {
-				t.Fatalf("ingress SN took the slow path %d times for 4 packets of a decided flow", slow)
+			if slow := ingress.Telemetry().Snapshot().Value("sn_slowpath_sent_total") - decided; slow != 0 {
+				t.Fatalf("ingress SN took the slow path %v times for 4 packets of a decided flow", slow)
 			}
 
 			if err := topo.MoveHost(mobile, edB, 2); err != nil {
@@ -168,20 +168,20 @@ func TestWarmFlowFollowsRepublishedDestination(t *testing.T) {
 			// One publish: the ingress SN's resolution cache hears of it
 			// and drops the rule that depended on the old record.
 			deadline := time.Now().Add(3 * time.Second)
-			for ingress.Cache().Snapshot().Invalidated[1] == 0 {
+			for ingress.Telemetry().Snapshot().Value(`cache_invalidated_total{cause="dest"}`) == 0 {
 				if time.Now().After(deadline) {
 					t.Fatal("the republish never invalidated the ingress SN's rule")
 				}
 				time.Sleep(time.Millisecond)
 			}
-			viaOld := oldSN.Counters().RxPackets
+			viaOld := oldSN.Telemetry().Snapshot().Value("sn_rx_packets_total")
 			for i := 0; i < 4; i++ {
 				send(fmt.Sprintf("moved %d", i))
 			}
-			if n := oldSN.Counters().RxPackets - viaOld; n != 0 {
-				t.Fatalf("%d packets went by way of the SN the destination left", n)
+			if n := oldSN.Telemetry().Snapshot().Value("sn_rx_packets_total") - viaOld; n != 0 {
+				t.Fatalf("%v packets went by way of the SN the destination left", n)
 			}
-			if ingress.Counters().SlowPathSent == decided {
+			if ingress.Telemetry().Snapshot().Value("sn_slowpath_sent_total") == decided {
 				t.Fatal("the flow was not decided again after the republish")
 			}
 		})
@@ -210,9 +210,9 @@ func TestRouteChangeMovesWarmFlow(t *testing.T) {
 	gateway := edA.Gateway()
 	// viaGateway sends four packets and reports how many crossed ed-a's
 	// gateway.
-	viaGateway := func(tag string) uint64 {
+	viaGateway := func(tag string) float64 {
 		t.Helper()
-		before := gateway.Counters().RxPackets
+		before := gateway.Telemetry().Snapshot().Value("sn_rx_packets_total")
 		for i := 0; i < 4; i++ {
 			msg := fmt.Sprintf("%s %d", tag, i)
 			if err := conn.Send(ipfwd.DestData(receiver.Addr()), []byte(msg)); err != nil {
@@ -220,17 +220,17 @@ func TestRouteChangeMovesWarmFlow(t *testing.T) {
 			}
 			expect(t, in, msg)
 		}
-		return gateway.Counters().RxPackets - before
+		return gateway.Telemetry().Snapshot().Value("sn_rx_packets_total") - before
 	}
 	if n := viaGateway("chain"); n != 4 {
-		t.Fatalf("%d of 4 packets crossed the gateway before direct connect, want 4", n)
+		t.Fatalf("%v of 4 packets crossed the gateway before direct connect, want 4", n)
 	}
 	topo.Fabric.SetDirectConnect(true)
 	if n := viaGateway("direct"); n != 0 {
-		t.Fatalf("%d of 4 packets still crossed the gateway with direct connect on", n)
+		t.Fatalf("%v of 4 packets still crossed the gateway with direct connect on", n)
 	}
 	topo.Fabric.SetDirectConnect(false)
 	if n := viaGateway("chain again"); n != 4 {
-		t.Fatalf("%d of 4 packets crossed the gateway with direct connect off again, want 4", n)
+		t.Fatalf("%v of 4 packets crossed the gateway with direct connect off again, want 4", n)
 	}
 }

@@ -113,7 +113,7 @@ func TestDirectConnectOptimizationEndToEnd(t *testing.T) {
 		t.Fatal("on-demand direct pipe not established")
 	}
 	// Gateways saw none of this.
-	if edA.Gateway().Counters().RxPackets != 0 {
+	if edA.Gateway().Telemetry().Snapshot().Value("sn_rx_packets_total") != 0 {
 		t.Fatal("gateway carried traffic despite direct connect")
 	}
 }

@@ -3,6 +3,7 @@ package netsim
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"testing"
 	"time"
@@ -65,12 +66,12 @@ func TestFabricSendBatchOrderAndStats(t *testing.T) {
 			t.Fatalf("datagram %d Src = %s", i, dg.Src)
 		}
 	}
-	st := n.Snapshot()
-	if st.Batches != 1 {
-		t.Fatalf("Batches = %d, want 1 (native vectored path)", st.Batches)
+	st := n.Telemetry().Snapshot()
+	if st.Value("netsim_batches_total") != 1 {
+		t.Fatalf("Batches = %v, want 1 (native vectored path)", st.Value("netsim_batches_total"))
 	}
-	if st.Sent != count || st.Delivered != count {
-		t.Fatalf("Sent/Delivered = %d/%d, want %d/%d", st.Sent, st.Delivered, count, count)
+	if st.Value("netsim_sent_total") != count || st.Value("netsim_delivered_total") != count {
+		t.Fatalf("Sent/Delivered = %v/%v, want %v/%v", st.Value("netsim_sent_total"), st.Value("netsim_delivered_total"), count, count)
 	}
 }
 
@@ -88,8 +89,8 @@ func TestSendBatchHelperFallsBackToSend(t *testing.T) {
 		t.Fatalf("fallback Sends = %d, want %d", lt.sends, count)
 	}
 	drainN(t, b.Receive(), count)
-	if st := n.Snapshot(); st.Batches != 0 {
-		t.Fatalf("Batches = %d, want 0 (helper must not claim a native batch)", st.Batches)
+	if st := n.Telemetry().Snapshot(); st.Value("netsim_batches_total") != 0 {
+		t.Fatalf("Batches = %v, want 0 (helper must not claim a native batch)", st.Value("netsim_batches_total"))
 	}
 }
 
@@ -118,8 +119,8 @@ func TestFabricSendBatchPartitionCountsConsumed(t *testing.T) {
 	if err != nil || sent != 4 {
 		t.Fatalf("SendBatch = %d, %v (black-holed datagrams count as consumed)", sent, err)
 	}
-	if st := n.Snapshot(); st.DroppedDead != 4 {
-		t.Fatalf("DroppedDead = %d, want 4", st.DroppedDead)
+	if st := n.Telemetry().Snapshot(); st.Value("netsim_dropped_dead_total") != 4 {
+		t.Fatalf("DroppedDead = %v, want 4", st.Value("netsim_dropped_dead_total"))
 	}
 }
 
@@ -127,7 +128,7 @@ func TestFabricSendBatchPartitionCountsConsumed(t *testing.T) {
 // seeded loss/duplicate pattern the equivalent Send sequence would: the
 // random draws are strictly per-datagram, in order, on both paths.
 func TestFabricBatchFaultDeterminism(t *testing.T) {
-	run := func(batch bool) Stats {
+	run := func(batch bool) map[string]float64 {
 		n := NewNetwork(WithSeed(42))
 		a, _ := n.Attach(wire.MustAddr("fd00::1"))
 		b, _ := n.Attach(wire.MustAddr("fd00::2"))
@@ -150,18 +151,18 @@ func TestFabricBatchFaultDeterminism(t *testing.T) {
 		// accounting to converge.
 		deadline := time.Now().Add(2 * time.Second)
 		for time.Now().Before(deadline) {
-			st := n.Snapshot()
-			if st.Delivered+st.DroppedQueue == st.Sent-st.DroppedLoss+st.Duplicated {
+			st := n.Telemetry().Snapshot()
+			if st.Value("netsim_delivered_total")+st.Value("netsim_dropped_queue_total") == st.Value("netsim_sent_total")-st.Value("netsim_dropped_loss_total")+st.Value("netsim_duplicated_total") {
 				break
 			}
 			time.Sleep(time.Millisecond)
 		}
-		st := n.Snapshot()
-		st.Batches = 0 // the one counter that legitimately differs
+		st := counterValues(n.Telemetry().Snapshot())
+		delete(st, "netsim_batches_total") // the one counter that legitimately differs
 		return st
 	}
 	seq, bat := run(false), run(true)
-	if seq != bat {
+	if !maps.Equal(seq, bat) {
 		t.Fatalf("fault pattern diverged:\n sequential: %+v\n batch:      %+v", seq, bat)
 	}
 }
@@ -211,11 +212,11 @@ func TestUDPSendBatchRoundTrip(t *testing.T) {
 			if len(seen) != count {
 				t.Fatalf("received %d distinct payloads, want %d", len(seen), count)
 			}
-			st := ta.Stats()
-			if st.TxPackets != count || st.TxBatches != 1 {
-				t.Fatalf("TxPackets/TxBatches = %d/%d, want %d/1", st.TxPackets, st.TxBatches, count)
+			st := ta.telem.Snapshot()
+			if st.Value("transport_udp_tx_packets_total") != count || st.Value("transport_udp_tx_batches_total") != 1 {
+				t.Fatalf("TxPackets/TxBatches = %v/%v, want %v/1", st.Value("transport_udp_tx_packets_total"), st.Value("transport_udp_tx_batches_total"), count)
 			}
-			if rs := tb.Stats(); rs.RxPackets != count || rs.RxMalformed != 0 || rs.RxDropped != 0 {
+			if rs := tb.telem.Snapshot(); rs.Value("transport_udp_rx_packets_total") != count || rs.Value("transport_udp_rx_malformed_total") != 0 || rs.Value("transport_udp_rx_dropped_total") != 0 {
 				t.Fatalf("receiver stats = %+v", rs)
 			}
 		})
@@ -298,17 +299,17 @@ func TestUDPRxMalformedAndDropCounters(t *testing.T) {
 		if _, err := raw.Write([]byte{0x01, 0x02}); err != nil {
 			t.Fatal(err)
 		}
-		waitFor := func(what string, get func() uint64, want uint64) {
+		waitFor := func(name string, want float64) {
 			t.Helper()
 			deadline := time.Now().Add(2 * time.Second)
-			for get() < want {
+			for tr.telem.Snapshot().Value(name) < want {
 				if time.Now().After(deadline) {
-					t.Fatalf("%s = %d, want >= %d", what, get(), want)
+					t.Fatalf("%s = %v, want >= %v", name, tr.telem.Snapshot().Value(name), want)
 				}
 				time.Sleep(time.Millisecond)
 			}
 		}
-		waitFor("RxMalformed", func() uint64 { return tr.Stats().RxMalformed }, 1)
+		waitFor("transport_udp_rx_malformed_total", 1)
 
 		good := wire.Datagram{Src: wire.MustAddr("fd00::b"), Dst: addr, Payload: []byte("x")}
 		enc, err := good.Encode()
@@ -320,9 +321,9 @@ func TestUDPRxMalformedAndDropCounters(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		waitFor("RxDropped", func() uint64 { return tr.Stats().RxDropped }, 1)
-		if st := tr.Stats(); st.RxPackets == 0 {
-			t.Fatalf("RxPackets = 0, want > 0; stats %+v", st)
+		waitFor("transport_udp_rx_dropped_total", 1)
+		if st := tr.telem.Snapshot(); st.Value("transport_udp_rx_packets_total") == 0 {
+			t.Fatalf("RxPackets = 0, want > 0; stats\n%s", st)
 		}
 	})
 }
@@ -369,8 +370,8 @@ func TestUDPGSOSuperDatagramRoundTrip(t *testing.T) {
 	if len(seen) != count {
 		t.Fatalf("received %d distinct payloads, want %d", len(seen), count)
 	}
-	if st := ta.Stats(); st.TxPackets != count || st.TxBatches != 1 {
-		t.Fatalf("TxPackets/TxBatches = %d/%d, want %d/1", st.TxPackets, st.TxBatches, count)
+	if st := ta.telem.Snapshot(); st.Value("transport_udp_tx_packets_total") != count || st.Value("transport_udp_tx_batches_total") != 1 {
+		t.Fatalf("TxPackets/TxBatches = %v/%v, want %v/1", st.Value("transport_udp_tx_packets_total"), st.Value("transport_udp_tx_batches_total"), count)
 	}
 	if got := ta.gsoSegments.Count(); got == 0 {
 		t.Fatal("transport_gso_segments recorded no observations on the GSO path")

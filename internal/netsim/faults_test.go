@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"bytes"
+	"maps"
 	"testing"
 	"time"
 
@@ -36,9 +37,9 @@ func TestFaultDuplicateDeliversTwice(t *testing.T) {
 	if len(got) != 2*sends {
 		t.Fatalf("delivered %d datagrams, want %d", len(got), 2*sends)
 	}
-	st := n.Snapshot()
-	if st.Duplicated != sends {
-		t.Fatalf("Duplicated = %d, want %d", st.Duplicated, sends)
+	st := n.Telemetry().Snapshot()
+	if st.Value("netsim_duplicated_total") != sends {
+		t.Fatalf("Duplicated = %v, want %v", st.Value("netsim_duplicated_total"), sends)
 	}
 }
 
@@ -66,8 +67,8 @@ func TestFaultCorruptFlipsExactlyOneBit(t *testing.T) {
 	if diffBits != 1 {
 		t.Fatalf("payload differs by %d bits, want exactly 1", diffBits)
 	}
-	if st := n.Snapshot(); st.Corrupted != 1 {
-		t.Fatalf("Corrupted = %d, want 1", st.Corrupted)
+	if st := n.Telemetry().Snapshot(); st.Value("netsim_corrupted_total") != 1 {
+		t.Fatalf("Corrupted = %v, want 1", st.Value("netsim_corrupted_total"))
 	}
 }
 
@@ -106,13 +107,13 @@ func TestFaultReorderShufflesButKeepsAll(t *testing.T) {
 	if inOrder {
 		t.Fatal("reorder fault left arrival order identical to send order")
 	}
-	if st := n.Snapshot(); st.Reordered == 0 {
+	if st := n.Telemetry().Snapshot(); st.Value("netsim_reordered_total") == 0 {
 		t.Fatal("Reordered counter is zero")
 	}
 }
 
 func TestFaultsDeterministicWithSeed(t *testing.T) {
-	run := func() Stats {
+	run := func() map[string]float64 {
 		clk := clock.NewManual(time.Unix(0, 0))
 		n := NewNetwork(WithClock(clk), WithSeed(42))
 		a := attach(t, n, "fd00::1")
@@ -132,13 +133,13 @@ func TestFaultsDeterministicWithSeed(t *testing.T) {
 		}
 		clk.Advance(20 * time.Millisecond)
 		drainFor(b, 50*time.Millisecond)
-		return n.Snapshot()
+		return counterValues(n.Telemetry().Snapshot())
 	}
 	s1, s2 := run(), run()
-	if s1 != s2 {
+	if !maps.Equal(s1, s2) {
 		t.Fatalf("same seed produced different fault patterns:\n%+v\n%+v", s1, s2)
 	}
-	if s1.Duplicated == 0 || s1.Reordered == 0 || s1.Corrupted == 0 {
+	if s1["netsim_duplicated_total"] == 0 || s1["netsim_reordered_total"] == 0 || s1["netsim_corrupted_total"] == 0 {
 		t.Fatalf("expected all fault classes to fire: %+v", s1)
 	}
 }

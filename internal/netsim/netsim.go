@@ -173,37 +173,20 @@ type linkState struct {
 	nextFree time.Time // fluid-model: when the link is next idle
 }
 
-// Stats aggregates fabric-wide counters. It is a view over the fabric's
-// netsim_* telemetry instruments: per-field atomic, not a cross-field
-// consistent cut.
-type Stats struct {
-	Sent         uint64
-	Delivered    uint64
-	DroppedLoss  uint64
-	DroppedQueue uint64
-	DroppedDead  uint64 // destination not attached
-	BytesSent    uint64
-	Duplicated   uint64 // extra copies injected by DuplicateRate
-	Reordered    uint64 // datagrams held back by ReorderRate
-	Corrupted    uint64 // delivered copies with an injected bit flip
-	Batches      uint64 // native SendBatch calls on the fabric
-}
-
 // fabricStats holds the fabric counters as telemetry instruments in the
-// network's registry, so the per-packet send path never needs the
-// network's exclusive lock and the same values serve Snapshot(), the
-// netsim_* series in the registry, and any node-registry re-exposure.
+// network's registry (the netsim_* series), so the per-packet send path
+// never needs the network's exclusive lock.
 type fabricStats struct {
 	sent         *telemetry.Counter
 	delivered    *telemetry.Counter
 	droppedLoss  *telemetry.Counter
 	droppedQueue *telemetry.Counter
-	droppedDead  *telemetry.Counter
+	droppedDead  *telemetry.Counter // destination not attached
 	bytesSent    *telemetry.Counter
-	duplicated   *telemetry.Counter
-	reordered    *telemetry.Counter
-	corrupted    *telemetry.Counter
-	batches      *telemetry.Counter
+	duplicated   *telemetry.Counter // extra copies injected by DuplicateRate
+	reordered    *telemetry.Counter // datagrams held back by ReorderRate
+	corrupted    *telemetry.Counter // delivered copies with an injected bit flip
+	batches      *telemetry.Counter // native SendBatch calls on the fabric
 }
 
 func newFabricStats(reg *telemetry.Registry) fabricStats {
@@ -218,21 +201,6 @@ func newFabricStats(reg *telemetry.Registry) fabricStats {
 		reordered:    reg.Counter("netsim_reordered_total"),
 		corrupted:    reg.Counter("netsim_corrupted_total"),
 		batches:      reg.Counter("netsim_batches_total"),
-	}
-}
-
-func (a *fabricStats) snapshot() Stats {
-	return Stats{
-		Sent:         a.sent.Load(),
-		Delivered:    a.delivered.Load(),
-		DroppedLoss:  a.droppedLoss.Load(),
-		DroppedQueue: a.droppedQueue.Load(),
-		DroppedDead:  a.droppedDead.Load(),
-		BytesSent:    a.bytesSent.Load(),
-		Duplicated:   a.duplicated.Load(),
-		Reordered:    a.reordered.Load(),
-		Corrupted:    a.corrupted.Load(),
-		Batches:      a.batches.Load(),
 	}
 }
 
@@ -298,11 +266,6 @@ func (n *Network) Heal(a, b wire.Addr) {
 	defer n.mu.Unlock()
 	delete(n.partitions, linkKey{a, b})
 	delete(n.partitions, linkKey{b, a})
-}
-
-// Snapshot returns current fabric counters.
-func (n *Network) Snapshot() Stats {
-	return n.stats.snapshot()
 }
 
 // Attach connects a new node at addr and returns its transport.

@@ -5,8 +5,21 @@ import (
 	"time"
 
 	"interedge/internal/clock"
+	"interedge/internal/telemetry"
 	"interedge/internal/wire"
 )
+
+// counterValues returns a snapshot's counters by name, so that two runs'
+// counts can be compared whole.
+func counterValues(s telemetry.Snapshot) map[string]float64 {
+	m := make(map[string]float64)
+	for _, smp := range s {
+		if smp.Kind == telemetry.KindCounter {
+			m[smp.Name] = smp.Value
+		}
+	}
+	return m
+}
 
 func attach(t *testing.T, n *Network, addr string) Transport {
 	t.Helper()
@@ -216,12 +229,12 @@ func TestQueueOverflowDrops(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := n.Snapshot()
-	if st.DroppedQueue != 6 {
-		t.Fatalf("DroppedQueue = %d, want 6", st.DroppedQueue)
+	st := n.Telemetry().Snapshot()
+	if st.Value("netsim_dropped_queue_total") != 6 {
+		t.Fatalf("DroppedQueue = %v, want 6", st.Value("netsim_dropped_queue_total"))
 	}
-	if st.Delivered != 4 {
-		t.Fatalf("Delivered = %d, want 4", st.Delivered)
+	if st.Value("netsim_delivered_total") != 4 {
+		t.Fatalf("Delivered = %v, want 4", st.Value("netsim_delivered_total"))
 	}
 }
 
@@ -271,8 +284,8 @@ func TestStatsCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := n.Snapshot()
-	if st.Sent != 5 || st.Delivered != 5 || st.BytesSent != 500 {
+	st := n.Telemetry().Snapshot()
+	if st.Value("netsim_sent_total") != 5 || st.Value("netsim_delivered_total") != 5 || st.Value("netsim_bytes_sent_total") != 500 {
 		t.Fatalf("stats = %+v", st)
 	}
 }

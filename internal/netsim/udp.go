@@ -45,15 +45,6 @@ func (d *UDPDirectory) Lookup(addr wire.Addr) (*net.UDPAddr, bool) {
 	return ep, ok
 }
 
-// UDPStats counts what the socket path did. All counters are monotonic.
-type UDPStats struct {
-	RxPackets   uint64 // datagrams decoded and queued for the receiver
-	RxDropped   uint64 // well-formed datagrams dropped at a full rx queue
-	RxMalformed uint64 // datagrams that failed wire decode
-	TxPackets   uint64 // datagrams written to the socket
-	TxBatches   uint64 // SendBatch flushes (vectored or loop fallback)
-}
-
 // errMMsgUnsupported is the platform hooks' signal to fall back to the
 // portable per-packet path; it never escapes this package.
 var errMMsgUnsupported = errors.New("netsim: mmsg unsupported")
@@ -384,19 +375,6 @@ func (t *UDPTransport) releaseTx(st *udpTxState) {
 	st.eps = st.eps[:0]
 	t.releaseGSO(st)
 	t.txPool.Put(st)
-}
-
-// Stats returns a snapshot of the socket counters. It is a legacy view over
-// the transport_udp_* telemetry instruments: each field is read atomically,
-// but the struct is not one consistent cut across counters.
-func (t *UDPTransport) Stats() UDPStats {
-	return UDPStats{
-		RxPackets:   t.rxPackets.Load(),
-		RxDropped:   t.rxDropped.Load(),
-		RxMalformed: t.rxMalformed.Load(),
-		TxPackets:   t.txPackets.Load(),
-		TxBatches:   t.txBatches.Load(),
-	}
 }
 
 // RegisterTelemetry implements telemetry.Registrable: it shares the socket

@@ -361,7 +361,7 @@ func TestInterEdomainTransitEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for deadline := time.Now().Add(3 * time.Second); ; time.Sleep(time.Millisecond) {
-		if gwA.Counters().Modules[0].Handled >= 2 {
+		if gwA.ModuleHealth()[0].Handled >= 2 {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -141,7 +141,7 @@ func TestBatchHandlerNeverSeesProbes(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if recv.mgr.Stats().KeepalivesRcvd == 0 && b.mgr.Stats().KeepalivesRcvd == 0 {
+	if recv.mgr.Telemetry().Snapshot().Value("pipe_keepalives_rcvd_total") == 0 && b.mgr.Telemetry().Snapshot().Value("pipe_keepalives_rcvd_total") == 0 {
 		t.Fatal("no keepalives exchanged; probe suppression not exercised")
 	}
 }

@@ -56,7 +56,7 @@ func (e *Engine) newEgress() *egress {
 // wire offsets) and queues it for the next flush, which seals the whole
 // run. A nil return means the packet was accepted for (possibly deferred)
 // transmission; seal and transport failures at flush time surface as
-// TxFlushDrops in Stats, matching how a NIC ring reports late drops.
+// pipe_tx_flush_drops_total, matching how a NIC ring reports late drops.
 func (eg *egress) SendHeaderBytes(dst wire.Addr, hdrBytes, payload []byte) error {
 	key := pipeKey{local: eg.local, remote: dst}
 	p := eg.e.peer(key)

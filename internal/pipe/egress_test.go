@@ -102,8 +102,8 @@ func TestEgressCapTriggeredFlush(t *testing.T) {
 	if _, batches := rec.snapshot(); len(batches) != 2 || batches[1] != 2 {
 		t.Fatalf("batches after drain = %v, want [4 2]", batches)
 	}
-	st := a.Stats()
-	if st.TxBatches != 2 || st.TxBatchedPackets != 6 || st.TxFlushDrops != 0 {
+	st := a.Telemetry().Snapshot()
+	if st.Value("pipe_tx_batches_total") != 2 || st.Value("pipe_tx_batched_packets_total") != 6 || st.Value("pipe_tx_flush_drops_total") != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -147,10 +147,10 @@ func TestEgressImmediateFlushAtLowLoad(t *testing.T) {
 	}
 	// The flush counts the packet once the transport has taken it, which
 	// can be after c has it.
-	waitFor(t, "the flush counted", func() bool { return fwd.Stats().TxBatchedPackets != 0 })
-	st := fwd.Stats()
-	if st.TxBatchedPackets != 1 {
-		t.Fatalf("TxBatchedPackets = %d, want 1", st.TxBatchedPackets)
+	waitFor(t, "the flush counted", func() bool { return fwd.Telemetry().Snapshot().Value("pipe_tx_batched_packets_total") != 0 })
+	st := fwd.Telemetry().Snapshot()
+	if st.Value("pipe_tx_batched_packets_total") != 1 {
+		t.Fatalf("TxBatchedPackets = %v, want 1", st.Value("pipe_tx_batched_packets_total"))
 	}
 }
 
@@ -197,13 +197,13 @@ func TestEgressPerSourceOrderingAcrossBatches(t *testing.T) {
 			t.Fatalf("timeout at packet %d/%d", i, count)
 		}
 	}
-	waitFor(t, "the last flush counted", func() bool { return fwd.Stats().TxBatchedPackets >= count })
-	st := fwd.Stats()
-	if st.TxBatchedPackets != count {
-		t.Fatalf("TxBatchedPackets = %d, want %d", st.TxBatchedPackets, count)
+	waitFor(t, "the last flush counted", func() bool { return fwd.Telemetry().Snapshot().Value("pipe_tx_batched_packets_total") >= count })
+	st := fwd.Telemetry().Snapshot()
+	if st.Value("pipe_tx_batched_packets_total") != count {
+		t.Fatalf("TxBatchedPackets = %v, want %v", st.Value("pipe_tx_batched_packets_total"), count)
 	}
-	if st.TxBatches == 0 || st.TxBatches > count {
-		t.Fatalf("TxBatches = %d, want within (0, %d]", st.TxBatches, count)
+	if st.Value("pipe_tx_batches_total") == 0 || st.Value("pipe_tx_batches_total") > count {
+		t.Fatalf("TxBatches = %v, want within (0, %v]", st.Value("pipe_tx_batches_total"), count)
 	}
 }
 
@@ -244,7 +244,7 @@ func TestEgressDisabled(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("timeout")
 	}
-	if st := fwd.Stats(); st.TxBatches != 0 || st.TxBatchedPackets != 0 {
+	if st := fwd.Telemetry().Snapshot(); st.Value("pipe_tx_batches_total") != 0 || st.Value("pipe_tx_batched_packets_total") != 0 {
 		t.Fatalf("stats = %+v, want no batch accounting with coalescing disabled", st)
 	}
 }

@@ -382,21 +382,6 @@ func (e *Engine) RxWorkers() int { return e.cfg.RxWorkers }
 // Pipes returns the number of established pipes across all endpoints.
 func (e *Engine) Pipes() int { return int(e.peerCount.Load()) }
 
-// Stats returns a snapshot of engine-wide pipe metrics.
-func (e *Engine) Stats() Stats {
-	return Stats{
-		HandshakeAttempts: e.handshakeAttempts.Load(),
-		HandshakeFailures: e.handshakeFailures.Load(),
-		KeepalivesSent:    e.keepalivesSent.Load(),
-		KeepalivesRcvd:    e.keepalivesRcvd.Load(),
-		PeersLost:         e.peersLost.Load(),
-		Reestablished:     e.reestablished.Load(),
-		TxBatches:         e.txBatches.Load(),
-		TxBatchedPackets:  e.txBatchedPackets.Load(),
-		TxFlushDrops:      e.txFlushDrops.Load(),
-	}
-}
-
 // AddEndpoint registers a local identity on the engine. It fails if the
 // address is already registered.
 func (e *Engine) AddEndpoint(cfg EndpointConfig) error {

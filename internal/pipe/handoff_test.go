@@ -56,7 +56,7 @@ func TestExportImportRebind(t *testing.T) {
 	if state.Addr != host.addr || state.TxEpoch != 1 {
 		t.Fatalf("exported state %+v, want host addr and TxEpoch 1", state)
 	}
-	baseAttempts := snB.mgr.Stats().HandshakeAttempts
+	baseAttempts := snB.mgr.Telemetry().Snapshot().Value("pipe_handshake_attempts_total")
 
 	if err := snB.mgr.ImportPeer(state); err != nil {
 		t.Fatal(err)
@@ -82,8 +82,8 @@ func TestExportImportRebind(t *testing.T) {
 	}
 	waitRx(t, snB, "to-b")
 
-	if got := snB.mgr.Stats().HandshakeAttempts; got != baseAttempts {
-		t.Fatalf("importer sent %d handshake attempts during handoff, want 0", got-baseAttempts)
+	if got := snB.mgr.Telemetry().Snapshot().Value("pipe_handshake_attempts_total"); got != baseAttempts {
+		t.Fatalf("importer sent %v handshake attempts during handoff, want 0", got-baseAttempts)
 	}
 	id, ok := snB.mgr.PeerIdentity(host.addr)
 	if !ok || !id.Equal(host.mgr.Identity().PublicKey()) {

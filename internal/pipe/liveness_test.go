@@ -25,15 +25,15 @@ func TestKeepaliveKeepsIdlePipeAlive(t *testing.T) {
 	}
 	// Whichever side's tick fires first becomes the prober and the other
 	// only answers, so judge the probe traffic across both managers.
-	sa, sb := a.mgr.Stats(), b.mgr.Stats()
-	if sa.KeepalivesSent+sb.KeepalivesSent == 0 {
+	sa, sb := a.mgr.Telemetry().Snapshot(), b.mgr.Telemetry().Snapshot()
+	if sa.Value("pipe_keepalives_sent_total")+sb.Value("pipe_keepalives_sent_total") == 0 {
 		t.Fatal("no keepalives sent on idle pipe")
 	}
-	if sa.KeepalivesRcvd+sb.KeepalivesRcvd == 0 {
+	if sa.Value("pipe_keepalives_rcvd_total")+sb.Value("pipe_keepalives_rcvd_total") == 0 {
 		t.Fatal("no keepalives answered on idle pipe")
 	}
-	if sa.PeersLost+sb.PeersLost != 0 {
-		t.Fatalf("peers lost on healthy pipe: %d/%d", sa.PeersLost, sb.PeersLost)
+	if sa.Value("pipe_peers_lost_total")+sb.Value("pipe_peers_lost_total") != 0 {
+		t.Fatalf("peers lost on healthy pipe: %v/%v", sa.Value("pipe_peers_lost_total"), sb.Value("pipe_peers_lost_total"))
 	}
 	// Probe and ack packets are consumed inside the manager, never
 	// dispatched to the packet handler.
@@ -81,8 +81,8 @@ func TestDeadPeerDetectionFiresOnPeerDown(t *testing.T) {
 	if got := downAddr.Load().(wire.Addr); got != b.addr {
 		t.Fatalf("OnPeerDown addr = %s, want %s", got, b.addr)
 	}
-	if st := a.mgr.Stats(); st.PeersLost != 1 {
-		t.Fatalf("PeersLost = %d, want 1", st.PeersLost)
+	if st := a.mgr.Telemetry().Snapshot(); st.Value("pipe_peers_lost_total") != 1 {
+		t.Fatalf("PeersLost = %v, want 1", st.Value("pipe_peers_lost_total"))
 	}
 }
 
@@ -119,7 +119,7 @@ func TestReestablishAfterPartitionHeals(t *testing.T) {
 	// pipe, a's own redial goroutine may still be in its backoff sleep and
 	// count the success a beat later. Poll rather than assert immediately.
 	deadline = time.Now().Add(2 * time.Second)
-	for a.mgr.Stats().Reestablished == 0 {
+	for a.mgr.Telemetry().Snapshot().Value("pipe_reestablished_total") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("Reestablished counter is zero")
 		}
@@ -156,12 +156,12 @@ func TestHandshakeBackoffMetricsAndFailure(t *testing.T) {
 		t.Fatalf("err = %v, want ErrHandshakeTimeout", err)
 	}
 	elapsed := time.Since(start)
-	st := a.mgr.Stats()
-	if st.HandshakeAttempts != 4 {
-		t.Fatalf("HandshakeAttempts = %d, want 4", st.HandshakeAttempts)
+	st := a.mgr.Telemetry().Snapshot()
+	if st.Value("pipe_handshake_attempts_total") != 4 {
+		t.Fatalf("HandshakeAttempts = %v, want 4", st.Value("pipe_handshake_attempts_total"))
 	}
-	if st.HandshakeFailures != 1 {
-		t.Fatalf("HandshakeFailures = %d, want 1", st.HandshakeFailures)
+	if st.Value("pipe_handshake_failures_total") != 1 {
+		t.Fatalf("HandshakeFailures = %v, want 1", st.Value("pipe_handshake_failures_total"))
 	}
 	// Backoff schedule: jittered [d/2, d) waits for d = 5, 10, 20, 40ms —
 	// total in [37.5ms, 75ms). Allow slack above, but the cap must hold.

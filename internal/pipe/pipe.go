@@ -170,22 +170,6 @@ type PeerInfo struct {
 	RxBytes     uint64
 }
 
-// Stats aggregates engine-wide pipe metrics. It is a view over the engine's
-// telemetry instruments (the pipe_* names in the node registry); each field
-// is read atomically, but fields are not read at one common instant — see
-// the telemetry package consistency contract.
-type Stats struct {
-	HandshakeAttempts uint64 // msg1 transmissions, including retries
-	HandshakeFailures uint64 // Connect calls that exhausted their retries
-	KeepalivesSent    uint64 // liveness probes transmitted
-	KeepalivesRcvd    uint64 // probes answered for peers
-	PeersLost         uint64 // pipes torn down by dead-peer detection
-	Reestablished     uint64 // automatic re-handshakes that succeeded
-	TxBatches         uint64 // egress coalescing flushes handed to the transport
-	TxBatchedPackets  uint64 // packets sent through coalesced flushes
-	TxFlushDrops      uint64 // packets a failing flush could not hand off
-}
-
 // Manager is the handle of one endpoint on an Engine: every method is the
 // engine's, with the endpoint's address as the local end. A Manager from New
 // owns its engine and closes it; one from Engine.Attach removes only its
@@ -250,9 +234,6 @@ func (m *Manager) RxWorkers() int { return m.eng.RxWorkers() }
 
 // Telemetry returns the registry holding the engine's pipe instruments.
 func (m *Manager) Telemetry() *telemetry.Registry { return m.eng.Telemetry() }
-
-// Stats returns a snapshot of the engine's pipe metrics.
-func (m *Manager) Stats() Stats { return m.eng.Stats() }
 
 // Connect establishes (or returns) a pipe to addr, blocking until the
 // handshake completes or times out.

@@ -182,7 +182,7 @@ func TestAnycastNoMembersErrors(t *testing.T) {
 	}
 	node := edA.SNs[0]
 	deadline := time.Now().Add(3 * time.Second)
-	for node.Counters().ModuleErrors == 0 {
+	for node.Telemetry().Snapshot().Value("sn_module_errors_total") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("send to empty group never errored")
 		}
@@ -239,9 +239,9 @@ func TestAnycastFlowAffinityViaCache(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// Packets 2..5 must have hit the fast path.
-	c := edA.SNs[0].Counters()
-	if c.FastPathHits < 4 {
-		t.Fatalf("FastPathHits = %d, want >= 4 (affinity not cached)", c.FastPathHits)
+	c := edA.SNs[0].Telemetry().Snapshot()
+	if c.Value("sn_fastpath_hits_total") < 4 {
+		t.Fatalf("FastPathHits = %v, want >= 4 (affinity not cached)", c.Value("sn_fastpath_hits_total"))
 	}
 	_ = wire.SvcAnycast
 }

@@ -152,7 +152,7 @@ func (m *Module) HandlePacket(env sn.Env, pkt *sn.Packet) (sn.Decision, error) {
 		m.mu.Unlock()
 		if chunk == nil {
 			hdr := wire.ILPHeader{Service: wire.SvcBulk, Conn: pkt.Hdr.Conn, Data: append([]byte{kindMissing}, pkt.Hdr.Data[1:]...)}
-			return sn.Decision{Forwards: []sn.Forward{{Dst: pkt.Src, Hdr: &hdr, Empty: true}}}, nil
+			return sn.Decision{Forwards: []sn.Forward{{Dst: pkt.Src, Hdr: &hdr, Payload: []byte{}}}}, nil
 		}
 		data := make([]byte, 9, 9+len(name))
 		data[0] = kindChunk

@@ -167,7 +167,7 @@ func (m *Module) handleRequest(env sn.Env, pkt *sn.Packet) (sn.Decision, error) 
 	binary.BigEndian.PutUint64(fetch[2:10], id)
 	fetch = append(fetch, name...)
 	hdr := wire.ILPHeader{Service: wire.SvcWebBundle, Conn: pkt.Hdr.Conn, Data: fetch}
-	return sn.Decision{Forwards: []sn.Forward{{Dst: origin, Hdr: &hdr, Empty: true}}}, nil
+	return sn.Decision{Forwards: []sn.Forward{{Dst: origin, Hdr: &hdr, Payload: []byte{}}}}, nil
 }
 
 func (m *Module) handleOrigin(env sn.Env, pkt *sn.Packet) (sn.Decision, error) {

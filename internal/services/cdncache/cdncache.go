@@ -188,7 +188,7 @@ func (m *Module) handleGet(env sn.Env, pkt *sn.Packet) (sn.Decision, error) {
 	if !known {
 		m.mu.Unlock()
 		hdr := wire.ILPHeader{Service: wire.SvcCDNCache, Conn: pkt.Hdr.Conn, Data: append([]byte{kindMiss}, name...)}
-		return sn.Decision{Forwards: []sn.Forward{{Dst: pkt.Src, Hdr: &hdr, Empty: true}}}, nil
+		return sn.Decision{Forwards: []sn.Forward{{Dst: pkt.Src, Hdr: &hdr, Payload: []byte{}}}}, nil
 	}
 	pf, inflight := m.pending[name]
 	if !inflight {

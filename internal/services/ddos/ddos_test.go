@@ -100,9 +100,9 @@ func flood(t *testing.T, node *sn.SN, mod *Module, attacker, target *host.Host) 
 		time.Sleep(2 * time.Millisecond) // let the slow path see early packets
 	}
 	deadline := time.Now().Add(3 * time.Second)
-	for node.Counters().RuleDrops == 0 {
+	for node.Telemetry().Snapshot().Value("sn_rule_drops_total") == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("no fast-path drops; counters %+v", node.Counters())
+			t.Fatalf("no fast-path drops; counters\n%s", node.Telemetry().Snapshot())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -182,7 +182,7 @@ func TestUnprotectedTargetRejected(t *testing.T) {
 	}
 	node := ed.SNs[0]
 	deadline := time.Now().Add(3 * time.Second)
-	for node.Counters().ModuleErrors == 0 {
+	for node.Telemetry().Snapshot().Value("sn_module_errors_total") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("packet for unprotected target not rejected")
 		}
@@ -255,7 +255,7 @@ func TestUnprotectStopsService(t *testing.T) {
 	}
 	node := ed.SNs[0]
 	deadline := time.Now().Add(3 * time.Second)
-	for node.Counters().ModuleErrors == 0 {
+	for node.Telemetry().Snapshot().Value("sn_module_errors_total") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("packet after unprotect not rejected")
 		}

@@ -100,7 +100,7 @@ func TestDenyRuleBlocksAndOffloads(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(3 * time.Second)
-	for ed.SNs[0].Counters().RuleDrops == 0 {
+	for ed.SNs[0].Telemetry().Snapshot().Value("sn_rule_drops_total") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("denied flow not offloaded to fast path")
 		}

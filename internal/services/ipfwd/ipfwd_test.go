@@ -136,8 +136,8 @@ func TestFlowCachedAfterFirstPacket(t *testing.T) {
 		}
 		await(t, inbox, "next")
 	}
-	if c := edA.SNs[0].Counters(); c.FastPathHits < 4 {
-		t.Fatalf("FastPathHits = %d, want >= 4", c.FastPathHits)
+	if c := edA.SNs[0].Telemetry().Snapshot(); c.Value("sn_fastpath_hits_total") < 4 {
+		t.Fatalf("FastPathHits = %v, want >= 4", c.Value("sn_fastpath_hits_total"))
 	}
 }
 
@@ -155,7 +155,7 @@ func TestUnknownDestinationErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(3 * time.Second)
-	for edA.SNs[0].Counters().ModuleErrors == 0 {
+	for edA.SNs[0].Telemetry().Snapshot().Value("sn_module_errors_total") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("unknown destination not rejected")
 		}

@@ -240,7 +240,7 @@ func TestErrors(t *testing.T) {
 	}
 	node := ed.SNs[1]
 	deadline := time.Now().Add(3 * time.Second)
-	for node.Counters().ModuleErrors == 0 {
+	for node.Telemetry().Snapshot().Value("sn_module_errors_total") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("produce at non-home not rejected")
 		}
@@ -295,11 +295,11 @@ func TestMirroredTopicLeavesSNsIdle(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	before := []uint64{ed.SNs[0].Counters().RxPackets, ed.SNs[1].Counters().RxPackets}
+	before := []float64{ed.SNs[0].Telemetry().Snapshot().Value("sn_rx_packets_total"), ed.SNs[1].Telemetry().Snapshot().Value("sn_rx_packets_total")}
 	time.Sleep(500 * time.Millisecond)
 	for i, node := range ed.SNs {
-		if rx := node.Counters().RxPackets; rx-before[i] > 2 {
-			t.Errorf("SN %d received %d packets over an idle 500 ms", i, rx-before[i])
+		if rx := node.Telemetry().Snapshot().Value("sn_rx_packets_total"); rx-before[i] > 2 {
+			t.Errorf("SN %v received %v packets over an idle 500 ms", i, rx-before[i])
 		}
 	}
 	dropped := ed.SNs[0].Telemetry().Snapshot().Value(`sn_control_ops_total{service="unknown",op="unknown",result="dropped"}`)

@@ -158,7 +158,7 @@ func TestUnregisteredSenderRejected(t *testing.T) {
 	}
 	node := edA.SNs[0]
 	deadline := time.Now().Add(3 * time.Second)
-	for node.Counters().ModuleErrors == 0 {
+	for node.Telemetry().Snapshot().Value("sn_module_errors_total") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("unregistered send never rejected")
 		}

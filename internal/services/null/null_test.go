@@ -100,11 +100,11 @@ func TestNoCacheRulesInstalled(t *testing.T) {
 			t.Fatal("timeout")
 		}
 	}
-	c := ed.SNs[0].Counters()
-	if c.FastPathHits != 0 {
-		t.Fatalf("FastPathHits = %d, want 0", c.FastPathHits)
+	c := ed.SNs[0].Telemetry().Snapshot()
+	if c.Value("sn_fastpath_hits_total") != 0 {
+		t.Fatalf("FastPathHits = %v, want 0", c.Value("sn_fastpath_hits_total"))
 	}
-	if c.SlowPathSent != 5 {
-		t.Fatalf("SlowPathSent = %d, want 5", c.SlowPathSent)
+	if c.Value("sn_slowpath_sent_total") != 5 {
+		t.Fatalf("SlowPathSent = %v, want 5", c.Value("sn_slowpath_sent_total"))
 	}
 }

@@ -126,7 +126,7 @@ func TestPublishRequiresSenderRegistration(t *testing.T) {
 	}
 	node := edA.SNs[0]
 	deadline := time.Now().Add(3 * time.Second)
-	for node.Counters().ModuleErrors == 0 {
+	for node.Telemetry().Snapshot().Value("sn_module_errors_total") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("unregistered publish never rejected")
 		}

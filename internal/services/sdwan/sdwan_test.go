@@ -175,7 +175,7 @@ func TestAllUplinksDownErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(3 * time.Second)
-	for ed.SNs[0].Counters().ModuleErrors == 0 {
+	for ed.SNs[0].Telemetry().Snapshot().Value("sn_module_errors_total") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no-healthy-uplink not surfaced")
 		}

@@ -62,7 +62,7 @@ func TestAuthenticatedTrafficPasses(t *testing.T) {
 	case <-time.After(3 * time.Second):
 		t.Fatal("cached flow packet never arrived")
 	}
-	if c := ed.SNs[0].Counters(); c.FastPathHits == 0 {
+	if c := ed.SNs[0].Telemetry().Snapshot(); c.Value("sn_fastpath_hits_total") == 0 {
 		t.Fatal("admitted flow not served from cache")
 	}
 }
@@ -99,7 +99,7 @@ func TestWrongSecretDropped(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(3 * time.Second)
-	for ed.SNs[0].Counters().RuleDrops == 0 {
+	for ed.SNs[0].Telemetry().Snapshot().Value("sn_rule_drops_total") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no fast-path drops for rejected flow")
 		}
@@ -117,7 +117,7 @@ func TestUnknownNameRejected(t *testing.T) {
 		t.Fatal(err) // Dial itself succeeds; rejection is at the SN
 	}
 	deadline := time.Now().Add(3 * time.Second)
-	for ed.SNs[0].Counters().ModuleErrors == 0 {
+	for ed.SNs[0].Telemetry().Snapshot().Value("sn_module_errors_total") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("unknown name never rejected")
 		}
@@ -146,7 +146,7 @@ func TestUnregisterRemoves(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(3 * time.Second)
-	for ed.SNs[0].Counters().ModuleErrors == 0 {
+	for ed.SNs[0].Telemetry().Snapshot().Value("sn_module_errors_total") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("dial after unregister not rejected")
 		}

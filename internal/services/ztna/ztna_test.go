@@ -91,7 +91,7 @@ func TestMultiPacketEstablishmentAdmits(t *testing.T) {
 	case <-time.After(3 * time.Second):
 		t.Fatal("data packet never arrived")
 	}
-	if ed.SNs[0].Counters().FastPathHits == 0 {
+	if ed.SNs[0].Telemetry().Snapshot().Value("sn_fastpath_hits_total") == 0 {
 		t.Fatal("established flow not served from decision cache")
 	}
 }
@@ -129,7 +129,7 @@ func TestOldOSVersionDenied(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(3 * time.Second)
-	for ed.SNs[0].Counters().RuleDrops == 0 {
+	for ed.SNs[0].Telemetry().Snapshot().Value("sn_rule_drops_total") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("denied flow not dropped on fast path")
 		}
@@ -231,7 +231,7 @@ func TestDataBeforeEstablishmentRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(3 * time.Second)
-	for ed.SNs[0].Counters().ModuleErrors == 0 {
+	for ed.SNs[0].Telemetry().Snapshot().Value("sn_module_errors_total") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("pre-establishment data not rejected")
 		}
@@ -251,7 +251,7 @@ func TestUnknownAppRejected(t *testing.T) {
 	}
 	defer conn.Close()
 	deadline := time.Now().Add(3 * time.Second)
-	for ed.SNs[0].Counters().ModuleErrors == 0 {
+	for ed.SNs[0].Telemetry().Snapshot().Value("sn_module_errors_total") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("unknown app not rejected")
 		}
@@ -318,7 +318,7 @@ func TestIdleFlowExpiresViaHitCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline = time.Now().Add(3 * time.Second)
-	for ed.SNs[0].Counters().ModuleErrors == 0 {
+	for ed.SNs[0].Telemetry().Snapshot().Value("sn_module_errors_total") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("expired flow's data not rejected")
 		}

@@ -32,8 +32,8 @@ func TestSourceAffineShardSelection(t *testing.T) {
 func TestSourceAffineCapacityConserved(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 5, 7} {
 		c := NewSourceAffine(1000, workers, wire.Addr{})
-		if got := c.Snapshot().Capacity; got != 1000 {
-			t.Errorf("NewSourceAffine(1000, %d) capacity %d, want 1000", workers, got)
+		if got := counters(c).Value("cache_capacity"); got != 1000 {
+			t.Errorf("NewSourceAffine(1000, %d) capacity %v, want 1000", workers, got)
 		}
 	}
 	// Degenerate inputs clamp instead of panicking.
@@ -56,15 +56,15 @@ func TestLookupNAccountsRun(t *testing.T) {
 	if hits, _ := c.HitCount(key); hits != 32 {
 		t.Fatalf("entry hits = %d after LookupN(_, 32), want 32", hits)
 	}
-	if st := c.Snapshot(); st.Hits != 32 {
-		t.Fatalf("cache hits = %d, want 32", st.Hits)
+	if hits := counters(c).Value("cache_hits_total"); hits != 32 {
+		t.Fatalf("cache hits = %v, want 32", hits)
 	}
 	// A run-coalesced miss records the whole run as misses.
 	if _, ok := c.LookupN(flowKey(1, 9), 8); ok {
 		t.Fatal("unexpected hit")
 	}
-	if st := c.Snapshot(); st.Misses != 8 {
-		t.Fatalf("cache misses = %d, want 8", st.Misses)
+	if misses := counters(c).Value("cache_misses_total"); misses != 8 {
+		t.Fatalf("cache misses = %v, want 8", misses)
 	}
 }
 

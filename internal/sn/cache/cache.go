@@ -14,7 +14,7 @@
 // To keep the sharded pipe-terminus workers from serializing on a single
 // lock, the table is striped across 2^k independent CLOCK shards selected
 // by a hash of the flow key. Each shard has its own lock, slots, hand, and
-// counters; Snapshot merges the per-shard counters. Striping is invisible
+// counters; the registry instruments sum the shards. Striping is invisible
 // to correctness: eviction was already allowed to be arbitrary (B.1), so
 // per-shard CLOCK sweeps are just one more admissible eviction order.
 //
@@ -56,9 +56,6 @@ type Action struct {
 	// Drop discards the packet (used by e.g. DDoS protection). Drop takes
 	// precedence over Forward.
 	Drop bool
-	// Deliver hands the packet to the local delivery hook (for packets
-	// terminating at this SN, e.g. addressed to an attached host agent).
-	Deliver bool
 	// RewriteHeader, if non-nil, replaces the encoded ILP header on
 	// forwarded copies (services may rewrite per-hop metadata). Add keeps
 	// the slice: it must not be written afterwards.
@@ -78,29 +75,16 @@ type Action struct {
 type held struct {
 	forward       []wire.Addr
 	rewriteHeader []byte
-	drop, deliver bool
+	drop          bool
 }
 
 // action returns the Action h holds, depending on dep.
 func (h *held) action(dep wire.Addr) Action {
-	return Action{Forward: h.forward, Drop: h.drop, Deliver: h.deliver, RewriteHeader: h.rewriteHeader, DependsOn: dep}
-}
-
-// Stats aggregates cache counters across all shards.
-type Stats struct {
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
-	Inserts   uint64
-	// Invalidated counts rules removed by InvalidateSource, InvalidateDest
-	// and Invalidate, in that order; an eviction is not an invalidation.
-	Invalidated [3]uint64
-	Size        int
-	Capacity    int
+	return Action{Forward: h.forward, Drop: h.drop, RewriteHeader: h.rewriteHeader, DependsOn: dep}
 }
 
 // The two reverse indexes, then the third way to invalidate a rule; they
-// index entry.links, shard.heads and Stats.Invalidated.
+// index entry.links, shard.heads and shard.inval.
 const (
 	bySrc = iota // rules whose flow source is the address
 	byDst        // rules that forward to the address or depend on it
@@ -165,8 +149,8 @@ type shard struct {
 	misses   uint64
 	evicts   uint64
 	inserts  uint64
-	inval    [3]uint64
-	examined uint64 // CLOCK steps and index nodes visited; read by tests only
+	inval    [3]uint64 // rules invalidated, per cause; an eviction is none
+	examined uint64    // CLOCK steps and index nodes visited; read by tests only
 	enabled  bool
 }
 
@@ -366,7 +350,7 @@ func (c *Cache) Add(key wire.FlowKey, action Action) {
 			s.unlinkDests(i)
 			s.linkDests(i, action.Forward, action.DependsOn)
 		}
-		e.action.rewriteHeader, e.action.drop, e.action.deliver = action.RewriteHeader, action.Drop, action.Deliver
+		e.action.rewriteHeader, e.action.drop = action.RewriteHeader, action.Drop
 		e.ref = true
 		e.lastUsed = s.now().UnixNano()
 		return
@@ -376,7 +360,7 @@ func (c *Cache) Add(key wire.FlowKey, action Action) {
 	// Lookup grants a second chance, so one-shot flows evict first.
 	s.slots[i] = entry{
 		key:      key,
-		action:   held{rewriteHeader: action.RewriteHeader, drop: action.Drop, deliver: action.Deliver},
+		action:   held{rewriteHeader: action.RewriteHeader, drop: action.Drop},
 		lastUsed: s.now().UnixNano(),
 	}
 	s.index[key] = i
@@ -650,7 +634,7 @@ func (c *Cache) InvalidateDest(dst wire.Addr) {
 // dst — the cache-warmth hints a draining SN ships to its successor so the
 // moved host's flows keep hitting instead of each taking a cold miss.
 // Entries most recently used come first within each shard; max <= 0 means
-// no limit. Like Snapshot, the result is per-shard consistent, not one cut.
+// no limit. The result is per-shard consistent, not one cut.
 func (c *Cache) CollectDest(dst wire.Addr, max int) []wire.FlowKey {
 	var out []wire.FlowKey
 	var found []int32
@@ -711,23 +695,32 @@ func (c *Cache) RecentlyUsed(key wire.FlowKey, window time.Duration) bool {
 // counters as cheap per-shard fields under the shard locks (registry
 // atomics would put contended cache lines back on the lookup path that
 // striping exists to avoid), so the instruments are lazy: each snapshot
-// read merges the shards on demand.
+// read sums its own field over the shards, each under its shard's lock, so
+// the total is per-shard consistent, not one cut across shards.
 func (c *Cache) RegisterTelemetry(r *telemetry.Registry) {
-	stat := func(pick func(Stats) uint64) func() uint64 {
-		return func() uint64 { return pick(c.Snapshot()) }
+	sum := func(field func(s *shard) uint64) func() uint64 {
+		return func() uint64 {
+			var n uint64
+			for _, s := range c.shards {
+				s.mu.Lock()
+				n += field(s)
+				s.mu.Unlock()
+			}
+			return n
+		}
 	}
 	invalidated := func(cause string, ix int) telemetry.Instrument {
 		return telemetry.NewCounterFunc(telemetry.Name("cache_invalidated_total", "cause", cause),
-			stat(func(s Stats) uint64 { return s.Invalidated[ix] }))
+			sum(func(s *shard) uint64 { return s.inval[ix] }))
 	}
 	_ = r.Register(
 		invalidated("source", bySrc),
 		invalidated("dest", byDst),
 		invalidated("key", byKey),
-		telemetry.NewCounterFunc("cache_hits_total", stat(func(s Stats) uint64 { return s.Hits })),
-		telemetry.NewCounterFunc("cache_misses_total", stat(func(s Stats) uint64 { return s.Misses })),
-		telemetry.NewCounterFunc("cache_evictions_total", stat(func(s Stats) uint64 { return s.Evictions })),
-		telemetry.NewCounterFunc("cache_inserts_total", stat(func(s Stats) uint64 { return s.Inserts })),
+		telemetry.NewCounterFunc("cache_hits_total", sum(func(s *shard) uint64 { return s.hits })),
+		telemetry.NewCounterFunc("cache_misses_total", sum(func(s *shard) uint64 { return s.misses })),
+		telemetry.NewCounterFunc("cache_evictions_total", sum(func(s *shard) uint64 { return s.evicts })),
+		telemetry.NewCounterFunc("cache_inserts_total", sum(func(s *shard) uint64 { return s.inserts })),
 		telemetry.NewGaugeFunc("cache_entries", func() int64 { return int64(c.Len()) }),
 		// Shard capacities are fixed at construction: no lock to read them.
 		telemetry.NewGaugeFunc("cache_capacity", func() int64 {
@@ -738,27 +731,6 @@ func (c *Cache) RegisterTelemetry(r *telemetry.Registry) {
 			return n
 		}),
 	)
-}
-
-// Snapshot returns current counters merged across all shards. Each shard is
-// read under its own lock; the merged struct is not one consistent cut
-// across shards.
-func (c *Cache) Snapshot() Stats {
-	var st Stats
-	for _, s := range c.shards {
-		s.mu.Lock()
-		st.Hits += s.hits
-		st.Misses += s.misses
-		st.Evictions += s.evicts
-		st.Inserts += s.inserts
-		for i, n := range s.inval {
-			st.Invalidated[i] += n
-		}
-		st.Size += len(s.index)
-		st.Capacity += int(s.capacity)
-		s.mu.Unlock()
-	}
-	return st
 }
 
 // Len returns the number of live entries across all shards.

@@ -6,8 +6,17 @@ import (
 	"testing/quick"
 	"time"
 
+	"interedge/internal/telemetry"
 	"interedge/internal/wire"
 )
+
+// counters reads c's counters as the SN does: through a registry c has
+// registered its instruments into.
+func counters(c *Cache) telemetry.Snapshot {
+	r := telemetry.NewRegistry()
+	c.RegisterTelemetry(r)
+	return r.Snapshot()
+}
 
 func key(i int) wire.FlowKey {
 	return wire.FlowKey{
@@ -35,10 +44,11 @@ func TestAddLookup(t *testing.T) {
 
 func TestReplaceExisting(t *testing.T) {
 	c := New(4)
+	dst := wire.MustAddr("fd00::99")
 	c.Add(key(1), Action{Drop: true})
-	c.Add(key(1), Action{Deliver: true})
+	c.Add(key(1), Action{Forward: []wire.Addr{dst}})
 	a, ok := c.Lookup(key(1))
-	if !ok || a.Drop || !a.Deliver {
+	if !ok || a.Drop || len(a.Forward) != 1 || a.Forward[0] != dst {
 		t.Fatalf("action = %+v ok=%v", a, ok)
 	}
 	if c.Len() != 1 {
@@ -54,9 +64,8 @@ func TestEvictionAtCapacity(t *testing.T) {
 	if c.Len() != 4 {
 		t.Fatalf("len = %d, want 4", c.Len())
 	}
-	st := c.Snapshot()
-	if st.Evictions != 6 {
-		t.Fatalf("evictions = %d, want 6", st.Evictions)
+	if ev := counters(c).Value("cache_evictions_total"); ev != 6 {
+		t.Fatalf("evictions = %v, want 6", ev)
 	}
 }
 
@@ -69,7 +78,7 @@ func TestClockPrefersUnreferenced(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		c.Lookup(key(i))
 	}
-	c.Add(key(9), Action{Deliver: true})
+	c.Add(key(9), Action{Drop: true})
 	// key 3 should have been evicted in preference to the touched ones.
 	if _, ok := c.Lookup(key(3)); ok {
 		t.Fatal("recently-unused entry survived while referenced entries were candidates")
@@ -161,9 +170,10 @@ func TestStats(t *testing.T) {
 	c.Add(key(1), Action{Drop: true})
 	c.Lookup(key(1))
 	c.Lookup(key(2))
-	st := c.Snapshot()
-	if st.Hits != 1 || st.Misses != 1 || st.Inserts != 1 || st.Size != 1 || st.Capacity != 4 {
-		t.Fatalf("stats = %+v", st)
+	st := counters(c)
+	if st.Value("cache_hits_total") != 1 || st.Value("cache_misses_total") != 1 || st.Value("cache_inserts_total") != 1 ||
+		st.Value("cache_entries") != 1 || st.Value("cache_capacity") != 4 {
+		t.Fatalf("stats:\n%s", st)
 	}
 }
 
@@ -272,7 +282,7 @@ func TestOneHopRulesShareOneSlice(t *testing.T) {
 			t.Fatalf("rule %d forwards to %v through its own slice, not the shared one", i, dst)
 		}
 	}
-	k, again := key(3), Action{Forward: []wire.Addr{dst}, Deliver: true}
+	k, again := key(3), Action{Forward: []wire.Addr{dst}, Drop: true}
 	if n := testing.AllocsPerRun(100, func() { c.Invalidate(k); c.Add(k, again) }); n != 0 {
 		t.Fatalf("re-installing a one-hop rule allocated %.1f times, want 0", n)
 	}

@@ -63,7 +63,7 @@ func TestWritesExamineOnlyWhatChanges(t *testing.T) {
 			c.Lookup(wideKey(i))
 		}
 		expect("full-shard Add", examined(func() { c.Add(wideKey(capacity+matching), Action{Drop: true}) }), referenced+1)
-		expect("replacing Add", examined(func() { c.Add(wideKey(capacity+matching), Action{Deliver: true}) }), 0)
+		expect("replacing Add", examined(func() { c.Add(wideKey(capacity+matching), Action{Drop: true}) }), 0)
 		expect("CollectDest", examined(func() { c.CollectDest(dst, 3) }), matching)
 		expect("InvalidateDest", examined(func() { c.InvalidateDest(dst) }), matching)
 		expect("InvalidateSource", examined(func() { c.InvalidateSource(src) }), matching)

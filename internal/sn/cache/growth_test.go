@@ -36,8 +36,8 @@ func TestFanoutNodesSurviveGrowth(t *testing.T) {
 	for i := 2; i <= capacity; i++ {
 		c.Add(wideKey(i), filler)
 	}
-	if st := c.Snapshot(); st.Evictions != 1 || st.Size != capacity || len(s.slots) != capacity {
-		t.Fatalf("after filling: %+v, %d slots; want 1 eviction and %d rules in %d slots", st, len(s.slots), capacity, capacity)
+	if st := counters(c); st.Value("cache_evictions_total") != 1 || st.Value("cache_entries") != capacity || len(s.slots) != capacity {
+		t.Fatalf("after filling: %d slots, counters\n%s\nwant 1 eviction and %d rules in %d slots", len(s.slots), st, capacity, capacity)
 	}
 	checkShard(t, s)
 
@@ -72,8 +72,8 @@ func TestEmptyCacheHoldsNoSlots(t *testing.T) {
 	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 64<<10 {
 		t.Errorf("an empty cache of 65 536 entries holds %d KiB, want at most 64", grew>>10)
 	}
-	if got := c.Snapshot().Capacity; got != 65536 {
-		t.Errorf("Capacity = %d, want 65536", got)
+	if got := counters(c).Value("cache_capacity"); got != 65536 {
+		t.Errorf("cache_capacity = %v, want 65536", got)
 	}
 }
 
@@ -106,7 +106,7 @@ func TestGaugesWhileGrowing(t *testing.T) {
 			t.Fatalf("cache_entries = %v, want 0…%d", n, capacity)
 		}
 	}
-	if st := c.Snapshot(); st.Size != capacity || st.Evictions == 0 {
-		t.Fatalf("after %d Adds: %+v; want a full cache that evicted", 4*capacity, st)
+	if st := reg.Snapshot(); st.Value("cache_entries") != capacity || st.Value("cache_evictions_total") == 0 {
+		t.Fatalf("after %d Adds:\n%s\nwant a full cache that evicted", 4*capacity, st)
 	}
 }

@@ -85,8 +85,8 @@ func TestInvalidateDestRemovesDependents(t *testing.T) {
 			t.Errorf("rule %d present = %v after InvalidateDest(host), want %v", i, ok, want)
 		}
 	}
-	if st := c.Snapshot(); st.Invalidated[byDst] != 4 {
-		t.Fatalf("%d rules invalidated by destination, want 4", st.Invalidated[byDst])
+	if got := counters(c).Value(`cache_invalidated_total{cause="dest"}`); got != 4 {
+		t.Fatalf("%v rules invalidated by destination, want 4", got)
 	}
 	c.InvalidateDest(dstSN)
 	if c.Len() != 0 {

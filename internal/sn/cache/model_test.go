@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"interedge/internal/telemetry"
 	"interedge/internal/wire"
 )
 
@@ -240,26 +241,47 @@ func opAction(d, shape byte) Action {
 	case 3:
 		return Action{Forward: []wire.Addr{hop(0), hop(1)}}
 	case 4:
-		return Action{Forward: []wire.Addr{hop(0), hop(0), hop(2)}, Deliver: true}
+		return Action{Forward: []wire.Addr{hop(0), hop(0), hop(2)}, Drop: true}
 	default:
 		return Action{Forward: []wire.Addr{hop(0), hop(1), hop(3), hop(0)}}
 	}
 }
 
+// opCounts is what runOps counts of a cache: rules evicted, and rules
+// invalidated by InvalidateSource, InvalidateDest and Invalidate.
+type opCounts struct {
+	evictions   uint64
+	invalidated [3]uint64
+}
+
+// readOpCounts reads the counts from a registry c registered into.
+func readOpCounts(reg *telemetry.Registry) opCounts {
+	snap := reg.Snapshot()
+	n := func(name string) uint64 { return uint64(snap.Value(name)) }
+	var got opCounts
+	got.evictions = n("cache_evictions_total")
+	for ix, cause := range [...]string{bySrc: "source", byDst: "dest", byKey: "key"} {
+		got.invalidated[ix] = n(telemetry.Name("cache_invalidated_total", "cause", cause))
+	}
+	return got
+}
+
 // runOps decodes data four bytes an operation — kind, key, next hop, shape —
 // applies each to c and to the model, and compares after every one. It
-// returns the cache's final counters.
-func runOps(t testing.TB, c *Cache, data []byte) (st Stats) {
+// returns the cache's final counts, read through the registry.
+func runOps(t testing.TB, c *Cache, data []byte) (got opCounts) {
 	t.Helper()
 	var now int64
 	c.SetNowFunc(func() time.Time { return time.Unix(0, now) })
+	reg := telemetry.NewRegistry()
+	c.RegisterTelemetry(reg)
 	model := make(map[wire.FlowKey]*refRule)
-	var want Stats
+	var want opCounts
 	invalidate := func(cause int, match func(wire.FlowKey, *refRule) bool) {
 		for k, r := range model {
 			if match(k, r) {
 				delete(model, k)
-				want.Invalidated[cause]++
+				want.invalidated[cause]++
 			}
 		}
 	}
@@ -278,7 +300,7 @@ func runOps(t testing.TB, c *Cache, data []byte) (st Stats) {
 			} else {
 				if s := c.shardFor(key); len(s.index) == int(s.capacity) {
 					delete(model, s.slots[refClockVictim(s)].key)
-					want.Evictions++
+					want.evictions++
 				}
 				model[key] = &refRule{action: kept, lastUsed: now}
 			}
@@ -317,12 +339,12 @@ func runOps(t testing.TB, c *Cache, data []byte) (st Stats) {
 			}
 		}
 		checkCache(t, c, model)
-		if st = c.Snapshot(); st.Evictions != want.Evictions || st.Invalidated != want.Invalidated {
+		if got = readOpCounts(reg); got != want {
 			t.Fatalf("evictions %d invalidated %v, model has %d and %v",
-				st.Evictions, st.Invalidated, want.Evictions, want.Invalidated)
+				got.evictions, got.invalidated, want.evictions, want.invalidated)
 		}
 	}
-	return st
+	return got
 }
 
 // opCaches builds one small cache per constructor, so that shards fill.
@@ -347,7 +369,7 @@ func TestCacheOpsMatchReference(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		for name, c := range opCaches() {
 			st := runOps(t, c, randomOps(seed, 4000))
-			if st.Evictions == 0 || st.Invalidated[bySrc] == 0 || st.Invalidated[byDst] == 0 || st.Invalidated[byKey] == 0 {
+			if st.evictions == 0 || st.invalidated[bySrc] == 0 || st.invalidated[byDst] == 0 || st.invalidated[byKey] == 0 {
 				t.Errorf("seed %d, %s: sequence too tame to test anything: %+v", seed, name, st)
 			}
 		}
@@ -396,8 +418,9 @@ func TestCacheOpsConcurrent(t *testing.T) {
 		for _, s := range c.shards {
 			checkShard(t, s)
 		}
-		if st := c.Snapshot(); st.Size != c.Len() || st.Size > st.Capacity {
-			t.Errorf("%s: size %d, Len %d, capacity %d", name, st.Size, c.Len(), st.Capacity)
+		st := counters(c)
+		if size := st.Value("cache_entries"); size != float64(c.Len()) || size > st.Value("cache_capacity") {
+			t.Errorf("%s: Len %d, counters\n%s", name, c.Len(), st)
 		}
 	}
 }

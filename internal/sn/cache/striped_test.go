@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"interedge/internal/telemetry"
 	"interedge/internal/wire"
 )
 
@@ -42,8 +43,8 @@ func TestShardCountRounding(t *testing.T) {
 func TestShardedCapacityConserved(t *testing.T) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		c := NewSharded(1000, shards) // not divisible by 4 or 8
-		if got := c.Snapshot().Capacity; got != 1000 {
-			t.Errorf("NewSharded(1000, %d) capacity %d, want 1000", shards, got)
+		if got := counters(c).Value("cache_capacity"); got != 1000 {
+			t.Errorf("NewSharded(1000, %d) capacity %v, want 1000", shards, got)
 		}
 	}
 }
@@ -58,6 +59,8 @@ func TestStripedConcurrent(t *testing.T) {
 	if c.ShardCount() != 8 {
 		t.Fatalf("ShardCount() = %d, want 8", c.ShardCount())
 	}
+	reg := telemetry.NewRegistry()
+	c.RegisterTelemetry(reg)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -73,7 +76,7 @@ func TestStripedConcurrent(t *testing.T) {
 				case i%7 == 0:
 					c.Invalidate(key)
 				case i%31 == 0:
-					c.Snapshot()
+					reg.Snapshot()
 					c.Len()
 					c.HitCount(key)
 				case i%97 == 0:
@@ -84,18 +87,19 @@ func TestStripedConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 
-	st := c.Snapshot()
-	if st.Inserts != goroutines*perG {
-		t.Errorf("inserts = %d, want %d", st.Inserts, goroutines*perG)
+	st := reg.Snapshot()
+	if got := st.Value("cache_inserts_total"); got != goroutines*perG {
+		t.Errorf("inserts = %v, want %d", got, goroutines*perG)
 	}
-	if st.Size != c.Len() {
-		t.Errorf("snapshot size %d != Len %d", st.Size, c.Len())
+	size := st.Value("cache_entries")
+	if size != float64(c.Len()) {
+		t.Errorf("snapshot size %v != Len %d", size, c.Len())
 	}
-	if st.Size > st.Capacity {
-		t.Errorf("size %d exceeds capacity %d", st.Size, st.Capacity)
+	if capacity := st.Value("cache_capacity"); size > capacity {
+		t.Errorf("size %v exceeds capacity %v", size, capacity)
 	}
-	if st.Hits+st.Misses < goroutines*perG {
-		t.Errorf("hits+misses = %d, want >= %d", st.Hits+st.Misses, goroutines*perG)
+	if got := st.Value("cache_hits_total") + st.Value("cache_misses_total"); got < goroutines*perG {
+		t.Errorf("hits+misses = %v, want >= %d", got, goroutines*perG)
 	}
 }
 
@@ -106,15 +110,15 @@ func TestStripedKeysRoute(t *testing.T) {
 	c := NewSharded(4096, 4)
 	const n = 1024 // well under capacity: nothing should evict
 	for i := 0; i < n; i++ {
-		c.Add(flowKey(i%5, i), Action{Deliver: true})
+		c.Add(flowKey(i%5, i), Action{Drop: true})
 	}
 	for i := 0; i < n; i++ {
 		if _, ok := c.Lookup(flowKey(i%5, i)); !ok {
 			t.Fatalf("key %d missing after insert below capacity", i)
 		}
 	}
-	if ev := c.Snapshot().Evictions; ev != 0 {
-		t.Fatalf("evictions = %d below capacity, want 0", ev)
+	if ev := counters(c).Value("cache_evictions_total"); ev != 0 {
+		t.Fatalf("evictions = %v below capacity, want 0", ev)
 	}
 }
 

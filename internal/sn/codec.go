@@ -187,9 +187,6 @@ func encodeDecision(dst []byte, d *Decision) ([]byte, error) {
 		if f.Payload != nil {
 			flags |= 2
 		}
-		if f.Empty {
-			flags |= 4
-		}
 		if f.RewriteHeader != nil {
 			flags |= 8
 		}
@@ -216,9 +213,6 @@ func encodeDecision(dst []byte, d *Decision) ([]byte, error) {
 		var flags byte
 		if r.Action.Drop {
 			flags |= 1
-		}
-		if r.Action.Deliver {
-			flags |= 2
 		}
 		if r.Action.RewriteHeader != nil {
 			flags |= 4
@@ -270,9 +264,8 @@ func decodeDecision(data []byte) (Decision, error) {
 			r.off += hlen
 		}
 		if flags&2 != 0 {
-			f.Payload = append([]byte(nil), r.bytes32()...)
+			f.Payload = bytes.Clone(r.bytes32())
 		}
-		f.Empty = flags&4 != 0
 		if flags&8 != 0 {
 			f.RewriteHeader = bytes.Clone(r.bytes32())
 		}
@@ -284,7 +277,6 @@ func decodeDecision(data []byte) (Decision, error) {
 		rule.Key = r.flowKey()
 		flags := r.uint8()
 		rule.Action.Drop = flags&1 != 0
-		rule.Action.Deliver = flags&2 != 0
 		nfwd := int(r.uint16())
 		for j := 0; j < nfwd && r.err == nil; j++ {
 			rule.Action.Forward = append(rule.Action.Forward, r.addr())

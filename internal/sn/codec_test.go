@@ -60,7 +60,8 @@ func decisionsEqual(a, b *Decision) bool {
 	}
 	for i := range a.Forwards {
 		fa, fb := a.Forwards[i], b.Forwards[i]
-		if fa.Dst != fb.Dst || fa.Empty != fb.Empty || !bytes.Equal(fa.Payload, fb.Payload) {
+		// A nil payload forwards the original; an empty one sends none.
+		if fa.Dst != fb.Dst || (fa.Payload == nil) != (fb.Payload == nil) || !bytes.Equal(fa.Payload, fb.Payload) {
 			return false
 		}
 		if (fa.RewriteHeader == nil) != (fb.RewriteHeader == nil) || !bytes.Equal(fa.RewriteHeader, fb.RewriteHeader) {
@@ -77,7 +78,7 @@ func decisionsEqual(a, b *Decision) bool {
 	}
 	for i := range a.Rules {
 		ra, rb := a.Rules[i], b.Rules[i]
-		if ra.Key != rb.Key || ra.Action.Drop != rb.Action.Drop || ra.Action.Deliver != rb.Action.Deliver {
+		if ra.Key != rb.Key || ra.Action.Drop != rb.Action.Drop {
 			return false
 		}
 		if len(ra.Action.Forward) != len(rb.Action.Forward) {
@@ -106,7 +107,7 @@ func TestDecisionCodecRoundTrip(t *testing.T) {
 			{Dst: wire.MustAddr("fd00::9")},
 			{Dst: wire.MustAddr("fd00::a"), Hdr: &wire.ILPHeader{Service: wire.SvcEcho, Conn: 3, Data: []byte("x")}},
 			{Dst: wire.MustAddr("fd00::b"), Payload: []byte("replaced")},
-			{Dst: wire.MustAddr("fd00::c"), Empty: true},
+			{Dst: wire.MustAddr("fd00::c"), Payload: []byte{}},
 			{Dst: wire.MustAddr("fd00::d"), RewriteHeader: []byte{4, 5, 6}, Payload: []byte("both")},
 		},
 		Rules: []Rule{
@@ -115,7 +116,6 @@ func TestDecisionCodecRoundTrip(t *testing.T) {
 				Action: cache.Action{
 					Forward:       []wire.Addr{wire.MustAddr("fd00::9"), wire.MustAddr("fd00::a")},
 					Drop:          false,
-					Deliver:       true,
 					RewriteHeader: []byte{1, 2, 3},
 					DependsOn:     wire.MustAddr("fd00::d"),
 				},

@@ -61,7 +61,7 @@ func TestFastPathForwardAllocs(t *testing.T) {
 
 	measure := func(name string, from wire.Addr, hdr wire.ILPHeader, raw []byte) {
 		t.Helper()
-		before := node.Counters().Forwarded
+		before := node.Telemetry().Snapshot().Value("sn_forwarded_total")
 		for i := 0; i < 32; i++ { // warm pool, crypto scratches, and egress side
 			node.handlePacket(node.mgr, from, hdr, raw, payload)
 		}
@@ -71,8 +71,8 @@ func TestFastPathForwardAllocs(t *testing.T) {
 		if allocs > 1 {
 			t.Errorf("%s allocated %.1f times per op, want <= 1 (transport copy)", name, allocs)
 		}
-		if fwd := node.Counters().Forwarded - before; fwd < 233 {
-			t.Errorf("%s: %d of 233 packets forwarded; fast path not exercised", name, fwd)
+		if fwd := node.Telemetry().Snapshot().Value("sn_forwarded_total") - before; fwd < 233 {
+			t.Errorf("%s: %v of 233 packets forwarded; fast path not exercised", name, fwd)
 		}
 	}
 

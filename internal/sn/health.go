@@ -84,7 +84,7 @@ func (e *ModulePanicError) Error() string {
 }
 
 // ModuleHealth is the containment snapshot of one registered module,
-// exposed through SN.Counters() and the control-plane "health" operation.
+// exposed through SN.ModuleHealth() and the control-plane "health" operation.
 type ModuleHealth struct {
 	Service   wire.ServiceID `json:"service"`
 	Name      string         `json:"name"`

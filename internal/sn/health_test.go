@@ -143,7 +143,7 @@ func testPanicContainment(t *testing.T, transport Transport) {
 	}
 	waitFor(t, func() bool {
 		h := moduleHealth(t, node, wire.SvcNull)
-		return h.Panics == 1 && h.Errored == 1 && node.Counters().ModuleErrors == 1
+		return h.Panics == 1 && h.Errored == 1 && node.Telemetry().Snapshot().Value("sn_module_errors_total") == 1
 	})
 	// The module is still in service after the contained panic.
 	if err := cl.mgr.Send(node.Addr(), &wire.ILPHeader{Service: wire.SvcNull, Conn: 2}, []byte("fine")); err != nil {
@@ -339,7 +339,7 @@ func TestControlHealthOp(t *testing.T) {
 	if err := cl.mgr.Send(node.Addr(), &wire.ILPHeader{Service: wire.SvcNull, Conn: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return node.Counters().ModuleErrors == 1 })
+	waitFor(t, func() bool { return node.Telemetry().Snapshot().Value("sn_module_errors_total") == 1 })
 
 	query := func(target wire.ServiceID) control.Response {
 		t.Helper()
@@ -384,9 +384,9 @@ func TestInjectUnregisteredService(t *testing.T) {
 	network := netsim.NewNetwork()
 	node := newTestSN(t, network, "fd00::5")
 	node.Inject(wire.MustAddr("fd00::9"), wire.ILPHeader{Service: wire.SvcMixnet, Conn: 1}, []byte("x"))
-	c := node.Counters()
-	if c.NoModuleDrops != 1 || c.RxPackets != 1 {
-		t.Fatalf("NoModuleDrops=%d RxPackets=%d, want 1/1", c.NoModuleDrops, c.RxPackets)
+	c := node.Telemetry().Snapshot()
+	if c.Value("sn_no_module_drops_total") != 1 || c.Value("sn_rx_packets_total") != 1 {
+		t.Fatalf("NoModuleDrops=%v RxPackets=%v, want 1/1", c.Value("sn_no_module_drops_total"), c.Value("sn_rx_packets_total"))
 	}
 }
 
@@ -407,7 +407,7 @@ func TestEnclaveErrorPropagation(t *testing.T) {
 	}
 	waitFor(t, func() bool {
 		h := moduleHealth(t, node, wire.SvcNull)
-		return node.Counters().ModuleErrors == 1 && h.Errored == 1 && h.Panics == 0
+		return node.Telemetry().Snapshot().Value("sn_module_errors_total") == 1 && h.Errored == 1 && h.Panics == 0
 	})
 }
 

@@ -63,8 +63,8 @@ func TestPeerDownInvalidatesDecisionCache(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if got := node.Counters().PeersLost; got != 1 {
-		t.Fatalf("PeersLost = %d, want 1", got)
+	if got := node.Telemetry().Snapshot().Value("sn_peers_lost_total"); got != 1 {
+		t.Fatalf("PeersLost = %v, want 1", got)
 	}
 	if downs.Load() != 1 {
 		t.Fatalf("chained OnPeerDown fired %d times, want 1", downs.Load())
@@ -107,16 +107,16 @@ func TestForwardRequeuesWhileEstablishing(t *testing.T) {
 			if string(got.payload) != "through" || got.hdr.Conn != tc.want.Conn || string(got.hdr.Data) != string(tc.want.Data) {
 				t.Fatalf("received %+v %q, want %+v %q", got.hdr, got.payload, tc.want, "through")
 			}
-			ctr := node.Counters()
-			if ctr.Requeued == 0 {
+			ctr := node.Telemetry().Snapshot()
+			if ctr.Value("sn_requeued_total") == 0 {
 				t.Fatal("Requeued counter is zero")
 			}
-			if ctr.RequeueDrops != 0 {
-				t.Fatalf("RequeueDrops = %d, want 0", ctr.RequeueDrops)
+			if ctr.Value("sn_requeue_drops_total") != 0 {
+				t.Fatalf("RequeueDrops = %v, want 0", ctr.Value("sn_requeue_drops_total"))
 			}
 			// The forward is counted once its send has returned, which can
 			// be after next has the packet.
-			waitFor(t, func() bool { return node.Counters().Forwarded != 0 })
+			waitFor(t, func() bool { return node.Telemetry().Snapshot().Value("sn_forwarded_total") != 0 })
 		})
 	}
 }
@@ -142,13 +142,13 @@ func TestRequeueDepthBoundsMemory(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(3 * time.Second)
-	for node.Counters().RequeueDrops == 0 {
+	for node.Telemetry().Snapshot().Value("sn_requeue_drops_total") == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("queue never overflowed: %+v", node.Counters())
+			t.Fatalf("queue never overflowed:\n%s", node.Telemetry().Snapshot())
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if got := node.Counters().Requeued; got > 64 {
-		t.Fatalf("Requeued = %d, exceeds sends", got)
+	if got := node.Telemetry().Snapshot().Value("sn_requeued_total"); got > 64 {
+		t.Fatalf("Requeued = %v, exceeds sends", got)
 	}
 }

@@ -21,8 +21,8 @@ import (
 // datagram over for keeps and the pipe opened header and payload in place,
 // so both lie in the packet's own buffer and whoever holds the packet may
 // retain them. The SN gives a receive buffer back for reuse only when no
-// Packet was ever made of it (a cache hit that delivers to no one), so what
-// a module or OnDeliver sees is never recycled under it.
+// Packet was ever made of it (a cache hit), so what a module sees is never
+// recycled under it.
 type Packet struct {
 	Src     wire.Addr
 	Hdr     wire.ILPHeader
@@ -74,10 +74,9 @@ type Forward struct {
 	// the verdict is returned.
 	RewriteHeader []byte
 	// Payload, if non-nil, replaces the packet's payload on this copy;
-	// nil forwards the original payload. Use Empty to send no payload.
+	// nil forwards the original payload, and an empty non-nil slice
+	// ([]byte{}) sends none.
 	Payload []byte
-	// Empty forces an empty payload even though Payload is nil.
-	Empty bool
 }
 
 // Rule is a decision-cache installation request.

@@ -99,18 +99,16 @@ func (m holdModule) HandlePacket(_ Env, pkt *Packet) (Decision, error) {
 
 // TestReleasedBuffersAreNeverSeenAgain: the SN gives a receive buffer back
 // only when nothing can see it any more. Everything that may keep a payload
-// does — OnDeliver, a slow-path module, the receiver of a forward that had to
-// wait for its pipe, and both receivers of a two-destination forward — then a
+// does — a slow-path module, the receiver of a forward that had to wait for
+// its pipe, and both receivers of a two-destination forward — then a
 // thousand fast-path packets of the same size class go through, each one's
 // buffer released and written again at once (race builds overwrite a buffer
 // the moment it is released), and at the end every kept payload must still
 // read what its packet carried.
 func TestReleasedBuffersAreNeverSeenAgain(t *testing.T) {
 	net := netsim.NewNetwork()
-	delivered, moduleSaw := newKeeper(), newKeeper()
-	node := newTestSN(t, net, "fd00::5", func(c *Config) {
-		c.OnDeliver = func(pkt *Packet) { delivered.keep(pkt.Payload) }
-	})
+	moduleSaw := newKeeper()
+	node := newTestSN(t, net, "fd00::5")
 	if err := node.Register(holdModule{moduleSaw}); err != nil {
 		t.Fatal(err)
 	}
@@ -148,16 +146,14 @@ func TestReleasedBuffersAreNeverSeenAgain(t *testing.T) {
 	}
 
 	const (
-		connDeliver = 1 + iota // cached Deliver: OnDeliver keeps the payload
-		connModule             // no rule: the module keeps the payload
-		connLate               // cached forward to a peer with no pipe yet: requeued
-		connFanout             // cached forward to two receivers
-		connLater              // the thousand packets that follow
+		connModule = 1 + iota // no rule: the module keeps the payload
+		connLate              // cached forward to a peer with no pipe yet: requeued
+		connFanout            // cached forward to two receivers
+		connLater             // the thousand packets that follow
 	)
 	rule := func(conn int, a cache.Action) {
 		node.Cache().Add(wire.FlowKey{Src: cl.addr, Service: wire.SvcNull, Conn: wire.ConnectionID(conn)}, a)
 	}
-	rule(connDeliver, cache.Action{Deliver: true})
 	rule(connLate, cache.Action{Forward: []wire.Addr{late}})
 	rule(connFanout, cache.Action{Forward: []wire.Addr{r1, r2}})
 	rule(connLater, cache.Action{Forward: []wire.Addr{r1}})
@@ -171,17 +167,15 @@ func TestReleasedBuffersAreNeverSeenAgain(t *testing.T) {
 
 	const each = 8
 	for seq := 0; seq < each; seq++ {
-		send(connDeliver, seq)
 		send(connModule, seq)
 		send(connLate, seq)
 		send(connFanout, seq)
 	}
-	delivered.await(t, each, "OnDeliver")
 	moduleSaw.await(t, each, "module")
 	kLate.await(t, each, "requeued forward")
 	k1.await(t, each, "fan-out, first receiver")
 	k2.await(t, each, "fan-out, second receiver")
-	if node.Counters().Requeued == 0 {
+	if node.Telemetry().Snapshot().Value("sn_requeued_total") == 0 {
 		t.Error("no forward waited for its pipe; the requeue path was not exercised")
 	}
 
@@ -193,7 +187,6 @@ func TestReleasedBuffersAreNeverSeenAgain(t *testing.T) {
 		k1.await(t, 50, "later packets")
 	}
 
-	delivered.check(t, "OnDeliver", 0)
 	moduleSaw.check(t, "module", 0)
 	if n := kLate.check(t, "receiver of the requeued forwards", connLate); n != each {
 		t.Errorf("receiver of the requeued forwards holds %d of %d intact packets", n, each)
@@ -204,8 +197,7 @@ func TestReleasedBuffersAreNeverSeenAgain(t *testing.T) {
 	if n := k2.check(t, "second receiver", connFanout); n != each {
 		t.Errorf("second fan-out receiver holds %d of %d intact copies", n, each)
 	}
-	// Released: every hit that delivered to no one. Not released: what
-	// OnDeliver and the module were handed.
+	// Released: every hit. Not released: what the module was handed.
 	if got, want := node.Telemetry().Snapshot().Value("sn_rx_buffers_released_total"), float64(later+2*each); got != want {
 		t.Errorf("sn_rx_buffers_released_total = %v, want %v (the later packets, the requeued and the fanned-out forwards)", got, want)
 	}

@@ -38,8 +38,6 @@ type Config struct {
 	TPM *tpm.TPM
 	// Authorize filters pipe peers (default accept-all).
 	Authorize pipe.AuthorizePeer
-	// OnDeliver receives packets whose cached action is Deliver. Optional.
-	OnDeliver func(pkt *Packet)
 	// AutoConnect, when true (the default via NewConfig semantics: zero
 	// value false means *disabled*; most callers want DisableAutoConnect
 	// false), lets forwarding establish missing pipes on demand.
@@ -87,33 +85,10 @@ type Config struct {
 	// per-node one, reachable via SN.Telemetry().
 	Telemetry *telemetry.Registry
 	// Trace, when non-nil, observes every packet crossing the
-	// pipe-terminus (rx, fast/slow path, forward, deliver, drop). It runs
+	// pipe-terminus (rx, fast/slow path, forward, drop). It runs
 	// inline on the sharded rx workers; see telemetry.TraceHook for the
 	// contract.
 	Trace telemetry.TraceHook
-}
-
-// Counters aggregates SN data-path statistics. It is a legacy view over the
-// node's sn_* telemetry instruments (see SN.Telemetry): each field is read
-// atomically, but the struct is not one consistent cut across counters.
-type Counters struct {
-	RxPackets     uint64 // packets entering the pipe-terminus
-	FastPathHits  uint64 // served entirely from the decision cache
-	SlowPathSent  uint64 // dispatched to a service module
-	SlowPathDrops uint64 // dropped: module queue full
-	NoModuleDrops uint64 // dropped: no module for service ID
-	RuleDrops     uint64 // dropped by a cached Drop action
-	Forwarded     uint64 // copies forwarded to next hops
-	Delivered     uint64 // packets handed to OnDeliver
-	ForwardErrors uint64 // forwarding failures (no pipe, send error)
-	ModuleErrors  uint64 // module invocations that failed (any cause)
-	Requeued      uint64 // forwards held while a pipe (re-)establishes
-	RequeueDrops  uint64 // forwards dropped: requeue bound reached
-	PeersLost     uint64 // pipes torn down by dead-peer detection
-	// Modules holds the per-module containment snapshot (queue drops,
-	// errors, timeouts, panics, restarts, breaker state), sorted by
-	// service ID.
-	Modules []ModuleHealth
 }
 
 // moduleTable maps a service to its registered module; see SN.modules.
@@ -180,8 +155,8 @@ type SN struct {
 	dialing      map[wire.Addr]bool
 	closed       bool
 
-	// The data-path counters are telemetry instruments in telem; Counters()
-	// reads them back as a legacy view.
+	// The data-path counters are telemetry instruments in telem, read
+	// through Telemetry().Snapshot().
 	telem         *telemetry.Registry
 	trace         telemetry.TraceHook
 	rxPackets     *telemetry.Counter
@@ -190,7 +165,6 @@ type SN struct {
 	noModuleDrops *telemetry.Counter
 	ruleDrops     *telemetry.Counter
 	forwarded     *telemetry.Counter
-	delivered     *telemetry.Counter
 	forwardErrors *telemetry.Counter
 	moduleErrors  *telemetry.Counter
 	requeued      *telemetry.Counter
@@ -279,7 +253,6 @@ func New(cfg Config) (*SN, error) {
 		noModuleDrops: reg.Counter("sn_no_module_drops_total"),
 		ruleDrops:     reg.Counter("sn_rule_drops_total"),
 		forwarded:     reg.Counter("sn_forwarded_total"),
-		delivered:     reg.Counter("sn_delivered_total"),
 		forwardErrors: reg.Counter("sn_forward_errors_total"),
 		moduleErrors:  reg.Counter("sn_module_errors_total"),
 		requeued:      reg.Counter("sn_requeued_total"),
@@ -317,7 +290,6 @@ func New(cfg Config) (*SN, error) {
 		Telemetry:         reg,
 		Identity:          cfg.Identity,
 		Clock:             cfg.Clock,
-		Handler:           s.handlePacket,
 		BatchHandler:      s.handleBatch,
 		Authorize:         cfg.Authorize,
 		HandshakeTimeout:  cfg.HandshakeTimeout,
@@ -371,30 +343,10 @@ func (s *SN) ModuleHealth() []ModuleHealth {
 	return hs
 }
 
-// Counters returns a snapshot of data-path statistics.
-func (s *SN) Counters() Counters {
-	mods := s.ModuleHealth()
-	var slowDrops uint64
-	for i := range mods {
-		slowDrops += mods[i].Dropped
-	}
-	return Counters{
-		Modules:       mods,
-		RxPackets:     s.rxPackets.Load(),
-		FastPathHits:  s.fastPathHits.Load(),
-		SlowPathSent:  s.slowPathSent.Load(),
-		SlowPathDrops: slowDrops,
-		NoModuleDrops: s.noModuleDrops.Load(),
-		RuleDrops:     s.ruleDrops.Load(),
-		Forwarded:     s.forwarded.Load(),
-		Delivered:     s.delivered.Load(),
-		ForwardErrors: s.forwardErrors.Load(),
-		ModuleErrors:  s.moduleErrors.Load(),
-		Requeued:      s.requeued.Load(),
-		RequeueDrops:  s.requeueDrops.Load(),
-		PeersLost:     s.peersLost.Load(),
-	}
-}
+// Counters is Telemetry().Snapshot(). It exists only for the benchmark's
+// sn.inject failure message, which prints it; read counters through
+// Telemetry.
+func (s *SN) Counters() telemetry.Snapshot { return s.telem.Snapshot() }
 
 // Register installs a service module on this SN. Modules must be
 // registered before traffic for their service arrives; registration after
@@ -602,8 +554,8 @@ func (s *SN) handlePacket(tx pipe.Sender, src wire.Addr, hdr wire.ILPHeader, hdr
 
 // serve looks one packet up in the decision cache and runs the fast or the
 // slow path; handlePacket documents the arguments. It reports whether the SN
-// is done with payload: true for a hit whose action keeps nothing (see
-// keepsPayload), false for a miss, whose payload the slow path carries on.
+// is done with payload: true for a hit, whose action keeps nothing (see
+// applyFastAction), false for a miss, whose payload the slow path carries on.
 func (s *SN) serve(tx pipe.Sender, src wire.Addr, hdr wire.ILPHeader, hdrRaw, payload []byte) bool {
 	key := wire.FlowKey{Src: src, Service: hdr.Service, Conn: hdr.Conn}
 	if action, start, ok := s.cache.LookupStamped(key, 1); ok {
@@ -618,19 +570,10 @@ func (s *SN) serve(tx pipe.Sender, src wire.Addr, hdr wire.ILPHeader, hdrRaw, pa
 		}
 		s.applyFastAction(tx, src, &hdr, hdrRaw, payload, &action)
 		s.fastPathNs.Observe(uint64(time.Since(start)))
-		return !s.keepsPayload(&action)
+		return true
 	}
 	s.handleMiss(src, hdr, payload)
 	return false
-}
-
-// keepsPayload reports whether executing a cached action leaves a reference
-// to the packet's payload behind. Only delivery does — the *Packet handed to
-// OnDeliver is its to keep. A forward does not: by the time applyFastAction
-// returns, each copy has been staged into a seal buffer (the worker's egress
-// Sender), sealed into one (pipe.Manager), or snapshotted (requeue).
-func (s *SN) keepsPayload(action *cache.Action) bool {
-	return action.Deliver && s.cfg.OnDeliver != nil
 }
 
 // transitEndsHere reports whether hdr is an inter-edomain transit header that
@@ -678,8 +621,7 @@ func (s *SN) unwrapTransit(tx pipe.Sender, src wire.Addr, outer *wire.ILPHeader,
 // back (pipe.RxPacket.Release) once its action has run, so the next inbound
 // datagram is copied into it: a packet crossing k SNs costs the fabric one
 // allocation, not k+1. Whatever something else still sees — a miss on its way
-// to a module, a payload OnDeliver was handed, the enclave-terminus path — is
-// never released.
+// to a module, the enclave-terminus path — is never released.
 func (s *SN) handleBatch(tx pipe.Sender, src wire.Addr, pkts []pipe.RxPacket) {
 	if s.terminusEnclave != nil {
 		// Every packet crosses the enclave boundary individually; keep the
@@ -721,12 +663,10 @@ func (s *SN) handleBatch(tx pipe.Sender, src wire.Addr, pkts []pipe.RxPacket) {
 				}
 				s.applyFastAction(tx, src, &run[k].Hdr, run[k].HdrRaw, run[k].Payload, &action)
 			}
-			if !s.keepsPayload(&action) {
-				for k := range run {
-					run[k].Release()
-				}
-				s.rxBuffersReleased.Add(uint64(len(run)))
+			for k := range run {
+				run[k].Release()
 			}
+			s.rxBuffersReleased.Add(uint64(len(run)))
 			s.fastPathNs.Observe(uint64(time.Since(start)))
 			continue
 		}
@@ -773,25 +713,16 @@ func (s *SN) handleMiss(src wire.Addr, hdr wire.ILPHeader, payload []byte) {
 // applyFastAction executes a cached decision on the fast path. Forwarding
 // with no header rewrite reuses the raw inbound header bytes, so the whole
 // hit path — decrypt, lookup, re-encrypt, send — allocates nothing; the next
-// hop's copy of the datagram is the transport's (wire.RxCopy).
+// hop's copy of the datagram is the transport's (wire.RxCopy). It keeps no
+// reference to payload: by the time it returns, each copy has been staged
+// into a seal buffer (the worker's egress Sender), sealed into one
+// (pipe.Manager), or snapshotted (requeue).
 func (s *SN) applyFastAction(tx pipe.Sender, src wire.Addr, hdr *wire.ILPHeader, hdrRaw, payload []byte, action *cache.Action) {
 	if action.Drop {
 		s.ruleDrops.Add(1)
 		if s.trace != nil {
 			s.trace(telemetry.PacketTrace{Point: telemetry.TraceDrop, Src: src, Service: hdr.Service, Conn: hdr.Conn, Bytes: len(payload)})
 		}
-		return
-	}
-	if action.Deliver {
-		s.delivered.Add(1)
-		if s.trace != nil {
-			s.trace(telemetry.PacketTrace{Point: telemetry.TraceDeliver, Src: src, Service: hdr.Service, Conn: hdr.Conn, Bytes: len(payload)})
-		}
-		if s.cfg.OnDeliver != nil {
-			s.cfg.OnDeliver(&Packet{Src: src, Hdr: *hdr, Payload: payload})
-		}
-	}
-	if len(action.Forward) == 0 {
 		return
 	}
 	hdrBytes := action.RewriteHeader
@@ -823,8 +754,6 @@ func (s *SN) applyDecision(pkt *Packet, d Decision) {
 		payload := pkt.Payload
 		if f.Payload != nil {
 			payload = f.Payload
-		} else if f.Empty {
-			payload = nil
 		}
 		s.sendHeader(f.Dst, hdr, f.RewriteHeader, payload)
 	}

@@ -196,6 +196,46 @@ func TestSlowPathIPCEnclave(t *testing.T) {
 	testSlowPathRoundTrip(t, TransportIPC, true)
 }
 
+// emptyingModule answers every packet with a copy to its sender that
+// carries no payload.
+type emptyingModule struct{}
+
+func (emptyingModule) Service() wire.ServiceID { return wire.SvcEcho }
+func (emptyingModule) Name() string            { return "emptying" }
+func (emptyingModule) Version() string         { return "1" }
+func (emptyingModule) HandlePacket(_ Env, pkt *Packet) (Decision, error) {
+	return Decision{Forwards: []Forward{{Dst: pkt.Src, Payload: []byte{}}}}, nil
+}
+
+// TestEmptiedPayloadStaysEmpty: a verdict whose payload is empty, not nil,
+// sends no payload, however the verdict travels — in process, encoded over
+// the IPC transport, or out of an enclave. (Nil forwards the original.)
+func TestEmptiedPayloadStaysEmpty(t *testing.T) {
+	for name, opts := range map[string][]ModuleOption{
+		"chan":    {WithTransport(TransportChan)},
+		"ipc":     {WithTransport(TransportIPC)},
+		"enclave": {WithEnclave()},
+	} {
+		t.Run(name, func(t *testing.T) {
+			net := netsim.NewNetwork()
+			node := newTestSN(t, net, "fd00::5")
+			if err := node.Register(emptyingModule{}, opts...); err != nil {
+				t.Fatal(err)
+			}
+			cl := newClient(t, net, "fd00::1")
+			if err := cl.mgr.Connect(node.Addr()); err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.mgr.Send(node.Addr(), &wire.ILPHeader{Service: wire.SvcEcho, Conn: 1}, []byte("original")); err != nil {
+				t.Fatal(err)
+			}
+			if got := cl.await(t); len(got.payload) != 0 {
+				t.Fatalf("the receiver got payload %q, want none", got.payload)
+			}
+		})
+	}
+}
+
 // TestFigure2PipelineEquivalence pins the Figure 2 invariant: once a module
 // installs a decision-cache rule, the fast path must make the same
 // forwarding decision the slow path made, with the module no longer
@@ -234,12 +274,12 @@ func TestFigure2PipelineEquivalence(t *testing.T) {
 	if mod.calls.Load() != 1 {
 		t.Fatalf("module invoked %d times, want 1 (cache must serve the rest)", mod.calls.Load())
 	}
-	c := node.Counters()
-	if c.FastPathHits != 5 {
-		t.Fatalf("FastPathHits = %d, want 5", c.FastPathHits)
+	c := node.Telemetry().Snapshot()
+	if c.Value("sn_fastpath_hits_total") != 5 {
+		t.Fatalf("FastPathHits = %v, want 5", c.Value("sn_fastpath_hits_total"))
 	}
-	if c.SlowPathSent != 1 {
-		t.Fatalf("SlowPathSent = %d, want 1", c.SlowPathSent)
+	if c.Value("sn_slowpath_sent_total") != 1 {
+		t.Fatalf("SlowPathSent = %v, want 1", c.Value("sn_slowpath_sent_total"))
 	}
 }
 
@@ -254,7 +294,7 @@ func TestNoModuleDrops(t *testing.T) {
 	if err := cl.mgr.Send(node.Addr(), &hdr, nil); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return node.Counters().NoModuleDrops == 1 })
+	waitFor(t, func() bool { return node.Telemetry().Snapshot().Value("sn_no_module_drops_total") == 1 })
 }
 
 func waitFor(t *testing.T, cond func() bool) {
@@ -281,7 +321,7 @@ func TestModuleErrorCounted(t *testing.T) {
 	if err := cl.mgr.Send(node.Addr(), &wire.ILPHeader{Service: wire.SvcNull, Conn: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return node.Counters().ModuleErrors == 1 })
+	waitFor(t, func() bool { return node.Telemetry().Snapshot().Value("sn_module_errors_total") == 1 })
 }
 
 func TestDuplicateRegistrationRejected(t *testing.T) {
@@ -325,25 +365,7 @@ func TestDropRuleOnFastPath(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, func() bool { return node.Counters().RuleDrops == 3 })
-}
-
-func TestDeliverRule(t *testing.T) {
-	net := netsim.NewNetwork()
-	var delivered atomic.Uint64
-	node := newTestSN(t, net, "fd00::5", func(c *Config) {
-		c.OnDeliver = func(pkt *Packet) { delivered.Add(1) }
-	})
-	cl := newClient(t, net, "fd00::1")
-	if err := cl.mgr.Connect(node.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	key := wire.FlowKey{Src: cl.addr, Service: wire.SvcNull, Conn: 4}
-	node.Cache().Add(key, cache.Action{Deliver: true})
-	if err := cl.mgr.Send(node.Addr(), &wire.ILPHeader{Service: wire.SvcNull, Conn: 4}, []byte("up")); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return delivered.Load() == 1 })
+	waitFor(t, func() bool { return node.Telemetry().Snapshot().Value("sn_rule_drops_total") == 3 })
 }
 
 func TestMultiDestinationForwardRule(t *testing.T) {
@@ -365,8 +387,8 @@ func TestMultiDestinationForwardRule(t *testing.T) {
 	if string(got1.payload) != "copy" || string(got2.payload) != "copy" {
 		t.Fatalf("payloads %q %q", got1.payload, got2.payload)
 	}
-	if c := node.Counters(); c.Forwarded != 2 {
-		t.Fatalf("Forwarded = %d, want 2", c.Forwarded)
+	if c := node.Telemetry().Snapshot(); c.Value("sn_forwarded_total") != 2 {
+		t.Fatalf("Forwarded = %v, want 2", c.Value("sn_forwarded_total"))
 	}
 }
 
@@ -457,8 +479,8 @@ func TestSlowPathQueueOverflow(t *testing.T) {
 		}
 	}
 	waitFor(t, func() bool {
-		c := node.Counters()
-		return c.SlowPathDrops > 0 && c.RxPackets == 10
+		c := node.Telemetry().Snapshot()
+		return c.Value(`sn_module_dropped_total{module="blocking"}`) > 0 && c.Value("sn_rx_packets_total") == 10
 	})
 	close(block)
 }

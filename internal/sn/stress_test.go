@@ -71,15 +71,15 @@ func TestEvictionStormCorrectness(t *testing.T) {
 			}
 		}
 	}
-	st := node.Cache().Snapshot()
-	if st.Evictions == 0 {
+	st := node.Telemetry().Snapshot()
+	if st.Value("cache_evictions_total") == 0 {
 		t.Fatal("test did not exercise eviction")
 	}
 	if mod.recomputes.Load() <= flows {
 		t.Fatalf("module recomputed only %d times; eviction should force recomputation", mod.recomputes.Load())
 	}
-	if st.Size > 8 {
-		t.Fatalf("cache size %d over capacity", st.Size)
+	if size := st.Value("cache_entries"); size > 8 {
+		t.Fatalf("cache size %v over capacity", size)
 	}
 }
 
@@ -207,8 +207,8 @@ func TestShardedTerminusPerSourceOrdering(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	if hits := node.Cache().Snapshot().Hits; hits < uint64(senders*perSender) {
-		t.Errorf("cache hits = %d, want >= %d (all packets on the fast path)", hits, senders*perSender)
+	if hits := node.Telemetry().Snapshot().Value("cache_hits_total"); hits < senders*perSender {
+		t.Errorf("cache hits = %v, want >= %d (all packets on the fast path)", hits, senders*perSender)
 	}
 }
 

@@ -100,9 +100,9 @@ func TestTransitUnwrapMiss(t *testing.T) {
 		string(pkt.Hdr.Data) != "inner-data" || string(pkt.Payload) != "payload" {
 		t.Fatalf("module got %+v", pkt)
 	}
-	c := node.Counters()
-	if c.RxPackets != 1 || c.SlowPathSent != 1 || node.transitUnwrapped.Load() != 1 || node.transitMalformed.Load() != 0 {
-		t.Fatalf("rx %d slow %d unwrapped %d malformed %d", c.RxPackets, c.SlowPathSent,
+	c := node.Telemetry().Snapshot()
+	if c.Value("sn_rx_packets_total") != 1 || c.Value("sn_slowpath_sent_total") != 1 || node.transitUnwrapped.Load() != 1 || node.transitMalformed.Load() != 0 {
+		t.Fatalf("rx %v slow %v unwrapped %v malformed %v", c.Value("sn_rx_packets_total"), c.Value("sn_slowpath_sent_total"),
 			node.transitUnwrapped.Load(), node.transitMalformed.Load())
 	}
 	if rx, inner := tl.count(telemetry.TraceRx, wire.SvcPeering), tl.count(telemetry.TraceRx, wire.SvcEcho); rx != 1 || inner != 0 {
@@ -138,11 +138,11 @@ func TestTransitUnwrapHit(t *testing.T) {
 	if got.hdr.Service != inner.Service || got.hdr.Conn != inner.Conn || !bytes.Equal(got.hdr.Data, inner.Data) || string(got.payload) != "data" {
 		t.Fatalf("forwarded %+v %q, want the inner packet", got.hdr, got.payload)
 	}
-	waitFor(t, func() bool { return node.Counters().RxPackets == 3 })
-	c := node.Counters()
-	if c.FastPathHits != 1 || c.Forwarded != 1 || node.transitUnwrapped.Load() != 1 || c.NoModuleDrops != 2 {
-		t.Fatalf("hits %d forwarded %d unwrapped %d no-module drops %d, want 1 1 1 2",
-			c.FastPathHits, c.Forwarded, node.transitUnwrapped.Load(), c.NoModuleDrops)
+	waitFor(t, func() bool { return node.Telemetry().Snapshot().Value("sn_rx_packets_total") == 3 })
+	c := node.Telemetry().Snapshot()
+	if c.Value("sn_fastpath_hits_total") != 1 || c.Value("sn_forwarded_total") != 1 || node.transitUnwrapped.Load() != 1 || c.Value("sn_no_module_drops_total") != 2 {
+		t.Fatalf("hits %v forwarded %v unwrapped %v no-module drops %v, want 1 1 1 2",
+			c.Value("sn_fastpath_hits_total"), c.Value("sn_forwarded_total"), node.transitUnwrapped.Load(), c.Value("sn_no_module_drops_total"))
 	}
 }
 
@@ -180,11 +180,11 @@ func TestTransitMalformedDrops(t *testing.T) {
 		batch = append(batch, pipe.RxPacket{Hdr: hdr, Payload: []byte("x")})
 	}
 	node.handleBatch(node.mgr, prevHop, batch)
-	c := node.Counters()
-	if got, want := node.transitMalformed.Load(), uint64(2*len(bad)); got != want || c.RxPackets != want {
-		t.Fatalf("malformed %d rx %d, want %d each", got, c.RxPackets, want)
+	c := node.Telemetry().Snapshot()
+	if got, want := node.transitMalformed.Load(), uint64(2*len(bad)); got != want || c.Value("sn_rx_packets_total") != float64(want) {
+		t.Fatalf("malformed %v rx %v, want %v each", got, c.Value("sn_rx_packets_total"), want)
 	}
-	if c.SlowPathSent != 0 || c.FastPathHits != 0 || len(mod.got) != 0 || node.transitUnwrapped.Load() != 0 {
+	if c.Value("sn_slowpath_sent_total") != 0 || c.Value("sn_fastpath_hits_total") != 0 || len(mod.got) != 0 || node.transitUnwrapped.Load() != 0 {
 		t.Fatalf("a malformed transit packet got past the terminus: %+v", c)
 	}
 }

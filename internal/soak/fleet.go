@@ -366,11 +366,11 @@ func RunFleet(cfg FleetConfig) (*Result, error) {
 	}
 	gates := FleetGates(cfg, budget)
 	results, ok := EvalGates(gates, &stats)
-	ns := net.Snapshot()
+	ns := net.Telemetry().Snapshot()
 	cfg.Logf("fleet %s: wall=%.1fs sent=%d delivered=%d goro steady=%d (budget %d) pass=%v "+
-		"[netsim delivered=%d qdrop=%d deaddrop=%d]",
+		"[netsim delivered=%.0f qdrop=%.0f deaddrop=%.0f]",
 		cfg.Name, stats.WallSeconds, stats.Sent, stats.Delivered, goroSteady, budget, ok,
-		ns.Delivered, ns.DroppedQueue, ns.DroppedDead)
+		ns.Value("netsim_delivered_total"), ns.Value("netsim_dropped_queue_total"), ns.Value("netsim_dropped_dead_total"))
 	return &Result{Stats: stats, Gates: results, Registries: out.regs, passed: ok}, nil
 }
 

@@ -83,9 +83,14 @@ func (s Snapshot) Get(name string) (Sample, bool) {
 	return Sample{}, false
 }
 
-// Value returns the named counter/gauge value, or 0 if absent.
+// Value returns the named counter/gauge value. It panics, naming the
+// instrument, when the snapshot holds no such name: a misspelled name is a
+// bug, not a zero. Use Get for an instrument that may be absent.
 func (s Snapshot) Value(name string) float64 {
-	smp, _ := s.Get(name)
+	smp, ok := s.Get(name)
+	if !ok {
+		panic(fmt.Sprintf("telemetry: no instrument %q in snapshot", name))
+	}
 	return smp.Value
 }
 

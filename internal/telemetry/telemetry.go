@@ -1,8 +1,7 @@
 // Package telemetry is the node-wide metrics registry: one uniform home
 // for every counter, gauge, and latency histogram the data path and the
-// slow path maintain, replacing the per-layer ad-hoc stats structs
-// (pipe.Stats, netsim.UDPStats, cache stats, SN counters, module health)
-// with one naming scheme and one snapshot path.
+// slow path maintain, under one naming scheme and read through one snapshot
+// path: no layer keeps a second stats struct beside its instruments.
 //
 // Design constraints, in order:
 //

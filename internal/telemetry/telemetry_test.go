@@ -33,6 +33,28 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
+// TestValueOfAbsentNamePanics: a checked read. A present name reads its
+// value; an absent one panics with the name, so a misspelled metric in an
+// assertion fails instead of reading 0.
+func TestValueOfAbsentNamePanics(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("present_total").Add(2)
+	snap := r.Snapshot()
+	if v := snap.Value("present_total"); v != 2 {
+		t.Fatalf("present_total = %v, want 2", v)
+	}
+	defer func() {
+		v := recover()
+		if v == nil {
+			t.Fatal("Value of an absent name returned instead of panicking")
+		}
+		if msg, _ := v.(string); !strings.Contains(msg, "absent_total") {
+			t.Fatalf("panic %v does not name the instrument", v)
+		}
+	}()
+	snap.Value("absent_total")
+}
+
 func TestRegisterConflicts(t *testing.T) {
 	r := NewRegistry()
 	c := NewCounter("dup")

@@ -18,8 +18,6 @@ const (
 	TraceSlowPath
 	// TraceForward: one copy of the packet was forwarded to Dst.
 	TraceForward
-	// TraceDeliver: the packet was handed to local delivery.
-	TraceDeliver
 	// TraceDrop: the packet was dropped (cached drop rule, no module, or
 	// full slow-path queue).
 	TraceDrop
@@ -36,8 +34,6 @@ func (p TracePoint) String() string {
 		return "slowpath"
 	case TraceForward:
 		return "forward"
-	case TraceDeliver:
-		return "deliver"
 	case TraceDrop:
 		return "drop"
 	default:

@@ -62,6 +62,31 @@ go vet ./... || exit 1
 echo "==> go build ./..."
 go build ./... || exit 1
 
+# Operator smoke: what a user starts. Every example and the lab tour must
+# exit 0; the SN binary, run for two seconds on a loopback socket, must
+# print a counter line and then shut down cleanly on SIGINT.
+for ex in examples/*/; do
+	run "example smoke: ${ex%/}" go run "./$ex"
+done
+run "lab tour smoke: cmd/interedge-lab" go run ./cmd/interedge-lab
+
+sn_smoke() {
+	sn_dir="$(mktemp -d)"
+	sn_ok=1
+	if go build -o "$sn_dir/interedge-sn" ./cmd/interedge-sn; then
+		# timeout exits 124 after the signal whatever the SN did; the output
+		# is the verdict.
+		timeout -s INT 2 "$sn_dir/interedge-sn" -listen 127.0.0.1:0 -stats 300ms >"$sn_dir/out" 2>&1
+		cat "$sn_dir/out"
+		if grep -q '^rx=' "$sn_dir/out" && grep -q 'shutting down' "$sn_dir/out"; then
+			sn_ok=0
+		fi
+	fi
+	rm -rf "$sn_dir"
+	return $sn_ok
+}
+run "SN binary smoke: a counter line, then a clean shutdown on SIGINT" sn_smoke
+
 # Broad race-detected sweep. -short keeps the soak package to one seed per
 # scenario here (the full three-seed matrix runs below without the race
 # detector's ~10x slowdown).
