@@ -55,9 +55,12 @@ type Sender interface {
 // fast path can re-seal it without re-encoding.
 //
 // Ownership, stated here once for everything above the pipe layer (the SN's
-// modules, host.Message): the packet is the handler's — header, data and
+// slow path, host.Message): the packet is the handler's — header, data and
 // payload alike — to keep, or, for a BatchPacketHandler that holds no
-// reference to any of it any more, to give back once with pkt.Release(). The
+// reference to any of it any more, to give back once with pkt.Release(), or
+// to hand on with its buffer (pkt.Buffer) to whatever gives that back once
+// it is done — the SN's slow path does, when a module's lease on the packet
+// ends (sn.Packet). The
 // transport gave the datagram to its receiver for good
 // (netsim.Transport.Receive), the pipe opened the header back into the bytes
 // its ciphertext held and decoded it there, so hdrRaw, hdr.Data and payload
@@ -95,6 +98,11 @@ func (p *RxPacket) Release() {
 	wire.RxRelease(p.buf)
 	p.buf, p.HdrRaw, p.Hdr.Data, p.Payload = nil, nil, nil, nil
 }
+
+// Buffer returns the receive buffer HdrRaw, Hdr.Data and Payload lie in, for
+// a handler that hands the packet on and gives the buffer back later
+// (wire.RxRelease) instead of calling Release.
+func (p *RxPacket) Buffer() []byte { return p.buf }
 
 // BatchPacketHandler receives each decrypted same-pipe run of an RX batch
 // as one call, preserving arrival order within pkts. It is the batch

@@ -6,7 +6,10 @@
 package sn
 
 import (
+	"bytes"
 	"crypto/ed25519"
+	"net/netip"
+	"sync"
 	"time"
 
 	"interedge/internal/sn/cache"
@@ -17,12 +20,17 @@ import (
 // source plus the decrypted ILP header and opaque payload (§4: the module
 // receives "the packet's L3 header and decrypted ILP header").
 //
-// Payload and Hdr.Data belong to the packet: the transport handed the
-// datagram over for keeps and the pipe opened header and payload in place,
-// so both lie in the packet's own buffer and whoever holds the packet may
-// retain them. The SN gives a receive buffer back for reuse only when no
-// Packet was ever made of it (a cache hit), so what a module sees is never
-// recycled under it.
+// A packet is on lease to the module for the length of HandlePacket.
+// Payload and Hdr.Data lie in the buffer the packet arrived in, which the
+// pipe opened in place, and once the module's verdict (or the error, or the
+// degraded action) has been applied, the SN gives that buffer back for the
+// next inbound datagram and the Packet itself back to a pool. A module that
+// keeps the packet, or any slice of Hdr.Data or Payload, past HandlePacket —
+// in its state, on another goroutine, in an Env.Inject, or as a verdict's
+// RewriteHeader, which the SN keeps — calls Retain first, or copies what it
+// keeps. The SN keeps nothing else of a packet once its verdict is applied:
+// Route and OneForward verdicts live in the packet, the cache copies next
+// hops, and every forward is sealed or snapshotted before the SN moves on.
 type Packet struct {
 	Src     wire.Addr
 	Hdr     wire.ILPHeader
@@ -33,6 +41,61 @@ type Packet struct {
 	fwd  [1]Forward
 	rule [1]Rule
 	next [1]wire.Addr
+
+	// rxBuf is the receive buffer Hdr.Data and Payload lie in, given back
+	// when the lease ends; nil for a packet that came from Inject or the
+	// enclave terminus, whose bytes the SN does not recycle.
+	rxBuf []byte
+	// retained is set by Retain: the packet and its buffer are the
+	// module's from then on, and the collector's once it lets go.
+	retained bool
+}
+
+// Retain keeps p, and the buffer its Hdr.Data and Payload lie in, from being
+// recycled when HandlePacket returns. It is for a module that holds on to
+// the packet or to any slice of its bytes; copying what it keeps is the
+// alternative. Under the IPC transport and in an enclave the module is
+// handed a decoded copy, which is never recycled, so Retain changes nothing
+// there.
+func (p *Packet) Retain() { p.retained = true }
+
+// packets holds the slow path's recycled Packets. A sync.Pool, not a free
+// list: the collector empties it, so an idle SN keeps none.
+var packets = sync.Pool{New: func() any { return new(Packet) }}
+
+// leasePacket takes a packet from the pool for one miss; rxBuf is the
+// receive buffer its bytes lie in, or nil.
+func leasePacket(src wire.Addr, hdr wire.ILPHeader, payload, rxBuf []byte) *Packet {
+	p := packets.Get().(*Packet)
+	*p = Packet{Src: src, Hdr: hdr, Payload: payload, rxBuf: rxBuf}
+	return p
+}
+
+// recycle ends p's lease: unless a module retained it, its receive buffer
+// goes back to the transport's pool (wire.RxRelease) and p to the packet
+// pool, cleared — overwritten with garbage in race builds, as a released
+// buffer is, so a reference that outlived the lease reads nonsense at once.
+// It reports whether a receive buffer went back.
+func (p *Packet) recycle() bool {
+	if p.retained {
+		return false
+	}
+	released := p.rxBuf != nil
+	wire.RxRelease(p.rxBuf)
+	if raceEnabled {
+		*p = recycledPacket
+	} else {
+		*p = Packet{}
+	}
+	packets.Put(p)
+	return released
+}
+
+// recycledPacket is what a recycled packet reads in race builds.
+var recycledPacket = Packet{
+	Src:     netip.AddrFrom16([16]byte(bytes.Repeat([]byte{0xDB}, 16))),
+	Hdr:     wire.ILPHeader{Service: 0xDBDBDBDB, Conn: 0xDBDBDBDBDBDBDBDB, Data: bytes.Repeat([]byte{0xDB}, 16)},
+	Payload: bytes.Repeat([]byte{0xDB}, 64),
 }
 
 // OneForward returns the Forwards of the commonest uncached verdict — one
@@ -106,8 +169,10 @@ type Module interface {
 	// Version returns the implementation version (part of the enclave
 	// measurement).
 	Version() string
-	// HandlePacket processes one packet on the slow path. The module may
-	// retain pkt.Hdr.Data and pkt.Payload (see Packet).
+	// HandlePacket processes one packet on the slow path. pkt is the
+	// module's until the call returns: to keep it, or any slice of
+	// pkt.Hdr.Data or pkt.Payload, beyond that, call pkt.Retain or copy
+	// (see Packet).
 	HandlePacket(env Env, pkt *Packet) (Decision, error)
 }
 
@@ -143,7 +208,9 @@ type Env interface {
 	// cold resolution fill) re-injects it once the result is in. Safe
 	// to call from any goroutine. Inject takes ownership of what it is
 	// given, as the terminus does of a received packet: the caller must
-	// not write hdr.Data or payload afterwards.
+	// not write hdr.Data or payload afterwards. Bytes taken from a packet
+	// the module was handed are the terminus's to inject only if the
+	// module retained that packet (Packet.Retain) or copied them.
 	Inject(src wire.Addr, hdr wire.ILPHeader, payload []byte)
 	// Connect ensures a pipe to dst exists.
 	Connect(dst wire.Addr) error

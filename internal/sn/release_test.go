@@ -86,13 +86,15 @@ func (k *keeper) check(t *testing.T, who string, conn int) int {
 	return n
 }
 
-// holdModule is a slow-path module that holds on to every payload it sees.
+// holdModule is a slow-path module that holds on to every payload it sees,
+// retaining the packet as a module that keeps packet bytes must.
 type holdModule struct{ k *keeper }
 
 func (holdModule) Service() wire.ServiceID { return wire.SvcNull }
 func (holdModule) Name() string            { return "keep" }
 func (holdModule) Version() string         { return "1" }
 func (m holdModule) HandlePacket(_ Env, pkt *Packet) (Decision, error) {
+	pkt.Retain()
 	m.k.keep(pkt.Payload)
 	return Decision{}, nil
 }

@@ -502,7 +502,9 @@ func (i *ipcInvoker) close() error {
 // dispatcher is the slow-path queue between the pipe-terminus and one
 // module, and for an in-process module it is the whole module transport:
 // the worker that dequeues a packet invokes the module and applies the
-// verdict itself, so a miss costs one goroutine hand-off. It is also the
+// verdict itself, so a miss costs one goroutine hand-off. The worker owns
+// the packet's lease (Packet) and ends it once the verdict, error or
+// degraded action has been applied. It is also the
 // module's containment point: it enforces the per-invoke deadline, drives
 // the circuit breaker, and sheds to the degraded action while the breaker
 // is open.
@@ -528,6 +530,7 @@ type dispatcher struct {
 	panics   *telemetry.Counter
 	restarts *telemetry.Counter
 	shed     *telemetry.Counter
+	released *telemetry.Counter // the SN's sn_rx_buffers_released_total
 }
 
 type dispatcherConfig struct {
@@ -568,6 +571,7 @@ func newDispatcher(inv invoker, cfg dispatcherConfig) *dispatcher {
 		panics:   ctr("sn_module_panics_total"),
 		restarts: ctr("sn_module_restarts_total"),
 		shed:     ctr("sn_module_shed_total"),
+		released: reg.Counter("sn_rx_buffers_released_total"),
 	}
 	// Where the module's backlog stands, read only when a snapshot is taken.
 	_ = reg.Register(telemetry.NewGaugeFunc(telemetry.Name("sn_module_queue_depth", "module", cfg.module), func() int64 {
@@ -594,27 +598,42 @@ func (d *dispatcher) work() {
 			if d.degrade != nil {
 				d.degrade(pkt)
 			}
+			d.recycle(pkt)
 			continue
 		}
 		dec, err := d.invokeOne(pkt)
 		d.brk.onResult(err)
 		if err != nil {
 			d.errored.Add(1)
-			if errors.Is(err, ErrModuleTimeout) {
+			timedOut := errors.Is(err, ErrModuleTimeout)
+			if timedOut {
 				d.timeouts.Add(1)
 			}
 			d.onError(pkt, err)
+			if !timedOut { // the abandoned invocation may still be reading it
+				d.recycle(pkt)
+			}
 			continue
 		}
 		d.handled.Add(1)
 		d.apply(pkt, dec)
+		d.recycle(pkt)
+	}
+}
+
+// recycle ends the lease of a packet nothing will read again, unless its
+// module retained it.
+func (d *dispatcher) recycle(pkt *Packet) {
+	if pkt.recycle() {
+		d.released.Add(1)
 	}
 }
 
 // invokeOne runs one invocation under the module deadline. On timeout the
 // worker abandons the invocation (its goroutine runs on until the module
 // returns; the buffered channel lets its late result be dropped silently)
-// and reports ErrModuleTimeout to the breaker.
+// and reports ErrModuleTimeout to the breaker. The abandoned invocation
+// keeps its packet for good: it is never recycled.
 func (d *dispatcher) invokeOne(pkt *Packet) (Decision, error) {
 	if d.deadline <= 0 {
 		return d.inv.invoke(pkt)

@@ -546,17 +546,18 @@ func (s *SN) handlePacket(tx pipe.Sender, src wire.Addr, hdr wire.ILPHeader, hdr
 		payload = crossed
 	}
 	if s.transitEndsHere(&hdr) {
-		s.unwrapTransit(tx, src, &hdr, payload)
+		s.unwrapTransit(tx, src, &hdr, payload, nil)
 		return
 	}
-	s.serve(tx, src, hdr, hdrRaw, payload)
+	s.serve(tx, src, hdr, hdrRaw, payload, nil)
 }
 
 // serve looks one packet up in the decision cache and runs the fast or the
-// slow path; handlePacket documents the arguments. It reports whether the SN
-// is done with payload: true for a hit, whose action keeps nothing (see
-// applyFastAction), false for a miss, whose payload the slow path carries on.
-func (s *SN) serve(tx pipe.Sender, src wire.Addr, hdr wire.ILPHeader, hdrRaw, payload []byte) bool {
+// slow path; handlePacket documents the arguments, and rxBuf, if not nil, is
+// the receive buffer they lie in. It reports whether the SN is done with
+// payload: true for a hit, whose action keeps nothing (see applyFastAction),
+// false for a miss, whose payload and rxBuf the slow path carries on.
+func (s *SN) serve(tx pipe.Sender, src wire.Addr, hdr wire.ILPHeader, hdrRaw, payload, rxBuf []byte) bool {
 	key := wire.FlowKey{Src: src, Service: hdr.Service, Conn: hdr.Conn}
 	if action, start, ok := s.cache.LookupStamped(key, 1); ok {
 		// The histogram covers the post-lookup serve cost: executing the
@@ -572,7 +573,7 @@ func (s *SN) serve(tx pipe.Sender, src wire.Addr, hdr wire.ILPHeader, hdrRaw, pa
 		s.fastPathNs.Observe(uint64(time.Since(start)))
 		return true
 	}
-	s.handleMiss(src, hdr, payload)
+	s.handleMiss(src, hdr, payload, rxBuf)
 	return false
 }
 
@@ -594,9 +595,8 @@ func (s *SN) transitEndsHere(hdr *wire.ILPHeader) bool {
 // service's module otherwise. Nothing is copied: the inner header aliases
 // the same buffers the outer one does. The previous hop vouches for the
 // original source, as it does for the packet. A header that does not decode
-// (wire.Transit) is a counted drop. The result is serve's: whether the SN is
-// done with payload.
-func (s *SN) unwrapTransit(tx pipe.Sender, src wire.Addr, outer *wire.ILPHeader, payload []byte) bool {
+// (wire.Transit) is a counted drop. rxBuf and the result are serve's.
+func (s *SN) unwrapTransit(tx pipe.Sender, src wire.Addr, outer *wire.ILPHeader, payload, rxBuf []byte) bool {
 	var t wire.Transit
 	if err := t.DecodeFromBytes(outer.Data); err != nil {
 		s.transitMalformed.Add(1)
@@ -606,7 +606,7 @@ func (s *SN) unwrapTransit(tx pipe.Sender, src wire.Addr, outer *wire.ILPHeader,
 		return true
 	}
 	s.transitUnwrapped.Add(1)
-	return s.serve(tx, t.OrigSrc, t.Inner, t.InnerRaw, payload)
+	return s.serve(tx, t.OrigSrc, t.Inner, t.InnerRaw, payload, rxBuf)
 }
 
 // handleBatch is the batch pipe-terminus: one call per decrypted
@@ -620,8 +620,9 @@ func (s *SN) unwrapTransit(tx pipe.Sender, src wire.Addr, outer *wire.ILPHeader,
 // A packet served entirely from the decision cache gives its receive buffer
 // back (pipe.RxPacket.Release) once its action has run, so the next inbound
 // datagram is copied into it: a packet crossing k SNs costs the fabric one
-// allocation, not k+1. Whatever something else still sees — a miss on its way
-// to a module, the enclave-terminus path — is never released.
+// allocation, not k+1. A miss carries its buffer on to the slow path, which
+// gives it back once the packet's lease ends (Packet); the enclave-terminus
+// path never releases.
 func (s *SN) handleBatch(tx pipe.Sender, src wire.Addr, pkts []pipe.RxPacket) {
 	if s.terminusEnclave != nil {
 		// Every packet crosses the enclave boundary individually; keep the
@@ -646,7 +647,7 @@ func (s *SN) handleBatch(tx pipe.Sender, src wire.Addr, pkts []pipe.RxPacket) {
 			}
 		}
 		if unwrap {
-			if s.unwrapTransit(tx, src, &run[0].Hdr, run[0].Payload) {
+			if s.unwrapTransit(tx, src, &run[0].Hdr, run[0].Payload, run[0].Buffer()) {
 				run[0].Release()
 				s.rxBuffersReleased.Add(1)
 			}
@@ -671,14 +672,18 @@ func (s *SN) handleBatch(tx pipe.Sender, src wire.Addr, pkts []pipe.RxPacket) {
 			continue
 		}
 		for k := range run {
-			s.handleMiss(src, run[k].Hdr, run[k].Payload)
+			s.handleMiss(src, run[k].Hdr, run[k].Payload, run[k].Buffer())
 		}
 	}
 }
 
 // handleMiss is the shared post-lookup slow path: control-protocol packets
-// are served inline, everything else is handed to its service module.
-func (s *SN) handleMiss(src wire.Addr, hdr wire.ILPHeader, payload []byte) {
+// are served inline, everything else is handed to its service module on a
+// pooled Packet that carries rxBuf, the receive buffer hdr.Data and payload
+// lie in (nil if they lie in none). The dispatcher worker that serves the
+// packet recycles it, and gives rxBuf back, once the verdict is applied; a
+// packet shed at a full module queue is recycled here.
+func (s *SN) handleMiss(src wire.Addr, hdr wire.ILPHeader, payload, rxBuf []byte) {
 	if hdr.Service == wire.SvcControl {
 		s.handleControl(src, hdr.Conn, payload)
 		return
@@ -696,17 +701,14 @@ func (s *SN) handleMiss(src wire.Addr, hdr wire.ILPHeader, payload []byte) {
 		}
 		return
 	}
-	// The slow path retains the packet past this call, header data and
-	// payload as they are: both are the packet's own (see
-	// pipe.PacketHandler). The packet is one heap object on purpose: an
-	// invocation abandoned at its deadline may still hold it, so it cannot
-	// be recycled.
-	pkt := &Packet{Src: src, Hdr: hdr, Payload: payload}
-	if reg.disp.submit(pkt) {
-		s.slowPathSent.Add(1)
-		if s.trace != nil {
-			s.trace(telemetry.PacketTrace{Point: telemetry.TraceSlowPath, Src: src, Service: hdr.Service, Conn: hdr.Conn, Bytes: len(payload)})
-		}
+	pkt := leasePacket(src, hdr, payload, rxBuf)
+	if !reg.disp.submit(pkt) {
+		reg.disp.recycle(pkt)
+		return
+	}
+	s.slowPathSent.Add(1)
+	if s.trace != nil {
+		s.trace(telemetry.PacketTrace{Point: telemetry.TraceSlowPath, Src: src, Service: hdr.Service, Conn: hdr.Conn, Bytes: len(payload)})
 	}
 }
 

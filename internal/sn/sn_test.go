@@ -3,6 +3,7 @@ package sn
 import (
 	"encoding/json"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -386,6 +387,20 @@ func TestMultiDestinationForwardRule(t *testing.T) {
 	got1, got2 := d1.await(t), d2.await(t)
 	if string(got1.payload) != "copy" || string(got2.payload) != "copy" {
 		t.Fatalf("payloads %q %q", got1.payload, got2.payload)
+	}
+	// A receiver can hold its copy before the establish-and-flush goroutine
+	// that sent it has counted it; each goroutine is done, counts and all,
+	// once it has taken its destination out of dialing.
+	for deadline := time.Now().Add(3 * time.Second); ; runtime.Gosched() {
+		node.mu.Lock()
+		flushing := len(node.dialing)
+		node.mu.Unlock()
+		if flushing == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d destinations still flushing", flushing)
+		}
 	}
 	if c := node.Telemetry().Snapshot(); c.Value("sn_forwarded_total") != 2 {
 		t.Fatalf("Forwarded = %v, want 2", c.Value("sn_forwarded_total"))

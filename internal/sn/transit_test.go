@@ -12,13 +12,15 @@ import (
 	"interedge/internal/wire"
 )
 
-// keepModule hands every packet it is given to a channel, as it got it.
+// keepModule hands every packet it is given to a channel, as it got it,
+// retaining it so that it outlives the call.
 type keepModule struct{ got chan *Packet }
 
 func (m *keepModule) Service() wire.ServiceID { return wire.SvcEcho }
 func (m *keepModule) Name() string            { return "keep" }
 func (m *keepModule) Version() string         { return "1" }
 func (m *keepModule) HandlePacket(_ Env, pkt *Packet) (Decision, error) {
+	pkt.Retain()
 	m.got <- pkt
 	return Decision{}, nil
 }
