@@ -199,7 +199,7 @@ func scenarioIPFwd(topo *lab.Topology, w *worldState) error {
 		return err
 	}
 	inbox := make(chan host.Message, 1)
-	b.OnService(wire.SvcIPFwd, func(msg host.Message) { inbox <- msg })
+	b.OnService(wire.SvcIPFwd, func(msg host.Message) { inbox <- msg.Clone() })
 	conn, err := a.NewConn(wire.SvcIPFwd)
 	if err != nil {
 		return err

@@ -54,7 +54,7 @@ func main() {
 		log.Fatal(err)
 	}
 	requests := make(chan host.Message, 4)
-	webService.OnService(wire.SvcRelay, func(msg host.Message) { requests <- msg })
+	webService.OnService(wire.SvcRelay, func(msg host.Message) { requests <- msg.Clone() })
 
 	// An oDNS resolver on the egress SN knows the name.
 	if err := ingressSN.Register(odns.NewRelay(egressSN.Addr())); err != nil {

@@ -33,17 +33,36 @@ var (
 )
 
 // Message is one inbound ILP packet delivered to a connection or service
-// handler, safe to retain: Hdr.Data is a copy, and Payload is the
-// receiver's own by the pipe layer's ownership rule (pipe.PacketHandler) —
-// the host hands it on without copying it.
+// handler. Hdr.Data and Payload lie in the buffer the packet was received
+// in, which the host hands on without copying (pipe.PacketHandler). A
+// message read from Conn.Receive is the application's to keep. A message
+// handed to a ServiceHandler is valid for the call only: the host gives its
+// buffer back when the handler returns, so a handler that keeps the message,
+// or any slice of it, keeps a Clone.
 type Message struct {
 	Src     wire.Addr
 	Hdr     wire.ILPHeader
 	Payload []byte
 }
 
+// Clone returns a copy of m whose Hdr.Data and Payload share one new
+// allocation and belong to the caller alone. A nil slice stays nil.
+func (m Message) Clone() Message {
+	b := make([]byte, len(m.Hdr.Data)+len(m.Payload))
+	n := copy(b, m.Hdr.Data)
+	copy(b[n:], m.Payload)
+	if m.Hdr.Data != nil {
+		m.Hdr.Data = b[:n:n]
+	}
+	if m.Payload != nil {
+		m.Payload = b[n:]
+	}
+	return m
+}
+
 // ServiceHandler receives packets for a service ID that are not claimed by
-// an open connection (client-side service logic).
+// an open connection (client-side service logic). msg is valid for the call
+// only (see Message).
 type ServiceHandler func(msg Message)
 
 // DirectPolicy decides whether the host may bypass SNs and exchange
@@ -89,11 +108,12 @@ type Config struct {
 	// successor (SvcPipeMove) and the pipe was rebound to it. Optional.
 	OnPipeMoved func(old, successor wire.Addr)
 	// FastHandler, when set, receives every inbound data packet (anything
-	// that is not control-plane traffic) straight from the pipe, header and
-	// payload its to keep (pipe.PacketHandler), with no Message built.
-	// Connections and OnService handlers are bypassed. This is the
-	// weightless-fleet receive path: a million lite hosts cannot afford an
-	// allocation per packet.
+	// that is not control-plane traffic) straight from the pipe, with no
+	// Message built. hdr.Data and payload are valid for the call only: the
+	// host gives their buffer back when the handler returns, so a handler
+	// that keeps either copies it. Connections and OnService handlers are
+	// bypassed. This is the weightless-fleet receive path: a million lite
+	// hosts cannot afford an allocation per packet.
 	FastHandler func(src wire.Addr, hdr wire.ILPHeader, payload []byte)
 	// Logf receives diagnostics; nil discards them.
 	Logf func(format string, args ...any)
@@ -131,7 +151,7 @@ func New(cfg Config) (*Host, error) {
 		Transport:         cfg.Transport,
 		Identity:          cfg.Identity,
 		Clock:             cfg.Clock,
-		Handler:           h.handlePacket,
+		BatchHandler:      h.handleBatch,
 		Authorize:         cfg.Authorize,
 		KeepaliveInterval: cfg.KeepaliveInterval,
 		DeadAfter:         cfg.DeadAfter,
@@ -256,49 +276,61 @@ func (h *Host) SNIdentity(sn wire.Addr) (ed25519.PublicKey, bool) {
 	return h.pipes.PeerIdentity(sn)
 }
 
-// handlePacket demultiplexes inbound packets: control replies, open
-// connections, then service handlers. It may run concurrently for packets
-// from different pipe peers. What it delivers is safe to retain without a
-// copy: header data and payload are the receiver's (pipe.PacketHandler).
-func (h *Host) handlePacket(_ pipe.Sender, src wire.Addr, hdr wire.ILPHeader, _ []byte, payload []byte) {
+// handleBatch demultiplexes a same-pipe run of inbound packets: control
+// replies, pipe moves, the FastHandler, open connections, then service
+// handlers. It may run concurrently for runs from different pipe peers.
+//
+// A packet handed to a FastHandler or a ServiceHandler is on a lease that
+// ends when the call returns, and its receive buffer then goes back to the
+// pool (pipe.RxPacket.Release), so the next inbound datagram is copied into
+// it. So does the buffer of every packet the host consumes itself. What
+// leaves the call keeps its buffer: a message queued on a Conn, and a
+// control reply handed to the RoundTrip awaiting it, are the application's.
+func (h *Host) handleBatch(_ pipe.Sender, src wire.Addr, pkts []pipe.RxPacket) {
+	for k := range pkts {
+		if !h.deliver(src, &pkts[k].Hdr, pkts[k].Payload) {
+			pkts[k].Release()
+		}
+	}
+}
+
+// deliver hands one inbound packet to whatever claims it and reports whether
+// its buffer left with it.
+func (h *Host) deliver(src wire.Addr, hdr *wire.ILPHeader, payload []byte) (kept bool) {
 	// Control-plane traffic is handled regardless of FastHandler: control
 	// replies complete Invoke waiters and SvcPipeMove drives drain rebinds,
 	// so lite fleet hosts still exercise the real drain/failover machinery.
-	if hdr.Service == wire.SvcControl {
-		h.handleControlReply(hdr.Conn, payload)
-		return
-	}
-	if hdr.Service == wire.SvcPipeMove {
+	switch hdr.Service {
+	case wire.SvcControl:
+		return h.handleControlReply(hdr.Conn, payload)
+	case wire.SvcPipeMove:
 		h.handlePipeMove(src, payload)
-		return
+		return false
 	}
 	if h.cfg.FastHandler != nil {
-		h.cfg.FastHandler(src, hdr, payload)
-		return
+		h.cfg.FastHandler(src, *hdr, payload)
+		return false
 	}
-	msg := Message{
-		Src:     src,
-		Hdr:     wire.ILPHeader{Service: hdr.Service, Conn: hdr.Conn, Data: hdr.Data},
-		Payload: payload,
-	}
+	msg := Message{Src: src, Hdr: *hdr, Payload: payload}
 	h.mu.Lock()
 	if c, ok := h.conns[connKey{hdr.Service, hdr.Conn}]; ok {
 		h.mu.Unlock()
-		c.deliver(msg)
-		return
+		return c.deliver(msg)
 	}
 	handler, ok := h.handlers[hdr.Service]
 	h.mu.Unlock()
 	if ok {
 		handler(msg)
-		return
+		return false
 	}
 	h.rxUnclaimed.Add(1)
+	return false
 }
 
-// handleControlReply hands a control reply to the RoundTrip awaiting it. A
-// host serves no control ops, so anything else is unclaimed.
-func (h *Host) handleControlReply(conn wire.ConnectionID, payload []byte) {
+// handleControlReply hands a control reply to the RoundTrip awaiting it and
+// reports whether it did. A host serves no control ops, so anything else is
+// unclaimed.
+func (h *Host) handleControlReply(conn wire.ConnectionID, payload []byte) bool {
 	h.mu.Lock()
 	ch, ok := h.invokes[conn]
 	if ok {
@@ -307,9 +339,10 @@ func (h *Host) handleControlReply(conn wire.ConnectionID, payload []byte) {
 	h.mu.Unlock()
 	if !ok {
 		h.rxUnclaimed.Add(1)
-		return
+		return false
 	}
 	ch <- payload
+	return true
 }
 
 // handlePipeMove reacts to a draining first-hop SN announcing its
@@ -522,10 +555,13 @@ func (c *Conn) SendVia(sn wire.Addr, svcData, payload []byte) error {
 // when the connection closes.
 func (c *Conn) Receive() <-chan Message { return c.rx }
 
-func (c *Conn) deliver(msg Message) {
+// deliver queues msg for Receive and reports whether it did.
+func (c *Conn) deliver(msg Message) bool {
 	select {
 	case c.rx <- msg:
+		return true
 	default: // receiver not draining: drop, as the network would
+		return false
 	}
 }
 
@@ -563,7 +599,7 @@ func (h *Host) Close() error {
 	h.closed = true
 	h.mu.Unlock()
 	// Stop the pipes first. Closing a host's own engine waits for every RX
-	// worker, so once it returns no handlePacket can race a conn-channel
+	// worker, so once it returns no handleBatch can race a conn-channel
 	// close. On a shared engine only the endpoint is removed (the engine
 	// keeps running for its other hosts); its peers are removed atomically,
 	// so no NEW packet dispatches here afterwards — see NewOnEngine for the

@@ -204,7 +204,7 @@ func TestServiceHandlerReceivesUnclaimed(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make(chan Message, 1)
-	h.OnService(wire.SvcPubSub, func(msg Message) { got <- msg })
+	h.OnService(wire.SvcPubSub, func(msg Message) { got <- msg.Clone() })
 
 	// SN pushes an unsolicited pub/sub delivery to the host.
 	hdr := wire.ILPHeader{Service: wire.SvcPubSub, Conn: 999, Data: []byte("topic")}
@@ -249,7 +249,7 @@ func TestDirectConnectivity(t *testing.T) {
 	})
 	b := newHost(t, net, "fd00::a02")
 	got := make(chan Message, 1)
-	b.OnService(wire.SvcEcho, func(msg Message) { got <- msg })
+	b.OnService(wire.SvcEcho, func(msg Message) { got <- msg.Clone() })
 
 	if err := a.SendDirect(b.Addr(), wire.SvcEcho, 7, nil, []byte("direct")); err != nil {
 		t.Fatal(err)

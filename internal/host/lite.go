@@ -31,11 +31,11 @@ func NewOnEngine(eng *pipe.Engine, cfg Config) (*Host, error) {
 	}
 	h := initHost(cfg)
 	m, err := eng.Attach(pipe.EndpointConfig{
-		Addr:       cfg.Addr,
-		Identity:   cfg.Identity,
-		Handler:    h.handlePacket,
-		Authorize:  cfg.Authorize,
-		OnPeerDown: h.onPeerDown,
+		Addr:         cfg.Addr,
+		Identity:     cfg.Identity,
+		BatchHandler: h.handleBatch,
+		Authorize:    cfg.Authorize,
+		OnPeerDown:   h.onPeerDown,
 	})
 	if err != nil {
 		return nil, err

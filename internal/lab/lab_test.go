@@ -49,7 +49,7 @@ func TestFigure1Topology(t *testing.T) {
 	}
 
 	inbox := make(chan host.Message, 16)
-	server.OnService(wire.SvcIPFwd, func(msg host.Message) { inbox <- msg })
+	server.OnService(wire.SvcIPFwd, func(msg host.Message) { inbox <- msg.Clone() })
 
 	// App A and App B each open their own connection over the same host
 	// stack and pipes.
@@ -187,7 +187,7 @@ func TestHostMobilityAcrossEdomains(t *testing.T) {
 		t.Fatal(err)
 	}
 	inbox := make(chan host.Message, 4)
-	mobile.OnService(wire.SvcIPFwd, func(msg host.Message) { inbox <- msg })
+	mobile.OnService(wire.SvcIPFwd, func(msg host.Message) { inbox <- msg.Clone() })
 
 	send := func(tag string) {
 		conn, err := sender.NewConn(wire.SvcIPFwd)

@@ -59,8 +59,10 @@ type Sender interface {
 // payload alike — to keep, or, for a BatchPacketHandler that holds no
 // reference to any of it any more, to give back once with pkt.Release(), or
 // to hand on with its buffer (pkt.Buffer) to whatever gives that back once
-// it is done — the SN's slow path does, when a module's lease on the packet
-// ends (sn.Packet). The
+// it is done. The SN's slow path gives it back when a module's lease on the
+// packet ends (sn.Packet), and a host when the service handler or
+// FastHandler it handed the packet to returns (host.Message); a host keeps
+// only what it queues on a connection or hands to a control round trip. The
 // transport gave the datagram to its receiver for good
 // (netsim.Transport.Receive), the pipe opened the header back into the bytes
 // its ciphertext held and decoded it there, so hdrRaw, hdr.Data and payload

@@ -49,7 +49,7 @@ func TestLegitTrafficPasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make(chan host.Message, 16)
-	target.OnService(wire.SvcDDoS, func(msg host.Message) { got <- msg })
+	target.OnService(wire.SvcDDoS, func(msg host.Message) { got <- msg.Clone() })
 	conn, err := sender.NewConn(wire.SvcDDoS)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestDropRuleExpires(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make(chan host.Message, 64)
-	target.OnService(wire.SvcDDoS, func(msg host.Message) { got <- msg })
+	target.OnService(wire.SvcDDoS, func(msg host.Message) { got <- msg.Clone() })
 	conn, err := attacker.NewConn(wire.SvcDDoS)
 	if err != nil {
 		t.Fatal(err)

@@ -32,7 +32,7 @@ func TestDefaultAllowForwards(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make(chan host.Message, 1)
-	server.OnService(wire.SvcFirewall, func(msg host.Message) { got <- msg })
+	server.OnService(wire.SvcFirewall, func(msg host.Message) { got <- msg.Clone() })
 	client, err := topo.NewHost(ed, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestDenyRuleBlocksAndOffloads(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make(chan host.Message, 1)
-	server.OnService(wire.SvcFirewall, func(msg host.Message) { got <- msg })
+	server.OnService(wire.SvcFirewall, func(msg host.Message) { got <- msg.Clone() })
 	conn, err := blockedClient.NewConn(wire.SvcFirewall)
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestFirstMatchWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make(chan host.Message, 1)
-	server.OnService(wire.SvcFirewall, func(msg host.Message) { got <- msg })
+	server.OnService(wire.SvcFirewall, func(msg host.Message) { got <- msg.Clone() })
 	conn, err := goodClient.NewConn(wire.SvcFirewall)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +169,7 @@ func TestDefaultDeny(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make(chan host.Message, 1)
-	server.OnService(wire.SvcFirewall, func(msg host.Message) { got <- msg })
+	server.OnService(wire.SvcFirewall, func(msg host.Message) { got <- msg.Clone() })
 	conn, err := client.NewConn(wire.SvcFirewall)
 	if err != nil {
 		t.Fatal(err)

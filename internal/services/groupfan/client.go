@@ -1,6 +1,7 @@
 package groupfan
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 
@@ -8,7 +9,7 @@ import (
 	"interedge/internal/wire"
 )
 
-// Handler receives one delivery for a joined group.
+// Handler receives one delivery for a joined group; payload is its to keep.
 type Handler func(group string, payload []byte)
 
 type joined struct {
@@ -45,6 +46,9 @@ func NewClient(h *host.Host, svc wire.ServiceID) *Client {
 	return c
 }
 
+// onMessage hands a delivery to its group's Handler. The host's message is
+// valid only for this call, so the Handler gets a copy of the payload: a
+// Handler may keep what it is given.
 func (c *Client) onMessage(msg host.Message) {
 	kind, group, err := ParseHeader(msg.Hdr.Data)
 	if err != nil || kind != KindDeliver {
@@ -54,7 +58,7 @@ func (c *Client) onMessage(msg host.Message) {
 	j, ok := c.joined[group]
 	c.mu.Unlock()
 	if ok {
-		j.fn(group, msg.Payload)
+		j.fn(group, bytes.Clone(msg.Payload))
 	}
 }
 

@@ -54,7 +54,7 @@ func TestDeliveryViaSharedSN(t *testing.T) {
 		t.Fatal(err)
 	}
 	inbox := make(chan host.Message, 4)
-	b.OnService(wire.SvcIPFwd, func(msg host.Message) { inbox <- msg })
+	b.OnService(wire.SvcIPFwd, func(msg host.Message) { inbox <- msg.Clone() })
 	conn, err := a.NewConn(wire.SvcIPFwd)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +76,7 @@ func TestDeliveryAcrossSNsSameEdomain(t *testing.T) {
 		t.Fatal(err)
 	}
 	inbox := make(chan host.Message, 4)
-	b.OnService(wire.SvcIPFwd, func(msg host.Message) { inbox <- msg })
+	b.OnService(wire.SvcIPFwd, func(msg host.Message) { inbox <- msg.Clone() })
 	conn, err := a.NewConn(wire.SvcIPFwd)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestDeliveryAcrossEdomains(t *testing.T) {
 		t.Fatal(err)
 	}
 	inbox := make(chan host.Message, 4)
-	b.OnService(wire.SvcIPFwd, func(msg host.Message) { inbox <- msg })
+	b.OnService(wire.SvcIPFwd, func(msg host.Message) { inbox <- msg.Clone() })
 	conn, err := a.NewConn(wire.SvcIPFwd)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestFlowCachedAfterFirstPacket(t *testing.T) {
 		t.Fatal(err)
 	}
 	inbox := make(chan host.Message, 16)
-	b.OnService(wire.SvcIPFwd, func(msg host.Message) { inbox <- msg })
+	b.OnService(wire.SvcIPFwd, func(msg host.Message) { inbox <- msg.Clone() })
 	conn, err := a.NewConn(wire.SvcIPFwd)
 	if err != nil {
 		t.Fatal(err)

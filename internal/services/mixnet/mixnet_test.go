@@ -53,7 +53,7 @@ func TestOnionTraversesThreeMixes(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make(chan host.Message, 1)
-	receiver.OnService(wire.SvcMixnet, func(msg host.Message) { got <- msg })
+	receiver.OnService(wire.SvcMixnet, func(msg host.Message) { got <- msg.Clone() })
 
 	if err := Send(sender, dir, route(ed), receiver.Addr(), []byte("anonymous")); err != nil {
 		t.Fatal(err)

@@ -98,7 +98,7 @@ func TestMoveUpdatesLocationAndTrafficFollows(t *testing.T) {
 	// Traffic reaches the mobile host via its new SN (direct host send
 	// through the located SN's pipe).
 	got := make(chan host.Message, 1)
-	mobile.OnService(wire.SvcEcho, func(msg host.Message) { got <- msg })
+	mobile.OnService(wire.SvcEcho, func(msg host.Message) { got <- msg.Clone() })
 	conn, err := seeker.NewConn(wire.SvcEcho, host.Via(snAddr))
 	if err != nil {
 		t.Fatal(err)

@@ -58,7 +58,7 @@ func TestForwardToEgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make(chan host.Message, 1)
-	egress.OnService(wire.SvcNull, func(msg host.Message) { got <- msg })
+	egress.OnService(wire.SvcNull, func(msg host.Message) { got <- msg.Clone() })
 	conn, err := src.NewConn(wire.SvcNull)
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,7 @@
 package ordered
 
 import (
+	"bytes"
 	"container/heap"
 	"encoding/binary"
 	"errors"
@@ -299,7 +300,7 @@ type Delivery struct {
 	Payload   []byte
 }
 
-// Handler receives ordered deliveries.
+// Handler receives ordered deliveries; d.Payload is its to keep.
 type Handler func(channel string, d Delivery)
 
 // Client is the host-side API.
@@ -318,6 +319,9 @@ func NewClient(h *host.Host) *Client {
 	return c
 }
 
+// onMessage hands a delivery to its channel's Handler. The host's message
+// is valid only for this call, so the Handler gets a copy of the payload: a
+// Handler may keep what it is given.
 func (c *Client) onMessage(msg host.Message) {
 	if len(msg.Hdr.Data) < 10 || msg.Hdr.Data[0] != kindDeliver {
 		return
@@ -329,7 +333,7 @@ func (c *Client) onMessage(msg host.Message) {
 	fn, ok := c.handler[channel]
 	c.mu.Unlock()
 	if ok {
-		fn(channel, Delivery{Timestamp: ts, Late: late, Payload: msg.Payload})
+		fn(channel, Delivery{Timestamp: ts, Late: late, Payload: bytes.Clone(msg.Payload)})
 	}
 }
 

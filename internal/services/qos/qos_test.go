@@ -37,7 +37,7 @@ func TestUnconfiguredPassThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make(chan host.Message, 1)
-	receiver.OnService(wire.SvcQoS, func(msg host.Message) { got <- msg })
+	receiver.OnService(wire.SvcQoS, func(msg host.Message) { got <- msg.Clone() })
 	conn, err := sender.NewConn(wire.SvcQoS)
 	if err != nil {
 		t.Fatal(err)

@@ -48,7 +48,7 @@ func TestRelayDeliversToDestination(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make(chan host.Message, 1)
-	server.OnService(wire.SvcRelay, func(msg host.Message) { got <- msg })
+	server.OnService(wire.SvcRelay, func(msg host.Message) { got <- msg.Clone() })
 
 	if _, err := Send(client, dir, ed.SNs[1].Addr(), server.Addr(), []byte("GET /")); err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestEgressNeverSeesClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	delivered := make(chan host.Message, 1)
-	server.OnService(wire.SvcRelay, func(msg host.Message) { delivered <- msg })
+	server.OnService(wire.SvcRelay, func(msg host.Message) { delivered <- msg.Clone() })
 	if _, err := Send(client, dir, ed.SNs[1].Addr(), server.Addr(), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestReplyPathReachesClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	delivered := make(chan host.Message, 1)
-	server.OnService(wire.SvcRelay, func(msg host.Message) { delivered <- msg })
+	server.OnService(wire.SvcRelay, func(msg host.Message) { delivered <- msg.Clone() })
 
 	conn, err := Send(client, dir, ed.SNs[1].Addr(), server.Addr(), []byte("request"))
 	if err != nil {

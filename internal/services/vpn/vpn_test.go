@@ -34,7 +34,7 @@ func TestAuthenticatedTrafficPasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make(chan host.Message, 8)
-	customer.OnService(wire.SvcVPN, func(msg host.Message) { got <- msg })
+	customer.OnService(wire.SvcVPN, func(msg host.Message) { got <- msg.Clone() })
 
 	outside, err := topo.NewHost(ed, 0)
 	if err != nil {
@@ -77,7 +77,7 @@ func TestWrongSecretDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make(chan host.Message, 8)
-	customer.OnService(wire.SvcVPN, func(msg host.Message) { got <- msg })
+	customer.OnService(wire.SvcVPN, func(msg host.Message) { got <- msg.Clone() })
 	attacker, err := topo.NewHost(ed, 0)
 	if err != nil {
 		t.Fatal(err)

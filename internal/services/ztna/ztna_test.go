@@ -59,7 +59,7 @@ func TestMultiPacketEstablishmentAdmits(t *testing.T) {
 	}
 	setPolicy(t, topo, ed, AppPolicy{App: "erp", Backend: backend.Addr(), MinOSVersion: 10})
 	got := make(chan host.Message, 8)
-	backend.OnService(wire.SvcZTNA, func(msg host.Message) { got <- msg })
+	backend.OnService(wire.SvcZTNA, func(msg host.Message) { got <- msg.Clone() })
 
 	client, err := topo.NewHost(ed, 0)
 	if err != nil {
@@ -104,7 +104,7 @@ func TestOldOSVersionDenied(t *testing.T) {
 	}
 	setPolicy(t, topo, ed, AppPolicy{App: "erp", Backend: backend.Addr(), MinOSVersion: 12})
 	got := make(chan host.Message, 8)
-	backend.OnService(wire.SvcZTNA, func(msg host.Message) { got <- msg })
+	backend.OnService(wire.SvcZTNA, func(msg host.Message) { got <- msg.Clone() })
 	client, err := topo.NewHost(ed, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestUserAllowlist(t *testing.T) {
 		AllowedUsers: []string{"alice"},
 	})
 	got := make(chan host.Message, 8)
-	backend.OnService(wire.SvcZTNA, func(msg host.Message) { got <- msg })
+	backend.OnService(wire.SvcZTNA, func(msg host.Message) { got <- msg.Clone() })
 	mallory, err := topo.NewHost(ed, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestSurvivesCacheEviction(t *testing.T) {
 	}
 	setPolicy(t, topo, ed, AppPolicy{App: "erp", Backend: backend.Addr(), MinOSVersion: 1})
 	got := make(chan host.Message, 8)
-	backend.OnService(wire.SvcZTNA, func(msg host.Message) { got <- msg })
+	backend.OnService(wire.SvcZTNA, func(msg host.Message) { got <- msg.Clone() })
 	client, err := topo.NewHost(ed, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +286,7 @@ func TestIdleFlowExpiresViaHitCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make(chan host.Message, 8)
-	backend.OnService(wire.SvcZTNA, func(msg host.Message) { got <- msg })
+	backend.OnService(wire.SvcZTNA, func(msg host.Message) { got <- msg.Clone() })
 
 	client, err := topo.NewHost(ed, 0)
 	if err != nil {

@@ -123,13 +123,13 @@ run "slow-path dispatcher: close race, worker ownership, queue order and depth (
 	go test -race -count=10 -timeout 180s \
 	-run 'TestDispatcher|TestInProcessModuleOwnsItsWorkersOnly|TestSlowPath' \
 	./internal/sn/
-run "allocation budgets: echo round trip <= 1, fast-path delivery <= 1 over one SN (with and without 16 bytes of header data) and over two (fleet), an ipfwd Route miss <= 1 in one SN and <= 2 across two edomains, a pool miss = 1, consumed datagrams (forged, wrong-SPI, probes) = 0, wire.Datagram = 72 bytes" \
+run "allocation budgets: echo round trip <= 1 (the Conn path, whose messages the application keeps), fast-path delivery to a host handler = 0 over one SN (with and without 16 bytes of header data) and over two (fleet), an ipfwd Route miss = 0 in one SN and <= 1 across two edomains, unclaimed packets at a host = 0, a pool miss = 1, consumed datagrams (forged, wrong-SPI, probes) = 0, wire.Datagram = 72 bytes" \
 	go test -count=1 -v \
-	-run 'TestEchoRoundTripAllocs|TestFastPathDeliveryAllocs|TestSlowPathRouteAllocs|TestFleetTwoSNDeliveryAllocs|TestRxCopyMissCostsOneAllocation|TestRxClassesMatchTheAllocator|TestConsumedDatagramsGoBackToThePool|TestDatagramStaysThreeWords' \
+	-run 'TestEchoRoundTripAllocs|TestFastPathDeliveryAllocs|TestSlowPathRouteAllocs|TestFleetTwoSNDeliveryAllocs|TestUnclaimedFloodAllocs|TestRxCopyMissCostsOneAllocation|TestRxClassesMatchTheAllocator|TestConsumedDatagramsGoBackToThePool|TestDatagramStaysThreeWords' \
 	./internal/lab/ ./internal/wire/ ./internal/pipe/
-run "receive shards and buffer ownership (race-detected: released buffers and recycled slow-path packets are overwritten at once; sharded sim / Mux / UDP portable / mmsg / GSO in per-pipe order, n workers = n goroutines, header and payload kept by host / SN / module, a miss released after its verdict unless retained (chan / IPC / enclave), a packet abandoned at its deadline never recycled, wrapped nodes keep their shards, OpenBatch leaves its input alone, undecodable headers counted; repeated)" \
+run "receive shards and buffer ownership (race-detected: released buffers and recycled slow-path packets are overwritten at once; sharded sim / Mux / UDP portable / mmsg / GSO in per-pipe order, n workers = n goroutines, header and payload kept by host / SN / module, a host handler's packet released when its call returns unless cloned, a miss released after its verdict unless retained (chan / IPC / enclave), a packet abandoned at its deadline never recycled, wrapped nodes keep their shards, OpenBatch leaves its input alone, undecodable headers counted; repeated)" \
 	go test -race -count=3 -timeout 300s \
-	-run 'TestReceivedPayloadIsTheReceivers|TestReceiveShardsKeepsDepthAndQueue|TestEngineOwnsItsWorkersOnly|TestUndecodableHeaderIsCountedMalformed|TestRetainedPayloadSurvivesLaterPackets|TestTransitUnwrapMiss|TestReleasedBuffersAreNeverSeenAgain|TestLeaseEndsWithTheInvocation|TestAbandonedInvocationKeepsItsPacket|TestRecycledPacket|TestRxPacketReleaseOnce|TestRxCopyReusesWhatWasReleased|TestOpenBatchLeavesItsInputAlone|TestFastPathDeliveryAllocs|TestFleetTwoSNDeliveryAllocs|TestWrappedNodesKeepTheirReceiveShards' \
+	-run 'TestReceivedPayloadIsTheReceivers|TestReceiveShardsKeepsDepthAndQueue|TestEngineOwnsItsWorkersOnly|TestUndecodableHeaderIsCountedMalformed|TestRetainedPayloadSurvivesLaterPackets|TestHandlerLeaseEndsWithTheCall|TestMessageClone|TestTransitUnwrapMiss|TestReleasedBuffersAreNeverSeenAgain|TestLeaseEndsWithTheInvocation|TestAbandonedInvocationKeepsItsPacket|TestRecycledPacket|TestRxPacketReleaseOnce|TestRxCopyReusesWhatWasReleased|TestOpenBatchLeavesItsInputAlone|TestFastPathDeliveryAllocs|TestFleetTwoSNDeliveryAllocs|TestWrappedNodesKeepTheirReceiveShards' \
 	./internal/netsim/ ./internal/host/ ./internal/sn/ ./internal/pipe/ ./internal/wire/ ./internal/psp/ ./internal/lab/
 run "pipe stack, whole package: handshakes, liveness, egress, handoff, RX affinity (race-detected, x3)" \
 	go test -race -count=3 -timeout 300s ./internal/pipe/
