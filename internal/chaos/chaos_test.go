@@ -459,15 +459,12 @@ func TestBatchedForwardingUnderCombinedFaults(t *testing.T) {
 			}
 			a := newManager(t, net, "fd00::a", nil, nil)
 			c := newManager(t, net, "fd00::c", sink, nil)
-			var b *pipe.Manager
 			fwd := func(tx pipe.Sender, src wire.Addr, hdr wire.ILPHeader, hdrRaw, payload []byte) {
 				if err := tx.SendHeaderBytes(c.LocalAddr(), hdrRaw, payload); err != nil {
 					t.Errorf("forward: %v", err)
 				}
 			}
-			b = newManager(t, net, "fd00::b", fwd, func(cfg *pipe.Config) {
-				cfg.TxBatch = 8
-			})
+			b := newManager(t, net, "fd00::b", fwd, nil)
 			if err := a.Connect(b.LocalAddr()); err != nil {
 				t.Fatal(err)
 			}

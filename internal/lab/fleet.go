@@ -22,28 +22,9 @@ import (
 // a single netsim.Mux. The goroutine count of the finished fleet is
 // O(SNs + engine workers + placement controller), independent of Hosts.
 type FleetConfig struct {
-	// ID names the fleet's edomain (default "fleet").
-	ID edomain.ID
 	// SNs and Hosts size the fleet. Both required.
 	SNs   int
 	Hosts int
-	// EngineWorkers is the shared engine's RX fan-out width (default
-	// max(4, GOMAXPROCS)). The floor matters: the engine's workers are the
-	// only consumers of the fleet's one shared receive side, and under Go's
-	// fair scheduling a single worker competing with hundreds of SN worker
-	// goroutines is starved into queue overflow.
-	EngineWorkers int
-	// MuxQueueDepth is the shared host-side receive depth (default 65536,
-	// split across the engine's RX workers: one receive side absorbs bursts
-	// for the entire fleet).
-	MuxQueueDepth int
-	// Parallelism bounds the host build/adopt worker pool (default
-	// min(64, 4*GOMAXPROCS)). Each adoption performs a real handshake.
-	Parallelism int
-	// HandshakeTimeout/HandshakeRetries tune the engine's dialer
-	// (defaults 2s / 8 — adoption storms share SN slow-path capacity).
-	HandshakeTimeout time.Duration
-	HandshakeRetries int
 	// HostConfig edits host i's config before creation — the load
 	// generator installs its FastHandler here.
 	HostConfig func(i int, cfg *host.Config)
@@ -53,14 +34,26 @@ type FleetConfig struct {
 	// t.NewNodeResolver(ed, node). It runs once per SN, after the whole
 	// adoption wave (see NewFleet).
 	RegisterSN func(t *Topology, ed *Edomain, node *sn.SN) error
-	// EngineTelemetry receives the shared engine's instruments (default: a
-	// fresh registry, reachable as Fleet.EngineReg).
-	EngineTelemetry *telemetry.Registry
 }
 
+// The fleet's fixed shape.
+const (
+	// fleetID names the fleet's edomain.
+	fleetID edomain.ID = "fleet"
+	// fleetMuxQueueDepth is the shared host-side receive depth, split
+	// across the engine's RX workers: one receive side absorbs bursts for
+	// the entire fleet.
+	fleetMuxQueueDepth = 65536
+	// fleetHandshakeTimeout and fleetHandshakeRetries tune the engine's
+	// dialer: adoption storms share SN slow-path capacity.
+	fleetHandshakeTimeout = 2 * time.Second
+	fleetHandshakeRetries = 8
+)
+
 // Fleet is a built weightless fleet: the edomain and its placement
-// controller, the shared engine/mux pair, and every lite host in index
-// order (host i's load partner convention is up to the driver).
+// controller, the shared engine/mux pair with the registry holding the
+// engine's instruments, and every lite host in index order (host i's load
+// partner convention is up to the driver).
 type Fleet struct {
 	Topo      *Topology
 	Ed        *Edomain
@@ -95,35 +88,7 @@ func (t *Topology) NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if cfg.RegisterSN == nil {
 		return nil, fmt.Errorf("lab: FleetConfig.RegisterSN is required")
 	}
-	if cfg.ID == "" {
-		cfg.ID = "fleet"
-	}
-	if cfg.MuxQueueDepth == 0 {
-		cfg.MuxQueueDepth = 65536
-	}
-	if cfg.Parallelism <= 0 {
-		cfg.Parallelism = 4 * runtime.GOMAXPROCS(0)
-		if cfg.Parallelism > 64 {
-			cfg.Parallelism = 64
-		}
-	}
-	if cfg.EngineWorkers == 0 {
-		cfg.EngineWorkers = runtime.GOMAXPROCS(0)
-		if cfg.EngineWorkers < 4 {
-			cfg.EngineWorkers = 4
-		}
-	}
-	if cfg.HandshakeTimeout == 0 {
-		cfg.HandshakeTimeout = 2 * time.Second
-	}
-	if cfg.HandshakeRetries == 0 {
-		cfg.HandshakeRetries = 8
-	}
-	if cfg.EngineTelemetry == nil {
-		cfg.EngineTelemetry = telemetry.NewRegistry()
-	}
-
-	ed, err := t.AddEdomain(cfg.ID, cfg.SNs, nil)
+	ed, err := t.AddEdomain(fleetID, cfg.SNs, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -132,14 +97,19 @@ func (t *Topology) NewFleet(cfg FleetConfig) (*Fleet, error) {
 	}
 	place := t.NewPlacement(ed)
 
-	mux := t.Net.NewMux(cfg.MuxQueueDepth)
+	mux := t.Net.NewMux(fleetMuxQueueDepth)
+	engReg := telemetry.NewRegistry()
 	eng, err := pipe.NewEngine(pipe.EngineConfig{
 		Transport:        mux,
 		Clock:            t.Clock,
-		HandshakeTimeout: cfg.HandshakeTimeout,
-		HandshakeRetries: cfg.HandshakeRetries,
-		RxWorkers:        cfg.EngineWorkers,
-		Telemetry:        cfg.EngineTelemetry,
+		HandshakeTimeout: fleetHandshakeTimeout,
+		HandshakeRetries: fleetHandshakeRetries,
+		// The floor of 4 matters: the engine's workers are the only
+		// consumers of the fleet's one shared receive side, and under Go's
+		// fair scheduling a single worker competing with hundreds of SN
+		// worker goroutines is starved into queue overflow.
+		RxWorkers: max(4, runtime.GOMAXPROCS(0)),
+		Telemetry: engReg,
 	})
 	if err != nil {
 		return nil, err
@@ -152,7 +122,7 @@ func (t *Topology) NewFleet(cfg FleetConfig) (*Fleet, error) {
 		Place:     place,
 		Engine:    eng,
 		Mux:       mux,
-		EngineReg: cfg.EngineTelemetry,
+		EngineReg: engReg,
 		Hosts:     make([]*host.Host, cfg.Hosts),
 	}
 
@@ -175,10 +145,9 @@ func (t *Topology) NewFleet(cfg FleetConfig) (*Fleet, error) {
 		failed.Store(true)
 	}
 	next := atomic.Int64{}
-	workers := cfg.Parallelism
-	if workers > cfg.Hosts {
-		workers = cfg.Hosts
-	}
+	// A bounded pool builds the hosts: each adoption performs a real
+	// handshake.
+	workers := min(64, 4*runtime.GOMAXPROCS(0), cfg.Hosts)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {

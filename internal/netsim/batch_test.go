@@ -214,7 +214,7 @@ func TestUDPSendBatchRoundTrip(t *testing.T) {
 			}
 			st := ta.telem.Snapshot()
 			if st.Value("transport_udp_tx_packets_total") != count || st.Value("transport_udp_tx_batches_total") != 1 {
-				t.Fatalf("TxPackets/TxBatches = %v/%v, want %v/1", st.Value("transport_udp_tx_packets_total"), st.Value("transport_udp_tx_batches_total"), count)
+				t.Fatalf("udp tx packets/batches = %v/%v, want %v/1", st.Value("transport_udp_tx_packets_total"), st.Value("transport_udp_tx_batches_total"), count)
 			}
 			if rs := tb.telem.Snapshot(); rs.Value("transport_udp_rx_packets_total") != count || rs.Value("transport_udp_rx_malformed_total") != 0 || rs.Value("transport_udp_rx_dropped_total") != 0 {
 				t.Fatalf("receiver stats = %+v", rs)
@@ -371,7 +371,7 @@ func TestUDPGSOSuperDatagramRoundTrip(t *testing.T) {
 		t.Fatalf("received %d distinct payloads, want %d", len(seen), count)
 	}
 	if st := ta.telem.Snapshot(); st.Value("transport_udp_tx_packets_total") != count || st.Value("transport_udp_tx_batches_total") != 1 {
-		t.Fatalf("TxPackets/TxBatches = %v/%v, want %v/1", st.Value("transport_udp_tx_packets_total"), st.Value("transport_udp_tx_batches_total"), count)
+		t.Fatalf("udp tx packets/batches = %v/%v, want %v/1", st.Value("transport_udp_tx_packets_total"), st.Value("transport_udp_tx_batches_total"), count)
 	}
 	if got := ta.gsoSegments.Count(); got == 0 {
 		t.Fatal("transport_gso_segments recorded no observations on the GSO path")

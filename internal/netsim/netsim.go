@@ -404,56 +404,25 @@ func (n *Network) fateFor(dg *wire.Datagram, r *route) fate {
 	return f
 }
 
-// send routes a datagram from src. Routing state is read under the shared
-// lock and counters are atomic, so concurrent senders never serialize here.
-func (n *Network) send(dg wire.Datagram) error {
-	if len(dg.Payload) > wire.MTU {
-		return fmt.Errorf("netsim: payload %d exceeds MTU", len(dg.Payload))
-	}
-	n.stats.sent.Add(1)
-	n.stats.bytesSent.Add(uint64(len(dg.Payload)))
-	n.mu.RLock()
-	r, err := n.routeLocked(dg.Src, dg.Dst)
-	n.mu.RUnlock()
-	if err != nil {
-		n.stats.droppedDead.Add(1)
-		return err
-	}
-	if r.partitioned {
-		n.stats.droppedDead.Add(1)
-		return nil // silently dropped, like a black-holed route
-	}
-
-	f := n.fateFor(&dg, &r)
-	if f.drop {
-		return nil
-	}
-	n.transmit(r.dst, dg, f.delay, f.corrupt)
-	if f.duplicate {
-		n.stats.duplicated.Add(1)
-		n.transmit(r.dst, dg, f.dupDelay, false)
-	}
-	return nil
-}
-
-// readyRun is how many zero-delay deliveries sendBatch lands under one
-// receiver-lock acquisition: the pipe layer's egress batch (DefaultTxBatch).
+// readyRun is how many zero-delay deliveries SendBatch lands under one
+// receiver-lock acquisition: the pipe layer's egress batch cap.
 const readyRun = 32
 
-// sendBatch is the fabric's native vectored path: routing is resolved once
-// per destination run, counters are aggregated per batch, and every
-// zero-delay delivery in a same-destination run lands under a single
-// receiver-lock acquisition. Fault and loss draws remain strictly
-// per-datagram (in order), so a batch observes the same seeded fault
-// pattern the equivalent Send sequence would.
-func (n *Network) sendBatch(dgs []wire.Datagram) (int, error) {
-	n.stats.batches.Add(1)
+// sendBatch is the fabric's one send path — a lone Send is a batch of one:
+// routing is resolved once per destination run, counters are aggregated per
+// batch, and every zero-delay delivery in a same-destination run lands under
+// a single receiver-lock acquisition. The receiver's copy of each datagram
+// is made here (wire.RxCopy), or by transmit for a delayed or duplicated
+// one. Fault and loss draws are strictly per-datagram (in order), so a
+// batch observes the same seeded fault pattern the equivalent Send
+// sequence would.
+//
+// ready is the caller's empty scratch for the zero-delay copies of the
+// current same-destination run, flushed whenever it is full. It lives on
+// the caller's stack, so a batch of any size allocates nothing here, and a
+// lone Send clears one slot of it, not readyRun.
+func (n *Network) sendBatch(dgs, ready []wire.Datagram) (int, error) {
 	var sent, bytes uint64
-	// ready collects zero-delay copies for the current same-destination
-	// run. It lives on the stack and is flushed when full, so a batch of any
-	// size allocates nothing here.
-	var readyBuf [readyRun]wire.Datagram
-	ready := readyBuf[:0]
 	var cur route
 	var curSrc, curDst wire.Addr
 	haveRoute := false
@@ -523,8 +492,9 @@ func (n *Network) sendBatch(dgs []wire.Datagram) (int, error) {
 	return len(dgs), nil
 }
 
-// deliverRun delivers pre-copied zero-delay datagrams to one destination
-// under a single receiver-lock acquisition.
+// deliverRun queues copies the fabric made for dst, all bound for one
+// receive queue, under a single receiver-lock acquisition; a copy it has to
+// drop instead goes back to the pool it came from.
 func (n *Network) deliverRun(dst *simTransport, cps []wire.Datagram) {
 	var delivered, droppedQueue uint64
 	dst.mu.Lock()
@@ -572,16 +542,11 @@ func (n *Network) corruptCopy(p []byte) {
 func (n *Network) transmit(dst *simTransport, dg wire.Datagram, delay time.Duration, corrupt bool) {
 	cp := dg
 	cp.Payload = wire.RxCopy(dg.Payload)
-	if corrupt && len(cp.Payload) > 0 {
-		n.rngMu.Lock()
-		i := n.rng.Intn(len(cp.Payload))
-		bit := byte(1) << n.rng.Intn(8)
-		n.rngMu.Unlock()
-		cp.Payload[i] ^= bit
-		n.stats.corrupted.Add(1)
+	if corrupt {
+		n.corruptCopy(cp.Payload)
 	}
 	if delay <= 0 {
-		n.deliver(dst, cp)
+		n.deliverRun(dst, []wire.Datagram{cp})
 		return
 	}
 	// Register the timer synchronously so that a Manual clock advanced
@@ -595,7 +560,7 @@ func (n *Network) transmit(dst *simTransport, dg wire.Datagram, delay time.Durat
 	n.dueMu.Unlock()
 	go func() {
 		<-timer
-		n.deliver(dst, cp)
+		n.deliverRun(dst, []wire.Datagram{cp})
 		n.dueMu.Lock()
 		if n.due[at]--; n.due[at] == 0 {
 			delete(n.due, at)
@@ -628,27 +593,6 @@ func (n *Network) Settled() bool {
 	return true
 }
 
-// deliver queues a copy the fabric made for dst; one it has to drop instead
-// goes back to the pool it came from.
-func (n *Network) deliver(dst *simTransport, dg wire.Datagram) {
-	dst.mu.Lock()
-	if dst.closed {
-		dst.mu.Unlock()
-		n.stats.droppedDead.Add(1)
-		wire.RxRelease(dg.Payload)
-		return
-	}
-	select {
-	case queueFor(dst.rx.load(), dg.Src, dg.Dst) <- dg:
-		dst.mu.Unlock()
-		n.stats.delivered.Add(1)
-	default:
-		dst.mu.Unlock()
-		n.stats.droppedQueue.Add(1)
-		wire.RxRelease(dg.Payload)
-	}
-}
-
 type simTransport struct {
 	net  *Network
 	addr wire.Addr
@@ -657,22 +601,22 @@ type simTransport struct {
 	// other ports, so Close must not close it.
 	shared bool
 	mu     sync.Mutex
-	// closed is guarded by mu; deliver() checks it before sending on rx so
+	// closed is guarded by mu; deliverRun checks it before sending on rx so
 	// Close can safely close the queues.
 	closed bool
 }
 
 func (t *simTransport) LocalAddr() wire.Addr { return t.addr }
 
+// Send is SendBatch of one datagram, less the batch count.
 func (t *simTransport) Send(dg wire.Datagram) error {
-	t.mu.Lock()
-	closed := t.closed
-	t.mu.Unlock()
-	if closed {
+	if t.isClosed() {
 		return ErrClosed
 	}
 	dg.Src = t.addr
-	return t.net.send(dg)
+	var ready [1]wire.Datagram
+	_, err := t.net.sendBatch([]wire.Datagram{dg}, ready[:0])
+	return err
 }
 
 // SendBatch implements BatchSender natively on the fabric: one closed-flag
@@ -680,21 +624,26 @@ func (t *simTransport) Send(dg wire.Datagram) error {
 // path, which delivers zero-delay same-destination runs under a single
 // receiver-lock acquisition.
 func (t *simTransport) SendBatch(dgs []wire.Datagram) (int, error) {
-	t.mu.Lock()
-	closed := t.closed
-	t.mu.Unlock()
-	if closed {
+	if t.isClosed() {
 		return 0, ErrClosed
 	}
 	for i := range dgs {
 		dgs[i].Src = t.addr
 	}
-	return t.net.sendBatch(dgs)
+	t.net.stats.batches.Add(1)
+	var ready [readyRun]wire.Datagram
+	return t.net.sendBatch(dgs, ready[:0])
+}
+
+func (t *simTransport) isClosed() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.closed
 }
 
 func (t *simTransport) Receive() <-chan wire.Datagram { return t.rx.first() }
 
-// ReceiveShards implements ShardedReceiver. Every deliver path holds the
+// ReceiveShards implements ShardedReceiver. deliverRun holds the
 // endpoint's lock across its queue send, so taking it here is enough.
 func (t *simTransport) ReceiveShards(n int) []<-chan wire.Datagram {
 	t.mu.Lock()

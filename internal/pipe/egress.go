@@ -8,6 +8,11 @@ import (
 	"interedge/internal/wire"
 )
 
+// txBatchCap is the per-destination egress coalescing cap: under
+// backpressure a pipe's staged run flushes when it reaches this many
+// packets. It matches the transports' vectored-syscall batch sizing.
+const txBatchCap = 32
+
 // destBatch accumulates staged packets bound for one pipe. The Datagram
 // payloads alias the pooled sealBufs held alongside them; pkts and hdrLens
 // describe the staged PSP region of each payload (everything after the frame
@@ -25,8 +30,8 @@ type destBatch struct {
 // staged per pipe (header and payload copied to their final wire offsets in
 // pooled buffers, so callers may reuse their slices immediately) and handed
 // to the transport as one batch, either when the owning worker's input
-// drains (flushAll — the adaptive low-load path) or when a pipe reaches the
-// TxBatch cap under backpressure (flushDest). Sealing is deferred to flush
+// drains (flushAll — the adaptive low-load path) or when a pipe reaches
+// txBatchCap under backpressure (flushDest). Sealing is deferred to flush
 // time: the whole pending run of a pipe is encrypted in place with one
 // SealStaged pass — a single cipher-state fetch and one contiguous IV
 // reservation — and the steady state allocates nothing.
@@ -41,7 +46,6 @@ type egress struct {
 	// worker sets it before each delivery, so a send names its pipe by
 	// destination alone, as Sender does.
 	local   wire.Addr
-	cap     int
 	scratch psp.Scratch
 	dests   map[pipeKey]*destBatch
 	order   []*destBatch // flush order: first-enqueue order per drain cycle
@@ -49,7 +53,7 @@ type egress struct {
 }
 
 func (e *Engine) newEgress() *egress {
-	return &egress{e: e, cap: e.cfg.TxBatch, dests: make(map[pipeKey]*destBatch)}
+	return &egress{e: e, dests: make(map[pipeKey]*destBatch)}
 }
 
 // SendHeaderBytes stages the packet (copying hdrBytes and payload to their
@@ -97,7 +101,7 @@ func (eg *egress) SendHeaderBytes(dst wire.Addr, hdrBytes, payload []byte) error
 	db.sbs = append(db.sbs, sb)
 	db.pkts = append(db.pkts, buf[1:])
 	db.hdrLens = append(db.hdrLens, len(hdrBytes))
-	if len(db.dgs) >= eg.cap {
+	if len(db.dgs) >= txBatchCap {
 		return eg.flushDest(db)
 	}
 	return nil

@@ -41,8 +41,8 @@ func (r *recordingBatchTransport) snapshot() (sends int, batches []int) {
 }
 
 // TestEgressCapTriggeredFlush drives a worker egress by hand: packets
-// accumulate per destination until the TxBatch cap forces a flush, and
-// flushAll drains the remainder.
+// accumulate per destination until txBatchCap forces a flush, and flushAll
+// drains the remainder.
 func TestEgressCapTriggeredFlush(t *testing.T) {
 	net := netsim.NewNetwork()
 	tr, err := net.Attach(wire.MustAddr("fd00::1"))
@@ -54,7 +54,7 @@ func TestEgressCapTriggeredFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := New(Config{Transport: rec, Identity: id, TxBatch: 4})
+	a, err := New(Config{Transport: rec, Identity: id})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestEgressCapTriggeredFlush(t *testing.T) {
 	}
 	eg := a.eng.newEgress()
 	eg.local = a.LocalAddr()
-	for i := 0; i < 3; i++ {
+	for i := 0; i < txBatchCap-1; i++ {
 		if err := eg.SendHeaderBytes(b.addr, enc, []byte("p")); err != nil {
 			t.Fatal(err)
 		}
@@ -79,15 +79,15 @@ func TestEgressCapTriggeredFlush(t *testing.T) {
 	if _, batches := rec.snapshot(); len(batches) != 0 {
 		t.Fatalf("batches before cap = %v, want none", batches)
 	}
-	if got := eg.pending(); got != 3 {
-		t.Fatalf("pending = %d, want 3", got)
+	if got := eg.pending(); got != txBatchCap-1 {
+		t.Fatalf("pending = %d, want %d", got, txBatchCap-1)
 	}
-	// The 4th packet reaches the cap and must flush immediately.
+	// The packet that reaches the cap must flush the whole run immediately.
 	if err := eg.SendHeaderBytes(b.addr, enc, []byte("p")); err != nil {
 		t.Fatal(err)
 	}
-	if _, batches := rec.snapshot(); len(batches) != 1 || batches[0] != 4 {
-		t.Fatalf("batches after cap = %v, want [4]", batches)
+	if _, batches := rec.snapshot(); len(batches) != 1 || batches[0] != txBatchCap {
+		t.Fatalf("batches after cap = %v, want [%d]", batches, txBatchCap)
 	}
 	if got := eg.pending(); got != 0 {
 		t.Fatalf("pending after cap flush = %d, want 0", got)
@@ -100,10 +100,10 @@ func TestEgressCapTriggeredFlush(t *testing.T) {
 	}
 	eg.flushAll()
 	if _, batches := rec.snapshot(); len(batches) != 2 || batches[1] != 2 {
-		t.Fatalf("batches after drain = %v, want [4 2]", batches)
+		t.Fatalf("batches after drain = %v, want [%d 2]", batches, txBatchCap)
 	}
 	st := a.Telemetry().Snapshot()
-	if st.Value("pipe_tx_batches_total") != 2 || st.Value("pipe_tx_batched_packets_total") != 6 || st.Value("pipe_tx_flush_drops_total") != 0 {
+	if st.Value("pipe_tx_batches_total") != 2 || st.Value("pipe_tx_batched_packets_total") != txBatchCap+2 || st.Value("pipe_tx_flush_drops_total") != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -118,7 +118,6 @@ func TestEgressImmediateFlushAtLowLoad(t *testing.T) {
 	c := newNode(t, net, "fd00::3")
 	var fwd *Manager
 	b := newNode(t, net, "fd00::2", func(cfg *Config) {
-		cfg.TxBatch = 32
 		cfg.Handler = func(tx Sender, src wire.Addr, hdr wire.ILPHeader, hdrRaw, payload []byte) {
 			if err := tx.SendHeaderBytes(c.addr, hdrRaw, payload); err != nil {
 				t.Errorf("forward: %v", err)
@@ -150,12 +149,12 @@ func TestEgressImmediateFlushAtLowLoad(t *testing.T) {
 	waitFor(t, "the flush counted", func() bool { return fwd.Telemetry().Snapshot().Value("pipe_tx_batched_packets_total") != 0 })
 	st := fwd.Telemetry().Snapshot()
 	if st.Value("pipe_tx_batched_packets_total") != 1 {
-		t.Fatalf("TxBatchedPackets = %v, want 1", st.Value("pipe_tx_batched_packets_total"))
+		t.Fatalf("pipe_tx_batched_packets_total = %v, want 1", st.Value("pipe_tx_batched_packets_total"))
 	}
 }
 
-// TestEgressPerSourceOrderingAcrossBatches pushes a stream through a
-// forwarding node with a small coalescing cap, so the stream spans many
+// TestEgressPerSourceOrderingAcrossBatches pushes a stream several times
+// the coalescing cap through a forwarding node, so the stream spans many
 // batch flushes, and asserts the far side still sees it in order.
 func TestEgressPerSourceOrderingAcrossBatches(t *testing.T) {
 	const count = 200
@@ -164,7 +163,6 @@ func TestEgressPerSourceOrderingAcrossBatches(t *testing.T) {
 	c := newNode(t, net, "fd00::3")
 	var fwd *Manager
 	b := newNode(t, net, "fd00::2", func(cfg *Config) {
-		cfg.TxBatch = 8
 		cfg.Handler = func(tx Sender, src wire.Addr, hdr wire.ILPHeader, hdrRaw, payload []byte) {
 			if err := tx.SendHeaderBytes(c.addr, hdrRaw, payload); err != nil {
 				t.Errorf("forward: %v", err)
@@ -200,52 +198,10 @@ func TestEgressPerSourceOrderingAcrossBatches(t *testing.T) {
 	waitFor(t, "the last flush counted", func() bool { return fwd.Telemetry().Snapshot().Value("pipe_tx_batched_packets_total") >= count })
 	st := fwd.Telemetry().Snapshot()
 	if st.Value("pipe_tx_batched_packets_total") != count {
-		t.Fatalf("TxBatchedPackets = %v, want %v", st.Value("pipe_tx_batched_packets_total"), count)
+		t.Fatalf("pipe_tx_batched_packets_total = %v, want %v", st.Value("pipe_tx_batched_packets_total"), count)
 	}
 	if st.Value("pipe_tx_batches_total") == 0 || st.Value("pipe_tx_batches_total") > count {
-		t.Fatalf("TxBatches = %v, want within (0, %v]", st.Value("pipe_tx_batches_total"), count)
-	}
-}
-
-// TestEgressDisabled checks TxBatch=1 hands handlers the manager itself:
-// every forward goes out as an immediate per-datagram Send.
-func TestEgressDisabled(t *testing.T) {
-	net := netsim.NewNetwork()
-	a := newNode(t, net, "fd00::1")
-	c := newNode(t, net, "fd00::3")
-	var fwd *Manager
-	b := newNode(t, net, "fd00::2", func(cfg *Config) {
-		cfg.TxBatch = 1
-		cfg.Handler = func(tx Sender, src wire.Addr, hdr wire.ILPHeader, hdrRaw, payload []byte) {
-			if tx != Sender(fwd) {
-				t.Errorf("tx = %T, want the Manager when coalescing is disabled", tx)
-			}
-			if err := tx.SendHeaderBytes(c.addr, hdrRaw, payload); err != nil {
-				t.Errorf("forward: %v", err)
-			}
-		}
-	})
-	fwd = b.mgr
-	if err := a.mgr.Connect(b.addr); err != nil {
-		t.Fatal(err)
-	}
-	if err := fwd.Connect(c.addr); err != nil {
-		t.Fatal(err)
-	}
-	hdr := wire.ILPHeader{Service: wire.SvcEcho, Conn: 5}
-	if err := a.mgr.Send(b.addr, &hdr, []byte("direct")); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case got := <-c.rx:
-		if string(got.payload) != "direct" {
-			t.Fatalf("got %+v", got)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("timeout")
-	}
-	if st := fwd.Telemetry().Snapshot(); st.Value("pipe_tx_batches_total") != 0 || st.Value("pipe_tx_batched_packets_total") != 0 {
-		t.Fatalf("stats = %+v, want no batch accounting with coalescing disabled", st)
+		t.Fatalf("pipe_tx_batches_total = %v, want within (0, %v]", st.Value("pipe_tx_batches_total"), count)
 	}
 }
 

@@ -133,14 +133,6 @@ type EngineConfig struct {
 	// once, from the transport to its worker. A transport that cannot shard
 	// gets one worker.
 	RxWorkers int
-	// TxBatch caps the per-destination egress coalescing queue each worker
-	// offers its handlers: sends through the handler's Sender accumulate and
-	// go out as one transport batch when the worker's input drains
-	// (NAPI-style — a worker with nothing left to read flushes immediately,
-	// so an idle node adds no latency) or when a destination reaches the cap
-	// under backpressure. 0 selects the default (32); 1 disables coalescing
-	// and hands handlers their endpoint's Manager directly.
-	TxBatch int
 	// Telemetry is the registry the pipe instruments are created in,
 	// normally the owning node's registry so pipe metrics appear in the
 	// node's snapshot. Nil creates a private registry.
@@ -154,7 +146,8 @@ type EndpointConfig struct {
 	// Identity signs this endpoint's handshakes.
 	Identity handshake.Identity
 	// Handler receives the endpoint's decrypted inbound packets one at a
-	// time (see PacketHandler for ownership).
+	// time (see PacketHandler for ownership). The engine wraps it into a
+	// BatchPacketHandler that calls it once per packet of each run.
 	Handler PacketHandler
 	// BatchHandler, when set, takes precedence over Handler: each decrypted
 	// same-pipe run of a receive batch is delivered as one call, letting the
@@ -240,9 +233,6 @@ type pendingConn struct {
 
 type endpoint struct {
 	cfg EndpointConfig
-	// handle is the endpoint's one Manager; handlers get it as their Sender
-	// when egress coalescing is off.
-	handle *Manager
 }
 
 // msg1Reply caches the responder's answer to the most recent msg1 on one
@@ -312,9 +302,6 @@ func newEngine(cfg EngineConfig, shards int) (*Engine, error) {
 	}
 	if cfg.RxWorkers < 1 {
 		cfg.RxWorkers = 1
-	}
-	if cfg.TxBatch == 0 {
-		cfg.TxBatch = DefaultTxBatch
 	}
 	// Seed retry jitter from the transport's own address, so a simulation
 	// replays the same schedule while distinct nodes draw decorrelated
@@ -396,9 +383,8 @@ func (e *Engine) Attach(cfg EndpointConfig) (*Manager, error) {
 	return e.addEndpoint(cfg, false)
 }
 
-// addEndpoint registers cfg and returns the endpoint's one handle, which is
-// also the Sender its handlers get when egress coalescing is off. owns marks
-// the handle of an engine's only endpoint (New): closing it closes the
+// addEndpoint registers cfg and returns the endpoint's one handle. owns
+// marks the handle of an engine's only endpoint (New): closing it closes the
 // engine.
 func (e *Engine) addEndpoint(cfg EndpointConfig, owns bool) (*Manager, error) {
 	if !cfg.Addr.IsValid() {
@@ -407,7 +393,14 @@ func (e *Engine) addEndpoint(cfg EndpointConfig, owns bool) (*Manager, error) {
 	if cfg.Authorize == nil {
 		cfg.Authorize = func(wire.Addr, ed25519.PublicKey) bool { return true }
 	}
-	ep := &endpoint{cfg: cfg, handle: &Manager{eng: e, local: cfg.Addr, owns: owns}}
+	if h := cfg.Handler; cfg.BatchHandler == nil && h != nil {
+		cfg.BatchHandler = func(tx Sender, src wire.Addr, pkts []RxPacket) {
+			for k := range pkts {
+				h(tx, src, pkts[k].Hdr, pkts[k].HdrRaw, pkts[k].Payload)
+			}
+		}
+	}
+	ep := &endpoint{cfg: cfg}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
@@ -423,7 +416,7 @@ func (e *Engine) addEndpoint(cfg EndpointConfig, owns bool) (*Manager, error) {
 		return nil, fmt.Errorf("pipe: endpoint %s already registered", cfg.Addr)
 	}
 	e.endpointCount.Add(1)
-	return ep.handle, nil
+	return &Manager{eng: e, local: cfg.Addr, owns: owns}, nil
 }
 
 // RemoveEndpoint unregisters a local identity, tears down its pipes, and
@@ -544,10 +537,7 @@ func (e *Engine) consume(ch <-chan wire.Datagram) {
 	defer e.wg.Done()
 	var scratch psp.Scratch
 	var rb rxRun
-	var eg *egress
-	if e.cfg.TxBatch > 1 {
-		eg = e.newEgress()
-	}
+	eg := e.newEgress()
 	for {
 		dg, ok := <-ch
 		if !ok {
@@ -576,9 +566,7 @@ func (e *Engine) consume(ch <-chan wire.Datagram) {
 			e.dispatchBatch(eg, &rb, &scratch)
 			rb.dgs = rb.dgs[:0]
 		}
-		if eg != nil {
-			eg.flushAll()
-		}
+		eg.flushAll()
 		if closed {
 			return
 		}
@@ -588,8 +576,7 @@ func (e *Engine) consume(ch <-chan wire.Datagram) {
 // dispatchBatch walks one gathered batch in arrival order: dg.Dst names the
 // endpoint and dg.Src the remote. Handshake frames are handled inline, and
 // each maximal run of consecutive ILP datagrams on one pipe is opened and
-// delivered as a unit. eg is the worker's egress, or nil when coalescing is
-// off.
+// delivered as a unit through the worker's egress eg.
 func (e *Engine) dispatchBatch(eg *egress, rb *rxRun, scratch *psp.Scratch) {
 	dgs := rb.dgs
 	for i := 0; i < len(dgs); {
@@ -621,9 +608,8 @@ func (e *Engine) dispatchBatch(eg *egress, rb *rxRun, scratch *psp.Scratch) {
 }
 
 // handleILPRun opens one same-pipe run of sealed ILP packets with a single
-// OpenBatch pass and delivers the survivors — through the endpoint's
-// BatchHandler as one call when configured, else per packet through its
-// Handler. Per-packet failures (auth, replay, truncation, a header that
+// OpenBatch pass and delivers the survivors to the endpoint's BatchHandler
+// as one call. Per-packet failures (auth, replay, truncation, a header that
 // authenticates but does not decode) drop only the offending packet. Each
 // opened header is copied back into the datagram, over its own ciphertext,
 // and decoded there: the handler owns one buffer holding header and payload
@@ -696,19 +682,9 @@ func (e *Engine) handleILPRun(eg *egress, key pipeKey, dgs []wire.Datagram, rb *
 	if len(pkts) == 0 {
 		return
 	}
-	var tx Sender = p.ep.handle
-	if eg != nil {
-		eg.local = key.local
-		tx = eg
-	}
 	if h := p.ep.cfg.BatchHandler; h != nil {
-		h(tx, key.remote, pkts)
-		return
-	}
-	if h := p.ep.cfg.Handler; h != nil {
-		for k := range pkts {
-			h(tx, key.remote, pkts[k].Hdr, pkts[k].HdrRaw, pkts[k].Payload)
-		}
+		eg.local = key.local
+		h(eg, key.remote, pkts)
 	}
 }
 

@@ -23,6 +23,7 @@ type loopTransport struct {
 	inline        bool
 	inlineRun     rxRun
 	inlineScratch psp.Scratch
+	inlineEgress  *egress
 
 	mu     sync.Mutex
 	rx     chan wire.Datagram
@@ -35,8 +36,12 @@ func newLoopTransport(depth int) *loopTransport {
 
 func (t *loopTransport) Send(dg wire.Datagram) error {
 	if t.inline {
+		if t.inlineEgress == nil {
+			t.inlineEgress = t.eng.newEgress()
+		}
 		t.inlineRun.dgs = append(t.inlineRun.dgs[:0], dg)
-		t.eng.dispatchBatch(nil, &t.inlineRun, &t.inlineScratch)
+		t.eng.dispatchBatch(t.inlineEgress, &t.inlineRun, &t.inlineScratch)
+		t.inlineEgress.flushAll()
 		return nil
 	}
 	cp := make([]byte, len(dg.Payload))

@@ -45,11 +45,13 @@ func (l *syncLoop) Close() error {
 }
 
 // dispatchInto returns e's receive path for one datagram, run on the
-// caller's goroutine.
+// caller's goroutine: one worker cycle, dispatch and then egress flush.
 func dispatchInto(e *Engine) func(wire.Datagram) {
 	return func(dg wire.Datagram) {
 		var scratch psp.Scratch
-		e.dispatchBatch(nil, &rxRun{dgs: []wire.Datagram{dg}}, &scratch)
+		eg := e.newEgress()
+		e.dispatchBatch(eg, &rxRun{dgs: []wire.Datagram{dg}}, &scratch)
+		eg.flushAll()
 	}
 }
 

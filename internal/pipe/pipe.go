@@ -36,21 +36,20 @@ import (
 	"interedge/internal/wire"
 )
 
-// Sender is the egress surface handed to PacketHandlers. On the hot path it
-// is the worker's coalescing egress queue (sends may be batched until the
-// worker's input drains or the per-destination cap is hit, and the queued
+// Sender is the egress surface handed to PacketHandlers: the worker's
+// coalescing egress queue. Sends may be batched until the worker's input
+// drains or the per-destination cap (txBatchCap) is hit, and the queued
 // packets of one destination are sealed together at flush time with a single
-// cipher-state fetch); with coalescing disabled it is the endpoint's Manager
-// and every send is sealed and goes out immediately. Either way
-// SendHeaderBytes copies hdrBytes and payload at call time, so the caller may
-// reuse both as soon as it returns.
+// cipher-state fetch. A Manager is a Sender too, whose every send is sealed
+// and goes out immediately. Either way SendHeaderBytes copies hdrBytes and
+// payload at call time, so the caller may reuse both as soon as it returns.
 type Sender interface {
 	SendHeaderBytes(dst wire.Addr, hdrBytes, payload []byte) error
 }
 
 // PacketHandler receives every decrypted inbound ILP packet. tx is the
 // worker's egress Sender: forwards issued through it coalesce into vectored
-// batches (see EngineConfig.TxBatch) while preserving per-source order.
+// batches (see Sender) while preserving per-source order.
 // hdrRaw is the encoded form of hdr, handed to the handler so a forwarding
 // fast path can re-seal it without re-encoding.
 //
@@ -154,20 +153,15 @@ type Config struct {
 	// Optional; only fires when KeepaliveInterval > 0.
 	OnPeerDown PeerDownHandler
 	// HandshakeTimeout, HandshakeRetries, KeepaliveInterval, DeadAfter,
-	// Reestablish, RxWorkers, TxBatch, Telemetry: see EngineConfig.
+	// Reestablish, RxWorkers, Telemetry: see EngineConfig.
 	HandshakeTimeout  time.Duration
 	HandshakeRetries  int
 	KeepaliveInterval time.Duration
 	DeadAfter         time.Duration
 	Reestablish       bool
 	RxWorkers         int
-	TxBatch           int
 	Telemetry         *telemetry.Registry
 }
-
-// DefaultTxBatch is the per-destination coalescing cap when TxBatch is
-// zero. It matches the transports' vectored-syscall batch sizing.
-const DefaultTxBatch = 32
 
 // PeerInfo reports the state of one established pipe.
 type PeerInfo struct {
@@ -205,7 +199,6 @@ func New(cfg Config) (*Manager, error) {
 		DeadAfter:         cfg.DeadAfter,
 		Reestablish:       cfg.Reestablish,
 		RxWorkers:         cfg.RxWorkers,
-		TxBatch:           cfg.TxBatch,
 		Telemetry:         cfg.Telemetry,
 	}, soloShards)
 	if err != nil {

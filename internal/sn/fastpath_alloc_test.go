@@ -62,12 +62,14 @@ func TestFastPathForwardAllocs(t *testing.T) {
 	measure := func(name string, from wire.Addr, hdr wire.ILPHeader, raw []byte) {
 		t.Helper()
 		before := node.Telemetry().Snapshot().Value("sn_forwarded_total")
-		for i := 0; i < 32; i++ { // warm pool, crypto scratches, and egress side
-			node.handlePacket(node.mgr, from, hdr, raw, payload)
+		// A run of one, as the terminus serves a lone packet.
+		serve := func() {
+			node.handleBatch(node.mgr, from, []pipe.RxPacket{{Hdr: hdr, HdrRaw: raw, Payload: payload}})
 		}
-		allocs := testing.AllocsPerRun(200, func() {
-			node.handlePacket(node.mgr, from, hdr, raw, payload)
-		})
+		for i := 0; i < 32; i++ { // warm pool, crypto scratches, and egress side
+			serve()
+		}
+		allocs := testing.AllocsPerRun(200, serve)
 		if allocs > 1 {
 			t.Errorf("%s allocated %.1f times per op, want <= 1 (transport copy)", name, allocs)
 		}

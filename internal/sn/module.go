@@ -43,8 +43,8 @@ type Packet struct {
 	next [1]wire.Addr
 
 	// rxBuf is the receive buffer Hdr.Data and Payload lie in, given back
-	// when the lease ends; nil for a packet that came from Inject or the
-	// enclave terminus, whose bytes the SN does not recycle.
+	// when the lease ends; nil for a packet that came from Inject, whose
+	// bytes the SN does not recycle.
 	rxBuf []byte
 	// retained is set by Retain: the packet and its buffer are the
 	// module's from then on, and the collector's once it lets go.

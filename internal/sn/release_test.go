@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -202,5 +203,89 @@ func TestReleasedBuffersAreNeverSeenAgain(t *testing.T) {
 	// Released: every hit. Not released: what the module was handed.
 	if got, want := node.Telemetry().Snapshot().Value("sn_rx_buffers_released_total"), float64(later+2*each); got != want {
 		t.Errorf("sn_rx_buffers_released_total = %v, want %v (the later packets, the requeued and the fanned-out forwards)", got, want)
+	}
+}
+
+// forwardModule is a slow-path module that forwards every packet, unchanged,
+// to dst.
+type forwardModule struct{ dst wire.Addr }
+
+func (forwardModule) Service() wire.ServiceID { return wire.SvcNull }
+func (forwardModule) Name() string            { return "forward" }
+func (forwardModule) Version() string         { return "1" }
+func (m forwardModule) HandlePacket(_ Env, pkt *Packet) (Decision, error) {
+	return Decision{Forwards: []Forward{{Dst: m.dst}}}, nil
+}
+
+// TestInjectedBytesStayTheCallers: Inject never gives the caller's bytes to
+// the receive pool. One payload slice and one header with no service data
+// go in a thousand times through a module miss and a thousand times through
+// a cache hit, a window of packets in flight at a time (the benchmark's
+// sn.inject row); every packet comes out, the payload still reads what it
+// did (race builds overwrite a released buffer), and the SN counts no
+// receive buffer given back.
+func TestInjectedBytesStayTheCallers(t *testing.T) {
+	const (
+		each   = 1000
+		window = 127 // within the module's queue (256): a full queue sheds
+	)
+	net := netsim.NewNetwork()
+	node := newTestSN(t, net, "fd00::5")
+	tr, err := net.Attach(wire.MustAddr("fd00::1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := handshake.NewIdentity()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got atomic.Uint64
+	h, err := pipe.New(pipe.Config{Transport: tr, Identity: id,
+		Handler: func(pipe.Sender, wire.Addr, wire.ILPHeader, []byte, []byte) { got.Add(1) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { h.Close() })
+	if err := h.Connect(node.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if err := node.Register(forwardModule{h.LocalAddr()}); err != nil {
+		t.Fatal(err)
+	}
+
+	hdr := wire.ILPHeader{Service: wire.SvcNull, Conn: 1}
+	payload := releasePayload(1, 0)
+	var sent uint64
+	settle := func(ahead uint64) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); sent-got.Load() > ahead; time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d injected packets came out", got.Load(), sent)
+			}
+		}
+	}
+	inject := func(path string) {
+		t.Helper()
+		for i := 0; i < each; i++ {
+			settle(window)
+			node.Inject(h.LocalAddr(), hdr, payload)
+			sent++
+		}
+		settle(0)
+		if !bytes.Equal(payload, releasePayload(1, 0)) {
+			t.Fatalf("%s: the injected payload no longer reads what the caller wrote", path)
+		}
+	}
+
+	inject("module miss")
+	node.Cache().Add(wire.FlowKey{Src: h.LocalAddr(), Service: hdr.Service, Conn: hdr.Conn},
+		cache.Action{Forward: []wire.Addr{h.LocalAddr()}})
+	inject("cache hit")
+	st := node.Telemetry().Snapshot()
+	if st.Value("sn_slowpath_sent_total") != each || st.Value("sn_fastpath_hits_total") != each {
+		t.Errorf("slow path %v, fast path %v, want %d each", st.Value("sn_slowpath_sent_total"), st.Value("sn_fastpath_hits_total"), each)
+	}
+	if v := st.Value("sn_rx_buffers_released_total"); v != 0 {
+		t.Errorf("sn_rx_buffers_released_total = %v, want 0: an injected packet has no receive buffer", v)
 	}
 }

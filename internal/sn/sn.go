@@ -52,10 +52,6 @@ type Config struct {
 	// datagrams are sharded onto by source address (default GOMAXPROCS;
 	// see pipe.Config.RxWorkers).
 	RxWorkers int
-	// TxBatch caps the per-destination egress coalescing each terminus
-	// worker applies to fast-path forwards (see pipe.Config.TxBatch): 0
-	// selects the pipe default, 1 disables coalescing.
-	TxBatch int
 	// HandshakeTimeout/Retries tune pipe establishment (see pipe.Config).
 	HandshakeTimeout time.Duration
 	HandshakeRetries int
@@ -172,7 +168,8 @@ type SN struct {
 	peersLost     *telemetry.Counter
 	fastPathNs    *telemetry.Histogram
 	// Receive buffers handleBatch gave back after serving their packets
-	// entirely from the decision cache.
+	// entirely from the decision cache, or dropping them as malformed
+	// transit.
 	rxBuffersReleased *telemetry.Counter
 	// Transit packets (SvcPeering) addressed to this SN: unwrapped in the
 	// pipe-terminus, or dropped there as malformed.
@@ -295,7 +292,6 @@ func New(cfg Config) (*SN, error) {
 		HandshakeTimeout:  cfg.HandshakeTimeout,
 		HandshakeRetries:  cfg.HandshakeRetries,
 		RxWorkers:         cfg.RxWorkers,
-		TxBatch:           cfg.TxBatch,
 		KeepaliveInterval: cfg.KeepaliveInterval,
 		DeadAfter:         cfg.DeadAfter,
 		Reestablish:       cfg.KeepaliveInterval > 0 && !cfg.DisableAutoConnect,
@@ -511,70 +507,103 @@ func (s *SN) ModuleEnclave(svc wire.ServiceID) (*enclave.Enclave, bool) {
 }
 
 // Inject runs a packet through the pipe-terminus as if it had arrived on a
-// pipe from src (see Env.Inject). It takes ownership of hdr.Data and
-// payload, as the terminus does of a received packet.
+// pipe from src (see Env.Inject): a run of one, whose forwards go out
+// through the manager. It takes ownership of hdr.Data and payload, as the
+// terminus does of a received packet, but the packet has no receive buffer,
+// so they never go to the receive pool.
 func (s *SN) Inject(src wire.Addr, hdr wire.ILPHeader, payload []byte) {
 	raw, err := hdr.Encode()
 	if err != nil {
 		return
 	}
-	s.handlePacket(s.mgr, src, hdr, raw, payload)
+	s.handleBatch(s.mgr, src, []pipe.RxPacket{{Hdr: hdr, HdrRaw: raw, Payload: payload}})
 }
 
-// handlePacket is the pipe-terminus (§4, Figure 2): decrypted packets
-// arrive here, consult the decision cache, and either execute the cached
-// action (fast path) or go to the service module (slow path). It runs
-// concurrently on the pipe engine's sharded rx workers — one worker per
-// source address — so per-flow order is preserved without any lock here.
-// hdrRaw is the encoded header as it arrived; hdrRaw, hdr.Data and payload
-// are the SN's to keep (pipe.PacketHandler).
-// tx is the worker's egress sender: fast-path forwards issued through it
-// coalesce into vectored transport batches, so a cache-hit burst to one
-// peer leaves as a single sendmmsg on the UDP substrate.
-func (s *SN) handlePacket(tx pipe.Sender, src wire.Addr, hdr wire.ILPHeader, hdrRaw, payload []byte) {
-	s.rxPackets.Add(1)
-	if s.trace != nil {
-		s.trace(telemetry.PacketTrace{Point: telemetry.TraceRx, Src: src, Service: hdr.Service, Conn: hdr.Conn, Bytes: len(payload)})
-	}
-	if s.terminusEnclave != nil {
-		// The packet crosses into (and back out of) enclave memory before
-		// terminus processing — the Appendix C enclave configuration.
-		crossed, err := s.terminusEnclave.Run(payload, func(in []byte) ([]byte, error) { return in, nil })
-		if err != nil {
-			return
+// handleBatch is the pipe-terminus (§4, Figure 2): one call per decrypted
+// same-source run of a receive batch. Each packet is looked up in the
+// decision cache and either executes the cached action (fast path) or goes
+// to its service module (slow path). It runs concurrently on the pipe
+// engine's sharded rx workers — one worker per source address — so per-flow
+// order is preserved without any lock here. Consecutive packets of one flow
+// share a single decision-cache lookup (LookupStamped accounts the whole
+// run's hits in one shard visit), so a recvmmsg burst of a hot flow costs
+// one cache round-trip instead of one per packet. tx is the worker's egress
+// sender: fast-path forwards issued through it coalesce into vectored
+// transport batches, so a cache-hit burst to one peer leaves as a single
+// sendmmsg on the UDP substrate.
+//
+// A packet served entirely from the decision cache gives its receive buffer
+// back (pipe.RxPacket.Release) once its action has run, so the next inbound
+// datagram is copied into it: a packet crossing k SNs costs the fabric one
+// allocation, not k+1. A miss carries its buffer on to the slow path, which
+// gives it back once the packet's lease ends (Packet).
+func (s *SN) handleBatch(tx pipe.Sender, src wire.Addr, pkts []pipe.RxPacket) {
+	for i := 0; i < len(pkts); {
+		unwrap := s.transitEndsHere(&pkts[i].Hdr)
+		j := i + 1
+		for !unwrap && j < len(pkts) && pkts[j].Hdr.Service == pkts[i].Hdr.Service && pkts[j].Hdr.Conn == pkts[i].Hdr.Conn && !s.transitEndsHere(&pkts[j].Hdr) {
+			j++
 		}
-		payload = crossed
+		run := pkts[i:j]
+		i = j
+		s.rxPackets.Add(uint64(len(run)))
+		for k := range run {
+			if s.trace != nil {
+				s.trace(telemetry.PacketTrace{Point: telemetry.TraceRx, Src: src, Service: run[k].Hdr.Service, Conn: run[k].Hdr.Conn, Bytes: len(run[k].Payload)})
+			}
+			if s.terminusEnclave != nil {
+				// The payload crosses into (and back out of) enclave memory
+				// before terminus processing — the Appendix C enclave
+				// configuration. Run fails only when its function does, and
+				// this one cannot.
+				run[k].Payload, _ = s.terminusEnclave.Run(run[k].Payload, func(in []byte) ([]byte, error) { return in, nil })
+			}
+		}
+		from := src
+		if unwrap {
+			orig, ok := s.unwrapTransit(src, &run[0])
+			if !ok {
+				s.release(run)
+				continue
+			}
+			from = orig
+		}
+		key := wire.FlowKey{Src: from, Service: run[0].Hdr.Service, Conn: run[0].Hdr.Conn}
+		if action, start, ok := s.cache.LookupStamped(key, uint64(len(run))); ok {
+			// One histogram observation covers serving the whole run: the
+			// post-lookup cost of executing the cached action, including any
+			// coalesced egress enqueue. The interval starts at the reading
+			// the cache stamped the hit with, so a hit reads the clock once
+			// for both; the wall clock (not the injected test clock) because
+			// this measures real compute time.
+			s.fastPathHits.Add(uint64(len(run)))
+			for k := range run {
+				if s.trace != nil {
+					s.trace(telemetry.PacketTrace{Point: telemetry.TraceFastPath, Src: from, Service: run[k].Hdr.Service, Conn: run[k].Hdr.Conn, Bytes: len(run[k].Payload)})
+				}
+				s.applyFastAction(tx, from, &run[k].Hdr, run[k].HdrRaw, run[k].Payload, &action)
+			}
+			s.release(run)
+			s.fastPathNs.Observe(uint64(time.Since(start)))
+			continue
+		}
+		for k := range run {
+			s.handleMiss(from, run[k].Hdr, run[k].Payload, run[k].Buffer())
+		}
 	}
-	if s.transitEndsHere(&hdr) {
-		s.unwrapTransit(tx, src, &hdr, payload, nil)
-		return
-	}
-	s.serve(tx, src, hdr, hdrRaw, payload, nil)
 }
 
-// serve looks one packet up in the decision cache and runs the fast or the
-// slow path; handlePacket documents the arguments, and rxBuf, if not nil, is
-// the receive buffer they lie in. It reports whether the SN is done with
-// payload: true for a hit, whose action keeps nothing (see applyFastAction),
-// false for a miss, whose payload and rxBuf the slow path carries on.
-func (s *SN) serve(tx pipe.Sender, src wire.Addr, hdr wire.ILPHeader, hdrRaw, payload, rxBuf []byte) bool {
-	key := wire.FlowKey{Src: src, Service: hdr.Service, Conn: hdr.Conn}
-	if action, start, ok := s.cache.LookupStamped(key, 1); ok {
-		// The histogram covers the post-lookup serve cost: executing the
-		// cached action, including any coalesced egress enqueue. The
-		// interval starts at the reading the cache stamped the hit with,
-		// so a hit reads the clock once for both; the wall clock (not the
-		// injected test clock) because this measures real compute time.
-		s.fastPathHits.Add(1)
-		if s.trace != nil {
-			s.trace(telemetry.PacketTrace{Point: telemetry.TraceFastPath, Src: src, Service: hdr.Service, Conn: hdr.Conn, Bytes: len(payload)})
+// release gives back the receive buffers of a run the terminus is done
+// with, counting only those that go back: an injected packet has none.
+func (s *SN) release(run []pipe.RxPacket) {
+	var n uint64
+	for k := range run {
+		if run[k].Buffer() != nil {
+			n++
 		}
-		s.applyFastAction(tx, src, &hdr, hdrRaw, payload, &action)
-		s.fastPathNs.Observe(uint64(time.Since(start)))
-		return true
+		run[k].Release()
 	}
-	s.handleMiss(src, hdr, payload, rxBuf)
-	return false
+	s.rxBuffersReleased.Add(n)
 }
 
 // transitEndsHere reports whether hdr is an inter-edomain transit header that
@@ -589,92 +618,26 @@ func (s *SN) transitEndsHere(hdr *wire.ILPHeader) bool {
 }
 
 // unwrapTransit is the pipe-terminus built-in for a transit packet addressed
-// to this SN: the header nested in outer's service data becomes the packet's
-// header, the original source its source, and the packet is served as if it
-// had arrived that way — a cache hit when the inner flow is warm, the inner
-// service's module otherwise. Nothing is copied: the inner header aliases
-// the same buffers the outer one does. The previous hop vouches for the
-// original source, as it does for the packet. A header that does not decode
-// (wire.Transit) is a counted drop. rxBuf and the result are serve's.
-func (s *SN) unwrapTransit(tx pipe.Sender, src wire.Addr, outer *wire.ILPHeader, payload, rxBuf []byte) bool {
+// to this SN: the header nested in the outer one's service data becomes the
+// packet's header, and the original source, which it returns, its source,
+// so the packet is served as if it had arrived that way — a cache hit when
+// the inner flow is warm, the inner service's module otherwise. Nothing is
+// copied: the inner header aliases the same buffer the outer one does. The
+// previous hop src vouches for the original source, as it does for the
+// packet. A header that does not decode (wire.Transit) is a counted drop,
+// and the result is false.
+func (s *SN) unwrapTransit(src wire.Addr, pkt *pipe.RxPacket) (wire.Addr, bool) {
 	var t wire.Transit
-	if err := t.DecodeFromBytes(outer.Data); err != nil {
+	if err := t.DecodeFromBytes(pkt.Hdr.Data); err != nil {
 		s.transitMalformed.Add(1)
 		if s.trace != nil {
-			s.trace(telemetry.PacketTrace{Point: telemetry.TraceDrop, Src: src, Service: outer.Service, Conn: outer.Conn, Bytes: len(payload)})
+			s.trace(telemetry.PacketTrace{Point: telemetry.TraceDrop, Src: src, Service: pkt.Hdr.Service, Conn: pkt.Hdr.Conn, Bytes: len(pkt.Payload)})
 		}
-		return true
+		return wire.Addr{}, false
 	}
 	s.transitUnwrapped.Add(1)
-	return s.serve(tx, t.OrigSrc, t.Inner, t.InnerRaw, payload, rxBuf)
-}
-
-// handleBatch is the batch pipe-terminus: one call per decrypted
-// same-source run of a receive batch. Consecutive packets of one flow share
-// a single decision-cache lookup (LookupN accounts the whole run's hits in
-// one shard visit), so a recvmmsg burst of a hot flow costs one cache
-// round-trip instead of one per packet. Flow boundaries, misses, transit
-// packets to unwrap, and the enclave-terminus configuration fall back to the
-// per-packet path with identical semantics.
-//
-// A packet served entirely from the decision cache gives its receive buffer
-// back (pipe.RxPacket.Release) once its action has run, so the next inbound
-// datagram is copied into it: a packet crossing k SNs costs the fabric one
-// allocation, not k+1. A miss carries its buffer on to the slow path, which
-// gives it back once the packet's lease ends (Packet); the enclave-terminus
-// path never releases.
-func (s *SN) handleBatch(tx pipe.Sender, src wire.Addr, pkts []pipe.RxPacket) {
-	if s.terminusEnclave != nil {
-		// Every packet crosses the enclave boundary individually; keep the
-		// exact Appendix C per-packet semantics.
-		for k := range pkts {
-			s.handlePacket(tx, src, pkts[k].Hdr, pkts[k].HdrRaw, pkts[k].Payload)
-		}
-		return
-	}
-	for i := 0; i < len(pkts); {
-		unwrap := s.transitEndsHere(&pkts[i].Hdr)
-		j := i + 1
-		for !unwrap && j < len(pkts) && pkts[j].Hdr.Service == pkts[i].Hdr.Service && pkts[j].Hdr.Conn == pkts[i].Hdr.Conn && !s.transitEndsHere(&pkts[j].Hdr) {
-			j++
-		}
-		run := pkts[i:j]
-		i = j
-		s.rxPackets.Add(uint64(len(run)))
-		if s.trace != nil {
-			for k := range run {
-				s.trace(telemetry.PacketTrace{Point: telemetry.TraceRx, Src: src, Service: run[k].Hdr.Service, Conn: run[k].Hdr.Conn, Bytes: len(run[k].Payload)})
-			}
-		}
-		if unwrap {
-			if s.unwrapTransit(tx, src, &run[0].Hdr, run[0].Payload, run[0].Buffer()) {
-				run[0].Release()
-				s.rxBuffersReleased.Add(1)
-			}
-			continue
-		}
-		key := wire.FlowKey{Src: src, Service: run[0].Hdr.Service, Conn: run[0].Hdr.Conn}
-		if action, start, ok := s.cache.LookupStamped(key, uint64(len(run))); ok {
-			// One histogram observation covers serving the whole run; see
-			// serve for what the interval measures.
-			s.fastPathHits.Add(uint64(len(run)))
-			for k := range run {
-				if s.trace != nil {
-					s.trace(telemetry.PacketTrace{Point: telemetry.TraceFastPath, Src: src, Service: run[k].Hdr.Service, Conn: run[k].Hdr.Conn, Bytes: len(run[k].Payload)})
-				}
-				s.applyFastAction(tx, src, &run[k].Hdr, run[k].HdrRaw, run[k].Payload, &action)
-			}
-			for k := range run {
-				run[k].Release()
-			}
-			s.rxBuffersReleased.Add(uint64(len(run)))
-			s.fastPathNs.Observe(uint64(time.Since(start)))
-			continue
-		}
-		for k := range run {
-			s.handleMiss(src, run[k].Hdr, run[k].Payload, run[k].Buffer())
-		}
-	}
+	pkt.Hdr, pkt.HdrRaw = t.Inner, t.InnerRaw
+	return t.OrigSrc, true
 }
 
 // handleMiss is the shared post-lookup slow path: control-protocol packets

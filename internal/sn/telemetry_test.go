@@ -3,13 +3,14 @@ package sn
 import (
 	"encoding/json"
 	"strings"
-	"sync"
 	"testing"
 
 	"interedge/internal/cryptutil"
 	"interedge/internal/edomain"
 	"interedge/internal/lookup"
 	"interedge/internal/netsim"
+	"interedge/internal/pipe"
+	"interedge/internal/sn/cache"
 	"interedge/internal/telemetry"
 	"interedge/internal/wire"
 )
@@ -158,51 +159,108 @@ func TestControlMetricsOpPinsDrainInstruments(t *testing.T) {
 	}
 }
 
-// TestTraceHooks: a configured trace hook observes each packet's path
-// through the pipe-terminus — rx, slow path on the first packet, fast path
-// plus forward once the module's rule is installed.
+// TestTraceHooks pins the trace contract of every way into the
+// pipe-terminus, which the traced benchmark counts on: each packet is
+// exactly one TraceRx, under the source it arrived from, and exactly one
+// decision event — fast path, slow path or drop — under the source it is
+// served as, which for an unwrapped transit packet is its original source.
 func TestTraceHooks(t *testing.T) {
-	var mu sync.Mutex
-	seen := make(map[telemetry.TracePoint]int)
-	network := netsim.NewNetwork()
-	node := newTestSN(t, network, "fd00::5", func(c *Config) {
-		c.Trace = func(ev telemetry.PacketTrace) {
-			mu.Lock()
-			seen[ev.Point]++
-			mu.Unlock()
+	snAddr := wire.MustAddr("fd00::5")
+	src, prevHop, origSrc := wire.MustAddr("fd00::1"), wire.MustAddr("fd00::b1"), wire.MustAddr("fd00::77")
+	flow := wire.ILPHeader{Service: wire.SvcEcho, Conn: 1}
+	flowRaw, err := flow.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// run is a batch of n packets of hdr, as the pipe hands one over: Data
+	// aliasing the encoded header.
+	run := func(raw []byte, n int) []pipe.RxPacket {
+		pkts := make([]pipe.RxPacket, n)
+		for k := range pkts {
+			if _, err := pkts[k].Hdr.DecodeFromBytes(raw); err != nil {
+				t.Fatal(err)
+			}
+			pkts[k].HdrRaw, pkts[k].Payload = raw, []byte("payload")
 		}
-	})
-	if err := node.Register(&echoModule{installRule: true}); err != nil {
+		return pkts
+	}
+	batch := func(from wire.Addr, raw []byte, n int) func(*SN) {
+		return func(node *SN) { node.handleBatch(node.mgr, from, run(raw, n)) }
+	}
+	inject := func(node *SN) { node.Inject(src, flow, []byte("payload")) }
+	_, transitRaw := transitTo(t, snAddr, origSrc, flow)
+	malformedRaw, err := (&wire.ILPHeader{Service: wire.SvcPeering, Conn: 5}).Encode()
+	if err != nil {
 		t.Fatal(err)
 	}
-	cl := newClient(t, network, "fd00::1")
-	if err := cl.mgr.Connect(node.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	// First packet takes the slow path and installs a forward rule; the
-	// second hits the cache and forwards on the fast path.
-	if err := cl.mgr.Send(node.Addr(), &wire.ILPHeader{Service: wire.SvcEcho, Conn: 1}, []byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	cl.await(t)
-	if err := cl.mgr.Send(node.Addr(), &wire.ILPHeader{Service: wire.SvcEcho, Conn: 1}, []byte("b")); err != nil {
-		t.Fatal(err)
-	}
-	cl.await(t)
 
-	waitFor(t, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return seen[telemetry.TraceRx] >= 2 &&
-			seen[telemetry.TraceSlowPath] >= 1 &&
-			seen[telemetry.TraceFastPath] >= 1 &&
-			seen[telemetry.TraceForward] >= 1
-	})
+	for _, tc := range []struct {
+		name    string
+		enclave bool
+		warm    bool // the flow has a forward rule, keyed by from
+		send    func(*SN)
+		n       int
+		rxSrc   wire.Addr
+		point   telemetry.TracePoint
+		from    wire.Addr
+	}{
+		{"hot run of 8", false, true, batch(src, flowRaw, 8), 8, src, telemetry.TraceFastPath, src},
+		{"miss", false, false, batch(src, flowRaw, 1), 1, src, telemetry.TraceSlowPath, src},
+		{"transit unwrap hit", false, true, batch(prevHop, transitRaw, 1), 1, prevHop, telemetry.TraceFastPath, origSrc},
+		{"transit unwrap miss", false, false, batch(prevHop, transitRaw, 1), 1, prevHop, telemetry.TraceSlowPath, origSrc},
+		{"malformed transit", false, false, batch(prevHop, malformedRaw, 1), 1, prevHop, telemetry.TraceDrop, prevHop},
+		{"inject hit", false, true, inject, 1, src, telemetry.TraceFastPath, src},
+		{"inject miss", false, false, inject, 1, src, telemetry.TraceSlowPath, src},
+		{"enclave terminus", true, true, batch(src, flowRaw, 4), 4, src, telemetry.TraceFastPath, src},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var tl traceLog
+			network := netsim.NewNetwork()
+			node := newTestSN(t, network, snAddr.String(), func(c *Config) {
+				c.Trace = tl.hook
+				c.EnclaveTerminus = tc.enclave
+			})
+			if err := node.Register(&keepModule{got: make(chan *Packet, 16)}); err != nil {
+				t.Fatal(err)
+			}
+			cl := newClient(t, network, "fd00::c1")
+			if err := cl.mgr.Connect(node.Addr()); err != nil {
+				t.Fatal(err)
+			}
+			if tc.warm {
+				node.Cache().Add(wire.FlowKey{Src: tc.from, Service: flow.Service, Conn: flow.Conn},
+					cache.Action{Forward: []wire.Addr{cl.addr}})
+			}
+			tc.send(node)
 
-	// The fast-path histogram recorded the hit.
-	smp, ok := node.Telemetry().Snapshot().Get("sn_fastpath_service_ns")
-	if !ok || smp.Hist == nil || smp.Hist.Count < 1 {
-		t.Fatalf("sn_fastpath_service_ns = %+v, want >= 1 observation", smp)
+			rx, decided := 0, 0
+			tl.mu.Lock()
+			defer tl.mu.Unlock()
+			for _, ev := range tl.evs {
+				switch ev.Point {
+				case telemetry.TraceRx:
+					rx++
+					if ev.Src != tc.rxSrc {
+						t.Errorf("TraceRx under %s, want %s", ev.Src, tc.rxSrc)
+					}
+				case telemetry.TraceFastPath, telemetry.TraceSlowPath, telemetry.TraceDrop:
+					decided++
+					if ev.Point != tc.point || ev.Src != tc.from {
+						t.Errorf("decision %v under %s, want %v under %s", ev.Point, ev.Src, tc.point, tc.from)
+					}
+				}
+			}
+			if rx != tc.n || decided != tc.n {
+				t.Fatalf("%d TraceRx and %d decision events for %d packets, want one each per packet", rx, decided, tc.n)
+			}
+			if tc.point == telemetry.TraceFastPath {
+				// The fast-path histogram recorded the hit.
+				smp, ok := node.Telemetry().Snapshot().Get("sn_fastpath_service_ns")
+				if !ok || smp.Hist == nil || smp.Hist.Count < 1 {
+					t.Fatalf("sn_fastpath_service_ns = %+v, want >= 1 observation", smp)
+				}
+			}
+		})
 	}
 }
 

@@ -93,7 +93,7 @@ func TestTransitUnwrapMiss(t *testing.T) {
 	if _, err := decoded.DecodeFromBytes(raw); err != nil {
 		t.Fatal(err)
 	}
-	node.handlePacket(node.mgr, prevHop, decoded, raw, []byte("payload"))
+	node.handleBatch(node.mgr, prevHop, []pipe.RxPacket{{Hdr: decoded, HdrRaw: raw, Payload: []byte("payload")}})
 	pkt := <-mod.got
 	if !within(pkt.Hdr.Data, raw) { // the packet's header is the module's, where it arrived
 		t.Fatal("the module's header data is a copy, not the packet's own bytes")
@@ -149,7 +149,7 @@ func TestTransitUnwrapHit(t *testing.T) {
 }
 
 // TestTransitMalformedDrops: transit service data that does not decode is a
-// counted drop in the terminus — per packet and in a batch — and never
+// counted drop in the terminus — alone and in a batch — and never
 // reaches a module or panics.
 func TestTransitMalformedDrops(t *testing.T) {
 	node := newTestSN(t, netsim.NewNetwork(), "fd00::5")
@@ -175,7 +175,7 @@ func TestTransitMalformedDrops(t *testing.T) {
 	for name, data := range bad {
 		hdr := wire.ILPHeader{Service: wire.SvcPeering, Conn: 5, Data: data}
 		before := node.transitMalformed.Load()
-		node.handlePacket(node.mgr, prevHop, hdr, nil, []byte("x"))
+		node.handleBatch(node.mgr, prevHop, []pipe.RxPacket{{Hdr: hdr, Payload: []byte("x")}})
 		if node.transitMalformed.Load() != before+1 {
 			t.Errorf("%s: not counted as malformed", name)
 		}

@@ -23,8 +23,6 @@ import (
 // scenarios this one runs on the real clock: the interesting dimension
 // is scale (hosts, pipes, goroutine budget), not simulated hours.
 type FleetConfig struct {
-	// Name labels the report (default "million-host").
-	Name string
 	// SNs and Hosts size the fleet (defaults 100 and 100_000).
 	SNs   int
 	Hosts int
@@ -38,27 +36,6 @@ type FleetConfig struct {
 	// (default 25_000 * GOMAXPROCS). Senders pace per round; a slower
 	// machine simply stretches the round.
 	RatePPS float64
-	// Senders is the sender-goroutine count (default min(4, GOMAXPROCS*2)).
-	Senders int
-	// EngineWorkers overrides the shared engine's RX fan-out width.
-	EngineWorkers int
-	// SNRxWorkers and SNCacheSize tune every SN (defaults 1 and
-	// 4*hosts-per-SN, floor 1024).
-	SNRxWorkers int
-	SNCacheSize int
-	// GoroutinesPerSN is the steady-state goroutine budget charged per SN
-	// in the leak-bound gate (default 24). The whole point of the fleet:
-	// the budget has no Hosts term.
-	GoroutinesPerSN int
-	// Gate bounds (defaults 0.95, 0.60, 0.40, 2200). The fast-path floor
-	// accounts for structure, not health: sn_rx_packets counts handshake
-	// datagrams and the two cold resolutions every flow pays, so at R
-	// rounds the ceiling is roughly (2R-2)/(2R) minus the handshake share
-	// — longer runs push it toward 1.
-	DeliveryRatioMin float64
-	FastpathRatioMin float64
-	LookupRateMin    float64
-	BalanceMaxX1000  float64
 	// Seed feeds the substrate RNG (unused on clean links, kept for
 	// report parity).
 	Seed int64
@@ -66,10 +43,27 @@ type FleetConfig struct {
 	Logf func(format string, args ...any)
 }
 
+// The scenario's fixed shape and gate bounds.
+const (
+	// fleetName labels the report.
+	fleetName = "million-host"
+	// fleetSNRxWorkers is every SN's pipe-terminus width.
+	fleetSNRxWorkers = 1
+	// goroutinesPerSN is the steady-state goroutine budget charged per SN
+	// in the leak-bound gate. The whole point of the fleet: the budget has
+	// no Hosts term.
+	goroutinesPerSN = 24
+	// Gate bounds. The fast-path floor accounts for structure, not health:
+	// sn_rx_packets counts handshake datagrams and the two cold
+	// resolutions every flow pays, so at R rounds the ceiling is roughly
+	// (2R-2)/(2R) minus the handshake share — longer runs push it toward 1.
+	fleetDeliveryRatioMin = 0.95
+	fleetFastpathRatioMin = 0.60
+	fleetLookupRateMin    = 0.40
+	fleetBalanceMaxX1000  = 2200
+)
+
 func (c FleetConfig) withDefaults() FleetConfig {
-	if c.Name == "" {
-		c.Name = "million-host"
-	}
 	if c.SNs == 0 {
 		c.SNs = 100
 	}
@@ -94,36 +88,6 @@ func (c FleetConfig) withDefaults() FleetConfig {
 			c.RatePPS = float64(c.Hosts)
 		}
 	}
-	if c.Senders == 0 {
-		c.Senders = 2 * runtime.GOMAXPROCS(0)
-		if c.Senders > 4 {
-			c.Senders = 4
-		}
-	}
-	if c.SNRxWorkers == 0 {
-		c.SNRxWorkers = 1
-	}
-	if c.SNCacheSize == 0 {
-		c.SNCacheSize = 4 * (c.Hosts / c.SNs)
-		if c.SNCacheSize < 1024 {
-			c.SNCacheSize = 1024
-		}
-	}
-	if c.GoroutinesPerSN == 0 {
-		c.GoroutinesPerSN = 24
-	}
-	if c.DeliveryRatioMin == 0 {
-		c.DeliveryRatioMin = 0.95
-	}
-	if c.FastpathRatioMin == 0 {
-		c.FastpathRatioMin = 0.60
-	}
-	if c.LookupRateMin == 0 {
-		c.LookupRateMin = 0.40
-	}
-	if c.BalanceMaxX1000 == 0 {
-		c.BalanceMaxX1000 = 2200
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
@@ -142,6 +106,7 @@ const fleetPayloadLen = 16
 // goroutine ceiling with no Hosts term.
 func RunFleet(cfg FleetConfig) (*Result, error) {
 	cfg = cfg.withDefaults()
+	senders := min(4, 2*runtime.GOMAXPROCS(0))
 
 	runtime.GC()
 	var ms runtime.MemStats
@@ -159,8 +124,9 @@ func RunFleet(cfg FleetConfig) (*Result, error) {
 	topo := lab.New(
 		lab.WithNetwork(net),
 		lab.WithSNConfig(func(c *sn.Config) {
-			c.RxWorkers = cfg.SNRxWorkers
-			c.CacheSize = cfg.SNCacheSize
+			c.RxWorkers = fleetSNRxWorkers
+			// Four entries per host the SN serves, and never fewer than 1024.
+			c.CacheSize = max(1024, 4*(cfg.Hosts/cfg.SNs))
 			c.HandshakeTimeout = 2 * time.Second
 			c.HandshakeRetries = 8
 		}),
@@ -183,9 +149,8 @@ func RunFleet(cfg FleetConfig) (*Result, error) {
 
 	buildStart := time.Now()
 	fleet, err := topo.NewFleet(lab.FleetConfig{
-		SNs:           cfg.SNs,
-		Hosts:         cfg.Hosts,
-		EngineWorkers: cfg.EngineWorkers,
+		SNs:   cfg.SNs,
+		Hosts: cfg.Hosts,
 		HostConfig: func(i int, hc *host.Config) {
 			hc.FastHandler = handler(i)
 		},
@@ -229,7 +194,7 @@ func RunFleet(cfg FleetConfig) (*Result, error) {
 	roundDur := time.Duration(float64(cfg.Hosts) / cfg.RatePPS * float64(time.Second))
 	loadStart := time.Now()
 	var wg sync.WaitGroup
-	for s := 0; s < cfg.Senders; s++ {
+	for s := 0; s < senders; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
@@ -243,7 +208,7 @@ func RunFleet(cfg FleetConfig) (*Result, error) {
 			for r := 0; r < cfg.Rounds; r++ {
 				start := time.Now()
 				binary.BigEndian.PutUint64(payload[8:], uint64(r))
-				for i := s; i < cfg.Hosts; i += cfg.Senders {
+				for i := s; i < cfg.Hosts; i += senders {
 					if i%512 == s%512 {
 						for fleet.Mux.Backlog() > high {
 							time.Sleep(2 * time.Millisecond)
@@ -316,7 +281,7 @@ func RunFleet(cfg FleetConfig) (*Result, error) {
 	// Steady-state goroutine budget: base + per-SN workers + the shared
 	// engine + senders + controller slack. No Hosts term anywhere — that
 	// is the property this gate pins.
-	budget := goroBase + cfg.SNs*cfg.GoroutinesPerSN + fleet.Engine.RxWorkers() + cfg.Senders + 64
+	budget := goroBase + cfg.SNs*goroutinesPerSN + fleet.Engine.RxWorkers() + senders + 64
 
 	fleetReg := telemetry.NewRegistry()
 	fleetReg.Gauge("fleet_goroutines_steady").Set(int64(goroSteady))
@@ -351,7 +316,7 @@ func RunFleet(cfg FleetConfig) (*Result, error) {
 	runtime.ReadMemStats(&ms)
 
 	stats := RunStats{
-		Scenario:      cfg.Name,
+		Scenario:      fleetName,
 		Seed:          cfg.Seed,
 		SimSeconds:    out.simSeconds,
 		WallSeconds:   time.Since(wallStart).Seconds(),
@@ -369,7 +334,7 @@ func RunFleet(cfg FleetConfig) (*Result, error) {
 	ns := net.Telemetry().Snapshot()
 	cfg.Logf("fleet %s: wall=%.1fs sent=%d delivered=%d goro steady=%d (budget %d) pass=%v "+
 		"[netsim delivered=%.0f qdrop=%.0f deaddrop=%.0f]",
-		cfg.Name, stats.WallSeconds, stats.Sent, stats.Delivered, goroSteady, budget, ok,
+		fleetName, stats.WallSeconds, stats.Sent, stats.Delivered, goroSteady, budget, ok,
 		ns.Value("netsim_delivered_total"), ns.Value("netsim_dropped_queue_total"), ns.Value("netsim_dropped_dead_total"))
 	return &Result{Stats: stats, Gates: results, Registries: out.regs, passed: ok}, nil
 }
@@ -395,12 +360,12 @@ func placementSettled(fleet *lab.Fleet) bool {
 // never from Hosts).
 func FleetGates(cfg FleetConfig, budget int) []Gate {
 	return []Gate{
-		DeliveryRatioMin(cfg.DeliveryRatioMin),
+		DeliveryRatioMin(fleetDeliveryRatioMin),
 		BadZero(),
 		QuantileMaxNs("sn_fastpath_service_ns", 0.99, fastpathP99Bound),
-		RatioMin("sn_fastpath_hits_total", "sn_rx_packets_total", cfg.FastpathRatioMin),
-		LookupHitRateMin(cfg.LookupRateMin),
-		CounterMax("edomain_placement_balance_x1000", cfg.BalanceMaxX1000),
+		RatioMin("sn_fastpath_hits_total", "sn_rx_packets_total", fleetFastpathRatioMin),
+		LookupHitRateMin(fleetLookupRateMin),
+		CounterMax("edomain_placement_balance_x1000", fleetBalanceMaxX1000),
 		// Ring accounting: SNs registrations seed the ring; every drained
 		// SN contributes draining -> down -> active.
 		CounterMin("edomain_ring_changes_total", float64(cfg.SNs+3*cfg.DrainSNs)),

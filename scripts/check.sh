@@ -127,9 +127,9 @@ run "allocation budgets: echo round trip <= 1 (the Conn path, whose messages the
 	go test -count=1 -v \
 	-run 'TestEchoRoundTripAllocs|TestFastPathDeliveryAllocs|TestSlowPathRouteAllocs|TestFleetTwoSNDeliveryAllocs|TestUnclaimedFloodAllocs|TestRxCopyMissCostsOneAllocation|TestRxClassesMatchTheAllocator|TestConsumedDatagramsGoBackToThePool|TestDatagramStaysThreeWords' \
 	./internal/lab/ ./internal/wire/ ./internal/pipe/
-run "receive shards and buffer ownership (race-detected: released buffers and recycled slow-path packets are overwritten at once; sharded sim / Mux / UDP portable / mmsg / GSO in per-pipe order, n workers = n goroutines, header and payload kept by host / SN / module, a host handler's packet released when its call returns unless cloned, a miss released after its verdict unless retained (chan / IPC / enclave), a packet abandoned at its deadline never recycled, wrapped nodes keep their shards, OpenBatch leaves its input alone, undecodable headers counted; repeated)" \
+run "receive shards and buffer ownership (race-detected: released buffers and recycled slow-path packets are overwritten at once; sharded sim / Mux / UDP portable / mmsg / GSO in per-pipe order, n workers = n goroutines, header and payload kept by host / SN / module, a host handler's packet released when its call returns unless cloned, a miss released after its verdict unless retained (chan / IPC / enclave), a packet abandoned at its deadline never recycled, injected bytes stay the caller's, one rx and one decision trace event per packet on every way into the terminus, wrapped nodes keep their shards, OpenBatch leaves its input alone, undecodable headers counted; repeated)" \
 	go test -race -count=3 -timeout 300s \
-	-run 'TestReceivedPayloadIsTheReceivers|TestReceiveShardsKeepsDepthAndQueue|TestEngineOwnsItsWorkersOnly|TestUndecodableHeaderIsCountedMalformed|TestRetainedPayloadSurvivesLaterPackets|TestHandlerLeaseEndsWithTheCall|TestMessageClone|TestTransitUnwrapMiss|TestReleasedBuffersAreNeverSeenAgain|TestLeaseEndsWithTheInvocation|TestAbandonedInvocationKeepsItsPacket|TestRecycledPacket|TestRxPacketReleaseOnce|TestRxCopyReusesWhatWasReleased|TestOpenBatchLeavesItsInputAlone|TestFastPathDeliveryAllocs|TestFleetTwoSNDeliveryAllocs|TestWrappedNodesKeepTheirReceiveShards' \
+	-run 'TestReceivedPayloadIsTheReceivers|TestReceiveShardsKeepsDepthAndQueue|TestEngineOwnsItsWorkersOnly|TestUndecodableHeaderIsCountedMalformed|TestRetainedPayloadSurvivesLaterPackets|TestHandlerLeaseEndsWithTheCall|TestMessageClone|TestTransitUnwrapMiss|TestReleasedBuffersAreNeverSeenAgain|TestLeaseEndsWithTheInvocation|TestAbandonedInvocationKeepsItsPacket|TestRecycledPacket|TestRxPacketReleaseOnce|TestRxCopyReusesWhatWasReleased|TestOpenBatchLeavesItsInputAlone|TestFastPathDeliveryAllocs|TestFleetTwoSNDeliveryAllocs|TestWrappedNodesKeepTheirReceiveShards|TestInjectedBytesStayTheCallers|TestTraceHooks' \
 	./internal/netsim/ ./internal/host/ ./internal/sn/ ./internal/pipe/ ./internal/wire/ ./internal/psp/ ./internal/lab/
 run "pipe stack, whole package: handshakes, liveness, egress, handoff, RX affinity (race-detected, x3)" \
 	go test -race -count=3 -timeout 300s ./internal/pipe/
