@@ -547,6 +547,7 @@ func (s *SN) handleBatch(tx pipe.Sender, src wire.Addr, pkts []pipe.RxPacket) {
 		run := pkts[i:j]
 		i = j
 		s.rxPackets.Add(uint64(len(run)))
+		kept := 0
 		for k := range run {
 			if s.trace != nil {
 				s.trace(telemetry.PacketTrace{Point: telemetry.TraceRx, Src: src, Service: run[k].Hdr.Service, Conn: run[k].Hdr.Conn, Bytes: len(run[k].Payload)})
@@ -554,10 +555,22 @@ func (s *SN) handleBatch(tx pipe.Sender, src wire.Addr, pkts []pipe.RxPacket) {
 			if s.terminusEnclave != nil {
 				// The payload crosses into (and back out of) enclave memory
 				// before terminus processing — the Appendix C enclave
-				// configuration. Run fails only when its function does, and
-				// this one cannot.
-				run[k].Payload, _ = s.terminusEnclave.Run(run[k].Payload, func(in []byte) ([]byte, error) { return in, nil })
+				// configuration. A packet that fails to cross is dropped.
+				crossed, err := s.terminusEnclave.Run(run[k].Payload, func(in []byte) ([]byte, error) { return in, nil })
+				if err != nil {
+					if s.trace != nil {
+						s.trace(telemetry.PacketTrace{Point: telemetry.TraceDrop, Src: src, Service: run[k].Hdr.Service, Conn: run[k].Hdr.Conn, Bytes: len(run[k].Payload)})
+					}
+					s.release(run[k : k+1])
+					continue
+				}
+				run[k].Payload = crossed
 			}
+			run[kept] = run[k]
+			kept++
+		}
+		if run = run[:kept]; kept == 0 {
+			continue
 		}
 		from := src
 		if unwrap {

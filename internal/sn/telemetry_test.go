@@ -159,11 +159,39 @@ func TestControlMetricsOpPinsDrainInstruments(t *testing.T) {
 	}
 }
 
+// tallyTrace checks the sources of a traced run against the contract of
+// the pipe-terminus — each TraceRx under rxSrc, each decision and forward
+// under from, each forward to fwdDst — and requires exactly want events of
+// each point.
+func tallyTrace(t *testing.T, tl *traceLog, rxSrc, from, fwdDst wire.Addr, want map[telemetry.TracePoint]int) {
+	t.Helper()
+	tl.mu.Lock()
+	defer tl.mu.Unlock()
+	got := make(map[telemetry.TracePoint]int)
+	for _, ev := range tl.evs {
+		got[ev.Point]++
+		switch {
+		case ev.Point == telemetry.TraceRx && ev.Src != rxSrc:
+			t.Errorf("TraceRx under %s, want %s", ev.Src, rxSrc)
+		case ev.Point != telemetry.TraceRx && ev.Src != from:
+			t.Errorf("%v under %s, want %s", ev.Point, ev.Src, from)
+		case ev.Point == telemetry.TraceForward && ev.Dst != fwdDst:
+			t.Errorf("TraceForward to %s, want %s", ev.Dst, fwdDst)
+		}
+	}
+	for _, p := range []telemetry.TracePoint{telemetry.TraceRx, telemetry.TraceFastPath, telemetry.TraceSlowPath, telemetry.TraceForward, telemetry.TraceDrop} {
+		if got[p] != want[p] {
+			t.Errorf("%d %v events, want %d", got[p], p, want[p])
+		}
+	}
+}
+
 // TestTraceHooks pins the trace contract of every way into the
 // pipe-terminus, which the traced benchmark counts on: each packet is
 // exactly one TraceRx, under the source it arrived from, and exactly one
 // decision event — fast path, slow path or drop — under the source it is
 // served as, which for an unwrapped transit packet is its original source.
+// A hit forwards each packet exactly once, traced under that same source.
 func TestTraceHooks(t *testing.T) {
 	snAddr := wire.MustAddr("fd00::5")
 	src, prevHop, origSrc := wire.MustAddr("fd00::1"), wire.MustAddr("fd00::b1"), wire.MustAddr("fd00::77")
@@ -233,26 +261,11 @@ func TestTraceHooks(t *testing.T) {
 			}
 			tc.send(node)
 
-			rx, decided := 0, 0
-			tl.mu.Lock()
-			defer tl.mu.Unlock()
-			for _, ev := range tl.evs {
-				switch ev.Point {
-				case telemetry.TraceRx:
-					rx++
-					if ev.Src != tc.rxSrc {
-						t.Errorf("TraceRx under %s, want %s", ev.Src, tc.rxSrc)
-					}
-				case telemetry.TraceFastPath, telemetry.TraceSlowPath, telemetry.TraceDrop:
-					decided++
-					if ev.Point != tc.point || ev.Src != tc.from {
-						t.Errorf("decision %v under %s, want %v under %s", ev.Point, ev.Src, tc.point, tc.from)
-					}
-				}
+			want := map[telemetry.TracePoint]int{telemetry.TraceRx: tc.n, tc.point: tc.n}
+			if tc.point == telemetry.TraceFastPath {
+				want[telemetry.TraceForward] = tc.n
 			}
-			if rx != tc.n || decided != tc.n {
-				t.Fatalf("%d TraceRx and %d decision events for %d packets, want one each per packet", rx, decided, tc.n)
-			}
+			tallyTrace(t, &tl, tc.rxSrc, tc.from, cl.addr, want)
 			if tc.point == telemetry.TraceFastPath {
 				// The fast-path histogram recorded the hit.
 				smp, ok := node.Telemetry().Snapshot().Get("sn_fastpath_service_ns")
@@ -262,6 +275,38 @@ func TestTraceHooks(t *testing.T) {
 			}
 		})
 	}
+
+	// End to end through the pipe: the first packet takes the slow path and
+	// the module installs a forward rule back to the client; the second hits
+	// it and forwards on the fast path.
+	t.Run("slow then fast through the pipe", func(t *testing.T) {
+		var tl traceLog
+		network := netsim.NewNetwork()
+		node := newTestSN(t, network, snAddr.String(), func(c *Config) { c.Trace = tl.hook })
+		if err := node.Register(&echoModule{installRule: true}); err != nil {
+			t.Fatal(err)
+		}
+		cl := newClient(t, network, "fd00::c1")
+		if err := cl.mgr.Connect(node.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []string{"a", "b"} {
+			if err := cl.mgr.Send(node.Addr(), &flow, []byte(p)); err != nil {
+				t.Fatal(err)
+			}
+			cl.await(t)
+		}
+		// The slow-path event follows the module's hand-off, so the echo
+		// can reach the client before it is traced.
+		waitFor(t, func() bool {
+			tl.mu.Lock()
+			defer tl.mu.Unlock()
+			return len(tl.evs) >= 5
+		})
+		tallyTrace(t, &tl, cl.addr, cl.addr, cl.addr, map[telemetry.TracePoint]int{
+			telemetry.TraceRx: 2, telemetry.TraceSlowPath: 1, telemetry.TraceFastPath: 1, telemetry.TraceForward: 1,
+		})
+	})
 }
 
 // TestControlMetricsOpExposesLookupCounters: a lookup service whose
