@@ -26,10 +26,10 @@
 //     attestation;
 //   - internal/tunnel — WireGuard-style tunnels for the Appendix C
 //     direct-peering benchmark;
-//   - internal/lab — in-process deployments (the executable Figure 1);
-//   - internal/bench — the harness regenerating the paper's evaluation.
+//   - internal/lab — in-process deployments (the executable Figure 1).
 //
-// The benchmarks in bench_test.go regenerate every quantitative result in
-// the paper's evaluation; see DESIGN.md for the experiment index and
-// EXPERIMENTS.md for paper-versus-measured numbers.
+// The benchmark in benchmark/ (bash benchmark/run.sh) measures every
+// quantitative result in the paper's evaluation through the real paths;
+// see DESIGN.md for the experiment index and EXPERIMENTS.md for
+// paper-versus-measured numbers.
 package interedge

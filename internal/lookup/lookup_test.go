@@ -1,7 +1,9 @@
 package lookup
 
 import (
+	"errors"
 	"testing"
+	"time"
 
 	"interedge/internal/cryptutil"
 	"interedge/internal/wire"
@@ -35,6 +37,73 @@ func TestRegisterAndResolveAddress(t *testing.T) {
 	if _, err := s.ResolveAddress(wire.MustAddr("fd00::9")); err != ErrUnknownAddress {
 		t.Fatalf("err = %v", err)
 	}
+}
+
+// TestResolveIsAllocationAndLockFree pins ResolveAddress's contract: a hit
+// in the folded base, a hit in the delta of writes since the last fold,
+// and a miss each cost no allocation, and none of them waits on the
+// writers' mutex.
+func TestResolveIsAllocationAndLockFree(t *testing.T) {
+	s := New()
+	owner := signer(t)
+	sns := []wire.Addr{wire.MustAddr("fc00::1")}
+	folded, pending, unknown := benchAddr(1), benchAddr(2), benchAddr(3)
+	s.RestoreRecords([]AddrRecord{{Addr: folded, Owner: owner.Public, SNs: sns}})
+	rec := AddrRecord{Addr: pending, Owner: owner.Public, SNs: sns}
+	if err := s.RegisterAddress(rec, SignAddrRecord(owner, pending, sns)); err != nil {
+		t.Fatal(err)
+	}
+	if _, inBase := s.addrs.Load().base[pending]; inBase || s.deltaLen != 1 {
+		t.Fatalf("the second record was folded (delta %d): no delta to probe", s.deltaLen)
+	}
+	cases := []struct {
+		name string
+		addr wire.Addr
+		hit  bool
+	}{
+		{"folded hit", folded, true},
+		{"pending hit", pending, true},
+		{"miss", unknown, false},
+	}
+	resolve := func(a wire.Addr, hit bool) bool {
+		got, err := s.ResolveAddress(a)
+		if hit {
+			return err == nil && got.Addr == a
+		}
+		return errors.Is(err, ErrUnknownAddress)
+	}
+	for _, c := range cases {
+		ok := true
+		allocs := testing.AllocsPerRun(1000, func() { ok = resolve(c.addr, c.hit) && ok })
+		if !ok {
+			t.Fatalf("%s: wrong result", c.name)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: %.1f allocs per resolve, want 0", c.name, allocs)
+		}
+	}
+
+	// Hold the writers' mutex: a resolve that takes it returns only after
+	// the unlock. The bounded wait turns that into a failure instead of a
+	// hung test; the buffer lets the resolver finish either way.
+	s.mu.Lock()
+	done := make(chan bool, 1)
+	go func() {
+		ok := true
+		for _, c := range cases {
+			ok = resolve(c.addr, c.hit) && ok
+		}
+		done <- ok
+	}()
+	select {
+	case ok := <-done:
+		if !ok {
+			t.Error("wrong result while the writers' mutex is held")
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("ResolveAddress waits on the writers' mutex")
+	}
+	s.mu.Unlock()
 }
 
 func TestRegisterAddressBadSignature(t *testing.T) {

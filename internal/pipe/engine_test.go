@@ -262,9 +262,9 @@ func TestEngineRebindPeer(t *testing.T) {
 // receiving pipe's keys, decode, and deliver to the endpoint handler —
 // round-robined across 256 lite endpoints so the per-op cost includes the
 // sharded peer-table lookup at fleet fan-out, not a single hot entry. The
-// transport runs inline (no channels, no goroutine hops); the benchgate
-// holds this path at 0 allocs/op — one allocation here is one allocation
-// per packet per host at 10^6-host scale.
+// transport runs inline (no channels, no goroutine hops). One allocation
+// here is one allocation per packet per host at 10^6-host scale;
+// lab.TestFleetTwoSNDeliveryAllocs holds the shared-engine path at 0.
 func BenchmarkFleetRxFanout(b *testing.B) {
 	const numHosts = 256
 	tr := newLoopTransport(1024)

@@ -326,3 +326,32 @@ func BenchmarkOpen(b *testing.B) {
 		}
 	}
 }
+
+// Header-only encryption (the PSP model) vs whole-packet encryption: the
+// design choice in §4 that lets the SN avoid re-encrypting payloads.
+func BenchmarkAblationEncryptionScope(b *testing.B) {
+	master := cryptutil.NewRandomKey()
+	hdr := make([]byte, 32)
+	payload := make([]byte, 1024)
+	b.Run("header-only", func(b *testing.B) {
+		tx, _ := NewTX(master, DirInitiatorToResponder, 0)
+		buf := make([]byte, 0, SealedSize(len(hdr), len(payload)))
+		b.SetBytes(1024)
+		for i := 0; i < b.N; i++ {
+			if _, err := tx.Seal(buf[:0], hdr, payload); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("whole-packet", func(b *testing.B) {
+		tx, _ := NewTX(master, DirInitiatorToResponder, 0)
+		whole := make([]byte, len(hdr)+len(payload))
+		buf := make([]byte, 0, SealedSize(len(whole), 0))
+		b.SetBytes(1024)
+		for i := 0; i < b.N; i++ {
+			if _, err := tx.Seal(buf[:0], whole, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -267,6 +267,13 @@ func TestTraceHooks(t *testing.T) {
 			}
 			tallyTrace(t, &tl, tc.rxSrc, tc.from, cl.addr, want)
 			if tc.point == telemetry.TraceFastPath {
+				// Every hit reached the rule's destination with its payload
+				// intact (the enclave terminus crossed it in and out).
+				for k := 0; k < tc.n; k++ {
+					if got := cl.await(t); string(got.payload) != "payload" || got.hdr.Conn != flow.Conn {
+						t.Fatalf("delivery %d: header %+v payload %q", k, got.hdr, got.payload)
+					}
+				}
 				// The fast-path histogram recorded the hit.
 				smp, ok := node.Telemetry().Snapshot().Get("sn_fastpath_service_ns")
 				if !ok || smp.Hist == nil || smp.Hist.Count < 1 {

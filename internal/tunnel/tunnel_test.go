@@ -52,57 +52,8 @@ func TestRotationChangesKeys(t *testing.T) {
 	if tn.Rotations() != 1 {
 		t.Fatalf("rotations = %d", tn.Rotations())
 	}
-}
-
-func TestManagerRotatesOnlyDueTunnels(t *testing.T) {
-	m := NewManager(3 * time.Minute)
-	start := time.Unix(0, 0)
-	t1, err := m.AddTunnel(peerKey(t), start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t2, err := m.AddTunnel(peerKey(t), start.Add(2*time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// At t=3min, only t1 is due.
-	n, err := m.RotateDue(start.Add(3 * time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 || t1.Rotations() != 1 || t2.Rotations() != 0 {
-		t.Fatalf("n=%d r1=%d r2=%d", n, t1.Rotations(), t2.Rotations())
-	}
-	// At t=5min, t2 is due.
-	n, err = m.RotateDue(start.Add(5 * time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 || t2.Rotations() != 1 {
-		t.Fatalf("n=%d r2=%d", n, t2.Rotations())
-	}
-}
-
-func TestManagerStats(t *testing.T) {
-	m := NewManager(time.Minute)
-	start := time.Unix(0, 0)
-	for i := 0; i < 10; i++ {
-		if _, err := m.AddTunnel(peerKey(t), start); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := m.RotateDue(start.Add(time.Minute)); err != nil {
-		t.Fatal(err)
-	}
-	st := m.Snapshot()
-	if st.Tunnels != 10 || st.Rotations != 10 {
-		t.Fatalf("stats %+v", st)
-	}
-	if st.HandshakeBytes != 10*HandshakeBytesPerRotation {
-		t.Fatalf("handshake bytes %d", st.HandshakeBytes)
-	}
-	if st.RotationCPU <= 0 {
-		t.Fatal("no CPU time recorded")
+	if got := tn.LastRotation(); !got.Equal(time.Unix(180, 0)) {
+		t.Fatalf("last rotation = %v, want the rotation's time", got)
 	}
 }
 

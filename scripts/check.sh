@@ -1,7 +1,9 @@
 #!/usr/bin/env sh
 # CI gate: static checks, full build, race-detected tests, compressed-time
-# soak scenarios with SLO gates (capacity reports land in SOAK_*.json), and
-# a benchmark smoke run whose results land in BENCH_6.json at the repo root.
+# soak scenarios with SLO gates (capacity reports land in SOAK_*.json),
+# clock-free allocation pins, and a smoke run of the benchmark of record
+# (`go run ./benchmark -smoke`: every workload at tiny sizes, untraced and
+# traced).
 #
 # Every suite runs even after an earlier failure; the script's exit code is
 # nonzero if ANY suite failed, so a later passing run can never mask an
@@ -31,7 +33,6 @@
 #                                                                           more often GC runs: alone x200 with caches that grow,
 #                                                                           51/200 vs 27/200, and the parent at GOGC=10 23/80 vs 13/80
 #   lab    TestPlacementDownReaddRebalances                   0/5    5/5    publish order after re-add (item 1); parent: 0/5, 5/5
-#   bench  TestTable1Shape                                    0/5    0/5    compares two wall-clock latencies; parent: 0/5, 0/5
 #   pipe   TestSimultaneousOpen                               0/5    0/5    alone x250 under -race: 3 % (earlier sweep): a msg1 sent after
 #                                                                           its sender answered the peer's replaces the agreed keys
 set -u
@@ -123,10 +124,10 @@ run "slow-path dispatcher: close race, worker ownership, queue order and depth (
 	go test -race -count=10 -timeout 180s \
 	-run 'TestDispatcher|TestInProcessModuleOwnsItsWorkersOnly|TestSlowPath' \
 	./internal/sn/
-run "allocation budgets: echo round trip <= 1 (the Conn path, whose messages the application keeps), fast-path delivery to a host handler = 0 over one SN (with and without 16 bytes of header data) and over two (fleet), an ipfwd Route miss = 0 in one SN and <= 1 across two edomains, unclaimed packets at a host = 0, a pool miss = 1, consumed datagrams (forged, wrong-SPI, probes) = 0, wire.Datagram = 72 bytes" \
+run "allocation budgets: echo round trip <= 1 (the Conn path, whose messages the application keeps), fast-path delivery to a host handler = 0 over one SN (with and without 16 bytes of header data) and over two (fleet), a cache-hit forward in the SN terminus <= 1 (the fabric's datagram copy; both ends of a transit flow too), an ipfwd Route miss = 0 in one SN and <= 1 across two edomains, unclaimed packets at a host = 0, a pool miss = 1, consumed datagrams (forged, wrong-SPI, probes) = 0, wire.Datagram = 72 bytes, a lookup resolve (a hit in the folded base or the delta, a miss) = 0 and never waits on the writers' mutex" \
 	go test -count=1 -v \
-	-run 'TestEchoRoundTripAllocs|TestFastPathDeliveryAllocs|TestSlowPathRouteAllocs|TestFleetTwoSNDeliveryAllocs|TestUnclaimedFloodAllocs|TestRxCopyMissCostsOneAllocation|TestRxClassesMatchTheAllocator|TestConsumedDatagramsGoBackToThePool|TestDatagramStaysThreeWords' \
-	./internal/lab/ ./internal/wire/ ./internal/pipe/
+	-run 'TestEchoRoundTripAllocs|TestFastPathDeliveryAllocs|TestSlowPathRouteAllocs|TestFleetTwoSNDeliveryAllocs|TestFastPathForwardAllocs|TestUnclaimedFloodAllocs|TestRxCopyMissCostsOneAllocation|TestRxClassesMatchTheAllocator|TestConsumedDatagramsGoBackToThePool|TestDatagramStaysThreeWords|TestResolveIsAllocationAndLockFree' \
+	./internal/lab/ ./internal/wire/ ./internal/pipe/ ./internal/sn/ ./internal/lookup/
 run "receive shards and buffer ownership (race-detected: released buffers and recycled slow-path packets are overwritten at once; sharded sim / Mux / UDP portable / mmsg / GSO in per-pipe order, n workers = n goroutines, header and payload kept by host / SN / module, a host handler's packet released when its call returns unless cloned, a miss released after its verdict unless retained (chan / IPC / enclave), a packet abandoned at its deadline never recycled, injected bytes stay the caller's, one rx and one decision trace event per packet on every way into the terminus, wrapped nodes keep their shards, OpenBatch leaves its input alone, undecodable headers counted; repeated)" \
 	go test -race -count=3 -timeout 300s \
 	-run 'TestReceivedPayloadIsTheReceivers|TestReceiveShardsKeepsDepthAndQueue|TestEngineOwnsItsWorkersOnly|TestUndecodableHeaderIsCountedMalformed|TestRetainedPayloadSurvivesLaterPackets|TestHandlerLeaseEndsWithTheCall|TestMessageClone|TestTransitUnwrapMiss|TestReleasedBuffersAreNeverSeenAgain|TestLeaseEndsWithTheInvocation|TestAbandonedInvocationKeepsItsPacket|TestRecycledPacket|TestRxPacketReleaseOnce|TestRxCopyReusesWhatWasReleased|TestOpenBatchLeavesItsInputAlone|TestFastPathDeliveryAllocs|TestFleetTwoSNDeliveryAllocs|TestWrappedNodesKeepTheirReceiveShards|TestInjectedBytesStayTheCallers|TestTraceHooks' \
@@ -173,41 +174,13 @@ run "memory follows state: heap pins (an empty 65 536-entry cache <= 64 KiB, an 
 run "memory follows state: cache gauges read while the cache grows (race-detected, x3)" \
 	go test -race -count=3 -timeout 120s -run 'TestGaugesWhileGrowing|TestFanoutNodesSurviveGrowth' ./internal/sn/cache/
 
-# bench_suite <label> <out.json> <pkg> <bench-regex>: run one benchmark
-# suite, convert to a JSON artifact, and gate it. Benchmark output goes
-# through a temp file, not a pipeline: a pipeline's exit status is its
-# last command's, which would swallow a bench failure.
-bench_suite() {
-	bs_label="$1"
-	bs_out="$2"
-	bs_pkg="$3"
-	bs_regex="$4"
-	echo "==> benchmark smoke run ($bs_label)"
-	BENCH_TMP="$(mktemp)"
-	if go test -run '^$' -bench "$bs_regex" -benchtime 20000x -benchmem "$bs_pkg" >"$BENCH_TMP"; then
-		if BENCHJSON_OUT="$bs_out" go run ./scripts/benchjson <"$BENCH_TMP"; then
-			echo "==> wrote $bs_out"
-			run "benchmark gate ($bs_label)" \
-				go run ./scripts/benchgate "$bs_out"
-		else
-			FAILURES=$((FAILURES + 1))
-			FAILED_SUITES="$FAILED_SUITES
-  FAIL: benchjson conversion ($bs_out)"
-		fi
-	else
-		FAILURES=$((FAILURES + 1))
-		FAILED_SUITES="$FAILED_SUITES
-  FAIL: benchmark smoke run ($bs_label)"
-		cat "$BENCH_TMP"
-	fi
-	rm -f "$BENCH_TMP"
-}
-
-bench_suite "Figure 2 pipeline" BENCH_6.json . Figure2
-bench_suite "planet-scale lookup read path" BENCH_8.json ./internal/lookup/ \
-	'BenchmarkLookupResolve|BenchmarkLookupChurn|BenchmarkWatchFanout'
-bench_suite "fleet RX fan-out (shared engine)" BENCH_10.json ./internal/pipe/ \
-	BenchmarkFleetRxFanout
+# The benchmark of record at tiny sizes: every workload, untraced and
+# traced, must deliver and read `correct`. Results go to a scratch
+# directory so the run leaves nothing in the tree.
+bench_out="$(mktemp -d)"
+run "benchmark smoke: go run ./benchmark -smoke (every workload, untraced and traced)" \
+	go run ./benchmark -smoke -out "$bench_out"
+rm -rf "$bench_out"
 
 if [ "$FAILURES" -ne 0 ]; then
 	echo ""
