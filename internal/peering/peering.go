@@ -383,13 +383,14 @@ func EncodeTransit(finalDst, origSrc wire.Addr, inner *wire.ILPHeader, innerPayl
 // must reach the SN finalDst in another edomain, carrying the header inner:
 // forward it under the transit header toward the next hop, and cache that as
 // a header rewrite, so the flow's later packets are wrapped on the fast path.
+// The transit header is written into the packet (sn.Packet.RewriteBuf).
 func TransitDecision(fabric *Fabric, local, finalDst wire.Addr, pkt *sn.Packet, inner *wire.ILPHeader) (sn.Decision, error) {
 	next, err := fabric.NextHop(local, finalDst)
 	if err != nil {
 		return sn.Decision{}, err
 	}
-	enc, err := wire.EncodeTransitHeader(finalDst, pkt.Src, inner)
-	if err != nil {
+	enc := pkt.RewriteBuf(wire.TransitHeaderSize(inner))
+	if err := wire.PutTransitHeader(enc, finalDst, pkt.Src, inner); err != nil {
 		return sn.Decision{}, err
 	}
 	return pkt.Route(next, enc, wire.Addr{}), nil

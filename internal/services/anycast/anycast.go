@@ -84,8 +84,8 @@ func (m *Module) HandlePacket(env sn.Env, pkt *sn.Packet) (sn.Decision, error) {
 // pin forwards pkt to dst and installs the rule that keeps its flow there.
 func (m *Module) pin(pkt *sn.Packet, dst wire.Addr, kind byte, group string) (sn.Decision, error) {
 	hdr := m.Header(kind, group, pkt.Hdr.Conn)
-	enc, err := hdr.Encode()
-	if err != nil {
+	enc := pkt.RewriteBuf(hdr.EncodedSize())
+	if _, err := hdr.SerializeTo(enc); err != nil {
 		return sn.Decision{}, err
 	}
 	return pkt.Route(dst, enc, wire.Addr{}), nil

@@ -304,7 +304,8 @@ func evaluate(policy AppPolicy, p Posture) error {
 // rule for the flow.
 func admitDecision(pkt *sn.Packet, backend wire.Addr) sn.Decision {
 	hdr := wire.ILPHeader{Service: wire.SvcZTNA, Conn: pkt.Hdr.Conn, Data: []byte{kindData, 0}}
-	enc, _ := hdr.Encode()
+	enc := pkt.RewriteBuf(hdr.EncodedSize())
+	_, _ = hdr.SerializeTo(enc) // two bytes of data and a buffer of their size: it cannot fail
 	return pkt.Route(backend, enc, wire.Addr{})
 }
 

@@ -32,6 +32,14 @@
 // slice: every rule forwarding to one address alone shares one slice per
 // shard, named by that address's next-hop index head and dropped with it,
 // so only the first rule to an address allocates; a larger set is copied.
+//
+// The cache owns its header rewrites too. Add copies RewriteHeader into
+// bytes that stay with the slot — through invalidation and eviction — and
+// serve the slot's next rule, so a warm cache installs a rewrite without
+// allocating. A lookup hit that returns a rewrite pins those bytes until
+// Action.Release: Add never writes pinned bytes, it gives the slot fresh
+// ones instead, so a reader never sees its rewrite change, and a pin that
+// is never released costs an allocation, never a corruption.
 package cache
 
 import (
@@ -39,6 +47,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"interedge/internal/telemetry"
@@ -56,9 +65,10 @@ type Action struct {
 	// Drop discards the packet (used by e.g. DDoS protection). Drop takes
 	// precedence over Forward.
 	Drop bool
-	// RewriteHeader, if non-nil, replaces the encoded ILP header on
-	// forwarded copies (services may rewrite per-hop metadata). Add keeps
-	// the slice: it must not be written afterwards.
+	// RewriteHeader, if non-empty, replaces the encoded ILP header on
+	// forwarded copies (services may rewrite per-hop metadata). Add copies
+	// it and keeps none of the caller's slice. The one a lookup returns is
+	// the cache's, pinned until Release, and must not be written.
 	RewriteHeader []byte
 	// DependsOn, if valid, is the one address this decision was resolved
 	// for and does not forward to — the destination host of a rule whose
@@ -67,20 +77,65 @@ type Action struct {
 	// record re-decides the flows the old one steered. Lookup does not
 	// report it.
 	DependsOn wire.Addr
+
+	// pin is the rewrite a lookup pinned for RewriteHeader, until Release.
+	pin *rewrite
+}
+
+// Release ends the pin a lookup hit took on a.RewriteHeader, after which the
+// cache may write those bytes again: a caller that looked a rule up calls it
+// once it has sent (or copied) the rewrite. It is a no-op on an Action that
+// holds no pin, and a second call is one too.
+func (a *Action) Release() {
+	if a.pin != nil {
+		a.pin.pins.Add(-1)
+		a.pin = nil
+	}
+}
+
+// rewrite is the header rewrite a slot owns: b is reused for each rule the
+// slot holds, empty when the rule has none, and written only while no
+// lookup has it pinned.
+type rewrite struct {
+	b    []byte
+	pins atomic.Int32
 }
 
 // held is an Action as a slot keeps it: all but DependsOn, which would grow
 // every slot by a sixth and is kept in the rule's index node instead.
-// forward is the cache's own (linkDests).
+// forward is the cache's own (linkDests), and so is rewrite (setRewrite).
 type held struct {
-	forward       []wire.Addr
-	rewriteHeader []byte
-	drop          bool
+	forward []wire.Addr
+	rewrite *rewrite
+	drop    bool
 }
 
-// action returns the Action h holds, depending on dep.
+// action returns the Action h holds, depending on dep, without a pin.
 func (h *held) action(dep wire.Addr) Action {
-	return Action{Forward: h.forward, Drop: h.drop, RewriteHeader: h.rewriteHeader, DependsOn: dep}
+	a := Action{Forward: h.forward, Drop: h.drop, DependsOn: dep}
+	if rw := h.rewrite; rw != nil && len(rw.b) > 0 {
+		a.RewriteHeader = rw.b[:len(rw.b):len(rw.b)]
+	}
+	return a
+}
+
+// setRewrite makes b the rewrite h holds, copied into the bytes its slot
+// owns unless a lookup has them pinned: then the slot gets fresh ones, and
+// the reader keeps the old. An empty b leaves the slot its bytes, so that
+// the slot's next rewrite reuses them.
+func (h *held) setRewrite(b []byte) {
+	rw := h.rewrite
+	if len(b) == 0 {
+		if rw != nil {
+			rw.b = rw.b[:0] // the bytes are left as they are: a pin may read them
+		}
+		return
+	}
+	if rw == nil || rw.pins.Load() != 0 {
+		rw = new(rewrite)
+		h.rewrite = rw
+	}
+	rw.b = append(rw.b[:0], b...)
 }
 
 // The two reverse indexes, then the third way to invalidate a rule; they
@@ -333,12 +388,17 @@ func (c *Cache) LookupStamped(key wire.FlowKey, n uint64) (Action, time.Time, bo
 	now := s.now()
 	e.lastUsed = now.UnixNano()
 	s.hits += n
-	return e.action.action(wire.Addr{}), now, true
+	a := e.action.action(wire.Addr{})
+	if a.RewriteHeader != nil {
+		a.pin = e.action.rewrite
+		a.pin.pins.Add(1)
+	}
+	return a, now, true
 }
 
 // Add installs (or replaces) the action for key, evicting via CLOCK within
-// the key's shard if that shard is full. It keeps a copy of action.Forward,
-// never the caller's slice, and action.RewriteHeader itself.
+// the key's shard if that shard is full. It keeps copies of action.Forward
+// and action.RewriteHeader, never the caller's slices.
 func (c *Cache) Add(key wire.FlowKey, action Action) {
 	s := c.shardFor(key)
 	s.mu.Lock()
@@ -350,19 +410,22 @@ func (c *Cache) Add(key wire.FlowKey, action Action) {
 			s.unlinkDests(i)
 			s.linkDests(i, action.Forward, action.DependsOn)
 		}
-		e.action.rewriteHeader, e.action.drop = action.RewriteHeader, action.Drop
+		e.action.setRewrite(action.RewriteHeader)
+		e.action.drop = action.Drop
 		e.ref = true
 		e.lastUsed = s.now().UnixNano()
 		return
 	}
 	i := s.takeSlot()
 	// New entries start with the reference bit clear: only an actual
-	// Lookup grants a second chance, so one-shot flows evict first.
+	// Lookup grants a second chance, so one-shot flows evict first. The
+	// slot keeps its rewrite bytes.
 	s.slots[i] = entry{
 		key:      key,
-		action:   held{rewriteHeader: action.RewriteHeader, drop: action.Drop},
+		action:   held{rewrite: s.slots[i].action.rewrite, drop: action.Drop},
 		lastUsed: s.now().UnixNano(),
 	}
+	s.slots[i].action.setRewrite(action.RewriteHeader)
 	s.index[key] = i
 	s.push(bySrc, key.Src, i)
 	s.linkDests(i, action.Forward, action.DependsOn)
@@ -412,7 +475,7 @@ func (s *shard) grow() {
 }
 
 // remove takes the rule in slot i out of the table and both indexes; the
-// caller overwrites the slot.
+// caller overwrites the slot, all but its rewrite bytes.
 func (s *shard) remove(i int32) {
 	e := &s.slots[i]
 	delete(s.index, e.key)
@@ -420,11 +483,11 @@ func (s *shard) remove(i int32) {
 	s.unlinkDests(i)
 }
 
-// invalidate removes the rule in slot i and puts the slot, cleared so that
-// it pins no caller's slices, on the free list.
+// invalidate removes the rule in slot i and puts the slot, cleared but for
+// its rewrite bytes, on the free list.
 func (s *shard) invalidate(i int32, cause int) {
 	s.remove(i)
-	s.slots[i] = entry{links: [2]link{bySrc: {next: s.free}}}
+	s.slots[i] = entry{action: held{rewrite: s.slots[i].action.rewrite}, links: [2]link{bySrc: {next: s.free}}}
 	s.free = i
 	s.inval[cause]++
 }

@@ -1,9 +1,12 @@
 package cache
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -69,12 +72,18 @@ func refCollectDest(c *Cache, dst wire.Addr, max int) []wire.FlowKey {
 // names. The index
 // lists are compared with a scan of every slot. The slot array grows to the
 // shard's capacity and never past it, not even in spare room: a full
-// shard's array is exactly capacity slots.
+// shard's array is exactly capacity slots. No slot's rewrite is pinned: the
+// callers release every lookup before they check.
 func checkShard(t testing.TB, s *shard) {
 	t.Helper()
 	n := int32(len(s.slots))
 	if n > s.capacity || cap(s.slots) > int(s.capacity) {
 		t.Fatalf("%d slots, room for %d, in a shard of capacity %d", n, cap(s.slots), s.capacity)
+	}
+	for i := range s.slots {
+		if rw := s.slots[i].action.rewrite; rw != nil && rw.pins.Load() != 0 {
+			t.Fatalf("slot %d: rewrite %q holds %d pins after every lookup was released", i, rw.b, rw.pins.Load())
+		}
 	}
 	live := make(map[int32]bool)
 	for k, i := range s.index {
@@ -247,6 +256,23 @@ func opAction(d, shape byte) Action {
 	}
 }
 
+// opRewrite gives act a header rewrite when bit 6 of shape is set (half of
+// the shapes of each kind), written into buf, which the caller reuses for
+// the next one: of one of four sizes, and stamped with stamp, so that no two
+// rewrites read alike.
+func opRewrite(act *Action, buf []byte, d, shape byte, stamp uint64) {
+	if shape&64 == 0 {
+		return
+	}
+	n := [...]int{8, 12, 40, 76}[d%4]
+	b := buf[:n]
+	for i := range b {
+		b[i] = d ^ shape ^ byte(i)
+	}
+	binary.BigEndian.PutUint64(b, stamp)
+	act.RewriteHeader = b
+}
+
 // opCounts is what runOps counts of a cache: rules evicted, and rules
 // invalidated by InvalidateSource, InvalidateDest and Invalidate.
 type opCounts struct {
@@ -267,7 +293,9 @@ func readOpCounts(reg *telemetry.Registry) opCounts {
 }
 
 // runOps decodes data four bytes an operation — kind, key, next hop, shape —
-// applies each to c and to the model, and compares after every one. It
+// applies each to c and to the model, and compares after every one. A rule's
+// rewrite is written into one buffer, overwritten after each Add, and the
+// model keeps a copy: a hit must read the bytes of the rule's last Add. It
 // returns the cache's final counts, read through the registry.
 func runOps(t testing.TB, c *Cache, data []byte) (got opCounts) {
 	t.Helper()
@@ -277,6 +305,7 @@ func runOps(t testing.TB, c *Cache, data []byte) (got opCounts) {
 	c.RegisterTelemetry(reg)
 	model := make(map[wire.FlowKey]*refRule)
 	var want opCounts
+	buf := make([]byte, 76)
 	invalidate := func(cause int, match func(wire.FlowKey, *refRule) bool) {
 		for k, r := range model {
 			if match(k, r) {
@@ -291,7 +320,9 @@ func runOps(t testing.TB, c *Cache, data []byte) (got opCounts) {
 		switch kind := data[0] % 16; {
 		case kind < 6:
 			act := opAction(data[2], data[3])
+			opRewrite(&act, buf, data[2], data[3], uint64(now))
 			kept := act
+			kept.RewriteHeader = bytes.Clone(act.RewriteHeader)
 			if slices.Contains(act.Forward, act.DependsOn) {
 				kept.DependsOn = wire.Addr{} // already indexed as a next hop
 			}
@@ -305,9 +336,11 @@ func runOps(t testing.TB, c *Cache, data []byte) (got opCounts) {
 				model[key] = &refRule{action: kept, lastUsed: now}
 			}
 			c.Add(key, act)
+			clear(buf)
 		case kind < 10:
 			n := uint64(data[3]%4 + 1)
 			act, ok := c.LookupN(key, n)
+			act.Release()
 			r := model[key]
 			if ok {
 				act.DependsOn = r.action.DependsOn // Lookup does not report it
@@ -387,21 +420,38 @@ func FuzzCacheOps(f *testing.F) {
 }
 
 // TestCacheOpsConcurrent runs the same operation mix from several goroutines
-// at once (for -race), then checks every shard's structure.
+// at once (for -race), then checks every shard's structure. Writers reuse
+// their rewrite buffer; a reader that hits reads its rewrite, yields, reads
+// it again and only then releases it, so a write to pinned bytes — or to a
+// caller's — shows as a change or as a race.
 func TestCacheOpsConcurrent(t *testing.T) {
 	for name, c := range opCaches() {
 		var wg sync.WaitGroup
 		for g := int64(0); g < 4; g++ {
 			wg.Add(1)
-			go func(data []byte) {
+			go func(g int64, data []byte) {
 				defer wg.Done()
-				for ; len(data) >= 4; data = data[4:] {
+				buf := make([]byte, 76)
+				for stamp := uint64(g) << 32; len(data) >= 4; data = data[4:] {
 					key, dst := opKey(data[1]), opDsts[int(data[2])%len(opDsts)]
 					switch kind := data[0] % 16; {
 					case kind < 6:
-						c.Add(key, opAction(data[2], data[3]))
+						act := opAction(data[2], data[3])
+						stamp++
+						opRewrite(&act, buf, data[2], data[3], stamp)
+						c.Add(key, act)
+						clear(buf)
 					case kind < 10:
-						c.LookupN(key, 1)
+						act, ok := c.LookupN(key, 1)
+						if !ok {
+							break
+						}
+						first := string(act.RewriteHeader)
+						runtime.Gosched()
+						if again := string(act.RewriteHeader); again != first {
+							t.Errorf("%s: pinned rewrite of %v changed from %x to %x", name, key, first, again)
+						}
+						act.Release()
 					case kind < 12:
 						c.Invalidate(key)
 					case kind == 12:
@@ -412,7 +462,7 @@ func TestCacheOpsConcurrent(t *testing.T) {
 						c.CollectDest(dst, int(data[3]%4))
 					}
 				}
-			}(randomOps(g, 3000))
+			}(g, randomOps(g, 3000))
 		}
 		wg.Wait()
 		for _, s := range c.shards {

@@ -11,18 +11,25 @@ import (
 )
 
 // fwdModule installs a cache rule forwarding the flow to a fixed next hop,
-// under a rewritten header if rewrite is set, and forwards the triggering
-// packet there too: a Route verdict.
+// under a rewritten header if rewrite is set — written into the packet's
+// RewriteBuf if inPacket is — and forwards the triggering packet there too:
+// a Route verdict.
 type fwdModule struct {
-	dst     wire.Addr
-	rewrite []byte
+	dst      wire.Addr
+	rewrite  []byte
+	inPacket bool
 }
 
 func (fwdModule) Service() wire.ServiceID { return wire.SvcEcho }
 func (fwdModule) Name() string            { return "fwd" }
 func (fwdModule) Version() string         { return "1" }
 func (m fwdModule) HandlePacket(env Env, pkt *Packet) (Decision, error) {
-	return pkt.Route(m.dst, m.rewrite, wire.Addr{}), nil
+	rewrite := m.rewrite
+	if m.inPacket {
+		rewrite = pkt.RewriteBuf(len(m.rewrite))
+		copy(rewrite, m.rewrite)
+	}
+	return pkt.Route(m.dst, rewrite, wire.Addr{}), nil
 }
 
 func TestPeerDownInvalidatesDecisionCache(t *testing.T) {
@@ -73,7 +80,8 @@ func TestPeerDownInvalidatesDecisionCache(t *testing.T) {
 
 // TestForwardRequeuesWhileEstablishing: a verdict's forward to a next hop
 // with no pipe yet is requeued, a handshake performed, and the packet
-// flushed — not dropped — under the header the verdict gave it.
+// flushed — not dropped — under the header the verdict gave it, even when
+// that header lay in the packet, which is recycled long before the flush.
 func TestForwardRequeuesWhileEstablishing(t *testing.T) {
 	in := wire.ILPHeader{Service: wire.SvcEcho, Conn: 1}
 	rewritten := wire.ILPHeader{Service: wire.SvcEcho, Conn: 2, Data: []byte("rewritten")}
@@ -82,18 +90,20 @@ func TestForwardRequeuesWhileEstablishing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name    string
-		rewrite []byte
-		want    wire.ILPHeader
+		name     string
+		rewrite  []byte
+		inPacket bool
+		want     wire.ILPHeader
 	}{
-		{"original header", nil, in},
-		{"rewritten header", rewrite, rewritten},
+		{"original header", nil, false, in},
+		{"rewritten header", rewrite, false, rewritten},
+		{"rewritten header in the packet", rewrite, true, rewritten},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			net := netsim.NewNetwork()
 			next := newClient(t, net, "fd00::2") // next hop with no pipe yet
 			node := newTestSN(t, net, "fd00::5")
-			if err := node.Register(fwdModule{dst: next.addr, rewrite: tc.rewrite}); err != nil {
+			if err := node.Register(fwdModule{dst: next.addr, rewrite: tc.rewrite, inPacket: tc.inPacket}); err != nil {
 				t.Fatal(err)
 			}
 			cl := newClient(t, net, "fd00::1")

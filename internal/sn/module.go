@@ -26,11 +26,12 @@ import (
 // degraded action) has been applied, the SN gives that buffer back for the
 // next inbound datagram and the Packet itself back to a pool. A module that
 // keeps the packet, or any slice of Hdr.Data or Payload, past HandlePacket —
-// in its state, on another goroutine, in an Env.Inject, or as a verdict's
-// RewriteHeader, which the SN keeps — calls Retain first, or copies what it
-// keeps. The SN keeps nothing else of a packet once its verdict is applied:
-// Route and OneForward verdicts live in the packet, the cache copies next
-// hops, and every forward is sealed or snapshotted before the SN moves on.
+// in its state, on another goroutine, or in an Env.Inject — calls Retain
+// first, or copies what it keeps. The SN keeps nothing of a packet once its
+// verdict is applied: Route and OneForward verdicts and the rewrite a module
+// writes into RewriteBuf live in the packet, the cache copies next hops and
+// rewrites, and every forward is sealed or snapshotted before the SN moves
+// on.
 type Packet struct {
 	Src     wire.Addr
 	Hdr     wire.ILPHeader
@@ -41,6 +42,9 @@ type Packet struct {
 	fwd  [1]Forward
 	rule [1]Rule
 	next [1]wire.Addr
+	// rewrite holds what RewriteBuf hands out: room for the commonest
+	// rewrite, an inter-edomain transit header around a short inner one.
+	rewrite [128]byte
 
 	// rxBuf is the receive buffer Hdr.Data and Payload lie in, given back
 	// when the lease ends; nil for a packet that came from Inject, whose
@@ -96,6 +100,21 @@ var recycledPacket = Packet{
 	Src:     netip.AddrFrom16([16]byte(bytes.Repeat([]byte{0xDB}, 16))),
 	Hdr:     wire.ILPHeader{Service: 0xDBDBDBDB, Conn: 0xDBDBDBDBDBDBDBDB, Data: bytes.Repeat([]byte{0xDB}, 16)},
 	Payload: bytes.Repeat([]byte{0xDB}, 64),
+	rewrite: [128]byte(bytes.Repeat([]byte{0xDB}, 128)),
+}
+
+// RewriteBuf returns n bytes for a module to encode its verdict's header
+// rewrite into (Route, Forward.RewriteHeader): bytes the packet holds, so
+// the rewrite costs no allocation, or — beyond the room the packet has — a
+// fresh slice. A packet holds room for one rewrite: each call hands out
+// the same bytes. Like the verdict, they are only good for p: the SN copies
+// what it keeps of them (the cache's rule, a requeued forward) before the
+// packet is recycled.
+func (p *Packet) RewriteBuf(n int) []byte {
+	if n <= len(p.rewrite) {
+		return p.rewrite[:n:n]
+	}
+	return make([]byte, n)
 }
 
 // OneForward returns the Forwards of the commonest uncached verdict — one
@@ -108,8 +127,9 @@ func (p *Packet) OneForward(f Forward) []Forward {
 
 // Route returns the commonest verdict: send p to next and cache that for
 // p's flow. A non-nil rewrite is the encoded header that replaces p's on
-// this copy and on the flow's later ones; the cache keeps it, so it must not
-// be written afterwards. A valid dependsOn is the address the decision was
+// this copy and on the flow's later ones, best written into p.RewriteBuf;
+// the cache copies it, and it must not be written until the verdict has
+// been applied. A valid dependsOn is the address the decision was
 // resolved for and does not forward to (cache.Action.DependsOn). The
 // verdict is held in the packet itself, so it costs no allocation; it is
 // only good for p.
@@ -133,8 +153,8 @@ type Forward struct {
 	Hdr *wire.ILPHeader
 	// RewriteHeader, if non-nil, is an encoded ILP header that replaces the
 	// packet's on this copy, as cache.Action.RewriteHeader does on a cached
-	// flow's; it takes precedence over Hdr and must not be written after
-	// the verdict is returned.
+	// flow's; it takes precedence over Hdr, may lie in the packet's
+	// RewriteBuf, and must not be written after the verdict is returned.
 	RewriteHeader []byte
 	// Payload, if non-nil, replaces the packet's payload on this copy;
 	// nil forwards the original payload, and an empty non-nil slice
@@ -220,8 +240,9 @@ type Env interface {
 	PeerIdentity(addr wire.Addr) (ed25519.PublicKey, bool)
 
 	// AddRule installs a decision-cache entry. The cache copies
-	// action.Forward and keeps none of the caller's slice, but it keeps
-	// action.RewriteHeader, which must not be written afterwards.
+	// action.Forward and action.RewriteHeader and keeps none of the
+	// caller's slices; a lookup that hits pins the cache's copy of the
+	// rewrite until it releases it (cache.Action.Release).
 	AddRule(key wire.FlowKey, action cache.Action)
 	// InvalidateRule removes a decision-cache entry.
 	InvalidateRule(key wire.FlowKey)

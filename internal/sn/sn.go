@@ -596,6 +596,9 @@ func (s *SN) handleBatch(tx pipe.Sender, src wire.Addr, pkts []pipe.RxPacket) {
 				}
 				s.applyFastAction(tx, from, &run[k].Hdr, run[k].HdrRaw, run[k].Payload, &action)
 			}
+			// Every copy has been staged, sealed or requeued with a copy of
+			// its header: the cache may reuse the rewrite's bytes.
+			action.Release()
 			s.release(run)
 			s.fastPathNs.Observe(uint64(time.Since(start)))
 			continue
@@ -748,11 +751,13 @@ func (s *SN) degradePacket(reg *registeredModule, pkt *Packet) {
 }
 
 // sendHeader forwards one packet copy from a dispatcher worker under enc, an
-// immutable encoded header (Forward.RewriteHeader), or hdr if enc is nil.
-// Module verdicts and degraded forwards do not run on an rx worker, so they
-// send through the manager (immediate path), which encodes hdr into the
-// pooled buffer it seals in; only a packet that must wait for its pipe is
-// encoded on its own, and that encoding is the requeued copy's.
+// encoded header (Forward.RewriteHeader), or hdr if enc is nil. Module
+// verdicts and degraded forwards do not run on an rx worker, so they send
+// through the manager (immediate path), which encodes hdr into the pooled
+// buffer it seals in; only a packet that must wait for its pipe keeps a
+// header of its own: a copy of enc, which may lie in the packet
+// (Packet.RewriteBuf) and go with it once the verdict is applied, or a
+// fresh encoding of hdr.
 func (s *SN) sendHeader(dst wire.Addr, hdr *wire.ILPHeader, enc, payload []byte) {
 	var err error
 	if enc != nil {
@@ -764,6 +769,8 @@ func (s *SN) sendHeader(dst wire.Addr, hdr *wire.ILPHeader, enc, payload []byte)
 		var encErr error
 		if enc == nil {
 			enc, encErr = hdr.Encode()
+		} else {
+			enc = append([]byte(nil), enc...)
 		}
 		if encErr == nil {
 			s.requeue(dst, enc, payload)

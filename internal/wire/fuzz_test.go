@@ -47,8 +47,9 @@ func FuzzILPHeaderDecode(f *testing.F) {
 
 // FuzzTransitDecode: SvcPeering service data — the two addresses and the
 // nested header — decodes or is refused, never panics; what decodes stays
-// inside the input, re-encodes to the same bytes — through TransitHeader and
-// through EncodeTransitHeader, which agree — and is never a service a transit
+// inside the input, re-encodes to the same bytes — through TransitHeader,
+// through EncodeTransitHeader and through PutTransitHeader into a buffer of
+// TransitHeaderSize, which all agree — and is never a service a transit
 // packet may not carry.
 func FuzzTransitDecode(f *testing.F) {
 	for _, inner := range []ILPHeader{
@@ -98,6 +99,11 @@ func FuzzTransitDecode(f *testing.F) {
 		}
 		if want, err := outer.Encode(); err != nil || !bytes.Equal(enc, want) {
 			t.Fatalf("EncodeTransitHeader = %x, TransitHeader encodes to %x (%v)", enc, want, err)
+		}
+		// Written in place over stale bytes, the encoding is the same.
+		put := bytes.Repeat([]byte{0xDB}, TransitHeaderSize(&tr.Inner))
+		if err := PutTransitHeader(put, tr.FinalDst, tr.OrigSrc, &tr.Inner); err != nil || !bytes.Equal(put, enc) {
+			t.Fatalf("PutTransitHeader = %x (%v), EncodeTransitHeader = %x", put, err, enc)
 		}
 		var back ILPHeader
 		if n, err := back.DecodeFromBytes(enc); err != nil || n != len(enc) ||

@@ -38,33 +38,50 @@ var (
 
 func transitable(s ServiceID) bool { return s == SvcNone || s >= SvcNull }
 
-// EncodeTransitHeader returns the encoded outer header that carries inner
-// from origSrc to the SN finalDst, in one allocation: what an ingress SN
-// sends a flow's first packet under and installs as the flow's header
-// rewrite. The outer connection ID is a hash of (finalDst, origSrc, inner
-// service, inner connection): gateways key transit rules by (previous hop,
-// SvcPeering, connection), and hosts all number their connections from the
-// same start, so copying the inner ID would let two hosts' flows share — and
-// misroute through — one rule.
-func EncodeTransitHeader(finalDst, origSrc Addr, inner *ILPHeader) ([]byte, error) {
+// TransitHeaderSize is the size of the encoded outer header that carries
+// inner: what PutTransitHeader writes.
+func TransitHeaderSize(inner *ILPHeader) int {
+	return ILPHeaderFixedSize + TransitMetaSize + inner.EncodedSize()
+}
+
+// PutTransitHeader writes into enc, which must be TransitHeaderSize(inner)
+// bytes long, the encoded outer header that carries inner from origSrc to the
+// SN finalDst: what an ingress SN sends a flow's first packet under and
+// installs as the flow's header rewrite. The outer connection ID is a hash
+// of (finalDst, origSrc, inner service, inner connection): gateways key
+// transit rules by (previous hop, SvcPeering, connection), and hosts all
+// number their connections from the same start, so copying the inner ID
+// would let two hosts' flows share — and misroute through — one rule.
+func PutTransitHeader(enc []byte, finalDst, origSrc Addr, inner *ILPHeader) error {
 	if !transitable(inner.Service) {
-		return nil, ErrTransitInner
+		return ErrTransitInner
 	}
 	if len(inner.Data) > MaxTransitInnerData {
-		return nil, ErrTransitTooBig
+		return ErrTransitTooBig
 	}
-	enc := make([]byte, ILPHeaderFixedSize+TransitMetaSize+inner.EncodedSize())
+	if len(enc) != TransitHeaderSize(inner) {
+		return fmt.Errorf("wire: transit header needs %d bytes, not %d", TransitHeaderSize(inner), len(enc))
+	}
 	data := enc[ILPHeaderFixedSize:]
 	d, s := finalDst.As16(), origSrc.As16()
 	copy(data[0:16], d[:])
 	copy(data[16:32], s[:])
 	if _, err := inner.SerializeTo(data[TransitMetaSize:]); err != nil {
-		return nil, err
+		return err
 	}
 	// Hashed: the addresses and the inner service and connection IDs, which
 	// lead the encoded inner header.
 	conn := ConnectionID(fnv1a(data[:TransitMetaSize+4+8]))
 	putILPFixed(enc, SvcPeering, conn, len(data))
+	return nil
+}
+
+// EncodeTransitHeader is PutTransitHeader into a fresh slice.
+func EncodeTransitHeader(finalDst, origSrc Addr, inner *ILPHeader) ([]byte, error) {
+	enc := make([]byte, TransitHeaderSize(inner))
+	if err := PutTransitHeader(enc, finalDst, origSrc, inner); err != nil {
+		return nil, err
+	}
 	return enc, nil
 }
 

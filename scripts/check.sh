@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # CI gate: static checks, full build, race-detected tests, compressed-time
 # soak scenarios with SLO gates (capacity reports land in SOAK_*.json),
-# clock-free allocation pins, and a smoke run of the benchmark of record
+# clock-free allocation pins, planted-bug (mutant) checks, and a smoke run
+# of the benchmark of record
 # (`go run ./benchmark -smoke`: every workload at tiny sizes, untraced and
 # traced).
 #
@@ -124,14 +125,14 @@ run "slow-path dispatcher: close race, worker ownership, queue order and depth (
 	go test -race -count=10 -timeout 180s \
 	-run 'TestDispatcher|TestInProcessModuleOwnsItsWorkersOnly|TestSlowPath' \
 	./internal/sn/
-run "allocation budgets: echo round trip <= 1 (the Conn path, whose messages the application keeps), fast-path delivery to a host handler = 0 over one SN (with and without 16 bytes of header data) and over two (fleet), a cache-hit forward in the SN terminus <= 1 (the fabric's datagram copy; both ends of a transit flow too), an ipfwd Route miss = 0 in one SN and <= 1 across two edomains, unclaimed packets at a host = 0, a pool miss = 1, consumed datagrams (forged, wrong-SPI, probes) = 0, wire.Datagram = 72 bytes, a lookup resolve (a hit in the folded base or the delta, a miss) = 0 and never waits on the writers' mutex" \
+run "allocation budgets: echo round trip <= 1 (the Conn path, whose messages the application keeps), fast-path delivery to a host handler = 0 over one SN (with and without 16 bytes of header data) and over two (fleet), a cache-hit forward in the SN terminus <= 1 (the fabric's datagram copy; both ends of a transit flow too), an ipfwd Route miss = 0 in one SN and across two edomains, unclaimed packets at a host = 0, a pool miss = 1, consumed datagrams (forged, wrong-SPI, probes) = 0, wire.Datagram = 72 bytes, a lookup resolve (a hit in the folded base or the delta, a miss) = 0 and never waits on the writers' mutex" \
 	go test -count=1 -v \
 	-run 'TestEchoRoundTripAllocs|TestFastPathDeliveryAllocs|TestSlowPathRouteAllocs|TestFleetTwoSNDeliveryAllocs|TestFastPathForwardAllocs|TestUnclaimedFloodAllocs|TestRxCopyMissCostsOneAllocation|TestRxClassesMatchTheAllocator|TestConsumedDatagramsGoBackToThePool|TestDatagramStaysThreeWords|TestResolveIsAllocationAndLockFree' \
 	./internal/lab/ ./internal/wire/ ./internal/pipe/ ./internal/sn/ ./internal/lookup/
-run "receive shards and buffer ownership (race-detected: released buffers and recycled slow-path packets are overwritten at once; sharded sim / Mux / UDP portable / mmsg / GSO in per-pipe order, n workers = n goroutines, header and payload kept by host / SN / module, a host handler's packet released when its call returns unless cloned, a miss released after its verdict unless retained (chan / IPC / enclave), a packet abandoned at its deadline never recycled, injected bytes stay the caller's, one rx and one decision trace event per packet on every way into the terminus, wrapped nodes keep their shards, OpenBatch leaves its input alone, undecodable headers counted; repeated)" \
+run "receive shards and buffer ownership (race-detected: released buffers and recycled slow-path packets are overwritten at once; sharded sim / Mux / UDP portable / mmsg / GSO in per-pipe order, n workers = n goroutines, header and payload kept by host / SN / module, a host handler's packet released when its call returns unless cloned, a miss released after its verdict unless retained (chan / IPC / enclave), a packet abandoned at its deadline never recycled, injected bytes stay the caller's, one rx and one decision trace event per packet on every way into the terminus, wrapped nodes keep their shards, OpenBatch leaves its input alone, undecodable headers counted, the decision cache copies a rewrite and never writes one a lookup has pinned; repeated)" \
 	go test -race -count=3 -timeout 300s \
-	-run 'TestReceivedPayloadIsTheReceivers|TestReceiveShardsKeepsDepthAndQueue|TestEngineOwnsItsWorkersOnly|TestUndecodableHeaderIsCountedMalformed|TestRetainedPayloadSurvivesLaterPackets|TestHandlerLeaseEndsWithTheCall|TestMessageClone|TestTransitUnwrapMiss|TestReleasedBuffersAreNeverSeenAgain|TestLeaseEndsWithTheInvocation|TestAbandonedInvocationKeepsItsPacket|TestRecycledPacket|TestRxPacketReleaseOnce|TestRxCopyReusesWhatWasReleased|TestOpenBatchLeavesItsInputAlone|TestFastPathDeliveryAllocs|TestFleetTwoSNDeliveryAllocs|TestWrappedNodesKeepTheirReceiveShards|TestInjectedBytesStayTheCallers|TestTraceHooks' \
-	./internal/netsim/ ./internal/host/ ./internal/sn/ ./internal/pipe/ ./internal/wire/ ./internal/psp/ ./internal/lab/
+	-run 'TestReceivedPayloadIsTheReceivers|TestReceiveShardsKeepsDepthAndQueue|TestEngineOwnsItsWorkersOnly|TestUndecodableHeaderIsCountedMalformed|TestRetainedPayloadSurvivesLaterPackets|TestHandlerLeaseEndsWithTheCall|TestMessageClone|TestTransitUnwrapMiss|TestReleasedBuffersAreNeverSeenAgain|TestLeaseEndsWithTheInvocation|TestAbandonedInvocationKeepsItsPacket|TestRecycledPacket|TestRxPacketReleaseOnce|TestRxCopyReusesWhatWasReleased|TestOpenBatchLeavesItsInputAlone|TestFastPathDeliveryAllocs|TestFleetTwoSNDeliveryAllocs|TestWrappedNodesKeepTheirReceiveShards|TestInjectedBytesStayTheCallers|TestTraceHooks|TestAddCopiesRewrite|TestPinnedRewriteNeverChanges' \
+	./internal/netsim/ ./internal/host/ ./internal/sn/ ./internal/sn/cache/ ./internal/pipe/ ./internal/wire/ ./internal/psp/ ./internal/lab/
 run "pipe stack, whole package: handshakes, liveness, egress, handoff, RX affinity (race-detected, x3)" \
 	go test -race -count=3 -timeout 300s ./internal/pipe/
 run "handshake order: pipe installed before msg2 leaves, single-address and mux (race-detected, x30)" \
@@ -160,6 +161,12 @@ run "inter-edomain transit: connection-ID collision, re-steer and route-change c
 	go test -race -count=1 -timeout 180s \
 	-run 'TestEqualConnectionIDsFromTwoHosts|TestWarmFlowFollowsRepublishedDestination|TestRouteChangeMovesWarmFlow' \
 	./internal/lab/
+
+# Planted bugs the tests must catch: each scripts/mutants/*.patch is applied
+# to a copy of the tree, whose named tests must then fail (about 10 s here;
+# each test run is bounded by a 120 s go test -timeout).
+run "mutants: every planted bug fails its named tests (go run ./scripts/mutate; 120 s bound per test run)" \
+	go run ./scripts/mutate -timeout 120s
 
 run "rescache interleaving property suite (race-detected, fixed seeds)" \
 	go test -race -count=1 -timeout 180s ./internal/lookup/rescache/
