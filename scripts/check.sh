@@ -163,10 +163,10 @@ run "inter-edomain transit: connection-ID collision, re-steer and route-change c
 	./internal/lab/
 
 # Planted bugs the tests must catch: each scripts/mutants/*.patch is applied
-# to a copy of the tree, whose named tests must then fail (about 10 s here;
+# to a copy of the tree, whose named tests must then fail (about 15 s on 2 vCPUs;
 # each test run is bounded by a 120 s go test -timeout).
 run "mutants: every planted bug fails its named tests (go run ./scripts/mutate; 120 s bound per test run)" \
-	go run ./scripts/mutate -timeout 120s
+	go run ./scripts/mutate
 
 run "rescache interleaving property suite (race-detected, fixed seeds)" \
 	go test -race -count=1 -timeout 180s ./internal/lookup/rescache/

@@ -11,17 +11,16 @@
 // that the package still builds, and runs the tests again, which must now
 // fail. It exits nonzero if a patch no longer applies or builds, if the tests
 // fail on the unpatched tree, or if a mutant survives. Each test run is bounded
-// by -timeout (go test's own, so a hang fails the run).
+// by testTimeout (go test's own -timeout, so a hang fails the run). Run it from
+// the repository root:
 //
-//	go run ./scripts/mutate                 # every patch
-//	go run ./scripts/mutate -timeout 60s scripts/mutants/add-ignores-pins.patch
+//	go run ./scripts/mutate
 package main
 
 import (
 	"bufio"
 	"bytes"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -30,6 +29,9 @@ import (
 	"strings"
 	"time"
 )
+
+// testTimeout bounds each go test run of a mutant's tests.
+const testTimeout = 120 * time.Second
 
 // mutant is a patch and the tests its header says must fail once applied.
 type mutant struct {
@@ -40,14 +42,9 @@ type mutant struct {
 }
 
 func main() {
-	timeout := flag.Duration("timeout", 120*time.Second, "go test -timeout for each run of a mutant's tests")
-	flag.Parse()
-	patches := flag.Args()
-	if len(patches) == 0 {
-		var err error
-		if patches, err = filepath.Glob("scripts/mutants/*.patch"); err != nil || len(patches) == 0 {
-			fatalf("no patches under scripts/mutants (run from the repository root): %v", err)
-		}
+	patches, err := filepath.Glob("scripts/mutants/*.patch")
+	if err != nil || len(patches) == 0 {
+		fatalf("no patches under scripts/mutants (run from the repository root): %v", err)
 	}
 	files, err := treeFiles()
 	if err != nil {
@@ -58,7 +55,7 @@ func main() {
 		start := time.Now()
 		m, err := readMutant(p)
 		if err == nil {
-			err = check(m, files, *timeout)
+			err = check(m, files)
 		}
 		if err != nil {
 			failed++
@@ -135,7 +132,7 @@ func treeFiles() ([]string, error) {
 
 // check runs m's tests on a copy of the tree, then on the copy with m's patch
 // applied.
-func check(m mutant, files []string, timeout time.Duration) error {
+func check(m mutant, files []string) error {
 	dir, err := os.MkdirTemp("", "mutate-")
 	if err != nil {
 		return err
@@ -144,7 +141,7 @@ func check(m mutant, files []string, timeout time.Duration) error {
 	if err := copyTree(dir, files); err != nil {
 		return err
 	}
-	args := append([]string{"test", "-timeout", timeout.String()}, m.flags...)
+	args := append([]string{"test", "-timeout", testTimeout.String()}, m.flags...)
 	if out, err := goCmd(dir, append(args, "-run", m.run, m.pkg)...); err != nil {
 		return fmt.Errorf("the tests fail without the mutant:\n%s", out)
 	}
